@@ -18,10 +18,20 @@
 
 namespace p2p::core {
 
+bool simd_decode_supported() noexcept {
+#if defined(__x86_64__) && defined(__GNUC__)
+  return __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512bw") != 0 &&
+         __builtin_cpu_supports("avx512vl") != 0;
+#else
+  return false;
+#endif
+}
+
 namespace {
 
 /// Router-lifetime invariants of the vectorized selection: x86 CPU with
-/// AVX-512F, dense graph (position == id, so ids load straight into vector
+/// AVX-512F/BW/VL, dense graph (position == id, so ids load straight into vector
 /// lanes), two-sided greedy, and positions narrow enough for the
 /// (distance << 32 | id) key packing. P2P_NO_SIMD=1 (read per Router
 /// construction; empty or "0" means off) forces the scalar path so tests
@@ -34,22 +44,16 @@ bool simd_disabled_by_env() noexcept {
 
 bool simd_select_eligible(const graph::OverlayGraph& g,
                           const RouterConfig& cfg) noexcept {
-#if defined(__x86_64__) && defined(__GNUC__)
-  // Every metric kind has a vectorized rank-0 scan — in intact and
+  // Every metric kind has a vectorized scan of any rank — in intact and
   // failure-masked (dead links / dead targets) variants: the 1-D kernel
   // packs line/ring distances, the torus kernel splits row/col by reciprocal
   // multiplication. size <= 2^32 keeps ids and distances inside the
   // (dist << 32 | id) key packing — and, on the torus, bounds the side by
   // 2^16, the domain where the double-reciprocal coordinate split is exact.
-  return __builtin_cpu_supports("avx512f") != 0 && !cfg.force_scalar &&
+  return simd_decode_supported() && !cfg.force_scalar &&
          !simd_disabled_by_env() && g.dense() &&
          cfg.sidedness == Sidedness::kTwoSided &&
          g.space().size() <= 0xffffffffull;
-#else
-  static_cast<void>(g);
-  static_cast<void>(cfg);
-  return false;
-#endif
 }
 
 }  // namespace
@@ -82,19 +86,23 @@ std::size_t Router::effective_ttl() const noexcept {
 
 namespace {
 
-/// Core of select_candidate, compiled once per (layout, trust-check, dense,
-/// link-check, node-check, sidedness) combination so the common
-/// configurations run with no per-neighbour flag tests at all. Candidates
-/// order by (distance-to-target, node id); duplicate links to the same
-/// neighbour collapse. Streaming k-th order statistic: each round takes the
-/// minimum pair strictly greater than the previous round's.
+/// Scalar core of select_candidate, compiled once per (layout, trust-check,
+/// dense, link-check, node-check, sidedness) combination so the common
+/// configurations run with no per-neighbour flag tests at all. It serves
+/// every router the vectorized kernels cannot (no AVX-512, sparse graph,
+/// one-sided, force_scalar / P2P_NO_SIMD) and compact nodes past
+/// kSimdDecodeCap. Candidates order by (distance-to-target, node id);
+/// duplicate links to the same neighbour collapse. Streaming k-th order
+/// statistic: each round takes the minimum pair strictly greater than the
+/// previous round's.
 ///
 /// `trusted` is the reputation distrust sideband (trusted_bytes());
 /// dereferenced only when kCheckTrust, nullptr otherwise.
 ///
-/// On the compact layout each round re-decodes the node's delta stream in
-/// place of the inline/spill walk; slot indices (h.offset + i) are identical
-/// across layouts, so the failure-mask queries don't change shape.
+/// On the compact layout each round re-decodes the node's slot and
+/// exception cursors in place of the inline/spill walk; slot indices
+/// (h.offset + i) are identical across layouts, so the failure-mask queries
+/// don't change shape.
 ///
 /// A self-link (v == u) can never be selected — its distance equals du and
 /// every round filters to dv < du — so no explicit check is needed.
@@ -112,7 +120,7 @@ graph::NodeId select_impl(const graph::OverlayGraph& g,
   // inline slice prefix; the rest of the slice lives in the spill array,
   // which is small enough to stay cache-resident (and prefetched ahead by
   // the batch pipeline). Compact layout: the 16-byte header points at the
-  // node's delta-encoded stream.
+  // node's slot words and exception array.
   const graph::OverlayGraph::NodeHeader* h = nullptr;
   const graph::OverlayGraph::CompactHeader* ch = nullptr;
   const graph::NodeId* tail = nullptr;
@@ -179,9 +187,10 @@ graph::NodeId select_impl(const graph::OverlayGraph& g,
       }
     };
     if constexpr (kCompact) {
-      const std::uint16_t* p = g.enc_stream(*ch);
+      const std::uint16_t* slot = g.enc_stream(*ch);
+      const std::uint16_t* exc = g.enc_exceptions(*ch);
       for (std::uint32_t i = 0; i < degree; ++i) {
-        consider(graph::detail::decode_link(p, u), i);
+        consider(graph::detail::decode_link(slot, exc, u), i);
       }
     } else {
       for (std::uint32_t i = 0; i < inline_n; ++i) consider(h->inline_edges[i], i);
@@ -213,18 +222,51 @@ constexpr std::array<SelectFn, 64> kSelectTable =
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define P2P_HAVE_AVX512_SELECT 1
-
-/// Compact-layout SIMD staging: a node's delta stream is decoded into an
-/// aligned id buffer and scanned as one segment. Degrees above the cap (far
-/// beyond any paper configuration — ℓ + 2 per node; only adversarial inputs
-/// exceed it) fall back to the scalar compact kernel.
-inline constexpr std::uint32_t kSimdDecodeCap = 256;
+// The scans are AVX-512F; the compact decode's masked u16 load also needs
+// BW and VL. simd_decode_supported() checks all three. The kernel pieces are
+// forced inline: outlined, they pass the metric and the id segments through
+// memory, which costs the standard masked scan ~15 %.
+#define P2P_AVX512_ISA "avx512f,avx512bw,avx512vl"
+#define P2P_AVX512_TARGET __attribute__((target(P2P_AVX512_ISA)))
+#define P2P_AVX512_INLINE __attribute__((target(P2P_AVX512_ISA), always_inline))
 
 // GCC's _mm512_* expansions seed results from _mm512_undefined_epi32, which
 // -Wmaybe-uninitialized flags at -O3; the intrinsics are correct as written.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #pragma GCC diagnostic ignored "-Wuninitialized"
+/// Decodes compact node u's links into out, sixteen slots per step: a
+/// masked u16 load widened to u32, the zigzag decode plus u, then one
+/// expand-load fills the escaped lanes from the exception array (escaped
+/// absolutes in slot order) and a masked store writes the ids. Nothing
+/// branches on the data, and no load touches a word past the node's stream.
+P2P_AVX512_TARGET
+inline void avx512_decode_links(const graph::OverlayGraph& g,
+                                const graph::OverlayGraph::CompactHeader& ch,
+                                graph::NodeId u, graph::NodeId* out) noexcept {
+  const std::uint16_t* slots = g.enc_stream(ch);
+  const std::uint16_t* exc = g.enc_exceptions(ch);
+  const std::uint32_t degree = ch.degree;
+  const __m512i vu = _mm512_set1_epi32(static_cast<int>(u));
+  const __m512i vone = _mm512_set1_epi32(1);
+  const __m512i vesc = _mm512_set1_epi32(graph::detail::kEscapeWord);
+  for (std::uint32_t i = 0; i < degree; i += 16) {
+    const std::uint32_t left = degree - i;
+    const __mmask16 m = left >= 16 ? static_cast<__mmask16>(0xffff)
+                                   : static_cast<__mmask16>((1u << left) - 1u);
+    const __m512i w = _mm512_cvtepu16_epi32(_mm256_maskz_loadu_epi16(m, slots + i));
+    // Zigzag: (w >> 1) ^ -(w & 1); u + d wraps exactly as the scalar decode.
+    const __m512i d = _mm512_xor_si512(
+        _mm512_srli_epi32(w, 1),
+        _mm512_sub_epi32(_mm512_setzero_si512(), _mm512_and_si512(w, vone)));
+    const __mmask16 esc = _mm512_mask_cmpeq_epi32_mask(m, w, vesc);
+    const __m512i v =
+        _mm512_mask_expandloadu_epi32(_mm512_add_epi32(vu, d), esc, exc);
+    exc += 2 * static_cast<unsigned>(__builtin_popcount(esc));
+    _mm512_mask_storeu_epi32(out + i, m, v);
+  }
+}
+
 /// Builds the admissibility mask of one 8-lane group: the remainder mask,
 /// narrowed by the link-liveness bits of the scanned slots (kCheckLinks), by
 /// a byte gather on the view's node-alive sideband (kCheckNodes), and by a
@@ -239,7 +281,7 @@ inline constexpr std::uint32_t kSimdDecodeCap = 256;
 /// advance by 8, so a group's byte never straddles the fetched window.
 /// `vid_out` receives the (masked-loaded) widened ids for the group.
 template <bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
-__attribute__((target("avx512f")))
+P2P_AVX512_INLINE
 inline __mmask8 avx512_group_mask(const graph::NodeId* ids, std::uint32_t i,
                                   std::uint32_t count,
                                   const failure::FailureView& view,
@@ -281,122 +323,57 @@ inline __mmask8 avx512_group_mask(const graph::NodeId* ids, std::uint32_t i,
   return m;
 }
 
-/// Vectorized rank-0 selection scan: dense graph, two-sided greedy. Packs
-/// each admissible neighbour into the key
-///   key(v) = (distance(v, target) << 32) | v
-/// so the lexicographic (distance, id) minimum — candidates()[0] exactly,
-/// ties to the lower id — is a single unsigned 64-bit min-reduction, eight
-/// lanes at a time. The strictly-closer filter needs no per-lane mask: the
-/// global minimum is admissible iff it is < (du << 32), and a self-link or
-/// any not-closer neighbour can never win. Integer-only AVX-512 (no FMA), so
-/// no meaningful license downclocking. Masked-out lanes (remainder, dead
-/// link, dead target) keep the running min unchanged —
-/// _mm512_mask_min_epu64 keeps vbest in those lanes.
-template <bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
-__attribute__((target("avx512f")))
-inline __m512i avx512_scan_ids(__m512i vbest, const graph::NodeId* ids,
-                               std::uint32_t count, __m512i vt, __m512i vn,
-                               bool ring, const failure::FailureView& view,
-                               std::size_t slot_base,
-                               const std::uint8_t* alive_bytes,
-                               const std::uint8_t* trusted_bytes) noexcept {
-  std::uint64_t live = 0;
-  for (std::uint32_t i = 0; i < count; i += 8) {
-    __m512i vid;
-    const __mmask8 m = avx512_group_mask<kCheckLinks, kCheckNodes, kCheckTrust>(
-        ids, i, count, view, slot_base, alive_bytes, trusted_bytes, live, vid);
+/// Line/ring distance of eight ids to the target: |id - t|, wrapped on the
+/// ring. simd_ok_ admits dense graphs only, so an id is its position.
+struct LineMetric {
+  __m512i vt;
+  __m512i vn;
+  bool ring;
+
+  P2P_AVX512_TARGET
+  LineMetric(const metric::Space& space, metric::Point target) noexcept
+      : vt(_mm512_set1_epi64(static_cast<long long>(target))),
+        vn(_mm512_set1_epi64(static_cast<long long>(space.size()))),
+        ring(space.kind() == metric::Space::Kind::kRing) {}
+
+  P2P_AVX512_INLINE
+  __m512i distance(__m512i vid) const noexcept {
     const __m512i diff = _mm512_abs_epi64(_mm512_sub_epi64(vid, vt));
-    const __m512i dv =
-        ring ? _mm512_min_epu64(diff, _mm512_sub_epi64(vn, diff)) : diff;
-    const __m512i key = _mm512_or_epi64(_mm512_slli_epi64(dv, 32), vid);
-    vbest = _mm512_mask_min_epu64(vbest, m, vbest, key);
+    return ring ? _mm512_min_epu64(diff, _mm512_sub_epi64(vn, diff)) : diff;
   }
-  return vbest;
-}
+};
 
-template <bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
-__attribute__((target("avx512f")))
-graph::NodeId select_best_avx512(const graph::OverlayGraph& g,
-                                 const failure::FailureView& view,
-                                 const std::uint8_t* trusted_bytes,
-                                 graph::NodeId u, metric::Point target) noexcept {
-  constexpr std::size_t kInline = graph::OverlayGraph::kInlineEdges;
-  const metric::Space& space = g.space();
-  // simd_ok_ admits 1-D spaces only, so the kind is line or ring here.
-  const bool ring = space.kind() == metric::Space::Kind::kRing;
-  const metric::Distance du =
-      space.distance(static_cast<metric::Point>(u), target);
-  const std::uint8_t* alive_bytes = kCheckNodes ? view.node_alive_bytes() : nullptr;
-
-  const __m512i vt = _mm512_set1_epi64(static_cast<long long>(target));
-  const __m512i vn = _mm512_set1_epi64(static_cast<long long>(space.size()));
-  __m512i vbest = _mm512_set1_epi64(-1);
-  if (g.compact()) {
-    const graph::OverlayGraph::CompactHeader& ch = g.cheader(u);
-    if (ch.degree > kSimdDecodeCap) {
-      return select_impl<true, kCheckTrust, true, kCheckLinks, kCheckNodes,
-                         false>(g, view, trusted_bytes, u, target, 0);
-    }
-    // Decode the delta stream into lane-loadable ids, then scan the buffer
-    // as one segment (slot base = the node's flat slot base, exactly the
-    // standard kernel's keying). Masked loads never touch lanes past the
-    // remainder mask, so the buffer needs no padding.
-    alignas(64) graph::NodeId buf[kSimdDecodeCap];
-    g.decode_links(u, buf);
-    vbest = avx512_scan_ids<kCheckLinks, kCheckNodes, kCheckTrust>(
-        vbest, buf, ch.degree, vt, vn, ring, view, ch.offset, alive_bytes,
-        trusted_bytes);
-  } else {
-    const graph::OverlayGraph::NodeHeader& h = g.header(u);
-    const std::uint32_t degree = h.degree;
-    const auto inline_n =
-        degree < kInline ? degree : static_cast<std::uint32_t>(kInline);
-    vbest = avx512_scan_ids<kCheckLinks, kCheckNodes, kCheckTrust>(
-        vbest, h.inline_edges, inline_n, vt, vn, ring, view, h.offset,
-        alive_bytes, trusted_bytes);
-    if (degree > kInline) {
-      vbest = avx512_scan_ids<kCheckLinks, kCheckNodes, kCheckTrust>(
-          vbest, g.tail(h), degree - inline_n, vt, vn, ring, view,
-          h.offset + kInline, alive_bytes, trusted_bytes);
-    }
-  }
-  const std::uint64_t best = _mm512_reduce_min_epu64(vbest);
-  if (best >= (static_cast<std::uint64_t>(du) << 32)) return graph::kInvalidNode;
-  const auto best_v = static_cast<graph::NodeId>(best & 0xffffffffu);
-  // The winner's header is what the next hop (or the batch pipeline a full
-  // rotation later) reads.
-  g.prefetch(best_v);
-  return best_v;
-}
-
-/// Torus leg of the vectorized selection: eight neighbours at a time, each
-/// flattened id split into (row, col) and scored by wrapped Manhattan
-/// distance to the target, packed into the same (distance << 32 | id) key.
+/// Torus distance of eight ids to the target: each flattened id is split
+/// into (row, col) and scored by wrapped Manhattan distance.
 ///
 /// The split is id / side via a double-precision reciprocal: ids are < 2^32
-/// (exact in a double) and sides < 2^16, so the truncated product is off by
-/// at most one — only at exact multiples of the side — and a two-sided
-/// masked fixup (col wrapped negative → row-1, col >= side → row+1) restores
-/// floor division exactly. This keeps the whole scan in AVX-512F: the only
-/// integer multiply needed is row * side, which fits vpmuludq's 32-bit
-/// operands. Without it the scalar path burns two 64-bit divides per
-/// neighbour and the torus hop is compute-bound instead of memory-bound.
-template <bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
-__attribute__((target("avx512f")))
-inline __m512i avx512_torus_scan_ids(__m512i vbest, const graph::NodeId* ids,
-                                     std::uint32_t count, __m512i vtr, __m512i vtc,
-                                     __m512i vside, __m512d vinv_side,
-                                     const failure::FailureView& view,
-                                     std::size_t slot_base,
-                                     const std::uint8_t* alive_bytes,
-                                     const std::uint8_t* trusted_bytes) noexcept {
-  const __m512i vone = _mm512_set1_epi64(1);
-  const __m512i vmax32 = _mm512_set1_epi64(0xffffffffll);
-  std::uint64_t live = 0;
-  for (std::uint32_t i = 0; i < count; i += 8) {
-    __m512i vid;
-    const __mmask8 m = avx512_group_mask<kCheckLinks, kCheckNodes, kCheckTrust>(
-        ids, i, count, view, slot_base, alive_bytes, trusted_bytes, live, vid);
+/// (exact in a double) and sides < 2^16 (simd_ok_ bounds size by 2^32), so
+/// the truncated product is off by at most one — only at exact multiples of
+/// the side — and a two-sided masked fixup (col wrapped negative → row-1,
+/// col >= side → row+1) restores floor division exactly. This keeps the
+/// whole scan in AVX-512F: the only integer multiply needed is row * side,
+/// which fits vpmuludq's 32-bit operands. Without it the scalar path burns
+/// two 64-bit divides per neighbour and the torus hop is compute-bound
+/// instead of memory-bound.
+struct TorusMetric {
+  __m512i vtr;
+  __m512i vtc;
+  __m512i vside;
+  __m512d vinv_side;
+
+  P2P_AVX512_TARGET
+  TorusMetric(const metric::Space& space, metric::Point target) noexcept {
+    const auto side = static_cast<std::uint64_t>(space.as_torus().side());
+    const auto tv = static_cast<std::uint64_t>(target);
+    vtr = _mm512_set1_epi64(static_cast<long long>(tv / side));
+    vtc = _mm512_set1_epi64(static_cast<long long>(tv % side));
+    vside = _mm512_set1_epi64(static_cast<long long>(side));
+    vinv_side = _mm512_set1_pd(1.0 / static_cast<double>(side));
+  }
+
+  P2P_AVX512_INLINE
+  __m512i distance(__m512i vid) const noexcept {
+    const __m512i vone = _mm512_set1_epi64(1);
     const __m256i ids32 = _mm512_cvtepi64_epi32(vid);
     // row = floor(id / side): reciprocal multiply, truncate, then fix up.
     const __m256i row32 = _mm512_cvttpd_epu32(
@@ -404,8 +381,8 @@ inline __m512i avx512_torus_scan_ids(__m512i vbest, const graph::NodeId* ids,
     __m512i vrow = _mm512_cvtepu32_epi64(row32);
     __m512i vcol = _mm512_sub_epi64(vid, _mm512_mul_epu32(vrow, vside));
     // Overestimated row: col wrapped negative (appears as > 2^32 - 1).
-    const __mmask8 over =
-        _mm512_cmp_epu64_mask(vcol, vmax32, _MM_CMPINT_NLE);
+    const __mmask8 over = _mm512_cmp_epu64_mask(
+        vcol, _mm512_set1_epi64(0xffffffffll), _MM_CMPINT_NLE);
     vrow = _mm512_mask_sub_epi64(vrow, over, vrow, vone);
     vcol = _mm512_mask_add_epi64(vcol, over, vcol, vside);
     // Underestimated row: col landed in [side, 2*side).
@@ -417,99 +394,192 @@ inline __m512i avx512_torus_scan_ids(__m512i vbest, const graph::NodeId* ids,
     const __m512i dr = _mm512_min_epu64(drd, _mm512_sub_epi64(vside, drd));
     const __m512i dcd = _mm512_abs_epi64(_mm512_sub_epi64(vcol, vtc));
     const __m512i dc = _mm512_min_epu64(dcd, _mm512_sub_epi64(vside, dcd));
-    const __m512i dv = _mm512_add_epi64(dr, dc);
-    const __m512i key = _mm512_or_epi64(_mm512_slli_epi64(dv, 32), vid);
+    return _mm512_add_epi64(dr, dc);
+  }
+};
+
+/// One selection pass over an id segment, eight neighbours at a time. Packs
+/// each admissible neighbour into the key
+///   key(v) = (distance(v, target) << 32) | v
+/// so the lexicographic (distance, id) minimum — ties to the lower id — is a
+/// single unsigned 64-bit min-reduction. kFloored passes (rank > 0) admit
+/// only keys >= vfloor. Masked-out lanes (remainder, dead link, dead target,
+/// distrusted, below the floor) keep the running min unchanged —
+/// _mm512_mask_min_epu64 keeps vbest in those lanes. Integer-only AVX-512
+/// on the line and ring, so no meaningful license downclocking.
+template <bool kFloored, bool kCheckLinks, bool kCheckNodes, bool kCheckTrust,
+          class Metric>
+P2P_AVX512_INLINE
+inline __m512i avx512_scan_ids(__m512i vbest, const graph::NodeId* ids,
+                               std::uint32_t count, const Metric& metric,
+                               __m512i vfloor, const failure::FailureView& view,
+                               std::size_t slot_base,
+                               const std::uint8_t* alive_bytes,
+                               const std::uint8_t* trusted_bytes) noexcept {
+  std::uint64_t live = 0;
+  for (std::uint32_t i = 0; i < count; i += 8) {
+    __m512i vid;
+    __mmask8 m = avx512_group_mask<kCheckLinks, kCheckNodes, kCheckTrust>(
+        ids, i, count, view, slot_base, alive_bytes, trusted_bytes, live, vid);
+    const __m512i key =
+        _mm512_or_epi64(_mm512_slli_epi64(metric.distance(vid), 32), vid);
+    if constexpr (kFloored) {
+      m = _mm512_mask_cmp_epu64_mask(m, key, vfloor, _MM_CMPINT_NLT);
+    }
     vbest = _mm512_mask_min_epu64(vbest, m, vbest, key);
   }
   return vbest;
 }
 
-template <bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
-__attribute__((target("avx512f")))
-graph::NodeId select_best_torus_avx512(const graph::OverlayGraph& g,
-                                       const failure::FailureView& view,
-                                       const std::uint8_t* trusted_bytes,
-                                       graph::NodeId u,
-                                       metric::Point target) noexcept {
-  constexpr std::size_t kInline = graph::OverlayGraph::kInlineEdges;
-  const metric::Space& space = g.space();
-  // simd_ok_ bounds size by 2^32, so the side is < 2^16 here.
-  const auto side = static_cast<std::uint64_t>(space.as_torus().side());
-  const metric::Distance du =
-      space.distance(static_cast<metric::Point>(u), target);
-  const std::uint8_t* alive_bytes = kCheckNodes ? view.node_alive_bytes() : nullptr;
+/// A node's ids as the vectorized scan reads them: up to two segments — the
+/// standard header's inline prefix plus its spill tail, or a compact node's
+/// decoded buffer — each with its flat slot base (the same keying on both
+/// layouts).
+struct IdSegments {
+  const graph::NodeId* ids[2];
+  std::uint32_t count[2];
+  std::size_t slot_base[2];
+};
 
-  const auto tv = static_cast<std::uint64_t>(target);
-  const __m512i vtr = _mm512_set1_epi64(static_cast<long long>(tv / side));
-  const __m512i vtc = _mm512_set1_epi64(static_cast<long long>(tv % side));
-  const __m512i vside = _mm512_set1_epi64(static_cast<long long>(side));
-  const __m512d vinv_side = _mm512_set1_pd(1.0 / static_cast<double>(side));
+/// The smallest admissible key >= floor over both segments (all ones when
+/// none is).
+template <bool kFloored, bool kCheckLinks, bool kCheckNodes, bool kCheckTrust,
+          class Metric>
+P2P_AVX512_INLINE
+inline std::uint64_t avx512_min_key(const IdSegments& seg, const Metric& metric,
+                                    std::uint64_t floor,
+                                    const failure::FailureView& view,
+                                    const std::uint8_t* alive_bytes,
+                                    const std::uint8_t* trusted_bytes) noexcept {
+  const __m512i vfloor = _mm512_set1_epi64(static_cast<long long>(floor));
   __m512i vbest = _mm512_set1_epi64(-1);
-  if (g.compact()) {
-    const graph::OverlayGraph::CompactHeader& ch = g.cheader(u);
-    if (ch.degree > kSimdDecodeCap) {
-      return select_impl<true, kCheckTrust, true, kCheckLinks, kCheckNodes,
-                         false>(g, view, trusted_bytes, u, target, 0);
-    }
-    alignas(64) graph::NodeId buf[kSimdDecodeCap];
-    g.decode_links(u, buf);
-    vbest = avx512_torus_scan_ids<kCheckLinks, kCheckNodes, kCheckTrust>(
-        vbest, buf, ch.degree, vtr, vtc, vside, vinv_side, view, ch.offset,
+  vbest = avx512_scan_ids<kFloored, kCheckLinks, kCheckNodes, kCheckTrust>(
+      vbest, seg.ids[0], seg.count[0], metric, vfloor, view, seg.slot_base[0],
+      alive_bytes, trusted_bytes);
+  if (seg.count[1] != 0) {
+    vbest = avx512_scan_ids<kFloored, kCheckLinks, kCheckNodes, kCheckTrust>(
+        vbest, seg.ids[1], seg.count[1], metric, vfloor, view, seg.slot_base[1],
         alive_bytes, trusted_bytes);
-  } else {
-    const graph::OverlayGraph::NodeHeader& h = g.header(u);
-    const std::uint32_t degree = h.degree;
-    const auto inline_n =
-        degree < kInline ? degree : static_cast<std::uint32_t>(kInline);
-    vbest = avx512_torus_scan_ids<kCheckLinks, kCheckNodes, kCheckTrust>(
-        vbest, h.inline_edges, inline_n, vtr, vtc, vside, vinv_side, view,
-        h.offset, alive_bytes, trusted_bytes);
-    if (degree > kInline) {
-      vbest = avx512_torus_scan_ids<kCheckLinks, kCheckNodes, kCheckTrust>(
-          vbest, g.tail(h), degree - inline_n, vtr, vtc, vside, vinv_side,
-          view, h.offset + kInline, alive_bytes, trusted_bytes);
-    }
   }
-  const std::uint64_t best = _mm512_reduce_min_epu64(vbest);
-  if (best >= (static_cast<std::uint64_t>(du) << 32)) return graph::kInvalidNode;
+  return _mm512_reduce_min_epu64(vbest);
+}
+
+/// The rank-th candidate of the node whose ids `seg` holds. Pass r takes the
+/// minimum key >= floor and then sets floor = best + 1, so it returns the
+/// smallest (distance, id) strictly greater than the previous pass's pick:
+/// the scalar rank rule, duplicate links collapsing the same way. The
+/// strictly-closer filter needs no per-lane mask: a pick is admissible iff
+/// its key is < (du << 32), and a self-link or any not-closer neighbour can
+/// never beat that.
+template <bool kCheckLinks, bool kCheckNodes, bool kCheckTrust, class Metric>
+P2P_AVX512_INLINE
+inline graph::NodeId avx512_select_ranked(const graph::OverlayGraph& g,
+                                          const failure::FailureView& view,
+                                          const std::uint8_t* trusted_bytes,
+                                          const IdSegments& seg,
+                                          const Metric& metric,
+                                          metric::Distance du,
+                                          std::size_t rank) noexcept {
+  const std::uint8_t* alive_bytes = kCheckNodes ? view.node_alive_bytes() : nullptr;
+  const std::uint64_t limit = static_cast<std::uint64_t>(du) << 32;
+  std::uint64_t best = avx512_min_key<false, kCheckLinks, kCheckNodes, kCheckTrust>(
+      seg, metric, 0, view, alive_bytes, trusted_bytes);
+  for (; rank > 0 && best < limit; --rank) {
+    best = avx512_min_key<true, kCheckLinks, kCheckNodes, kCheckTrust>(
+        seg, metric, best + 1, view, alive_bytes, trusted_bytes);
+  }
+  if (best >= limit) return graph::kInvalidNode;
   const auto best_v = static_cast<graph::NodeId>(best & 0xffffffffu);
+  // The winner's header is what the next hop (or the batch pipeline a full
+  // rotation later) reads.
   g.prefetch(best_v);
   return best_v;
 }
 
-/// Masked-kernel dispatch: one instantiation per (metric family, link mask,
-/// node mask, trust mask) so the intact case keeps its zero-overhead kernel
-/// and every failure-aware shape pays only the masks it needs. Index:
-/// (links?4:0) | (nodes?2:0) | (trust?1:0).
-using SimdSelectFn = graph::NodeId (*)(const graph::OverlayGraph&,
-                                       const failure::FailureView&,
-                                       const std::uint8_t*, graph::NodeId,
-                                       metric::Point) noexcept;
+/// Compact leg: decodes the node's stream into a stack buffer and scans it
+/// as one segment. A degree past kSimdDecodeCap hands the node to the scalar
+/// kernel.
+template <bool kCheckLinks, bool kCheckNodes, bool kCheckTrust, class Metric>
+P2P_AVX512_TARGET
+graph::NodeId avx512_select_compact(const graph::OverlayGraph& g,
+                                    const failure::FailureView& view,
+                                    const std::uint8_t* trusted_bytes,
+                                    graph::NodeId u, metric::Point target,
+                                    const Metric& metric, metric::Distance du,
+                                    std::size_t rank) noexcept {
+  const graph::OverlayGraph::CompactHeader& ch = g.cheader(u);
+  if (ch.degree > kSimdDecodeCap) {
+    return select_impl<true, kCheckTrust, true, kCheckLinks, kCheckNodes, false>(
+        g, view, trusted_bytes, u, target, rank);
+  }
+  alignas(64) graph::NodeId buf[kSimdDecodeCap];
+  avx512_decode_links(g, ch, u, buf);
+  const IdSegments seg{{buf, nullptr}, {ch.degree, 0}, {ch.offset, 0}};
+  return avx512_select_ranked<kCheckLinks, kCheckNodes, kCheckTrust>(
+      g, view, trusted_bytes, seg, metric, du, rank);
+}
 
-constexpr std::array<SimdSelectFn, 8> kSimdSelect1D = {
-    select_best_avx512<false, false, false>,
-    select_best_avx512<false, false, true>,
-    select_best_avx512<false, true, false>,
-    select_best_avx512<false, true, true>,
-    select_best_avx512<true, false, false>,
-    select_best_avx512<true, false, true>,
-    select_best_avx512<true, true, false>,
-    select_best_avx512<true, true, true>};
-constexpr std::array<SimdSelectFn, 8> kSimdSelectTorus = {
-    select_best_torus_avx512<false, false, false>,
-    select_best_torus_avx512<false, false, true>,
-    select_best_torus_avx512<false, true, false>,
-    select_best_torus_avx512<false, true, true>,
-    select_best_torus_avx512<true, false, false>,
-    select_best_torus_avx512<true, false, true>,
-    select_best_torus_avx512<true, true, false>,
-    select_best_torus_avx512<true, true, true>};
+/// Vectorized selection of any rank: dense graph, two-sided greedy, one
+/// kernel per (metric family, link mask, node mask, trust mask).
+template <class Metric, bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
+P2P_AVX512_TARGET
+graph::NodeId select_best_avx512(const graph::OverlayGraph& g,
+                                 const failure::FailureView& view,
+                                 const std::uint8_t* trusted_bytes,
+                                 graph::NodeId u, metric::Point target,
+                                 std::size_t rank) noexcept {
+  constexpr std::size_t kInline = graph::OverlayGraph::kInlineEdges;
+  const metric::Space& space = g.space();
+  const Metric metric(space, target);
+  const metric::Distance du =
+      space.distance(static_cast<metric::Point>(u), target);
+  if (g.compact()) {
+    return avx512_select_compact<kCheckLinks, kCheckNodes, kCheckTrust>(
+        g, view, trusted_bytes, u, target, metric, du, rank);
+  }
+  const graph::OverlayGraph::NodeHeader& h = g.header(u);
+  const auto inline_n =
+      h.degree < kInline ? h.degree : static_cast<std::uint32_t>(kInline);
+  const IdSegments seg{{h.inline_edges, g.tail(h)},
+                       {inline_n, h.degree - inline_n},
+                       {h.offset, h.offset + kInline}};
+  return avx512_select_ranked<kCheckLinks, kCheckNodes, kCheckTrust>(
+      g, view, trusted_bytes, seg, metric, du, rank);
+}
+
+/// Kernel dispatch: one instantiation per (metric family, link mask, node
+/// mask, trust mask) so the intact case keeps its zero-overhead kernel and
+/// every failure-aware shape pays only the masks it needs. Index:
+/// (links?4:0) | (nodes?2:0) | (trust?1:0).
+template <class Metric, std::size_t... Is>
+constexpr std::array<SelectFn, 8> make_simd_table(std::index_sequence<Is...>) {
+  return {select_best_avx512<Metric, (Is & 4) != 0, (Is & 2) != 0,
+                             (Is & 1) != 0>...};
+}
+
+constexpr std::array<SelectFn, 8> kSimdSelect1D =
+    make_simd_table<LineMetric>(std::make_index_sequence<8>{});
+constexpr std::array<SelectFn, 8> kSimdSelectTorus =
+    make_simd_table<TorusMetric>(std::make_index_sequence<8>{});
 #pragma GCC diagnostic pop
 #else
 #define P2P_HAVE_AVX512_SELECT 0
 #endif
 
 }  // namespace
+
+bool decode_links_simd(const graph::OverlayGraph& g, graph::NodeId u,
+                       graph::NodeId* out) noexcept {
+#if P2P_HAVE_AVX512_SELECT
+  const graph::OverlayGraph::CompactHeader& ch = g.cheader(u);
+  if (ch.degree <= kSimdDecodeCap && simd_decode_supported()) {
+    avx512_decode_links(g, ch, u, out);
+    return true;
+  }
+#endif
+  g.decode_links(u, out);
+  return false;
+}
 
 graph::NodeId Router::select_candidate(graph::NodeId u, metric::Point target,
                                        std::size_t rank) const noexcept {
@@ -526,21 +596,21 @@ graph::NodeId Router::select_candidate(graph::NodeId u, metric::Point target,
   const bool check_trust = rep != nullptr && rep->distrusted_count() != 0;
   const std::uint8_t* trusted = check_trust ? rep->trusted_bytes() : nullptr;
 #if P2P_HAVE_AVX512_SELECT
-  // The §6/§4 sweeps — intact *and* failure-aware — spend nearly all their
-  // time in this one call shape; simd_ok_ folds the per-router invariants
-  // (dense two-sided graph, narrow positions, CPU support) computed at
-  // construction, and the per-call view state picks the masked kernel
-  // variant: dead links fold into the lane mask via the view's liveness
-  // words, dead targets via a byte gather on its node-alive sideband, and
-  // distrusted targets via a second byte gather on the reputation sideband.
-  // Each metric family has its own kernel; all share the key packing and
-  // the min-reduction.
-  if (rank == 0 && simd_ok_) {
+  // The §6/§4 sweeps — intact *and* failure-aware, first picks and
+  // backtrack ranks alike — spend nearly all their time in this one call
+  // shape; simd_ok_ folds the per-router invariants (dense two-sided graph,
+  // narrow positions, CPU support) computed at construction, and the
+  // per-call view state picks the masked kernel variant: dead links fold
+  // into the lane mask via the view's liveness words, dead targets via a
+  // byte gather on its node-alive sideband, and distrusted targets via a
+  // second byte gather on the reputation sideband. Each metric family has
+  // its own kernel; all share the key packing and the min-reduction.
+  if (simd_ok_) {
     const std::size_t masks = (check_links ? 4u : 0u) |
                               (check_nodes ? 2u : 0u) | (check_trust ? 1u : 0u);
     return graph_->space().one_dimensional()
-               ? kSimdSelect1D[masks](*graph_, *view_, trusted, u, target)
-               : kSimdSelectTorus[masks](*graph_, *view_, trusted, u, target);
+               ? kSimdSelect1D[masks](*graph_, *view_, trusted, u, target, rank)
+               : kSimdSelectTorus[masks](*graph_, *view_, trusted, u, target, rank);
   }
 #endif
   const bool one_sided = config_.sidedness == Sidedness::kOneSided;

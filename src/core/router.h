@@ -156,6 +156,23 @@ struct BatchConfig {
   telemetry::TraceBuffer* trace = nullptr;
 };
 
+/// Largest compact-node degree the vectorized selection stages in its stack
+/// buffer. Paper configurations have ℓ + 2 links per node; a node past the
+/// cap (only adversarial inputs) takes the scalar kernel instead.
+inline constexpr std::uint32_t kSimdDecodeCap = 256;
+
+/// True when this CPU runs the vectorized selection and its compact-stream
+/// decode (x86 with AVX-512F, BW and VL).
+[[nodiscard]] bool simd_decode_supported() noexcept;
+
+/// Decodes compact node u's links into out (>= out_degree(u) slots) the way
+/// the vectorized selection does: the AVX-512 decode when the CPU supports
+/// it and the degree is at most kSimdDecodeCap, OverlayGraph::decode_links
+/// otherwise. Returns true when the vector decode ran. Precondition:
+/// g.compact(). Results always equal g.neighbors(u).
+bool decode_links_simd(const graph::OverlayGraph& g, graph::NodeId u,
+                       graph::NodeId* out) noexcept;
+
 /// Stateless greedy router over a graph + failure view.
 ///
 /// The router never mutates the graph or the view, so a single (graph, view)
@@ -216,7 +233,8 @@ class Router {
   [[nodiscard]] std::size_t effective_ttl() const noexcept;
 
   /// True when this (graph, config, CPU) combination dispatches the
-  /// vectorized rank-0 selection — intact and failure-masked variants alike.
+  /// vectorized selection — every rank, intact and failure-masked variants
+  /// alike.
   /// Informational (benches, tests asserting the fast path is actually
   /// exercised); selection results never depend on it.
   [[nodiscard]] bool simd_eligible() const noexcept { return simd_ok_; }
@@ -225,8 +243,8 @@ class Router {
   const graph::OverlayGraph* graph_;
   const failure::FailureView* view_;
   RouterConfig config_;
-  /// True when this (graph, config, CPU) combination may take the vectorized
-  /// rank-0 selection fast path (see simd_eligible()).
+  /// True when this (graph, config, CPU) combination takes the vectorized
+  /// selection fast path (see simd_eligible()).
   bool simd_ok_ = false;
 };
 

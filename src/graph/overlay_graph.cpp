@@ -103,18 +103,19 @@ inline std::size_t encoded_words(NodeId u, NodeId v) noexcept {
              : 3;
 }
 
-/// Appends the encoding of u -> v at p; returns the advanced cursor.
-inline std::uint16_t* encode_link(std::uint16_t* p, NodeId u, NodeId v) noexcept {
+/// Writes the encoding of u -> v: its slot word, and for a far target the
+/// absolute (low half first) at exc, which then advances past it.
+inline void encode_link(std::uint16_t* slot, std::uint16_t*& exc, NodeId u,
+                        NodeId v) noexcept {
   const std::uint64_t zz =
       zigzag64(static_cast<std::int64_t>(v) - static_cast<std::int64_t>(u));
   if (zz < detail::kEscapeWord) {
-    *p++ = static_cast<std::uint16_t>(zz);
-    return p;
+    *slot = static_cast<std::uint16_t>(zz);
+    return;
   }
-  *p++ = detail::kEscapeWord;
-  *p++ = static_cast<std::uint16_t>(v & 0xFFFFu);
-  *p++ = static_cast<std::uint16_t>(v >> 16);
-  return p;
+  *slot = detail::kEscapeWord;
+  *exc++ = static_cast<std::uint16_t>(v & 0xFFFFu);
+  *exc++ = static_cast<std::uint16_t>(v >> 16);
 }
 
 }  // namespace
@@ -239,7 +240,8 @@ OverlayGraph OverlayGraph::freeze_compact(
   util::require(slot_off[n] == edges.size(),
                 "freeze_compact: slice sizes disagree with the edge array");
 
-  // Pass 1: per-node encoded length, rounded up to a whole 2-word unit so
+  // Pass 1: per-node encoded length (one slot word per link plus two
+  // exception words per escaped link), rounded up to a whole 2-word unit so
   // the u32 `enc` header field addresses streams past 2^32 words.
   std::vector<std::uint32_t> unit_len(n);
   fan(n, [&](std::size_t lo, std::size_t hi) {
@@ -274,13 +276,15 @@ OverlayGraph OverlayGraph::freeze_compact(
       h.degree = slice_sizes[u];
       h.short_degree = static_cast<std::uint16_t>(short_degree[u]);
       h.reserved = 0;
-      std::uint16_t* p = stream + enc_unit_off[u] * 2;
+      // Slot words first, the escaped targets' absolutes behind them.
+      std::uint16_t* const slots = stream + enc_unit_off[u] * 2;
+      std::uint16_t* exc = slots + slice_sizes[u];
       std::uint16_t* const end = stream + enc_unit_off[u + 1] * 2;
       const std::size_t base = slot_off[u];
       for (std::size_t i = 0; i < slice_sizes[u]; ++i) {
-        p = encode_link(p, static_cast<NodeId>(u), edges[base + i]);
+        encode_link(slots + i, exc, static_cast<NodeId>(u), edges[base + i]);
       }
-      if (p != end) *p = 0;  // even-unit padding word
+      if (exc != end) *exc = 0;  // even-unit padding word
     }
   });
   ch[n] = CompactHeader{static_cast<std::uint32_t>(slot_off[n]),

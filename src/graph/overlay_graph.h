@@ -20,18 +20,22 @@
 //
 //  * kCompact — a memory-lean immutable form for the 1e7–1e8 node scale
 //    sweeps: a prefix-free 16-byte header per node (slot base, encoded
-//    stream base, degree, short degree) over a single u16 stream of
-//    delta-encoded link targets. Most long links are metric-local, so a
-//    target v of node u is stored as the zigzag of v - u in one u16 word;
-//    targets out of that range cost an escape word plus the absolute id in
-//    two more words. Headers and stream live in a util::Arena backed by
-//    transparent huge pages. Slot numbering (edge_base(u) + i) is identical
-//    to the standard form, so FailureViews and churn deltas key the same;
-//    mutators throw std::logic_error.
+//    stream base, degree, short degree) over a single u16 stream. Each
+//    node's stream is `degree` one-word slots followed by an exception
+//    array. Most long links are metric-local, so slot i usually holds the
+//    zigzag of v - u; a target out of that range stores kEscapeWord in its
+//    slot and its u32 absolute (two words, low half first) in the exception
+//    array, in slot order. Every slot is one word at a fixed offset, so a
+//    vector decoder reads 16 slots per step.
+//    Headers and stream live in a util::Arena backed by transparent huge
+//    pages. Slot numbering (edge_base(u) + i) is identical to the standard
+//    form, so FailureViews and churn deltas key the same; mutators throw
+//    std::logic_error.
 //
 // Neighbour queries return a NeighborRange — a forward range that is a raw
-// pointer walk on the standard layout and a decode-as-you-go cursor on the
-// compact one; operator[] is O(1) standard, O(i) compact.
+// pointer walk on the standard layout and a two-cursor (slot, exception)
+// decode on the compact one; operator[] is O(1) except on an escaped compact
+// slot, which counts the escapes before it.
 //
 // Graphs are normally assembled through GraphBuilder (graph_builder.h) and
 // frozen once; the standard frozen form still supports the in-place
@@ -92,32 +96,47 @@ namespace detail {
                                   metric::Point p,
                                   util::ThreadPool* pool = nullptr) noexcept;
 
-/// Escape marker of the compact encoding: the next two words hold the
-/// absolute target (lo, hi). Any other word is the zigzag of (target - u).
+/// Slot word of an escaped compact link: its target is the next u32 of the
+/// node's exception array. Any other slot word is the zigzag of (target - u).
 inline constexpr std::uint16_t kEscapeWord = 0xFFFF;
 
-/// Decodes one compact-stream link target of source node u; advances p past
-/// the entry (1 word for an in-range delta, 3 for an escaped absolute).
-inline NodeId decode_link(const std::uint16_t*& p, NodeId u) noexcept {
-  const std::uint16_t w = *p++;
+/// Target of compact slot word w of source node u; `exc` addresses the
+/// exception that belongs to w if w is escaped (not read otherwise).
+inline NodeId decode_slot(std::uint16_t w, const std::uint16_t* exc,
+                          NodeId u) noexcept {
   if (w != kEscapeWord) {
     // Zigzag decode: 0,1,2,3,... -> 0,-1,1,-2,...
     const std::int32_t d = static_cast<std::int32_t>(w >> 1) ^
                            -static_cast<std::int32_t>(w & 1u);
     return static_cast<NodeId>(static_cast<std::int64_t>(u) + d);
   }
-  const std::uint32_t lo = p[0];
-  const std::uint32_t hi = p[1];
-  p += 2;
-  return static_cast<NodeId>(lo | (hi << 16));
+  return static_cast<NodeId>(exc[0] | (static_cast<std::uint32_t>(exc[1]) << 16));
+}
+
+/// Decodes the compact link at `slot` of source node u; advances slot by one
+/// word and, when the slot is escaped, exc past its two-word absolute.
+inline NodeId decode_link(const std::uint16_t*& slot, const std::uint16_t*& exc,
+                          NodeId u) noexcept {
+  const std::uint16_t w = *slot++;
+  const NodeId v = decode_slot(w, exc, u);
+  if (w == kEscapeWord) exc += 2;
+  return v;
+}
+
+/// Number of escaped slots among the n slots at `slot`.
+inline std::size_t count_escapes(const std::uint16_t* slot, std::size_t n) noexcept {
+  std::size_t escapes = 0;
+  for (std::size_t i = 0; i < n; ++i) escapes += slot[i] == kEscapeWord ? 1 : 0;
+  return escapes;
 }
 
 }  // namespace detail
 
 /// Forward range over a node's out-neighbours. On the standard layout this
-/// is a contiguous NodeId slice; on the compact layout each step decodes the
-/// next stream entry. operator[] is O(1) standard, O(i) compact — indexed
-/// loops over compact graphs should prefer iteration.
+/// is a contiguous NodeId slice; on the compact layout the iterator walks the
+/// slot words and keeps a second cursor on the exception array, decoding
+/// only positions it is dereferenced at. operator[] is O(1) standard and on
+/// an in-range compact slot, O(i) on an escaped one.
 class NeighborRange {
  public:
   class iterator {
@@ -130,11 +149,11 @@ class NeighborRange {
 
     iterator() = default;
     [[nodiscard]] NodeId operator*() const noexcept {
-      return raw_ != nullptr ? raw_[i_] : cur_;
+      return raw_ != nullptr ? raw_[i_] : detail::decode_slot(slot_[i_], exc_, u_);
     }
     iterator& operator++() noexcept {
+      if (raw_ == nullptr && slot_[i_] == detail::kEscapeWord) exc_ += 2;
       ++i_;
-      if (raw_ == nullptr) cur_ = detail::decode_link(enc_, u_);
       return *this;
     }
     iterator operator++(int) noexcept {
@@ -151,46 +170,47 @@ class NeighborRange {
 
    private:
     friend class NeighborRange;
-    iterator(const NodeId* raw, const std::uint16_t* enc, NodeId u,
-             std::size_t i, bool decode_first) noexcept
-        : raw_(raw), enc_(enc), u_(u), i_(i) {
-      if (raw_ == nullptr && decode_first) cur_ = detail::decode_link(enc_, u_);
-    }
+    iterator(const NodeId* raw, const std::uint16_t* slot, const std::uint16_t* exc,
+             NodeId u, std::size_t i) noexcept
+        : raw_(raw), slot_(slot), exc_(exc), u_(u), i_(i) {}
 
     const NodeId* raw_ = nullptr;
-    const std::uint16_t* enc_ = nullptr;
+    const std::uint16_t* slot_ = nullptr;
+    const std::uint16_t* exc_ = nullptr;  // exception of the next escaped slot
     NodeId u_ = 0;
     std::size_t i_ = 0;
-    NodeId cur_ = kInvalidNode;
   };
 
   /// Standard-layout range over a contiguous slice.
   NeighborRange(const NodeId* raw, std::size_t n) noexcept : raw_(raw), n_(n) {}
-  /// Compact-layout range decoding `n` entries of node u starting at enc.
-  NeighborRange(const std::uint16_t* enc, NodeId u, std::size_t n) noexcept
-      : enc_(enc), u_(u), n_(n) {}
+  /// Compact-layout range over n slots of node u; `exc` addresses the
+  /// exception of the first escaped slot among them.
+  NeighborRange(const std::uint16_t* slot, const std::uint16_t* exc, NodeId u,
+                std::size_t n) noexcept
+      : slot_(slot), exc_(exc), u_(u), n_(n) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
   [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
   [[nodiscard]] iterator begin() const noexcept {
-    return iterator(raw_, enc_, u_, 0, n_ > 0);
+    return iterator(raw_, slot_, exc_, u_, 0);
   }
   [[nodiscard]] iterator end() const noexcept {
-    return iterator(raw_, enc_, u_, n_, false);
+    return iterator(raw_, slot_, exc_, u_, n_);
   }
-  /// O(1) on the standard layout, O(i) on the compact one.
+  /// O(1) on the standard layout and on an in-range compact slot; an
+  /// escaped compact slot counts the escapes before it, O(i).
   [[nodiscard]] NodeId operator[](std::size_t i) const noexcept {
     if (raw_ != nullptr) return raw_[i];
-    const std::uint16_t* p = enc_;
-    NodeId v = kInvalidNode;
-    for (std::size_t k = 0; k <= i; ++k) v = detail::decode_link(p, u_);
-    return v;
+    const std::uint16_t w = slot_[i];
+    if (w != detail::kEscapeWord) return detail::decode_slot(w, nullptr, u_);
+    return detail::decode_slot(w, exc_ + 2 * detail::count_escapes(slot_, i), u_);
   }
   [[nodiscard]] NodeId front() const noexcept { return (*this)[0]; }
 
  private:
   const NodeId* raw_ = nullptr;
-  const std::uint16_t* enc_ = nullptr;
+  const std::uint16_t* slot_ = nullptr;
+  const std::uint16_t* exc_ = nullptr;
   NodeId u_ = 0;
   std::size_t n_ = 0;
 };
@@ -218,8 +238,9 @@ class OverlayGraph {
 
   /// Compact per-node header: four per cache line. `enc` addresses the
   /// node's stream start in 4-byte (two-u16-word) units — per-node streams
-  /// are padded to an even word count — so a u32 field spans the ~5e9-word
-  /// streams a 1e8-node overlay needs.
+  /// (`degree` slot words, then two words per escaped slot) are padded to an
+  /// even word count — so a u32 field spans the ~5e9-word streams a
+  /// 1e8-node overlay needs.
   struct alignas(16) CompactHeader {
     std::uint32_t offset = 0;        ///< flat slot base (same keying as standard)
     std::uint32_t enc = 0;           ///< stream start, in 2-word units
@@ -281,7 +302,7 @@ class OverlayGraph {
   [[nodiscard]] NeighborRange neighbors(NodeId u) const noexcept {
     if (layout_ == EdgeLayout::kCompact) {
       const CompactHeader& h = cheaders_[u];
-      return {enc_stream(h), u, h.degree};
+      return {enc_stream(h), enc_exceptions(h), u, h.degree};
     }
     const NodeHeader& h = headers_[u];
     return {edges_.data() + h.offset, h.degree};
@@ -291,11 +312,10 @@ class OverlayGraph {
   [[nodiscard]] NeighborRange long_neighbors(NodeId u) const noexcept {
     if (layout_ == EdgeLayout::kCompact) {
       const CompactHeader& h = cheaders_[u];
-      const std::uint16_t* p = enc_stream(h);
-      for (std::uint16_t k = 0; k < h.short_degree; ++k) {
-        (void)detail::decode_link(p, u);
-      }
-      return {p, u, h.degree - h.short_degree};
+      const std::uint16_t* slot = enc_stream(h);
+      return {slot + h.short_degree,
+              enc_exceptions(h) + 2 * detail::count_escapes(slot, h.short_degree),
+              u, h.degree - h.short_degree};
     }
     const NodeHeader& h = headers_[u];
     return {edges_.data() + h.offset + short_degree_[u],
@@ -314,20 +334,28 @@ class OverlayGraph {
     return tail_.data() + h.tail;
   }
 
-  /// Compact-layout counterparts of header()/tail().
+  /// Compact-layout counterparts of header()/tail(): the node's slot words
+  /// (enc_stream) and the exception array behind them (enc_exceptions).
   [[nodiscard]] const CompactHeader& cheader(NodeId u) const noexcept {
     return cheaders_[u];
   }
   [[nodiscard]] const std::uint16_t* enc_stream(const CompactHeader& h) const noexcept {
     return enc_ + (static_cast<std::size_t>(h.enc) * 2);
   }
+  [[nodiscard]] const std::uint16_t* enc_exceptions(
+      const CompactHeader& h) const noexcept {
+    return enc_stream(h) + h.degree;
+  }
 
   /// Decodes all of u's targets into out (compact layout; caller provides
   /// >= out_degree(u) slots). Returns the degree.
   std::size_t decode_links(NodeId u, NodeId* out) const noexcept {
     const CompactHeader& h = cheaders_[u];
-    const std::uint16_t* p = enc_stream(h);
-    for (std::uint32_t i = 0; i < h.degree; ++i) out[i] = detail::decode_link(p, u);
+    const std::uint16_t* slot = enc_stream(h);
+    const std::uint16_t* exc = enc_exceptions(h);
+    for (std::uint32_t i = 0; i < h.degree; ++i) {
+      out[i] = detail::decode_link(slot, exc, u);
+    }
     return h.degree;
   }
 

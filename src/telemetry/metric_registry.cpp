@@ -67,14 +67,15 @@ Histogram Registry::histogram(std::string name, double base, std::uint64_t max_v
 }
 
 void Registry::seal() {
-  if (sealed_) return;
-  sealed_ = true;
-  blocks_per_shard_ = (next_cell_ + 7) / 8;
-  if (blocks_per_shard_ == 0) blocks_per_shard_ = 1;
-  const std::size_t total = shards_ * blocks_per_shard_;
-  blocks_ = std::make_unique<CellBlock[]>(total);
-  for (std::size_t i = 0; i < total; ++i)
-    for (auto& w : blocks_[i].w) w.store(0, std::memory_order_relaxed);
+  std::call_once(seal_once_, [this] {
+    blocks_per_shard_ = (next_cell_ + 7) / 8;
+    if (blocks_per_shard_ == 0) blocks_per_shard_ = 1;
+    const std::size_t total = shards_ * blocks_per_shard_;
+    blocks_ = std::make_unique<CellBlock[]>(total);
+    for (std::size_t i = 0; i < total; ++i)
+      for (auto& w : blocks_[i].w) w.store(0, std::memory_order_relaxed);
+    sealed_ = true;
+  });
 }
 
 Recorder Registry::recorder(std::size_t shard) {

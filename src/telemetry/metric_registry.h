@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -211,13 +212,15 @@ class Registry {
                       std::uint64_t max_value = std::uint64_t{1} << 20);
 
   /// Freezes the metric set and allocates the shard cells (idempotent;
-  /// recorder() seals implicitly).
+  /// recorder() seals implicitly). Safe to call from several threads at
+  /// once: the first call allocates, the others wait for it.
   void seal();
   [[nodiscard]] bool sealed() const noexcept { return sealed_; }
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_; }
 
-  /// Write handle for one shard (0 <= shard < shard_count()).
+  /// Write handle for one shard (0 <= shard < shard_count()). Service
+  /// workers call this concurrently at job start.
   [[nodiscard]] Recorder recorder(std::size_t shard);
 
   /// Merge-on-demand snapshot; safe while writers are recording.
@@ -247,6 +250,7 @@ class Registry {
   [[nodiscard]] bool live() const noexcept { return blocks_ != nullptr; }
 
   std::size_t shards_;
+  std::once_flag seal_once_;
   bool sealed_ = false;
   std::uint32_t next_cell_ = 0;
   std::vector<Desc> descs_;

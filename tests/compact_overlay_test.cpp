@@ -1,16 +1,19 @@
-// Pins the compact frozen representation of ISSUE 9 against the standard
-// CSR layout:
+// Pins the compact frozen representation against the standard CSR layout:
 //  * a graph built twice from the same (spec, seed) — once kStandard, once
 //    kCompact — has identical structure through the shared query surface
 //    (neighbors / operator[] / long_neighbors / decode_links / edge_base /
 //    edge_slots / out_degree / short_degree / has_link);
-//  * the delta-encoded stream round-trips escape-encoded (far) targets, not
-//    just the one-word deltas small rings produce;
+//  * the slot + exception stream round-trips escaped (far) targets, not
+//    just the one-word deltas small rings produce: each node's stream is its
+//    slot words followed by the escaped absolutes in slot order;
+//  * the AVX-512 decode equals neighbors() at degrees 0..33 across the
+//    16-slot group edge, with an escape at every slot position, and hands
+//    nodes past kSimdDecodeCap to the scalar decode;
 //  * routing is bit-identical across layouts: candidates(),
-//    select_candidate (SIMD and forced-scalar, ranks 0..2), route() and
-//    route_batch() (widths 1 and 32) — under all-alive, node-failure,
-//    link-failure and mixed views, on the ring, the line and a hand-built
-//    Kleinberg torus (the torus AVX-512 compact decode path);
+//    select_candidate (SIMD and forced-scalar, every rank up to the degree),
+//    route() and route_batch() (widths 1 and 32) — under all-alive,
+//    node-failure, link-failure and mixed views, on the ring, the line and a
+//    hand-built Kleinberg torus (the torus AVX-512 compact decode path);
 //  * slot numbering matches: the same kill/revive sequence applied to views
 //    over both layouts keeps every equivalence;
 //  * degrees past the SIMD decode buffer (256) take the scalar fallback and
@@ -203,9 +206,9 @@ core::Router scalar_router(const OverlayGraph& g, const FailureView& view,
   return core::Router(g, view, cfg);
 }
 
-/// candidates() / select_candidate bit-identity: the standard scalar table is
-/// the reference; the compact SIMD and scalar paths (and the standard SIMD
-/// path) must all agree with it.
+/// candidates() / select_candidate bit-identity at every rank up to the
+/// degree: the standard candidates() list is the reference; the standard and
+/// compact SIMD and scalar paths must all agree with it.
 void check_layout_selection(const LayoutPair& p, const FailureView& va,
                             const FailureView& vb, core::RouterConfig cfg,
                             std::uint64_t seed, int trials,
@@ -222,9 +225,11 @@ void check_layout_selection(const LayoutPair& p, const FailureView& va,
     const auto reference = std_scalar.candidates(u, t);
     const auto compact_list = cmp_scalar.candidates(u, t);
     ASSERT_EQ(compact_list, reference) << label << " u=" << u << " t=" << t;
-    for (std::size_t rank = 0; rank < 3; ++rank) {
+    for (std::size_t rank = 0; rank <= p.standard.out_degree(u); ++rank) {
       const NodeId want =
           rank < reference.size() ? reference[rank] : graph::kInvalidNode;
+      ASSERT_EQ(std_scalar.select_candidate(u, t, rank), want)
+          << label << "/std-scalar u=" << u << " t=" << t << " rank=" << rank;
       ASSERT_EQ(std_simd.select_candidate(u, t, rank), want)
           << label << "/std-simd u=" << u << " t=" << t << " rank=" << rank;
       ASSERT_EQ(cmp_simd.select_candidate(u, t, rank), want)
@@ -293,17 +298,35 @@ TEST(CompactOverlay, StructuralEquivalenceTorus) {
 
 TEST(CompactOverlay, EscapeEncodedFarTargets) {
   // Uniform long links on a 200k ring put most deltas far outside the
-  // one-word zigzag range, so the escape (0xFFFF + absolute) encoding is the
-  // common case here rather than a corner.
+  // one-word zigzag range, so escaped slots are the common case here rather
+  // than a corner.
   const auto p = ring_pair(200000, 4, 95, /*exponent=*/0.0);
   std::size_t escapes = 0;
   for (NodeId u = 0; u < p.compact.size(); ++u) {
     const auto& h = p.compact.cheader(u);
-    const std::uint16_t* s = p.compact.enc_stream(h);
-    const std::uint16_t* word = s;
+    const std::uint16_t* slots = p.compact.enc_stream(h);
+    const std::uint16_t* exc = p.compact.enc_exceptions(h);
+    ASSERT_EQ(exc, slots + h.degree) << "u=" << u;
+    const std::size_t node_escapes = graph::detail::count_escapes(slots, h.degree);
+    escapes += node_escapes;
+    // degree slot words + two words per escape, padded to an even count:
+    // the next node's stream starts right behind.
+    const std::size_t words = h.degree + 2 * node_escapes;
+    ASSERT_EQ(2 * std::size_t{p.compact.cheader(u + 1).enc},
+              2 * std::size_t{h.enc} + words + (words & 1))
+        << "u=" << u;
+    // Slot i holds the zigzag delta or the escape marker; the escaped
+    // slots' absolutes follow in slot order, low half first.
+    const auto want = p.standard.neighbors(u);
     for (std::uint32_t i = 0; i < h.degree; ++i) {
-      if (*word == graph::detail::kEscapeWord) ++escapes;
-      (void)graph::detail::decode_link(word, u);
+      if (slots[i] == graph::detail::kEscapeWord) {
+        ASSERT_EQ(exc[0] | (std::uint32_t{exc[1]} << 16), want[i])
+            << "u=" << u << " i=" << i;
+        exc += 2;
+      } else {
+        ASSERT_EQ(graph::detail::decode_slot(slots[i], nullptr, u), want[i])
+            << "u=" << u << " i=" << i;
+      }
     }
   }
   ASSERT_GT(escapes, p.compact.size());  // far targets dominate
@@ -312,6 +335,84 @@ TEST(CompactOverlay, EscapeEncodedFarTargets) {
   const auto& [name, pair] = views[1];  // node failures
   check_layout_routes(p, pair.first, pair.second, {}, 97, 32,
                       "escape/" + name);
+}
+
+/// Long links of one decode case: `degree` targets next to u (one-word
+/// deltas), except the positions flagged in `far`, which point half a ring
+/// away and so escape.
+struct DecodeCase {
+  std::size_t degree;
+  std::vector<bool> far;
+};
+
+std::vector<DecodeCase> decode_cases() {
+  std::vector<DecodeCase> cases;
+  for (const std::size_t d : {0, 1, 15, 16, 17, 32, 33}) {
+    cases.push_back({d, std::vector<bool>(d, false)});  // no escape
+    cases.push_back({d, std::vector<bool>(d, true)});   // every slot escaped
+    DecodeCase alternating{d, std::vector<bool>(d, false)};
+    for (std::size_t i = 0; i < d; i += 2) alternating.far[i] = true;
+    cases.push_back(alternating);
+    for (std::size_t at = 0; at < d; ++at) {  // one escape at each position
+      DecodeCase one{d, std::vector<bool>(d, false)};
+      one.far[at] = true;
+      cases.push_back(one);
+    }
+    if (d >= 18) {  // a run of escapes straddling the 16-slot group edge
+      DecodeCase edge{d, std::vector<bool>(d, false)};
+      for (std::size_t i = 14; i < 18; ++i) edge.far[i] = true;
+      cases.push_back(edge);
+    }
+  }
+  return cases;
+}
+
+TEST(CompactOverlay, SimdDecodeMatchesNeighbors) {
+  const std::uint64_t n = 1u << 17;
+  const auto cases = decode_cases();
+  // Node 0 is the hub past the SIMD buffer; case k sits on node 1 + k.
+  const std::size_t hub_degree = core::kSimdDecodeCap + 44;
+  auto build = [&](EdgeLayout layout) {
+    graph::GraphBuilder builder{metric::Space1D::ring(n)};
+    for (std::size_t i = 0; i < hub_degree; ++i) {
+      builder.add_long_link(0, static_cast<NodeId>(i % 3 == 0 ? n / 2 + i : 1 + i));
+    }
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      const auto u = static_cast<NodeId>(1 + k);
+      for (std::size_t i = 0; i < cases[k].degree; ++i) {
+        const std::uint64_t v = cases[k].far[i] ? u + n / 2 + i : u + 1 + i;
+        builder.add_long_link(u, static_cast<NodeId>(v % n));
+      }
+    }
+    graph::FreezeOptions opts;
+    opts.layout = layout;
+    return builder.freeze(opts);
+  };
+  const LayoutPair p{build(EdgeLayout::kStandard), build(EdgeLayout::kCompact)};
+  check_structure(p);
+  const bool simd = core::simd_decode_supported();
+  for (NodeId u = 0; u <= cases.size(); ++u) {
+    const std::size_t degree = p.compact.out_degree(u);
+    ASSERT_EQ(degree, u == 0 ? hub_degree : cases[u - 1].degree);
+    if (u > 0) {
+      std::size_t far = 0;
+      for (const bool f : cases[u - 1].far) far += f ? 1 : 0;
+      const auto& h = p.compact.cheader(u);
+      ASSERT_EQ(graph::detail::count_escapes(p.compact.enc_stream(h), degree), far)
+          << "u=" << u;
+    }
+    // Sentinels past the degree catch a masked store writing beyond it.
+    std::vector<NodeId> out(degree + 16, graph::kInvalidNode - 1);
+    const bool vector_ran = core::decode_links_simd(p.compact, u, out.data());
+    EXPECT_EQ(vector_ran, simd && degree <= core::kSimdDecodeCap) << "u=" << u;
+    const auto want = p.standard.neighbors(u);
+    for (std::size_t i = 0; i < degree; ++i) {
+      ASSERT_EQ(out[i], want[i]) << "u=" << u << " i=" << i;
+    }
+    for (std::size_t i = degree; i < out.size(); ++i) {
+      ASSERT_EQ(out[i], graph::kInvalidNode - 1) << "u=" << u << " i=" << i;
+    }
+  }
 }
 
 TEST(CompactOverlay, MutatorsThrow) {
@@ -472,9 +573,16 @@ TEST(CompactOverlay, HubPastSimdDecodeBuffer) {
   for (int trial = 0; trial < 2000; ++trial) {
     const auto t = static_cast<metric::Point>(pick.next_below(n));
     const auto reference = std_scalar.candidates(0, t);
-    const NodeId want = reference.empty() ? graph::kInvalidNode : reference[0];
-    ASSERT_EQ(cmp_simd.select_candidate(0, t, 0), want) << "t=" << t;
-    ASSERT_EQ(cmp_scalar.select_candidate(0, t, 0), want) << "t=" << t;
+    // Every rank on a few targets; the scan is O(rank * degree) per call.
+    const std::size_t ranks = trial < 8 ? reference.size() + 1 : 1;
+    for (std::size_t rank = 0; rank < ranks; ++rank) {
+      const NodeId want =
+          rank < reference.size() ? reference[rank] : graph::kInvalidNode;
+      ASSERT_EQ(cmp_simd.select_candidate(0, t, rank), want)
+          << "t=" << t << " rank=" << rank;
+      ASSERT_EQ(cmp_scalar.select_candidate(0, t, rank), want)
+          << "t=" << t << " rank=" << rank;
+    }
   }
 }
 

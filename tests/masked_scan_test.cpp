@@ -1,10 +1,10 @@
-// Pins the failure-aware (masked) SIMD candidate scan of ISSUE 5:
+// Pins the failure-aware (masked) SIMD candidate scan:
 //  * FailureView's link-liveness words and node-alive byte sideband agree
 //    bit-for-bit with the scalar link_alive_at/node_alive queries, through
 //    manual kills/revives and delta-log apply/revert;
 //  * select_candidate under arbitrary failure views — dead nodes, dead
-//    links, both, stale knowledge — is identical between the vectorized
-//    path and the scalar table (P2P_NO_SIMD pins both on one host), and
+//    links, both, stale knowledge — at every rank up to the degree is
+//    identical between the vectorized path and the scalar table (P2P_NO_SIMD pins both on one host), and
 //    both equal the allocating candidates() reference, on the line, the
 //    ring and the Kleinberg torus;
 //  * route()/route_batch() (widths 1 and 32) are bit-identical between the
@@ -65,7 +65,7 @@ struct RouterPair {
 };
 
 /// select_candidate (simd vs scalar vs candidates()) over `trials` random
-/// (u, target) pairs, ranks 0..2.
+/// (u, target) pairs, every rank up to the degree.
 void check_selection_equivalence(const RouterPair& pair, std::uint64_t seed,
                                  int trials, const std::string& label) {
   const OverlayGraph& g = pair.simd.graph();
@@ -74,7 +74,7 @@ void check_selection_equivalence(const RouterPair& pair, std::uint64_t seed,
     const auto u = static_cast<NodeId>(pick.next_below(g.size()));
     const auto t = g.position(static_cast<NodeId>(pick.next_below(g.size())));
     const auto reference = pair.scalar.candidates(u, t);
-    for (std::size_t rank = 0; rank < 3; ++rank) {
+    for (std::size_t rank = 0; rank <= g.out_degree(u); ++rank) {
       const NodeId with_simd = pair.simd.select_candidate(u, t, rank);
       const NodeId without = pair.scalar.select_candidate(u, t, rank);
       const NodeId want =
@@ -274,9 +274,17 @@ TEST(MaskedScan, SelectionEquivalenceHighDegreeHub) {
   for (int trial = 0; trial < 2000; ++trial) {
     const auto t = static_cast<metric::Point>(pick.next_below(n));
     const auto reference = pair.scalar.candidates(0, t);
-    const NodeId want = reference.empty() ? graph::kInvalidNode : reference[0];
-    ASSERT_EQ(pair.simd.select_candidate(0, t, 0), want) << "t=" << t;
-    ASSERT_EQ(pair.scalar.select_candidate(0, t, 0), want) << "t=" << t;
+    // Every rank on a few targets (the rank passes re-scan both segments and
+    // every liveness word); the scan is O(rank * degree) per call.
+    const std::size_t ranks = trial < 16 ? reference.size() + 1 : 1;
+    for (std::size_t rank = 0; rank < ranks; ++rank) {
+      const NodeId want =
+          rank < reference.size() ? reference[rank] : graph::kInvalidNode;
+      ASSERT_EQ(pair.simd.select_candidate(0, t, rank), want)
+          << "t=" << t << " rank=" << rank;
+      ASSERT_EQ(pair.scalar.select_candidate(0, t, rank), want)
+          << "t=" << t << " rank=" << rank;
+    }
   }
 }
 

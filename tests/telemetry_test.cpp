@@ -10,6 +10,7 @@
 //  * exporter output sanity (Prometheus text exposition + JSON).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -153,7 +154,8 @@ TEST(Registry, GaugeAggregatesMinMaxAcrossShards) {
 
   Registry reg2(1);
   (void)reg2.gauge("never");
-  const GaugeAggregate* none = reg2.snapshot().gauge("never");
+  const Snapshot snap2 = reg2.snapshot();  // gauge() points into it
+  const GaugeAggregate* none = snap2.gauge("never");
   ASSERT_NE(none, nullptr);
   EXPECT_FALSE(none->set());
 }
@@ -203,6 +205,32 @@ TEST(Registry, ConcurrentRecordingHammer) {
   const Snapshot final_snap = reg.snapshot();
   EXPECT_EQ(final_snap.counter_or("ops"), kThreads * kOpsPerThread);
   EXPECT_EQ(final_snap.histogram("vals")->total, kThreads * kOpsPerThread);
+}
+
+TEST(Registry, ConcurrentRecordersSealOnce) {
+  // Service workers take their recorders at job start, all at once, from a
+  // registry nobody sealed: the implicit seal must run exactly once and
+  // every handle must see the allocated cells.
+  constexpr std::size_t kThreads = 8;
+  for (int round = 0; round < 50; ++round) {
+    Registry reg(kThreads);
+    const Counter c = reg.counter("ops");
+    std::atomic<bool> go{false};
+    std::vector<std::thread> writers;
+    writers.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&reg, &go, c, t] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        Recorder rec = reg.recorder(t);
+        rec.add(c);
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& w : writers) w.join();
+    ASSERT_TRUE(reg.sealed());
+    ASSERT_EQ(reg.snapshot().counter_or("ops"), kThreads) << "round " << round;
+  }
 }
 
 // -- Flight recorder ----------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -133,6 +134,31 @@ TEST(Poisson, MeanAndVarianceMatch) {
   const double var = sum_sq / kDraws - m * m;
   EXPECT_NEAR(m, mean, 0.15);
   EXPECT_NEAR(var, mean, 0.5);  // Poisson: variance == mean
+}
+
+TEST(Poisson, LargeMeansMatchMeanAndVariance) {
+  // Means past the first 30-chunk and across several chunks: the per-draw
+  // bound exp(-mean) must stay positive and exact enough that draws follow
+  // Poisson(mean) instead of running to the 10,000 cap.
+  for (const double mean : {17.0, 24.0, 52.0, 200.0}) {
+    Rng rng(43);
+    double sum = 0.0, sum_sq = 0.0;
+    int max_draw = 0;
+    constexpr int kDraws = 50'000;
+    for (int i = 0; i < kDraws; ++i) {
+      const int draw = poisson_sample(rng, mean);
+      max_draw = draw > max_draw ? draw : max_draw;
+      const double x = draw;
+      sum += x;
+      sum_sq += x * x;
+    }
+    const double m = sum / kDraws;
+    const double var = sum_sq / kDraws - m * m;
+    // Five standard errors of each estimate.
+    EXPECT_NEAR(m, mean, 5.0 * std::sqrt(mean / kDraws)) << "mean=" << mean;
+    EXPECT_NEAR(var, mean, 5.0 * mean * std::sqrt(2.0 / kDraws)) << "mean=" << mean;
+    EXPECT_LT(max_draw, 10'000) << "mean=" << mean;
+  }
 }
 
 TEST(Poisson, SmallMeanMostlyZero) {
