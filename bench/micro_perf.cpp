@@ -295,6 +295,13 @@ struct JsonMetrics {
   double telemetry_hops_p50 = 0;  ///< from the registry's route.hop_hist
   double telemetry_hops_p99 = 0;
   bool telemetry_gate_failed = false;
+  /// Batch lookahead: route_batch at width 32 on a 2^19-node compact ring
+  /// (30 % node failures, backtracking) with the pipeline's adjacency
+  /// prefetch at its default distance vs disabled (distance 0); interleaved
+  /// best-of-3. Reported only, no gate.
+  double lookahead_routes_per_sec = 0;
+  double lookahead_off_routes_per_sec = 0;
+  double lookahead_speedup = 0;
 };
 
 constexpr double kTelemetryOverheadBudgetPct = 3.0;
@@ -541,6 +548,58 @@ JsonMetrics measure_headline() {
         m.telemetry_overhead_pct > kTelemetryOverheadBudgetPct;
   }
 
+  // Batch lookahead on a graph far larger than cache (the steady lookup
+  // benchmark's shape): the pipeline prefetches each lane's adjacency
+  // `prefetch_distance` ticks ahead of its hop, and distance 0 turns that
+  // off. Interleaved rounds, each side's best, as in the telemetry row.
+  {
+    graph::BuildSpec ring;
+    ring.grid_size = std::uint64_t{1} << 19;
+    ring.long_links = 19;
+    ring.bidirectional = true;
+    ring.layout = graph::EdgeLayout::kCompact;
+    util::Rng ring_rng(42);
+    const auto cg = graph::build_overlay(ring, ring_rng);
+    util::Rng fail_rng(17);
+    const auto cview = failure::FailureView::with_node_failures(cg, 0.3, fail_rng);
+    core::RouterConfig backtrack;
+    backtrack.stuck_policy = core::StuckPolicy::kBacktrack;
+    const core::Router crouter(cg, cview, backtrack);
+
+    constexpr std::size_t kBatch = 2000;
+    std::vector<core::Query> queries(kBatch);
+    std::vector<core::RouteResult> results(kBatch);
+    const auto run_batch = [&](const core::BatchConfig& batch) {
+      util::Rng pick(7);
+      util::Rng batch_rng(11);
+      std::size_t routes = 0;
+      const auto start = std::chrono::steady_clock::now();
+      double elapsed = 0;
+      do {
+        for (auto& q : queries) {
+          const graph::NodeId src = cview.random_alive(pick);
+          q = {src, cg.position(cview.random_alive(pick))};
+        }
+        crouter.route_batch(queries, results, batch_rng, batch);
+        routes += kBatch;
+        elapsed = seconds_since(start);
+      } while (elapsed < 0.4);
+      return static_cast<double>(routes) / elapsed;
+    };
+
+    core::BatchConfig on;
+    on.width = 32;
+    core::BatchConfig off = on;
+    off.prefetch_distance = 0;
+    run_batch(on);  // warmup: fault in the graph and stabilize the clock
+    for (int round = 0; round < 3; ++round) {
+      m.lookahead_routes_per_sec = std::max(m.lookahead_routes_per_sec, run_batch(on));
+      m.lookahead_off_routes_per_sec =
+          std::max(m.lookahead_off_routes_per_sec, run_batch(off));
+    }
+    m.lookahead_speedup = m.lookahead_routes_per_sec / m.lookahead_off_routes_per_sec;
+  }
+
   const LegacyOverlay legacy(g);
   const auto [legacy_rps, legacy_hps] = run([&](graph::NodeId src, graph::NodeId dst) {
     return legacy.route(src, dst, g.position(dst));
@@ -665,6 +724,12 @@ void write_json(const JsonMetrics& m, const char* path) {
                m.telemetry_overhead_pct, m.telemetry_hops_p50,
                m.telemetry_hops_p99);
   std::fprintf(f,
+               "  \"lookahead_routes_per_sec\": %.1f,\n"
+               "  \"lookahead_off_routes_per_sec\": %.1f,\n"
+               "  \"lookahead_speedup\": %.3f,\n",
+               m.lookahead_routes_per_sec, m.lookahead_off_routes_per_sec,
+               m.lookahead_speedup);
+  std::fprintf(f,
                "  \"legacy_alloc_routes_per_sec\": %.1f,\n"
                "  \"speedup_vs_legacy_alloc\": %.3f,\n"
                "  \"torus_nodes\": %llu,\n"
@@ -705,6 +770,10 @@ int main(int argc, char** argv) {
                 m.telemetry_plain_routes_per_sec, m.telemetry_overhead_pct,
                 kTelemetryOverheadBudgetPct, m.telemetry_hops_p50,
                 m.telemetry_hops_p99);
+    std::printf("lookahead: %.3g routes/s at the default prefetch distance vs "
+                "%.3g with it off (%.2fx; 2^19-node compact ring, p=0.3)\n",
+                m.lookahead_routes_per_sec, m.lookahead_off_routes_per_sec,
+                m.lookahead_speedup);
     if (m.telemetry_gate_failed) {
       if (std::getenv("P2P_TELEM_NO_GATE") != nullptr) {
         std::fprintf(stderr,

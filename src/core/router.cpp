@@ -632,8 +632,9 @@ std::vector<graph::NodeId> Router::candidates(graph::NodeId u,
 
   std::vector<std::pair<metric::Distance, graph::NodeId>> ranked;
   ranked.reserve(neigh.size());
-  // Iterate rather than index: NeighborRange::operator[] re-decodes the
-  // stream prefix on the compact layout, turning an indexed loop quadratic.
+  // Iterate rather than index: on the compact layout operator[] is O(1) on
+  // an unescaped slot but counts the escapes before an escaped one, while
+  // the iterator's exception cursor decodes every slot in O(1).
   std::size_t i = 0;
   for (const graph::NodeId v : neigh) {
     const std::size_t link_index = i++;
@@ -765,10 +766,11 @@ bool BatchPipeline::tick() {
   const graph::OverlayGraph& g = router_->graph();
   if (prefetch_distance_ != 0 && prefetch_distance_ < lanes_.size()) {
     // The lane stepped prefetch_distance ticks from now: its header is
-    // already resident (the in-scan prefetch of its previous step, or the
-    // construction/refill prefetch, ran a full rotation ago), which lets us
-    // chase one level deeper and pull the spill line high-degree nodes will
-    // read — the second dependent load the scalar path must eat serially.
+    // already resident (the select of its previous step, or the
+    // construction/refill prefetch, pulled it a full rotation ago), which
+    // lets us chase one level deeper and pull every adjacency line its
+    // select will read — the compact slot + exception stream, or a standard
+    // node's spill tail — the dependent load a lone search eats serially.
     // Lanes compact on retire, so the lookahead always hits a live search;
     // rings already smaller than the lookahead skip it (lines are warm).
     std::size_t ahead = cursor_ + prefetch_distance_;

@@ -43,11 +43,15 @@
 // Batching exists because a single search is a serial chain of dependent
 // header loads (~one cache line per hop, see overlay_graph.h): at large n the
 // scalar path is bound by DRAM latency, not work. route_batch keeps W
-// searches in flight and advances them round-robin — each lane's next header
-// was prefetched ~W ticks earlier, so the misses of independent searches
-// overlap instead of serializing. Per-query results are bit-identical to
-// route() seeded with util::substream(base, query_index), independent of the
-// interleaving.
+// searches in flight and advances them round-robin, and prefetches at two
+// levels so the misses of independent searches overlap instead of
+// serializing: each select prefetches the header of the node it picks, a
+// full rotation (~W ticks) before that lane's next step reads it; and each
+// tick, once a lane's header is resident, prefetches every adjacency line
+// its next select reads (the compact slot + exception stream, or a standard
+// node's spill tail) `prefetch_distance` ticks ahead of its step. Per-query
+// results are bit-identical to route() seeded with util::substream(base,
+// query_index), independent of the interleaving.
 #pragma once
 
 #include <cstddef>
@@ -138,9 +142,12 @@ struct Query {
 };
 
 /// Shape of the software-pipelined batch: `width` searches in flight in a
-/// rotating ring; each scheduler tick prefetches the header of the lane
+/// rotating ring. A lane's next header is prefetched by its previous select
+/// a full rotation ahead; each scheduler tick additionally prefetches every
+/// adjacency line (compact stream, or standard spill tail) of the lane
 /// `prefetch_distance` positions ahead before advancing the current lane, so
-/// a lane's line is resident by the time its turn comes around.
+/// the lines its select reads are resident by the time its turn comes
+/// around. 0 disables that second level; a distance >= the ring skips it.
 struct BatchConfig {
   std::size_t width = 32;
   std::size_t prefetch_distance = 4;
@@ -418,13 +425,15 @@ class RouteSession {
 /// *between ticks* (sessions re-read the view every step, so mid-batch churn
 /// is honoured exactly as in RouteSession).
 ///
-/// Keeps min(width, #queries) lanes in flight. Each tick issues a prefetch
-/// for the lane `prefetch_distance` ahead in the ring, advances the current
-/// lane by one message transmission, retires it if finished, and refills the
-/// lane from the pending queries (once those run out, retired lanes compact
-/// out of the ring so the drain phase keeps prefetching over live lanes
-/// only). After construction the tick loop performs no allocations
-/// (record_path excepted).
+/// Keeps min(width, #queries) lanes in flight. Each tick prefetches the
+/// adjacency lines of the lane `prefetch_distance` ahead in the ring (its
+/// header is already resident: the select of its previous step, or the
+/// construction/refill prefetch, pulled it a rotation ago), advances the
+/// current lane by one message transmission, retires it if finished, and
+/// refills the lane from the pending queries (once those run out, retired
+/// lanes compact out of the ring so the drain phase keeps prefetching over
+/// live lanes only). After construction the tick loop performs no
+/// allocations (record_path excepted).
 class BatchPipeline {
  public:
   /// Lane i of the batch runs on util::substream(seed_base, i); see

@@ -359,8 +359,11 @@ class OverlayGraph {
     return h.degree;
   }
 
+  // Both prefetch helpers are always_inline: GCC infers an out-of-line
+  // helper that only prefetches to be pure, and deletes its void call.
+
   /// Prefetches u's header (the single line a routing hop reads first).
-  void prefetch(NodeId u) const noexcept {
+  [[gnu::always_inline]] void prefetch(NodeId u) const noexcept {
     if (layout_ == EdgeLayout::kCompact) {
       __builtin_prefetch(&cheaders_[u]);
     } else {
@@ -368,24 +371,23 @@ class OverlayGraph {
     }
   }
 
-  /// Prefetches the second dependent line of u's adjacency — the spill line
-  /// of a standard node whose degree exceeds the inline prefix, or the
-  /// encoded stream of a compact node. The address lives in the header, so
-  /// this is only possible once the header is resident — the batch pipeline
-  /// issues it a few ticks ahead of the hop.
-  void prefetch_spill(NodeId u) const noexcept {
+  /// Prefetches every line of u's adjacency that a select reads past the
+  /// header: the whole slot + exception stream of a compact node (up to the
+  /// next node's stream start; the sentinel header bounds u = size() - 1),
+  /// or the whole spill tail of a standard node whose degree exceeds the
+  /// inline prefix. The addresses live in the header, so this is only
+  /// useful once the header is resident — the batch pipeline issues it a
+  /// few ticks ahead of the hop.
+  [[gnu::always_inline]] void prefetch_spill(NodeId u) const noexcept {
     if (layout_ == EdgeLayout::kCompact) {
-      __builtin_prefetch(enc_stream(cheaders_[u]));
+      prefetch_lines(enc_stream(cheaders_[u]), enc_stream(cheaders_[u + 1]));
     } else {
       const NodeHeader& h = headers_[u];
-      if (h.degree > kInlineEdges) __builtin_prefetch(tail_.data() + h.tail);
+      if (h.degree > kInlineEdges) {
+        const NodeId* spill = tail_.data() + h.tail;
+        prefetch_lines(spill, spill + (h.degree - kInlineEdges));
+      }
     }
-  }
-
-  /// Standard-only spill prefetch kept for call sites that already hold the
-  /// header.
-  void prefetch_tail(const NodeHeader& h) const noexcept {
-    __builtin_prefetch(tail_.data() + h.tail);
   }
 
   /// Number of short (immediate-neighbour) links of u.
@@ -506,6 +508,29 @@ class OverlayGraph {
   struct CompactTag {};
   OverlayGraph(metric::Space space, std::vector<metric::Point> positions,
                CompactTag) noexcept;
+
+  /// Prefetches every cache line overlapping [begin, end). The first,
+  /// second and last lines go out unconditionally (the second clamped to the
+  /// last), so a span of up to three lines — nearly every node's adjacency —
+  /// takes no data-dependent branch; the loop adds the lines in between for
+  /// a longer span. A plain per-line loop mispredicts its exit on the 2-vs-3
+  /// line split, which cost ~5 % on a cache-resident graph.
+  [[gnu::always_inline]] static void prefetch_lines(const void* begin,
+                                                    const void* end) noexcept {
+    constexpr std::uintptr_t kLine = 64;
+    const auto first = reinterpret_cast<std::uintptr_t>(begin);
+    const auto stop = reinterpret_cast<std::uintptr_t>(end);
+    if (first == stop) return;
+    const std::uintptr_t last = stop - 1;
+    const std::uintptr_t second = first + kLine < last ? first + kLine : last;
+    __builtin_prefetch(reinterpret_cast<const void*>(first));
+    __builtin_prefetch(reinterpret_cast<const void*>(second));
+    __builtin_prefetch(reinterpret_cast<const void*>(last));
+    for (std::uintptr_t a = (first & ~(kLine - 1)) + 2 * kLine;
+         a < (last & ~(kLine - 1)); a += kLine) {
+      __builtin_prefetch(reinterpret_cast<const void*>(a));
+    }
+  }
 
   void check_node(NodeId u) const;
   void require_mutable() const;

@@ -68,11 +68,13 @@ using graph::NodeId;
 using graph::OverlayGraph;
 using metric::Space1D;
 
-OverlayGraph test_graph(std::uint64_t n, std::size_t links, std::uint64_t seed) {
+OverlayGraph test_graph(std::uint64_t n, std::size_t links, std::uint64_t seed,
+                        graph::EdgeLayout layout = graph::EdgeLayout::kStandard) {
   BuildSpec spec;
   spec.grid_size = n;
   spec.long_links = links;
   spec.bidirectional = true;
+  spec.layout = layout;
   util::Rng rng(seed);
   return graph::build_overlay(spec, rng);
 }
@@ -101,10 +103,13 @@ void expect_identical(const RouteResult& got, const RouteResult& want,
 /// matching substreams; every field of every result must agree.
 void check_batch_equivalence(const Router& router,
                              const std::vector<Query>& queries,
-                             std::size_t width, const std::string& label) {
+                             std::size_t width, const std::string& label,
+                             std::size_t prefetch_distance =
+                                 BatchConfig{}.prefetch_distance) {
   const std::uint64_t seed = 0xb0b0 + width;
   BatchConfig batch;
   batch.width = width;
+  batch.prefetch_distance = prefetch_distance;
   std::vector<RouteResult> got(queries.size());
   util::Rng batch_rng(seed);
   router.route_batch(queries, got, batch_rng, batch);
@@ -117,36 +122,57 @@ void check_batch_equivalence(const Router& router,
         router.route(queries[i].src, queries[i].target, sub);
     expect_identical(got[i], want,
                      label + " width=" + std::to_string(width) +
+                         " prefetch=" + std::to_string(prefetch_distance) +
                          " query=" + std::to_string(i));
   }
 }
 
 TEST(RouteBatch, BitIdenticalToSequentialRouteAcrossConfigs) {
-  const OverlayGraph g = test_graph(1024, 8, 17);
-  util::Rng fail_rng(23);
-  const auto intact = FailureView::all_alive(g);
-  const auto failing = FailureView::with_node_failures(g, 0.35, fail_rng);
-  const auto queries = random_queries(g, 150, 29);
+  // The standard graph (degree > kInlineEdges, so the lookahead prefetches a
+  // spill tail) and its compact twin (the lookahead spans the slot +
+  // exception stream) from the same spec and seed.
+  for (const graph::EdgeLayout layout :
+       {graph::EdgeLayout::kStandard, graph::EdgeLayout::kCompact}) {
+    const OverlayGraph g = test_graph(1024, 8, 17, layout);
+    util::Rng fail_rng(23);
+    const auto intact = FailureView::all_alive(g);
+    const auto failing = FailureView::with_node_failures(g, 0.35, fail_rng);
+    auto queries = random_queries(g, 150, 29);
+    // Walks that start at or head for the last node: the lookahead over
+    // node n - 1 reads the sentinel header's stream start.
+    const auto last = static_cast<NodeId>(g.size() - 1);
+    for (std::size_t i = 0; i < 6; ++i) {
+      queries[10 * i] = {last, g.position(static_cast<NodeId>(97 * i))};
+      queries[10 * i + 5] = {static_cast<NodeId>(131 * i), g.position(last)};
+    }
 
-  const StuckPolicy policies[] = {StuckPolicy::kTerminate,
-                                  StuckPolicy::kRandomReroute,
-                                  StuckPolicy::kBacktrack};
-  const Sidedness sides[] = {Sidedness::kTwoSided, Sidedness::kOneSided};
-  for (const StuckPolicy policy : policies) {
-    for (const Sidedness side : sides) {
-      for (const bool failed_view : {false, true}) {
-        RouterConfig cfg;
-        cfg.stuck_policy = policy;
-        cfg.sidedness = side;
-        cfg.record_path = true;  // pin the full walk, not just the summary
-        const Router router(g, failed_view ? failing : intact, cfg);
-        const std::string label =
-            "policy=" + std::to_string(static_cast<int>(policy)) +
-            " side=" + std::to_string(static_cast<int>(side)) +
-            " failed=" + std::to_string(failed_view);
-        for (const std::size_t width : {std::size_t{1}, std::size_t{7},
-                                        std::size_t{64}}) {
-          check_batch_equivalence(router, queries, width, label);
+    const StuckPolicy policies[] = {StuckPolicy::kTerminate,
+                                    StuckPolicy::kRandomReroute,
+                                    StuckPolicy::kBacktrack};
+    const Sidedness sides[] = {Sidedness::kTwoSided, Sidedness::kOneSided};
+    for (const StuckPolicy policy : policies) {
+      for (const Sidedness side : sides) {
+        for (const bool failed_view : {false, true}) {
+          RouterConfig cfg;
+          cfg.stuck_policy = policy;
+          cfg.sidedness = side;
+          cfg.record_path = true;  // pin the full walk, not just the summary
+          const Router router(g, failed_view ? failing : intact, cfg);
+          const std::string label =
+              std::string(g.compact() ? "compact" : "standard") +
+              " policy=" + std::to_string(static_cast<int>(policy)) +
+              " side=" + std::to_string(static_cast<int>(side)) +
+              " failed=" + std::to_string(failed_view);
+          for (const std::size_t width : {std::size_t{1}, std::size_t{7},
+                                          std::size_t{64}}) {
+            // Off, adjacent, the default, the last ring position, and a
+            // distance the ring is too small for (lookahead skipped).
+            for (const std::size_t distance :
+                 {std::size_t{0}, std::size_t{1}, std::size_t{4}, width - 1,
+                  width}) {
+              check_batch_equivalence(router, queries, width, label, distance);
+            }
+          }
         }
       }
     }
