@@ -524,6 +524,86 @@ TEST(ChurnReplay, ReplayIsDeterministic) {
   EXPECT_TRUE(any_mid_churn);  // the load really interleaved with the churn
 }
 
+// The replay's tick-debt clock, pinned against a hand-written driver: the
+// same queries and per-query streams on a plain BatchPipeline, with each
+// delta seeked in by hand once the pipeline has paid the ticks its
+// timestamp implies. Results, tick count and final epoch must agree at
+// widths 1 and 32 — a clock that changed but stayed deterministic fails here.
+TEST(ChurnReplay, MatchesManualDriverAtWidthsOneAndThirtyTwo) {
+  const auto g = make_graph(1024, 6, 26);
+  TraceSpec spec;
+  spec.duration = 100.0;
+  spec.kill_rate = 3.0;
+  spec.revive_rate = 3.0;
+  util::Rng trace_rng(27);
+  const auto log = make_trace(g, spec, trace_rng);
+  ASSERT_GT(log.size(), 0u);
+
+  RouterConfig cfg;
+  cfg.stuck_policy = StuckPolicy::kBacktrack;
+  cfg.record_path = true;
+
+  for (const std::size_t width : {std::size_t{1}, std::size_t{32}}) {
+    ReplayConfig rc;
+    rc.queries = width == 1 ? 48 : 256;  // width 1 serializes; keep it cheap
+    rc.batch.width = width;
+    rc.seed = 28;
+    rc.ticks_per_ms = 48.0;
+
+    // Replay driver.
+    FailureView view_r = log.baseline();
+    const Router router_r(g, view_r, cfg);
+    sim::EventQueue queue;
+    Replay replay(router_r, log, view_r, queue, rc);
+    const auto stats = replay.run();
+    EXPECT_EQ(stats.deltas_applied, log.size());
+
+    // Manual driver: same queries, same per-query streams, deltas applied by
+    // hand at the identical tick debt.
+    const std::vector<Query> queries(replay.queries().begin(),
+                                     replay.queries().end());
+    FailureView view_m = log.baseline();
+    const Router router_m(g, view_m, cfg);
+    std::vector<RouteResult> results(queries.size());
+    BatchPipeline pipe(router_m, queries, results,
+                       util::splitmix64(rc.seed ^ 0xc4ce'b9fe'1a85'ec53ULL),
+                       rc.batch);
+    // `debt` mirrors the replay's tick accounting (it jumps ahead once the
+    // workload drains); `actual` counts real pipeline ticks, which is what
+    // stats.ticks reports.
+    std::size_t debt = 0, actual = 0;
+    bool live = true;
+    for (std::size_t e = 0; e < log.size(); ++e) {
+      const auto target =
+          static_cast<std::size_t>(log.delta(e).when * rc.ticks_per_ms);
+      while (live && debt < target) {
+        live = pipe.tick();
+        ++debt;
+        ++actual;
+      }
+      if (!live) debt = std::max(debt, target);
+      log.seek(view_m, e + 1);
+    }
+    while (live) {
+      live = pipe.tick();
+      ++actual;
+    }
+
+    EXPECT_EQ(stats.ticks, actual) << "width=" << width;
+    EXPECT_EQ(stats.final_epoch, view_m.epoch()) << "width=" << width;
+    EXPECT_EQ(stats.routed, queries.size()) << "width=" << width;
+    ASSERT_EQ(replay.results().size(), results.size());
+    bool any_mid_churn = false;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      expect_same_outcome(replay.results()[i], results[i],
+                          "width=" + std::to_string(width) + " query=" +
+                              std::to_string(i));
+      if (results[i].completion_epoch > 0) any_mid_churn = true;
+    }
+    EXPECT_TRUE(any_mid_churn) << "width=" << width;
+  }
+}
+
 // Per-trial traces fan over the experiment pool exactly like static-failure
 // trials: each trial builds its own trace from its private substream and
 // replays it, and the fan-out is deterministic and order-stable regardless
