@@ -3,31 +3,9 @@
 #include <algorithm>
 
 #include "failure/reputation.h"
-#include "sim/workload.h"
 #include "util/require.h"
-#include "util/rng.h"
 
 namespace p2p::churn {
-
-namespace {
-
-/// The fixed query workload: `count` live src/dst pairs drawn at epoch 0
-/// from a private substream of `seed` — the same derivation as churn::Replay,
-/// so a crash-only AdversarialReplay routes the identical workload.
-std::vector<core::Query> make_queries(const failure::FailureView& view,
-                                      std::size_t count, std::uint64_t seed) {
-  util::require(count == 0 || view.alive_count() >= 2,
-                "AdversarialReplay: need two live nodes to generate queries");
-  std::vector<core::Query> queries(count);
-  util::Rng rng = util::substream(seed, 0x9e37'79b9'7f4a'7c15ULL);
-  for (auto& q : queries) {
-    const auto [src, dst] = sim::random_live_pair(view, rng);
-    q = {src, view.graph().position(dst)};
-  }
-  return queries;
-}
-
-}  // namespace
 
 AdversarialReplay::AdversarialReplay(const core::SecureRouter& router,
                                      const ChurnLog& log,
@@ -37,33 +15,19 @@ AdversarialReplay::AdversarialReplay(const core::SecureRouter& router,
                                      sim::EventQueue& queue,
                                      AdversarialReplayConfig config)
     : router_(&router),
-      log_(&log),
       waves_(waves),
-      view_(&view),
       byzantine_(&byzantine),
-      queue_(&queue),
       config_(config),
-      queries_(make_queries(view, config.queries, config.seed)),
-      results_(queries_.size()),
-      completion_ms_(queries_.size(), -1.0),
-      pipeline_(router, queries_, results_,
-                util::splitmix64(config.seed ^ 0xc4ce'b9fe'1a85'ec53ULL),
-                config.width) {
-  util::require(&router.view() == &view,
-                "AdversarialReplay: router must be built over the replayed view");
+      engine_("AdversarialReplay", router, log, view, queue, config,
+              config.width, &AdversarialReplayMetrics::churn_deltas,
+              CompletionStamps{std::vector<double>(config.queries, -1.0),
+                               config.ticks_per_ms}) {
   util::require(&router.byzantine() == &byzantine,
                 "AdversarialReplay: router must consult the replayed Byzantine set");
-  util::require(&view.graph() == &log.graph(),
-                "AdversarialReplay: view and log must share one graph");
   util::require(&byzantine.graph() == &view.graph(),
                 "AdversarialReplay: Byzantine set and view must share one graph");
-  util::require(view.epoch() == 0,
-                "AdversarialReplay: view must start at epoch 0 (seek it back "
-                "before reuse)");
   util::require(byzantine.epoch() == 0,
                 "AdversarialReplay: Byzantine set must start at epoch 0");
-  util::require(config.ticks_per_ms > 0.0,
-                "AdversarialReplay: ticks_per_ms must be > 0");
   util::require(config.decay_interval_ms >= 0.0,
                 "AdversarialReplay: decay_interval_ms must be >= 0");
   util::require(config.decay_interval_ms == 0.0 || router.reputation() != nullptr,
@@ -74,93 +38,39 @@ AdversarialReplay::AdversarialReplay(const core::SecureRouter& router,
   }
 }
 
-void AdversarialReplay::tick_once() {
-  const std::size_t before = pipeline_.retired();
-  pipeline_live_ = pipeline_.tick();
-  ++ticks_done_;
-  ++stats_.ticks;
-  if (pipeline_.retired() != before) {
-    // At most one search retires per tick; stamp it with the virtual time of
-    // this transmission (ticks are the clock between events, so the tick
-    // index *is* the time).
-    completion_ms_[pipeline_.last_retired_query()] =
-        static_cast<double>(ticks_done_) / config_.ticks_per_ms;
-    ++retirements_seen_;
-  }
-}
-
-void AdversarialReplay::advance_to(double now) {
-  const double elapsed = now - start_time_;
-  const auto target = static_cast<std::size_t>(elapsed * config_.ticks_per_ms);
-  const std::size_t before = stats_.ticks;
-  while (pipeline_live_ && ticks_done_ < target) tick_once();
-  // Once the workload drains, stop accounting tick debt: later deltas apply
-  // back-to-back (same rule as churn::Replay).
-  if (!pipeline_live_) ticks_done_ = std::max(ticks_done_, target);
-  if (config_.telemetry != nullptr && stats_.ticks != before) {
-    config_.telemetry->recorder.add(config_.telemetry->metrics.ticks,
-                                    stats_.ticks - before);
-  }
-}
-
 AdversarialReplayStats AdversarialReplay::run() {
-  start_time_ = queue_->now();
   stats_ = AdversarialReplayStats{};
   // Scheduling order fixes the same-instant event order: crash deltas first,
   // then corruption deltas, then reputation decay (EventQueue breaks time
   // ties by schedule sequence).
-  double horizon = 0.0;
-  for (std::size_t e = 0; e < log_->size(); ++e) {
-    const double when = start_time_ + log_->delta(e).when;
-    horizon = std::max(horizon, log_->delta(e).when);
-    queue_->schedule(std::max(when, queue_->now()), [this, e] {
-      advance_to(queue_->now());
-      log_->seek(*view_, e + 1);
-      ++stats_.churn_deltas_applied;
-      if (config_.telemetry != nullptr)
-        config_.telemetry->recorder.add(config_.telemetry->metrics.churn_deltas);
-      stats_.sim_end = queue_->now() - start_time_;
-    });
-  }
+  double horizon = engine_.begin();
   for (std::size_t i = 0; i < waves_.size(); ++i) {
-    const double when = start_time_ + waves_[i].when;
     horizon = std::max(horizon, waves_[i].when);
-    queue_->schedule(std::max(when, queue_->now()), [this, i] {
-      advance_to(queue_->now());
+    engine_.at(waves_[i].when, [this, i] {
       byzantine_->apply(waves_[i]);
       ++stats_.byzantine_deltas_applied;
-      if (config_.telemetry != nullptr)
-        config_.telemetry->recorder.add(
-            config_.telemetry->metrics.byzantine_deltas);
-      stats_.sim_end = queue_->now() - start_time_;
+      if (auto* t = config_.telemetry) t->recorder.add(t->metrics.byzantine_deltas);
     });
   }
   if (config_.decay_interval_ms > 0.0) {
     failure::ReputationTable* rep = router_->reputation();
     for (double t = config_.decay_interval_ms; t <= horizon;
          t += config_.decay_interval_ms) {
-      queue_->schedule(start_time_ + t, [this, rep] {
-        advance_to(queue_->now());
+      engine_.at(t, [this, rep] {
         rep->decay_epoch();
         ++stats_.reputation_decays;
-        if (config_.telemetry != nullptr)
-          config_.telemetry->recorder.add(config_.telemetry->metrics.decays);
+        if (auto* t = config_.telemetry) t->recorder.add(t->metrics.decays);
       });
     }
   }
-  queue_->run();
-  // Both adversarial schedules are exhausted; drain the remaining in-flight
-  // searches against the final view/set.
-  const std::size_t drain_start = stats_.ticks;
-  while (pipeline_live_) tick_once();
-  if (config_.telemetry != nullptr && stats_.ticks != drain_start) {
-    config_.telemetry->recorder.add(config_.telemetry->metrics.ticks,
-                                    stats_.ticks - drain_start);
-  }
-  stats_.routed = pipeline_.retired();
-  stats_.final_epoch = view_->epoch();
+  engine_.finish();
+  stats_.churn_deltas_applied = engine_.deltas_applied();
+  stats_.ticks = engine_.ticks();
+  stats_.routed = engine_.pipeline().retired();
+  stats_.final_epoch = engine_.view().epoch();
   stats_.final_byzantine_epoch = byzantine_->epoch();
-  for (const auto& res : results_) {
+  stats_.sim_end = engine_.sim_end();
+  for (const auto& res : engine_.results()) {
     if (res.delivered) ++stats_.delivered;
     stats_.total_messages += res.total_messages;
     stats_.walks_launched += res.walks_launched;

@@ -5,8 +5,9 @@
 // failures only. This driver composes the full threat model of ROADMAP
 // item 2 on top of core::SecureRouter:
 //
-//  * crash churn   — ChurnLog deltas seek the shared FailureView exactly as
-//    in Replay (epoch-stamped, O(changed bits));
+//  * crash churn   — ChurnLog deltas seek the shared FailureView on
+//    Replay's workload, delta schedule and tick-debt clock
+//    (churn/replay_engine.h), here driving a SecureBatchPipeline;
 //  * Byzantine churn — a ByzantineDelta schedule (churn::make_byzantine_waves
 //    aims corrupt/heal waves at in-degree hubs) advances the shared
 //    ByzantineSet's epoch cursor on the same sim::EventQueue, so a node can
@@ -15,11 +16,9 @@
 //    epochs fire on the queue at a fixed virtual-time cadence, giving healed
 //    hubs a recovery path while the replay is still running.
 //
-// Between consecutive events the SecureBatchPipeline advances by ticks_per_ms
-// ticks per virtual millisecond — one message transmission per tick — so
-// deltas of either kind land *between* transmissions and every in-flight walk
-// sees them on its next hop (sessions re-read both the view and the set every
-// step; a walk standing on a freshly killed node dies where it stands).
+// Deltas of either kind land *between* transmissions, and every in-flight
+// walk sees them on its next hop (one standing on a freshly killed node dies
+// where it stands).
 //
 // Determinism: workload and per-query streams derive from the seed via
 // util::substream; the tick/event interleave is a pure function of the two
@@ -39,6 +38,7 @@
 #include <vector>
 
 #include "churn/churn_log.h"
+#include "churn/replay_engine.h"
 #include "core/secure_router.h"
 #include "failure/byzantine.h"
 #include "failure/failure_model.h"
@@ -76,7 +76,8 @@ struct AdversarialReplayTelemetry {
 };
 
 struct AdversarialReplayConfig {
-  /// Pipeline ticks (message transmissions) per virtual millisecond.
+  /// Pipeline ticks (message transmissions) per virtual millisecond; finite
+  /// and > 0.
   double ticks_per_ms = 256.0;
   /// Total searches routed over the run (src/dst drawn live at epoch 0).
   std::size_t queries = 4096;
@@ -147,38 +148,39 @@ class AdversarialReplay {
 
   /// Per-query results, valid after run(). results()[i] answers queries()[i].
   [[nodiscard]] std::span<const core::SecureRouteResult> results() const noexcept {
-    return results_;
+    return engine_.results();
   }
   [[nodiscard]] std::span<const core::Query> queries() const noexcept {
-    return queries_;
+    return engine_.queries();
   }
   /// Virtual completion time (ms from run start) of each query — the
   /// windowed delivery / recovery-time axis. Valid after run().
   [[nodiscard]] std::span<const double> completion_times() const noexcept {
-    return completion_ms_;
+    return engine_.hook().ms;
   }
 
  private:
-  /// Advances the pipeline to the tick budget implied by virtual time `now`,
-  /// timestamping each retirement.
-  void advance_to(double now);
-  void tick_once();
+  /// The per-tick hook: stamps a retirement with the virtual time of the
+  /// tick that retired it (at most one search retires per tick).
+  struct CompletionStamps {
+    std::vector<double> ms;  ///< per query; -1 until it retires
+    double ticks_per_ms = 1.0;
+    std::size_t retired = 0;
+
+    void operator()(const core::SecureBatchPipeline& p, std::size_t ticks) {
+      if (p.retired() == retired) return;
+      retired = p.retired();
+      ms[p.last_retired_query()] = static_cast<double>(ticks) / ticks_per_ms;
+    }
+  };
 
   const core::SecureRouter* router_;
-  const ChurnLog* log_;
   std::span<const failure::ByzantineDelta> waves_;
-  failure::FailureView* view_;
   failure::ByzantineSet* byzantine_;
-  sim::EventQueue* queue_;
   AdversarialReplayConfig config_;
-  std::vector<core::Query> queries_;
-  std::vector<core::SecureRouteResult> results_;
-  std::vector<double> completion_ms_;
-  core::SecureBatchPipeline pipeline_;
-  double start_time_ = 0.0;
-  std::size_t ticks_done_ = 0;
-  std::size_t retirements_seen_ = 0;
-  bool pipeline_live_ = true;
+  detail::ReplayEngine<core::SecureBatchPipeline, core::SecureRouteResult,
+                       CompletionStamps>
+      engine_;
   AdversarialReplayStats stats_;
 };
 

@@ -1,111 +1,31 @@
 #include "churn/replay.h"
 
-#include <algorithm>
-
-#include "sim/workload.h"
-#include "util/require.h"
-#include "util/rng.h"
-
 namespace p2p::churn {
-
-namespace {
-
-/// The fixed query workload: `count` live src/dst pairs drawn at epoch 0
-/// from a private substream of `seed`.
-std::vector<core::Query> make_queries(const failure::FailureView& view,
-                                      std::size_t count, std::uint64_t seed) {
-  util::require(count == 0 || view.alive_count() >= 2,
-                "Replay: need two live nodes to generate queries");
-  std::vector<core::Query> queries(count);
-  util::Rng rng = util::substream(seed, 0x9e37'79b9'7f4a'7c15ULL);
-  for (auto& q : queries) {
-    const auto [src, dst] = sim::random_live_pair(view, rng);
-    q = {src, view.graph().position(dst)};
-  }
-  return queries;
-}
-
-}  // namespace
 
 Replay::Replay(const core::Router& router, const ChurnLog& log,
                failure::FailureView& view, sim::EventQueue& queue,
                ReplayConfig config)
-    : log_(&log),
-      view_(&view),
-      queue_(&queue),
-      config_(config),
-      queries_(make_queries(view, config.queries, config.seed)),
-      results_(queries_.size()),
-      pipeline_(router, queries_, results_,
-                util::splitmix64(config.seed ^ 0xc4ce'b9fe'1a85'ec53ULL),
-                config.batch) {
-  util::require(&router.view() == &view,
-                "Replay: router must be built over the replayed view");
-  util::require(&view.graph() == &log.graph(),
-                "Replay: view and log must share one graph");
-  util::require(view.epoch() == 0,
-                "Replay: view must start at epoch 0 (seek it back before reuse)");
-  util::require(config.ticks_per_ms > 0.0, "Replay: ticks_per_ms must be > 0");
-}
-
-void Replay::advance_to(double now) {
-  const double elapsed = now - start_time_;
-  const auto target =
-      static_cast<std::size_t>(elapsed * config_.ticks_per_ms);
-  const std::size_t before = stats_.ticks;
-  while (pipeline_live_ && ticks_done_ < target) {
-    pipeline_live_ = pipeline_.tick();
-    ++ticks_done_;
-    ++stats_.ticks;
-  }
-  // Once the workload drains, stop accounting tick debt: later deltas apply
-  // back-to-back (the deltas/sec regime the churn bench measures).
-  if (!pipeline_live_) ticks_done_ = std::max(ticks_done_, target);
-  if (config_.telemetry != nullptr && stats_.ticks != before) {
-    config_.telemetry->recorder.add(config_.telemetry->metrics.ticks,
-                                    stats_.ticks - before);
-  }
-}
+    : engine_("Replay", router, log, view, queue, config, config.batch,
+              &ReplayMetrics::deltas) {}
 
 ReplayStats Replay::run() {
-  start_time_ = queue_->now();
-  stats_ = ReplayStats{};
-  for (std::size_t e = 0; e < log_->size(); ++e) {
-    const double when = start_time_ + log_->delta(e).when;
-    queue_->schedule(std::max(when, queue_->now()), [this, e] {
-      // Catch the pipeline up to this instant, then land the batch between
-      // two transmissions: every in-flight search sees it on its next hop.
-      advance_to(queue_->now());
-      log_->seek(*view_, e + 1);
-      ++stats_.deltas_applied;
-      if (config_.telemetry != nullptr)
-        config_.telemetry->recorder.add(config_.telemetry->metrics.deltas);
-      stats_.sim_end = queue_->now() - start_time_;
-    });
-  }
-  queue_->run();
-  // The trace is exhausted; drain the remaining in-flight searches against
-  // the final view.
-  const std::size_t drain_start = stats_.ticks;
-  while (pipeline_live_) {
-    pipeline_live_ = pipeline_.tick();
-    ++stats_.ticks;
-  }
-  if (config_.telemetry != nullptr && stats_.ticks != drain_start) {
-    config_.telemetry->recorder.add(config_.telemetry->metrics.ticks,
-                                    stats_.ticks - drain_start);
-  }
-  stats_.routed = pipeline_.retired();
-  stats_.final_epoch = view_->epoch();
+  engine_.begin();
+  engine_.finish();
+  ReplayStats stats;
+  stats.deltas_applied = engine_.deltas_applied();
+  stats.ticks = engine_.ticks();
+  stats.routed = engine_.pipeline().retired();
+  stats.final_epoch = engine_.view().epoch();
+  stats.sim_end = engine_.sim_end();
   double hops = 0.0;
-  for (const auto& res : results_) {
+  for (const auto& res : engine_.results()) {
     if (!res.delivered()) continue;
-    ++stats_.delivered;
+    ++stats.delivered;
     hops += static_cast<double>(res.hops);
   }
-  stats_.mean_hops_delivered =
-      stats_.delivered == 0 ? 0.0 : hops / static_cast<double>(stats_.delivered);
-  return stats_;
+  stats.mean_hops_delivered =
+      stats.delivered == 0 ? 0.0 : hops / static_cast<double>(stats.delivered);
+  return stats;
 }
 
 }  // namespace p2p::churn

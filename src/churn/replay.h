@@ -2,13 +2,10 @@
 // through a continuously mutating FailureView.
 //
 // Replay merges a ChurnLog's epoch batches with the discrete-event core
-// (sim::EventQueue) and a software-pipelined search load (core::BatchPipeline,
-// PR 2): every delta is scheduled at its virtual timestamp, and between
-// consecutive events the pipeline advances by ticks_per_ms ticks per virtual
-// millisecond — one message transmission per tick, exactly the granularity
-// RouteSession exposes — so deltas land *between* transmissions and in-flight
-// searches see the mutation on their very next hop (sessions re-read the view
-// every step). After the last delta the pipeline drains to completion.
+// (sim::EventQueue) and a software-pipelined search load (core::BatchPipeline)
+// on the tick-debt clock of churn/replay_engine.h: every delta lands between
+// two transmissions at its virtual timestamp, and in-flight searches see the
+// mutation on their very next hop (sessions re-read the view every step).
 //
 // Determinism: the query workload and every per-query routing stream derive
 // from ReplayConfig::seed via util::substream, and the tick/event interleave
@@ -22,9 +19,9 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "churn/churn_log.h"
+#include "churn/replay_engine.h"
 #include "core/router.h"
 #include "failure/failure_model.h"
 #include "sim/event_queue.h"
@@ -57,7 +54,8 @@ struct ReplayTelemetry {
 };
 
 struct ReplayConfig {
-  /// Pipeline ticks (message transmissions) per virtual millisecond.
+  /// Pipeline ticks (message transmissions) per virtual millisecond; finite
+  /// and > 0.
   double ticks_per_ms = 256.0;
   /// Total searches routed over the run (src/dst drawn live at epoch 0).
   std::size_t queries = 4096;
@@ -105,27 +103,14 @@ class Replay {
   /// Per-query results, valid after run(). results()[i] corresponds to
   /// queries()[i].
   [[nodiscard]] std::span<const core::RouteResult> results() const noexcept {
-    return results_;
+    return engine_.results();
   }
   [[nodiscard]] std::span<const core::Query> queries() const noexcept {
-    return queries_;
+    return engine_.queries();
   }
 
  private:
-  /// Advances the pipeline to the tick budget implied by virtual time `now`.
-  void advance_to(double now);
-
-  const ChurnLog* log_;
-  failure::FailureView* view_;
-  sim::EventQueue* queue_;
-  ReplayConfig config_;
-  std::vector<core::Query> queries_;
-  std::vector<core::RouteResult> results_;
-  core::BatchPipeline pipeline_;
-  double start_time_ = 0.0;
-  std::size_t ticks_done_ = 0;
-  bool pipeline_live_ = true;
-  ReplayStats stats_;
+  detail::ReplayEngine<core::BatchPipeline, core::RouteResult> engine_;
 };
 
 }  // namespace p2p::churn

@@ -1,8 +1,7 @@
 #include "service/routing_service.h"
 
-#include <algorithm>
-#include <chrono>
 #include <thread>
+#include <utility>
 
 #include "service/service_telemetry.h"
 #include "util/options.h"
@@ -19,102 +18,18 @@ std::size_t RoutingService::resolve_workers(std::size_t requested) {
 }
 
 RoutingService::RoutingService(ViewPublisher& publisher, ServiceConfig config)
-    : publisher_(&publisher),
-      config_(config),
-      pool_(config.affinity.empty()
-                ? util::ThreadPool(resolve_workers(config.workers))
-                : util::ThreadPool(config.affinity)) {
+    : config_(std::move(config)),
+      executor_(publisher, resolve_workers(config_.workers), config_.affinity) {
   util::require(config_.stripe >= 1, "RoutingService: stripe must be >= 1");
-  config_.workers = pool_.thread_count();
-  // Validate the router configuration against the graph now, on the calling
-  // thread: pool tasks must never throw (ThreadPool terminates on escaping
-  // exceptions), so every worker-side Router construction below repeats a
-  // validation that already passed here.
-  Reader probe = publisher_->make_reader();
-  const ViewSnapshot* snap = probe.pin();
-  const core::Router check(publisher_->graph(), snap->view, config_.router);
-  static_cast<void>(check);
-}
-
-RoutingService::~RoutingService() {
-  // route_all() is synchronous, so by contract no job is in flight when the
-  // owner destroys the service; the pool destructor joins its idle workers.
-  request_stop();
-}
-
-void RoutingService::worker_loop(Job& job, std::size_t worker_index) {
-  Reader reader = publisher_->make_reader();
-  const graph::OverlayGraph& g = publisher_->graph();
-
-  // Telemetry wiring, resolved once per job (never per stripe, never per
-  // hop): this worker's registry shard, its per-query route sink for the
-  // batch pipeline, and its own flight-recorder trace buffer.
-  const ServiceTelemetry* telem = config_.telemetry;
-  if (telem != nullptr && telem->registry == nullptr) telem = nullptr;
-  telemetry::Recorder rec;
-  core::RouteTelemetry route_sink;
-  core::BatchConfig batch = config_.batch;
-  if (telem != nullptr) {
-    rec = telem->registry->recorder(worker_index % telem->registry->shard_count());
-    route_sink = core::RouteTelemetry{rec, telem->metrics.route};
-    batch.telemetry = &route_sink;
-    batch.trace = telem->flight != nullptr
-                      ? &telem->flight->buffer(worker_index %
-                                               telem->flight->worker_count())
-                      : nullptr;
-  }
-  std::uint64_t claimed = 0;
-
-  while (!stop_.load(std::memory_order_seq_cst)) {
-    const std::size_t k =
-        job.next_stripe.fetch_add(1, std::memory_order_relaxed);
-    if (k >= job.stripe_count) break;
-    const std::size_t lo = k * job.stripe;
-    const std::size_t hi = std::min(job.queries.size(), lo + job.stripe);
-
-    const auto pin_start = std::chrono::steady_clock::now();
-    const ViewSnapshot* snap = reader.pin();
-    const auto pin_end = std::chrono::steady_clock::now();
-    // A fresh Router per stripe binds this stripe to one immutable snapshot;
-    // construction is a handful of field stores plus the SIMD eligibility
-    // check, amortized over `stripe` queries.
-    const core::Router router(g, snap->view, config_.router);
-    core::BatchPipeline pipeline(
-        router, job.queries.subspan(lo, hi - lo),
-        job.results.subspan(lo, hi - lo),
-        stripe_seed_base(config_.seed, k), batch);
-    pipeline.run();
-    job.epoch_by_stripe[k] = snap->epoch;
-    const std::uint64_t latest = publisher_->latest_epoch();
-    job.staleness_by_stripe[k] =
-        latest > snap->epoch ? latest - snap->epoch : 0;
-    reader.unpin();
-    if (telem != nullptr) {
-      // Record from the job slots, not `snap` — the snapshot is unpinned and
-      // may already be reclaimed.
-      const ServiceMetrics& m = telem->metrics;
-      rec.add(m.stripes);
-      rec.observe(m.staleness_hist, job.staleness_by_stripe[k]);
-      rec.set_min(m.stripe_epoch_min, job.epoch_by_stripe[k]);
-      rec.set_max(m.stripe_epoch_max, job.epoch_by_stripe[k]);
-      rec.observe(m.pin_ns_hist,
-                  static_cast<std::uint64_t>(
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          pin_end - pin_start)
-                          .count()));
-      rec.set(m.stripes_claimed, ++claimed);
-    }
-    job.stripes_done.fetch_add(1, std::memory_order_release);
-  }
-  std::lock_guard lock(done_mutex_);
-  if (--workers_remaining_ == 0) done_cv_.notify_all();
+  config_.workers = executor_.worker_count();
+  executor_.validate(config_.router);
 }
 
 ServiceStats RoutingService::route_all(std::span<const core::Query> queries,
                                        std::span<core::RouteResult> results) {
   util::require(results.size() >= queries.size(),
                 "RoutingService: results span shorter than queries");
-  const graph::OverlayGraph& g = publisher_->graph();
+  const graph::OverlayGraph& g = executor_.publisher().graph();
   for (const core::Query& q : queries) {
     util::require_in_range(q.src < g.size(),
                            "RoutingService: query src out of range");
@@ -122,34 +37,44 @@ ServiceStats RoutingService::route_all(std::span<const core::Query> queries,
                   "RoutingService: query target outside space");
   }
 
-  Job job;
-  job.queries = queries;
-  job.results = results;
-  job.stripe = config_.stripe;
-  job.stripe_count = (queries.size() + job.stripe - 1) / job.stripe;
-  job.epoch_by_stripe.assign(job.stripe_count, 0);
-  job.staleness_by_stripe.assign(job.stripe_count, 0);
-
-  {
-    std::lock_guard lock(done_mutex_);
-    workers_remaining_ = pool_.thread_count();
-  }
-  for (std::size_t w = 0; w < pool_.thread_count(); ++w) {
-    pool_.submit([this, &job, w] { worker_loop(job, w); });
-  }
-  {
-    std::unique_lock lock(done_mutex_);
-    done_cv_.wait(lock, [this] { return workers_remaining_ == 0; });
-  }
+  StripeRunStats run = executor_.run(
+      queries.size(), config_.stripe, config_.telemetry,
+      [&](std::size_t worker, const StripeExecutor::ClaimLoop& claim) {
+        // Telemetry wiring, resolved once per call (never per stripe, never
+        // per hop): this worker's per-query route sink for the batch
+        // pipeline and its own flight-recorder trace buffer.
+        const ServiceTelemetry* telem = config_.telemetry;
+        core::BatchConfig batch = config_.batch;
+        core::RouteTelemetry route_sink;
+        if (telem != nullptr && telem->registry != nullptr) {
+          route_sink = core::RouteTelemetry{
+              telem->registry->recorder(worker % telem->registry->shard_count()),
+              telem->metrics.route};
+          batch.telemetry = &route_sink;
+          batch.trace =
+              telem->flight != nullptr
+                  ? &telem->flight->buffer(worker % telem->flight->worker_count())
+                  : nullptr;
+        }
+        claim([&](const Stripe& s) {
+          // A fresh Router per stripe binds this stripe to one immutable
+          // snapshot; construction is a handful of field stores plus the
+          // SIMD eligibility check, amortized over `stripe` queries.
+          const core::Router router(g, s.snapshot->view, config_.router);
+          core::BatchPipeline(router, queries.subspan(s.begin, s.size()),
+                              results.subspan(s.begin, s.size()),
+                              stripe_seed_base(config_.seed, s.index), batch)
+              .run();
+        });
+      });
 
   ServiceStats stats;
   stats.queries = queries.size();
-  stats.stripes = job.stripes_done.load(std::memory_order_acquire);
-  // Stripes are claimed in fetch-add order and every claimed stripe is
-  // completed, so the routed queries are exactly the stripe-grid prefix.
-  stats.routed = stats.stripes == job.stripe_count
-                     ? queries.size()
-                     : stats.stripes * job.stripe;
+  stats.routed = run.completed;
+  stats.stripes = run.stripes;
+  stats.min_epoch = run.min_epoch;
+  stats.max_epoch = run.max_epoch;
+  stats.staleness = std::move(run.staleness);
   double hop_sum = 0.0;
   for (std::size_t i = 0; i < stats.routed; ++i) {
     if (results[i].delivered()) {
@@ -159,15 +84,6 @@ ServiceStats RoutingService::route_all(std::span<const core::Query> queries,
   }
   stats.mean_hops_delivered =
       stats.delivered == 0 ? 0.0 : hop_sum / static_cast<double>(stats.delivered);
-  if (stats.stripes > 0) {
-    stats.min_epoch = stats.max_epoch = job.epoch_by_stripe[0];
-    stats.staleness.reserve(stats.stripes);
-    for (std::size_t k = 0; k < stats.stripes; ++k) {
-      stats.min_epoch = std::min(stats.min_epoch, job.epoch_by_stripe[k]);
-      stats.max_epoch = std::max(stats.max_epoch, job.epoch_by_stripe[k]);
-      stats.staleness.push_back(job.staleness_by_stripe[k]);
-    }
-  }
   return stats;
 }
 

@@ -3,52 +3,29 @@
 // router threads draining one query stream while a single churn writer
 // advances epochs through a ViewPublisher.
 //
-// Query hand-off is striped: the query span is cut into fixed stripes of
-// `stripe` consecutive queries, and workers claim stripes with one atomic
-// fetch-add (an MPMC hand-off with no queue, no locks and no per-query
-// contention; results land in disjoint slots of the caller's results span).
-// Per claimed stripe a worker pins the latest published snapshot, runs a
-// worker-local core::BatchPipeline over it (the software-pipelined
-// route_batch engine, one Rng substream per query), records how stale the
-// pinned epoch was, and unpins. Pinning per stripe — not per query — keeps
-// the publication protocol entirely off the per-hop path while bounding
-// staleness to one stripe's routing time.
+// Threading is service::StripeExecutor's (service/stripe_executor.h); per
+// claimed stripe this frontend runs a worker-local core::BatchPipeline (one
+// Rng substream per query) over the pinned view, and stamps each RouteResult
+// (completion_epoch) with the epoch of the snapshot it routed against.
 //
-// Determinism: the stripe grid is a pure function of (queries.size(),
-// stripe), never of the worker count, and query `g` always runs on the
-// stream util::substream(stripe_seed_base(seed, g / stripe), g % stripe).
-// With the writer idle every result is therefore bit-identical across any
-// worker count (tests/service_test.cpp pins this); with a live writer,
-// results additionally depend on which epoch each stripe pinned.
-//
-// Workers are util::ThreadPool threads: route_all() fans worker_count()
-// claim-loops onto the service's own pool and blocks on a condition
-// variable until the last one drains — between calls the pool threads sleep
-// on the pool's queue condvar, so an idle service burns no CPU. Each
-// RouteResult is stamped (completion_epoch) with the epoch of the snapshot
-// it routed against. request_stop() makes workers finish their in-flight
-// stripe and claim no more: route_all() then returns with the completed
-// prefix — stripes are claimed in order, so the routed set is always
-// queries [0, stats.routed) — and the service refuses further work
-// (graceful drain; construct a fresh service to resume).
+// Determinism: query `g` always runs on the stream
+// util::substream(stripe_seed_base(seed, g / stripe), g % stripe), so with
+// the writer idle every result is bit-identical across any worker count
+// (tests/service_test.cpp pins this); with a live writer, results also
+// depend on which epoch each stripe pinned.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "core/router.h"
+#include "service/stripe_executor.h"
 #include "service/view_publisher.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace p2p::service {
-
-struct ServiceTelemetry;  // service/service_telemetry.h
 
 struct ServiceConfig {
   /// Router threads. 0 resolves P2P_THREADS from the environment, then
@@ -107,9 +84,6 @@ class RoutingService {
   /// same validation core::Router performs).
   explicit RoutingService(ViewPublisher& publisher, ServiceConfig config = {});
 
-  /// Drains (request_stop + join semantics) — never blocks on new work.
-  ~RoutingService();
-
   RoutingService(const RoutingService&) = delete;
   RoutingService& operator=(const RoutingService&) = delete;
 
@@ -124,21 +98,21 @@ class RoutingService {
   /// Sticky: the service completes the current route_all() early and
   /// refuses subsequent ones (they return zero-routed stats). Callable from
   /// any thread — this is the graceful-drain path.
-  void request_stop() noexcept {
-    stop_.store(true, std::memory_order_seq_cst);
-  }
+  void request_stop() noexcept { executor_.request_stop(); }
   [[nodiscard]] bool stop_requested() const noexcept {
-    return stop_.load(std::memory_order_seq_cst);
+    return executor_.stop_requested();
   }
 
   [[nodiscard]] std::size_t worker_count() const noexcept {
-    return pool_.thread_count();
+    return executor_.worker_count();
   }
   [[nodiscard]] const ServiceConfig& config() const noexcept { return config_; }
 
   /// Seed base of stripe `stripe_index`: query g of a route_all() call runs
   /// on util::substream(stripe_seed_base(seed, g / stripe), g % stripe).
   /// Exposed so equivalence tests can reproduce any query's stream exactly.
+  /// StoreService seeds its stripes the same way, so one master seed
+  /// governs both frontends coherently.
   [[nodiscard]] static constexpr std::uint64_t stripe_seed_base(
       std::uint64_t seed, std::uint64_t stripe_index) noexcept {
     return util::splitmix64(seed ^
@@ -150,32 +124,8 @@ class RoutingService {
   [[nodiscard]] static std::size_t resolve_workers(std::size_t requested);
 
  private:
-  /// One route_all() call's shared state; workers race on next_stripe only.
-  struct Job {
-    std::span<const core::Query> queries;
-    std::span<core::RouteResult> results;
-    std::size_t stripe = 1;
-    std::size_t stripe_count = 0;
-    std::atomic<std::size_t> next_stripe{0};
-    std::atomic<std::size_t> stripes_done{0};
-    /// Slot-per-stripe, written by the completing worker only.
-    std::vector<std::uint64_t> epoch_by_stripe;
-    std::vector<std::uint64_t> staleness_by_stripe;
-  };
-
-  void worker_loop(Job& job, std::size_t worker_index);
-
-  ViewPublisher* publisher_;
   ServiceConfig config_;
-  std::atomic<bool> stop_{false};
-  util::ThreadPool pool_;
-
-  /// route_all()'s completion signaling: the last worker leaving a job
-  /// notifies the caller (ThreadPool::wait_idle would also work, but a
-  /// dedicated condvar keeps the service usable on a shared pool later).
-  std::mutex done_mutex_;
-  std::condition_variable done_cv_;
-  std::size_t workers_remaining_ = 0;
+  StripeExecutor executor_;
 };
 
 }  // namespace p2p::service

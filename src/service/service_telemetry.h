@@ -1,6 +1,6 @@
 // Service-level telemetry wiring: one shared registry serves the per-query
 // route metrics (recorded by worker-local BatchPipelines), the per-stripe
-// epoch/staleness/pin instrumentation of RoutingService::route_all, and the
+// epoch/staleness/pin instrumentation of the StripeExecutor, and the
 // publication gauges of ViewPublisher — the whole serving stack snapshots as
 // one epoch-aligned unit.
 //
@@ -17,9 +17,8 @@
 
 namespace p2p::service {
 
-/// Handle set for the striped frontend. The per-stripe epoch/staleness slots
-/// RoutingService already tracks (Job::epoch_by_stripe/staleness_by_stripe)
-/// surface here instead of being collapsed into min/max:
+/// Handle set for the striped frontend; StripeExecutor records the stripe
+/// metrics, so the per-stripe slots behind ServiceStats surface here too:
 ///  * staleness_hist buckets every completed stripe's staleness (publisher's
 ///    latest epoch minus the pinned epoch) — p50/p99 come from the snapshot;
 ///  * stripe_epoch_min/max gauges track the pinned-epoch range;

@@ -1,7 +1,5 @@
 #include "service/store_service.h"
 
-#include <algorithm>
-
 #include "service/routing_service.h"
 #include "util/require.h"
 
@@ -9,104 +7,54 @@ namespace p2p::service {
 
 StoreService::StoreService(ViewPublisher& publisher, store::QuorumStore& store,
                            StoreServiceConfig config)
-    : publisher_(&publisher),
-      store_(&store),
+    : store_(&store),
       config_(config),
-      pool_(RoutingService::resolve_workers(config.workers)) {
+      executor_(publisher, RoutingService::resolve_workers(config.workers)) {
   util::require(config_.stripe >= 1, "StoreService: stripe must be >= 1");
-  util::require(&publisher_->graph() == &store_->graph(),
+  util::require(&publisher.graph() == &store_->graph(),
                 "StoreService: publisher and store are over different graphs");
-  config_.workers = pool_.thread_count();
-  // Validate the router configuration on the calling thread: pool tasks must
-  // never throw, so the worker-side Router constructions below repeat a
-  // validation that already passed here.
-  Reader probe = publisher_->make_reader();
-  const ViewSnapshot* snap = probe.pin();
-  const core::Router check(publisher_->graph(), snap->view, config_.router);
-  static_cast<void>(check);
-}
-
-StoreService::~StoreService() { request_stop(); }
-
-void StoreService::worker_loop(Job& job, std::size_t worker_index) {
-  Reader reader = publisher_->make_reader();
-  const graph::OverlayGraph& g = publisher_->graph();
-
-  store::StoreTelemetry telem;
-  if (config_.registry != nullptr) {
-    telem.recorder = config_.registry->recorder(
-        worker_index % config_.registry->shard_count());
-    telem.metrics = config_.metrics;
-  }
-
-  while (!stop_.load(std::memory_order_seq_cst)) {
-    const std::size_t k =
-        job.next_stripe.fetch_add(1, std::memory_order_relaxed);
-    if (k >= job.stripe_count) break;
-    const std::size_t lo = k * job.stripe;
-    const std::size_t hi = std::min(job.ops.size(), lo + job.stripe);
-
-    const ViewSnapshot* snap = reader.pin();
-    // One Router per stripe binds the whole stripe — placement, routed
-    // sub-queries, failover, read-repair — to one immutable snapshot.
-    const core::Router router(g, snap->view, config_.router);
-    store_->run_batch(router, job.ops.subspan(lo, hi - lo),
-                      job.results.subspan(lo, hi - lo),
-                      stripe_seed_base(config_.seed, k), telem);
-    job.epoch_by_stripe[k] = snap->epoch;
-    reader.unpin();
-    job.stripes_done.fetch_add(1, std::memory_order_release);
-  }
-  std::lock_guard lock(done_mutex_);
-  if (--workers_remaining_ == 0) done_cv_.notify_all();
+  config_.workers = executor_.worker_count();
+  executor_.validate(config_.router);
 }
 
 StoreServiceStats StoreService::run_all(std::span<const store::Op> ops,
                                         std::span<store::OpResult> results) {
   util::require(results.size() >= ops.size(),
                 "StoreService: results span shorter than ops");
-  const graph::OverlayGraph& g = publisher_->graph();
+  const graph::OverlayGraph& g = executor_.publisher().graph();
   for (const store::Op& op : ops) {
     util::require_in_range(op.client < g.size(),
                            "StoreService: op client out of range");
   }
 
-  Job job;
-  job.ops = ops;
-  job.results = results;
-  job.stripe = config_.stripe;
-  job.stripe_count = (ops.size() + job.stripe - 1) / job.stripe;
-  job.epoch_by_stripe.assign(job.stripe_count, 0);
-
-  {
-    std::lock_guard lock(done_mutex_);
-    workers_remaining_ = pool_.thread_count();
-  }
-  for (std::size_t w = 0; w < pool_.thread_count(); ++w) {
-    pool_.submit([this, &job, w] { worker_loop(job, w); });
-  }
-  {
-    std::unique_lock lock(done_mutex_);
-    done_cv_.wait(lock, [this] { return workers_remaining_ == 0; });
-  }
+  const StripeRunStats run = executor_.run(
+      ops.size(), config_.stripe, nullptr,
+      [&](std::size_t worker, const StripeExecutor::ClaimLoop& claim) {
+        store::StoreTelemetry telem;
+        if (config_.registry != nullptr) {
+          telem.recorder = config_.registry->recorder(
+              worker % config_.registry->shard_count());
+          telem.metrics = config_.metrics;
+        }
+        claim([&](const Stripe& s) {
+          // One Router per stripe binds the whole stripe — placement, routed
+          // sub-queries, failover, read-repair — to one immutable snapshot.
+          const core::Router router(g, s.snapshot->view, config_.router);
+          store_->run_batch(router, ops.subspan(s.begin, s.size()),
+                            results.subspan(s.begin, s.size()),
+                            RoutingService::stripe_seed_base(config_.seed, s.index),
+                            telem);
+        });
+      });
 
   StoreServiceStats stats;
   stats.ops = ops.size();
-  stats.stripes = job.stripes_done.load(std::memory_order_acquire);
-  // Stripes are claimed in fetch-add order and every claimed stripe
-  // completes, so the executed ops are exactly the stripe-grid prefix.
-  stats.completed = stats.stripes == job.stripe_count
-                        ? ops.size()
-                        : stats.stripes * job.stripe;
+  stats.completed = run.completed;
+  stats.stripes = run.stripes;
+  stats.min_epoch = run.min_epoch;
+  stats.max_epoch = run.max_epoch;
   for (std::size_t i = 0; i < stats.completed; ++i) {
     if (results[i].ok) ++stats.ok;
-  }
-  if (stats.stripes > 0) {
-    stats.min_epoch = stats.max_epoch = job.epoch_by_stripe[0];
-    for (std::size_t k = 0; k < stats.stripes; ++k) {
-      stats.min_epoch = std::min(stats.min_epoch, job.epoch_by_stripe[k]);
-      stats.max_epoch = std::max(stats.max_epoch, job.epoch_by_stripe[k]);
-    }
   }
   return stats;
 }

@@ -3,39 +3,30 @@
 // workers drain one client-op stream against a shared QuorumStore while a
 // single churn writer advances epochs through a ViewPublisher.
 //
-// Hand-off is the same stripe-claiming pattern RoutingService uses: the op
-// span is cut into fixed stripes, workers claim stripes with one atomic
-// fetch-add, and per claimed stripe a worker pins the latest snapshot,
-// builds a worker-local core::Router over the pinned immutable view, and
-// runs QuorumStore::run_batch for the stripe (placement, routed sub-queries,
-// failover and read-repair all bind to that one snapshot — a whole quorum
-// operation observes a single consistent membership). Results land in
-// disjoint slots of the caller's results span.
+// Threading is service::StripeExecutor's (service/stripe_executor.h), as in
+// RoutingService. Per claimed stripe a worker builds a core::Router over the
+// pinned view and runs QuorumStore::run_batch with seed
+// RoutingService::stripe_seed_base(seed, stripe index): placement, routed
+// sub-queries, failover and read-repair all bind to that one snapshot, so a
+// whole quorum operation observes a single consistent membership.
 //
-// Determinism: the stripe grid is a pure function of (ops.size(), stripe),
-// and stripe s always runs run_batch with seed stripe_seed_base(seed, s) —
-// identical to RoutingService's contract. With the writer idle and distinct
-// keys across stripes, every OpResult is bit-identical across any worker
-// count (tests/store_service_test.cpp pins this). Concurrent same-key
-// writes from different stripes are merged by max version (convergent, but
-// which version wins a seq tie is scheduling-dependent — same as any
+// Determinism: with the writer idle and distinct keys across stripes, every
+// OpResult is bit-identical across any worker count
+// (tests/store_service_test.cpp pins this). Concurrent same-key writes from
+// different stripes are merged by max version (convergent, but which
+// version wins a seq tie is scheduling-dependent — same as any
 // last-writer-wins register).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
-#include <vector>
 
 #include "core/router.h"
+#include "service/stripe_executor.h"
 #include "service/view_publisher.h"
 #include "store/quorum_store.h"
 #include "store/store_telemetry.h"
-#include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace p2p::service {
 
@@ -82,9 +73,6 @@ class StoreService {
   StoreService(ViewPublisher& publisher, store::QuorumStore& store,
                StoreServiceConfig config = {});
 
-  /// Synchronous by contract — no job in flight at destruction.
-  ~StoreService();
-
   StoreService(const StoreService&) = delete;
   StoreService& operator=(const StoreService&) = delete;
 
@@ -96,49 +84,22 @@ class StoreService {
 
   /// Graceful drain: workers finish their in-flight stripe and claim no
   /// more; subsequent run_all() calls return zero-completed stats. Sticky.
-  void request_stop() noexcept { stop_.store(true, std::memory_order_seq_cst); }
+  void request_stop() noexcept { executor_.request_stop(); }
   [[nodiscard]] bool stop_requested() const noexcept {
-    return stop_.load(std::memory_order_seq_cst);
+    return executor_.stop_requested();
   }
 
   [[nodiscard]] std::size_t worker_count() const noexcept {
-    return pool_.thread_count();
+    return executor_.worker_count();
   }
   [[nodiscard]] const StoreServiceConfig& config() const noexcept {
     return config_;
   }
 
-  /// Seed of stripe `stripe_index` — the same derivation RoutingService
-  /// uses, so one master seed governs both frontends coherently.
-  [[nodiscard]] static constexpr std::uint64_t stripe_seed_base(
-      std::uint64_t seed, std::uint64_t stripe_index) noexcept {
-    return util::splitmix64(seed ^
-                            (0x9e3779b97f4a7c15ULL * (stripe_index + 1)));
-  }
-
  private:
-  struct Job {
-    std::span<const store::Op> ops;
-    std::span<store::OpResult> results;
-    std::size_t stripe = 1;
-    std::size_t stripe_count = 0;
-    std::atomic<std::size_t> next_stripe{0};
-    std::atomic<std::size_t> stripes_done{0};
-    /// Slot-per-stripe, written by the completing worker only.
-    std::vector<std::uint64_t> epoch_by_stripe;
-  };
-
-  void worker_loop(Job& job, std::size_t worker_index);
-
-  ViewPublisher* publisher_;
   store::QuorumStore* store_;
   StoreServiceConfig config_;
-  std::atomic<bool> stop_{false};
-  util::ThreadPool pool_;
-
-  std::mutex done_mutex_;
-  std::condition_variable done_cv_;
-  std::size_t workers_remaining_ = 0;
+  StripeExecutor executor_;
 };
 
 }  // namespace p2p::service

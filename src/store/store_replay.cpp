@@ -1,6 +1,7 @@
 #include "store/store_replay.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -17,7 +18,8 @@ StoreReplayStats replay_store(QuorumStore& store, const churn::ChurnLog& log,
   util::require(&log.graph() == &store.graph(),
                 "replay_store: log is over a different graph");
   util::require(cfg.keys >= 1, "replay_store: keys must be >= 1");
-  util::require(cfg.ops_per_ms >= 0.0, "replay_store: ops_per_ms must be >= 0");
+  util::require(std::isfinite(cfg.ops_per_ms) && cfg.ops_per_ms >= 0.0,
+                "replay_store: ops_per_ms must be finite and >= 0");
 
   const graph::OverlayGraph& g = store.graph();
   failure::FailureView view = log.baseline();

@@ -2,8 +2,7 @@
 // through a QuorumStore, interleaving client operations with epoch deltas —
 // the object-availability counterpart of churn::Replay's routing replay.
 //
-// The loop is the same discrete-event merge churn::Replay performs: between
-// consecutive deltas, the window's worth of client ops (ops_per_ms, a
+// Between consecutive deltas, the window's worth of client ops (ops_per_ms, a
 // read_fraction get/put mix over a preloaded keyspace) runs as one
 // QuorumStore::run_batch against the current view; then the delta applies —
 // with crash *amnesia*: a killed node forgets its replicas before the view
@@ -12,6 +11,12 @@
 // deliver_hints() flushes writes hinted during outages and up to max_sweeps
 // repair passes measure the recovery window: how much replication the trace
 // degraded, and how fast anti-entropy restores it.
+//
+// The loop stays apart from churn::Replay's tick-debt clock
+// (churn/replay_engine.h): an op window is a whole batch sized by a
+// fractional carry of ops_per_ms × window length, not a count of pipeline
+// ticks paid down per event, so driving it from that clock would change how
+// many ops each window runs.
 //
 // Deterministic: (store config, log, replay config) fixes every op, every
 // latency draw and every routing stream bit-for-bit.
@@ -30,7 +35,7 @@ namespace p2p::store {
 struct StoreReplayConfig {
   /// Preloaded keyspace size ("obj-0".."obj-<keys-1>", installed at epoch 0).
   std::size_t keys = 512;
-  /// Client operations per virtual ms of trace time.
+  /// Client operations per virtual ms of trace time; finite and >= 0.
   double ops_per_ms = 2.0;
   /// Fraction of ops that are gets (the rest are puts of fresh values).
   double read_fraction = 0.7;

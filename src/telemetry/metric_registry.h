@@ -207,7 +207,7 @@ class Registry {
   Counter counter(std::string name);
   Gauge gauge(std::string name);
   /// Log-bucketed histogram over [1, max_value]; values above max_value fold
-  /// into the last bin, value 0 clamps to 1 (matches util::LogHistogram).
+  /// into the last bin, value 0 clamps to 1 (util::log_bucket_index).
   Histogram histogram(std::string name, double base = 2.0,
                       std::uint64_t max_value = std::uint64_t{1} << 20);
 

@@ -58,137 +58,4 @@ double quantile_from_log_bins(std::span<const std::uint64_t> edges,
   return static_cast<double>(edges.back() - 1);
 }
 
-LinearHistogram::LinearHistogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  require(lo < hi, "LinearHistogram: lo must be < hi");
-  require(bins >= 1, "LinearHistogram: need at least one bin");
-}
-
-void LinearHistogram::add(double x, std::uint64_t weight) noexcept {
-  total_ += weight;
-  if (x < lo_) {
-    underflow_ += weight;
-    return;
-  }
-  const auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) {
-    overflow_ += weight;
-    return;
-  }
-  counts_[idx] += weight;
-}
-
-void LinearHistogram::merge(const LinearHistogram& other) {
-  require(lo_ == other.lo_ && width_ == other.width_ &&
-              counts_.size() == other.counts_.size(),
-          "LinearHistogram::merge: incompatible shapes");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  total_ += other.total_;
-}
-
-double LinearHistogram::quantile(double q) const noexcept {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(total_ - 1);
-  const double hi_edge = bin_hi(counts_.size() - 1);
-  std::uint64_t cum = 0;
-  // Underflow mass sits at lo, overflow mass at the top edge.
-  if (underflow_ > 0) {
-    cum += underflow_;
-    if (rank < static_cast<double>(cum)) return lo_;
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const double first = static_cast<double>(cum);
-    cum += counts_[i];
-    if (rank < static_cast<double>(cum)) {
-      const double frac = (rank - first) / static_cast<double>(counts_[i]);
-      return bin_lo(i) + (bin_hi(i) - bin_lo(i)) * frac;
-    }
-  }
-  return hi_edge;
-}
-
-double LinearHistogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double LinearHistogram::bin_hi(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-ExactCounter::ExactCounter(std::uint64_t max_value) : counts_(max_value + 1, 0) {}
-
-void ExactCounter::add(std::uint64_t value, std::uint64_t weight) noexcept {
-  total_ += weight;
-  if (value >= counts_.size()) {
-    overflow_ += weight;
-    return;
-  }
-  counts_[value] += weight;
-}
-
-void ExactCounter::merge(const ExactCounter& other) {
-  require(counts_.size() == other.counts_.size(),
-          "ExactCounter::merge: incompatible sizes");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  overflow_ += other.overflow_;
-  total_ += other.total_;
-}
-
-std::uint64_t ExactCounter::count(std::uint64_t value) const {
-  require_in_range(value < counts_.size(), "ExactCounter::count: value out of range");
-  return counts_[value];
-}
-
-double ExactCounter::probability(std::uint64_t value) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(count(value)) / static_cast<double>(total_);
-}
-
-std::uint64_t ExactCounter::quantile(double q) const noexcept {
-  if (total_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::uint64_t>(q * static_cast<double>(total_ - 1));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    if (cum > rank) return i;
-  }
-  return counts_.size();  // rank lands in overflow mass: > max_value()
-}
-
-LogHistogram::LogHistogram(double base, std::uint64_t max_value)
-    : base_(base), edges_(log_bucket_edges(base, max_value)) {
-  counts_.assign(edges_.size() - 1, 0);
-}
-
-void LogHistogram::add(std::uint64_t value, std::uint64_t weight) noexcept {
-  total_ += weight;
-  counts_[log_bucket_index(edges_, value)] += weight;
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  require(base_ == other.base_ && edges_ == other.edges_,
-          "LogHistogram::merge: incompatible edges");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
-double LogHistogram::quantile(double q) const noexcept {
-  return quantile_from_log_bins(edges_, counts_, total_, q);
-}
-
-std::uint64_t LogHistogram::bin_lo(std::size_t i) const {
-  require_in_range(i < counts_.size(), "LogHistogram::bin_lo: out of range");
-  return edges_[i];
-}
-
-std::uint64_t LogHistogram::bin_hi(std::size_t i) const {
-  require_in_range(i < counts_.size(), "LogHistogram::bin_hi: out of range");
-  return edges_[i + 1] - 1;
-}
-
 }  // namespace p2p::util

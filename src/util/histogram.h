@@ -1,5 +1,5 @@
-// Histograms used to measure link-length distributions (Figure 5) and hop
-// distributions.
+// Log-spaced bucket arithmetic behind telemetry::Registry's histograms:
+// bucket edges, value-to-bucket mapping and quantile extraction.
 #pragma once
 
 #include <cstddef>
@@ -11,14 +11,14 @@ namespace p2p::util {
 
 /// Geometric bucket edges over positive integers: edges[k] is the first value
 /// of bin k and the final entry is a sentinel upper edge, so bin k covers
-/// [edges[k], edges[k+1]). Shared by LogHistogram and the telemetry registry
-/// so both sides bucket identically. Preconditions: base > 1, max_value >= 1.
+/// [edges[k], edges[k+1]). Throws std::invalid_argument unless base > 1 and
+/// max_value >= 1.
 [[nodiscard]] std::vector<std::uint64_t> log_bucket_edges(double base,
                                                           std::uint64_t max_value);
 
 /// Index of the bin containing `value` for edges from log_bucket_edges().
-/// Values below edges.front() clamp to bin 0; values at or above the sentinel
-/// clamp to the last bin.
+/// Values below edges.front() (i.e. 0) clamp to bin 0; values at or above
+/// the sentinel clamp to the last bin.
 [[nodiscard]] std::size_t log_bucket_index(std::span<const std::uint64_t> edges,
                                            std::uint64_t value) noexcept;
 
@@ -28,106 +28,5 @@ namespace p2p::util {
 [[nodiscard]] double quantile_from_log_bins(std::span<const std::uint64_t> edges,
                                             std::span<const std::uint64_t> counts,
                                             std::uint64_t total, double q);
-
-/// Fixed-width linear histogram over [lo, hi); out-of-range samples are
-/// counted in saturating under/overflow bins.
-class LinearHistogram {
- public:
-  /// Preconditions: lo < hi, bins >= 1 (throws std::invalid_argument).
-  LinearHistogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1) noexcept;
-
-  /// Adds `other`'s bins into this one. Throws std::invalid_argument unless
-  /// both histograms were built with identical lo/hi/bins.
-  void merge(const LinearHistogram& other);
-
-  /// Interpolated quantile, q in [0,1]. Underflow mass is treated as sitting
-  /// at lo and overflow mass at hi. Returns 0 when empty.
-  [[nodiscard]] double quantile(double q) const noexcept;
-
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
-
-/// Exact per-integer-value counter: bin i counts samples equal to i.
-///
-/// This is what Figure 5 needs: the probability that a long-distance link has
-/// length exactly d, for every d in [1, n/2]. Memory is one counter per
-/// possible length, which is fine for n <= 2^20.
-class ExactCounter {
- public:
-  /// Counts values in [0, max_value]; larger values go to overflow.
-  explicit ExactCounter(std::uint64_t max_value);
-
-  void add(std::uint64_t value, std::uint64_t weight = 1) noexcept;
-  void merge(const ExactCounter& other);
-
-  [[nodiscard]] std::uint64_t count(std::uint64_t value) const;
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t max_value() const noexcept { return counts_.size() - 1; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-
-  /// Empirical probability mass at `value` (0 when no samples recorded).
-  [[nodiscard]] double probability(std::uint64_t value) const;
-
-  /// Exact quantile, q in [0,1]: the smallest value whose cumulative count
-  /// reaches rank q*(total-1). Overflow mass is treated as max_value() + 1.
-  /// Returns 0 when empty.
-  [[nodiscard]] std::uint64_t quantile(double q) const noexcept;
-
- private:
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
-
-/// Geometric (log-spaced) histogram over positive integers: bin k covers
-/// [base^k, base^(k+1)). Used for compact log-log plots of link lengths.
-class LogHistogram {
- public:
-  /// Preconditions: base > 1, max_value >= 1.
-  LogHistogram(double base, std::uint64_t max_value);
-
-  void add(std::uint64_t value, std::uint64_t weight = 1) noexcept;
-
-  /// Adds `other`'s bins into this one. Throws std::invalid_argument unless
-  /// both histograms share the same base and max_value (identical edges).
-  void merge(const LogHistogram& other);
-
-  /// Interpolated quantile, q in [0,1]. Returns 0 when empty.
-  [[nodiscard]] double quantile(double q) const noexcept;
-  [[nodiscard]] double p50() const noexcept { return quantile(0.50); }
-  [[nodiscard]] double p90() const noexcept { return quantile(0.90); }
-  [[nodiscard]] double p99() const noexcept { return quantile(0.99); }
-
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  /// Inclusive integer bounds of bin i.
-  [[nodiscard]] std::uint64_t bin_lo(std::size_t i) const;
-  [[nodiscard]] std::uint64_t bin_hi(std::size_t i) const;
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] std::span<const std::uint64_t> edges() const noexcept { return edges_; }
-  [[nodiscard]] std::span<const std::uint64_t> counts() const noexcept { return counts_; }
-
- private:
-  double base_;
-  std::vector<std::uint64_t> counts_;
-  std::vector<std::uint64_t> edges_;  // edges_[k] = first value of bin k
-  std::uint64_t total_ = 0;
-};
 
 }  // namespace p2p::util

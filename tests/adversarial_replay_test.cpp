@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -443,6 +444,19 @@ TEST(AdversarialReplay, ValidatesItsBindings) {
     bad.ticks_per_ms = 0.0;
     EXPECT_THROW(AdversarialReplay(router, log, waves, view, byz, queue, bad),
                  std::invalid_argument);
+  }
+  {  // The tick rate must be finite: inf or NaN cannot be cast to a tick count.
+    auto view = log.baseline();
+    auto byz = ByzantineSet::none(g);
+    const SecureRouter router(g, view, byz, cfg);
+    for (const double rate : {std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+      auto bad = rc;
+      bad.ticks_per_ms = rate;
+      EXPECT_THROW(AdversarialReplay(router, log, waves, view, byz, queue, bad),
+                   std::invalid_argument)
+          << rate;
+    }
   }
 }
 

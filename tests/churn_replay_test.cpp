@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -655,6 +656,16 @@ TEST(ChurnReplay, ValidatesItsBindings) {
   EXPECT_THROW(Replay(router, log, other, queue), std::invalid_argument);
   log.seek(other, 0);
   Replay ok(router, log, other, queue);  // valid again after the rewind
+
+  // The tick rate must be finite and positive: inf (and NaN, which inf times
+  // a zero-length interval produces) cannot be cast to a tick count.
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    ReplayConfig cfg;
+    cfg.ticks_per_ms = bad;
+    EXPECT_THROW(Replay(router, log, other, queue, cfg), std::invalid_argument)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -393,6 +394,37 @@ TEST(RoutingService, ConcurrentStopDrainsToAStripePrefix) {
   // Sticky: a second route_all refuses work.
   const ServiceStats again = svc.route_all(queries, results);
   EXPECT_EQ(again.routed, 0u);
+}
+
+// A stripe wider than any span is one stripe: the stripe count must not wrap
+// to zero (which would report every query routed while writing none).
+TEST(RoutingService, StripeOfSizeMaxRoutesEveryQuery) {
+  const auto g = make_graph(256, 4, 19);
+  ViewPublisher pub(FailureView::all_alive(g));
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.stripe = std::numeric_limits<std::size_t>::max();
+  cfg.seed = 20;
+  RoutingService svc(pub, cfg);
+
+  const auto queries = make_queries(g, 100, 21);
+  std::vector<RouteResult> results(queries.size());
+  const ServiceStats stats = svc.route_all(queries, results);
+  EXPECT_EQ(stats.routed, queries.size());
+  EXPECT_EQ(stats.stripes, 1u);
+
+  // The one stripe is query stream 0: the whole span on stripe seed 0.
+  const core::Router router(g, pub.writer_view(), cfg.router);
+  std::vector<RouteResult> want(queries.size());
+  core::BatchPipeline(router, queries, want,
+                      RoutingService::stripe_seed_base(cfg.seed, 0), cfg.batch)
+      .run();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    // All-alive overlay: an unwritten slot would keep the kStuck sentinel.
+    EXPECT_EQ(results[i].status, RouteResult::Status::kDelivered)
+        << "query " << i;
+    ASSERT_TRUE(results_equal(results[i], want[i])) << "query " << i;
+  }
 }
 
 TEST(RoutingService, ValidatesQueriesAndConfigUpFront) {

@@ -11,6 +11,7 @@
 //    determinism (same inputs, fresh store -> bit-identical results).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -22,6 +23,7 @@
 #include "graph/graph_builder.h"
 #include "store/placement.h"
 #include "store/quorum_store.h"
+#include "store/store_replay.h"
 #include "util/rng.h"
 
 namespace p2p::store {
@@ -70,6 +72,29 @@ TEST(QuorumStore, ConfigValidation) {
   bad = QuorumConfig{};
   bad.timeout_ms = 0.0;
   EXPECT_THROW(QuorumStore(g, bad), std::invalid_argument);
+}
+
+// A non-finite op rate would size an op window by casting inf or NaN to
+// std::size_t; replay_store rejects it up front.
+TEST(StoreReplay, RejectsNonFiniteOpRate) {
+  const auto g = ring_overlay(32);
+  churn::ChurnLog log(g);
+  log.kill_node(3);
+  log.commit(1.0);
+  StoreReplayConfig cfg;
+  cfg.keys = 4;
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    QuorumStore store(g);
+    cfg.ops_per_ms = bad;
+    EXPECT_THROW((void)replay_store(store, log, cfg), std::invalid_argument)
+        << bad;
+  }
+  QuorumStore store(g);
+  cfg.ops_per_ms = 2.0;
+  const StoreReplayStats stats = replay_store(store, log, cfg);
+  EXPECT_EQ(stats.ops(), 2u);
+  EXPECT_EQ(stats.epochs, 1u);
 }
 
 TEST(QuorumStore, InstallPlacesOnPrimariesAndCommits) {

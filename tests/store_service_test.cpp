@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -154,6 +155,30 @@ TEST(StoreService, RunsUnderLiveChurnWriter) {
   EXPECT_LE(stats.max_epoch, log.size());
   // Quorum ops under churn may fail; completed results must still be sane.
   for (std::size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_GE(results[i].subqueries, 1u) << i;
+  }
+}
+
+// A stripe wider than any span is one stripe: the stripe count must not wrap
+// to zero (which would report every op completed while executing none).
+TEST(StoreService, StripeOfSizeMaxCompletesEveryOp) {
+  const auto g = ring_overlay(64);
+  ViewPublisher pub(FailureView::all_alive(g));
+  store::QuorumStore store(g);
+  StoreServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.stripe = std::numeric_limits<std::size_t>::max();
+  StoreService svc(pub, store, cfg);
+
+  const auto ops = distinct_key_ops(pub.writer_view(), 32);
+  std::vector<store::OpResult> results(ops.size());
+  const StoreServiceStats stats = svc.run_all(ops, results);
+  EXPECT_EQ(stats.completed, ops.size());
+  EXPECT_EQ(stats.stripes, 1u);
+  EXPECT_EQ(stats.ok, ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    // An op that never ran keeps its default (not ok, no sub-queries).
+    EXPECT_TRUE(results[i].ok) << i;
     EXPECT_GE(results[i].subqueries, 1u) << i;
   }
 }

@@ -1,250 +1,72 @@
-// Unit tests for util/histogram.h: linear, exact and log-spaced counters.
+// Unit tests for util/histogram.h: the log-spaced bucket arithmetic behind
+// telemetry::Registry's histograms.
 #include "util/histogram.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
+#include <vector>
 
 namespace p2p::util {
 namespace {
 
-TEST(LinearHistogram, BinsAndEdges) {
-  LinearHistogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bin_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
+/// Per-bin counts of `values` (each with weight `weight`) over `edges`.
+std::vector<std::uint64_t> bin_counts(const std::vector<std::uint64_t>& edges,
+                                      std::initializer_list<std::uint64_t> values,
+                                      std::uint64_t weight = 1) {
+  std::vector<std::uint64_t> counts(edges.size() - 1, 0);
+  for (const std::uint64_t v : values) counts[log_bucket_index(edges, v)] += weight;
+  return counts;
 }
 
-TEST(LinearHistogram, CountsLandInRightBins) {
-  LinearHistogram h(0.0, 10.0, 5);
-  h.add(0.5);
-  h.add(1.9);
-  h.add(2.0);  // boundary: belongs to bin 1
-  h.add(9.99);
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(1), 1u);
-  EXPECT_EQ(h.bin(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(LinearHistogram, UnderAndOverflow) {
-  LinearHistogram h(0.0, 1.0, 2);
-  h.add(-0.1);
-  h.add(1.0);  // hi edge is exclusive -> overflow
-  h.add(5.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(LinearHistogram, WeightsAccumulate) {
-  LinearHistogram h(0.0, 4.0, 4);
-  h.add(1.5, 10);
-  EXPECT_EQ(h.bin(1), 10u);
-  EXPECT_EQ(h.total(), 10u);
-}
-
-TEST(LinearHistogram, RejectsBadConstruction) {
-  EXPECT_THROW(LinearHistogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(LinearHistogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(ExactCounter, CountsExactValues) {
-  ExactCounter c(100);
-  c.add(0);
-  c.add(7);
-  c.add(7);
-  c.add(100);
-  EXPECT_EQ(c.count(0), 1u);
-  EXPECT_EQ(c.count(7), 2u);
-  EXPECT_EQ(c.count(100), 1u);
-  EXPECT_EQ(c.count(8), 0u);
-  EXPECT_EQ(c.total(), 4u);
-}
-
-TEST(ExactCounter, OverflowBeyondMax) {
-  ExactCounter c(10);
-  c.add(11);
-  c.add(1'000'000);
-  EXPECT_EQ(c.overflow(), 2u);
-  EXPECT_EQ(c.total(), 2u);
-}
-
-TEST(ExactCounter, ProbabilityNormalizes) {
-  ExactCounter c(4);
-  c.add(1, 3);
-  c.add(2, 1);
-  EXPECT_DOUBLE_EQ(c.probability(1), 0.75);
-  EXPECT_DOUBLE_EQ(c.probability(2), 0.25);
-  EXPECT_DOUBLE_EQ(c.probability(3), 0.0);
-}
-
-TEST(ExactCounter, MergeAddsCounts) {
-  ExactCounter a(5), b(5);
-  a.add(2);
-  b.add(2);
-  b.add(3);
-  a.merge(b);
-  EXPECT_EQ(a.count(2), 2u);
-  EXPECT_EQ(a.count(3), 1u);
-  EXPECT_EQ(a.total(), 3u);
-}
-
-TEST(ExactCounter, MergeRejectsMismatchedSizes) {
-  ExactCounter a(5), b(6);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
-TEST(LogHistogram, BinEdgesArePowers) {
-  LogHistogram h(2.0, 64);
+TEST(LogBuckets, EdgesArePowersOfTheBase) {
   // Bins: [1,1], [2,3], [4,7], [8,15], [16,31], [32,63], [64,127].
-  EXPECT_EQ(h.bin_lo(0), 1u);
-  EXPECT_EQ(h.bin_hi(0), 1u);
-  EXPECT_EQ(h.bin_lo(1), 2u);
-  EXPECT_EQ(h.bin_hi(1), 3u);
-  EXPECT_EQ(h.bin_lo(2), 4u);
-  EXPECT_EQ(h.bin_hi(2), 7u);
-}
-
-TEST(LogHistogram, ValuesLandInRightBins) {
-  LogHistogram h(2.0, 64);
-  h.add(1);
-  h.add(2);
-  h.add(3);
-  h.add(63);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(1), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(LogHistogram, ZeroClampsToOne) {
-  LogHistogram h(2.0, 8);
-  h.add(0);
-  EXPECT_EQ(h.bin(0), 1u);
-}
-
-TEST(LogHistogram, HugeValuesGoToLastBin) {
-  LogHistogram h(2.0, 8);
-  h.add(1'000'000);
-  EXPECT_EQ(h.bin(h.bin_count() - 1), 1u);
-}
-
-TEST(LogHistogram, RejectsBadConstruction) {
-  EXPECT_THROW(LogHistogram(1.0, 8), std::invalid_argument);
-  EXPECT_THROW(LogHistogram(2.0, 0), std::invalid_argument);
-}
-
-// -- merge + quantile extraction (telemetry substrate) -----------------------
-
-TEST(LogBucketEdges, SharedEdgeFunctionsMatchLogHistogram) {
-  const LogHistogram h(2.0, 64);
   const auto edges = log_bucket_edges(2.0, 64);
-  ASSERT_EQ(edges.size(), h.bin_count() + 1);
-  for (std::size_t i = 0; i < h.bin_count(); ++i) {
-    EXPECT_EQ(edges[i], h.bin_lo(i)) << i;
-    EXPECT_EQ(edges[i + 1] - 1, h.bin_hi(i)) << i;
-  }
-  // Index function agrees with add() for every value in range and beyond.
-  for (std::uint64_t v : {0ULL, 1ULL, 2ULL, 3ULL, 63ULL, 64ULL, 1000000ULL}) {
-    LogHistogram probe(2.0, 64);
-    probe.add(v);
-    EXPECT_EQ(probe.bin(log_bucket_index(edges, v)), 1u) << v;
-  }
+  EXPECT_EQ(edges, (std::vector<std::uint64_t>{1, 2, 4, 8, 16, 32, 64, 128}));
+  EXPECT_THROW((void)log_bucket_edges(1.0, 8), std::invalid_argument);
+  EXPECT_THROW((void)log_bucket_edges(2.0, 0), std::invalid_argument);
 }
 
-TEST(LinearHistogram, MergeAddsBinsAndFlows) {
-  LinearHistogram a(0.0, 10.0, 5), b(0.0, 10.0, 5);
-  a.add(1.0);
-  b.add(1.0);
-  b.add(-5.0);
-  b.add(50.0);
-  a.merge(b);
-  EXPECT_EQ(a.bin(0), 2u);
-  EXPECT_EQ(a.underflow(), 1u);
-  EXPECT_EQ(a.overflow(), 1u);
-  EXPECT_EQ(a.total(), 4u);
+TEST(LogBuckets, ValuesLandInTheirBinsAndOutliersClamp) {
+  const auto edges = log_bucket_edges(2.0, 64);
+  EXPECT_EQ(log_bucket_index(edges, 1), 0u);
+  EXPECT_EQ(log_bucket_index(edges, 2), 1u);
+  EXPECT_EQ(log_bucket_index(edges, 3), 1u);
+  EXPECT_EQ(log_bucket_index(edges, 63), 5u);
+  EXPECT_EQ(log_bucket_index(edges, 64), 6u);
+  // 0 clamps into the first bin, anything past the sentinel into the last.
+  EXPECT_EQ(log_bucket_index(edges, 0), 0u);
+  EXPECT_EQ(log_bucket_index(edges, 128), edges.size() - 2);
+  EXPECT_EQ(log_bucket_index(edges, 1'000'000), edges.size() - 2);
 }
 
-TEST(LinearHistogram, MergeRejectsMismatchedShape) {
-  LinearHistogram a(0.0, 10.0, 5), b(0.0, 10.0, 4), c(0.0, 8.0, 5);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-  EXPECT_THROW(a.merge(c), std::invalid_argument);
-}
-
-TEST(LinearHistogram, QuantileInterpolates) {
-  LinearHistogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_EQ(h.quantile(0.0), 0.0);
-  // Median of a uniform fill sits mid-range; the top lands in the last bin.
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-  EXPECT_NEAR(h.quantile(1.0), 10.0, 1.0);
-  EXPECT_DOUBLE_EQ(LinearHistogram(0.0, 1.0, 2).quantile(0.5), 0.0);
-}
-
-TEST(ExactCounter, QuantileIsExact) {
-  ExactCounter c(100);
-  for (std::uint64_t v = 1; v <= 100; ++v) c.add(v);
-  EXPECT_EQ(c.quantile(0.0), 1u);
-  EXPECT_EQ(c.quantile(0.5), 50u);
-  EXPECT_EQ(c.quantile(0.99), 99u);
-  EXPECT_EQ(c.quantile(1.0), 100u);
-  EXPECT_EQ(ExactCounter(10).quantile(0.5), 0u);
-}
-
-TEST(ExactCounter, QuantileOverflowMassSitsAboveMax) {
-  ExactCounter c(10);
-  c.add(5);
-  c.add(1'000'000);  // overflow
-  EXPECT_EQ(c.quantile(0.0), 5u);
-  EXPECT_EQ(c.quantile(1.0), c.max_value() + 1);
-}
-
-TEST(LogHistogram, MergeAddsBins) {
-  LogHistogram a(2.0, 64), b(2.0, 64);
-  a.add(1);
-  b.add(1);
-  b.add(5);
-  a.merge(b);
-  EXPECT_EQ(a.bin(0), 2u);
-  EXPECT_EQ(a.total(), 3u);
-}
-
-TEST(LogHistogram, MergeRejectsMismatchedShape) {
-  LogHistogram a(2.0, 64), b(2.0, 128), c(3.0, 64);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-  EXPECT_THROW(a.merge(c), std::invalid_argument);
-}
-
-TEST(LogHistogram, QuantilesBracketTrueValues) {
+TEST(QuantileFromLogBins, QuantilesBracketTrueValues) {
   // 1..1000 uniformly: the interpolated quantile must stay within the true
   // value's bin (a factor-of-base window).
-  LogHistogram h(2.0, 1024);
-  for (std::uint64_t v = 1; v <= 1000; ++v) h.add(v);
-  EXPECT_GE(h.p50(), 256.0);
-  EXPECT_LE(h.p50(), 1023.0);
-  EXPECT_GE(h.p99(), 512.0);
-  EXPECT_LE(h.p99(), 1024.0);
-  EXPECT_DOUBLE_EQ(LogHistogram(2.0, 8).quantile(0.5), 0.0);
+  const auto edges = log_bucket_edges(2.0, 1024);
+  std::vector<std::uint64_t> counts(edges.size() - 1, 0);
+  for (std::uint64_t v = 1; v <= 1000; ++v) ++counts[log_bucket_index(edges, v)];
+  const double p50 = quantile_from_log_bins(edges, counts, 1000, 0.50);
+  const double p99 = quantile_from_log_bins(edges, counts, 1000, 0.99);
+  EXPECT_GE(p50, 256.0);
+  EXPECT_LE(p50, 1023.0);
+  EXPECT_GE(p99, 512.0);
+  EXPECT_LE(p99, 1024.0);
+  const std::vector<std::uint64_t> empty(edges.size() - 1, 0);
+  EXPECT_DOUBLE_EQ(quantile_from_log_bins(edges, empty, 0, 0.5), 0.0);
 }
 
-TEST(LogHistogram, SingleValueQuantileLandsInItsBin) {
-  LogHistogram h(2.0, 1024);
-  h.add(37, 1000);
+TEST(QuantileFromLogBins, SingleValueLandsInItsBin) {
+  const auto edges = log_bucket_edges(2.0, 1024);
+  const auto counts = bin_counts(edges, {37}, 1000);
   // All mass in [32, 63]: every quantile must stay inside that bin.
-  EXPECT_GE(h.p50(), 32.0);
-  EXPECT_LE(h.p50(), 63.0);
-  EXPECT_GE(h.p99(), 32.0);
-  EXPECT_LE(h.p99(), 63.0);
-}
-
-TEST(QuantileFromLogBins, MatchesHistogramAccessors) {
-  LogHistogram h(2.0, 256);
-  for (std::uint64_t v = 1; v <= 200; ++v) h.add(v);
-  const double direct =
-      quantile_from_log_bins(h.edges(), h.counts(), h.total(), 0.9);
-  EXPECT_DOUBLE_EQ(direct, h.quantile(0.9));
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    const double x = quantile_from_log_bins(edges, counts, 1000, q);
+    EXPECT_GE(x, 32.0) << q;
+    EXPECT_LE(x, 63.0) << q;
+  }
 }
 
 }  // namespace
