@@ -1,5 +1,5 @@
-// Resilience — the paper's §6 experiment as an interactive story, plus the
-// discrete-event simulator on a failure that happens *mid-search*.
+// Resilience — the paper's §6 experiment as an interactive story, plus a
+// churn replay of a failure that happens *mid-search*.
 //
 //   $ ./resilience_demo
 //
@@ -7,19 +7,21 @@
 // strategies side by side (a miniature Figure 6) — on the line, the ring
 // AND the Kleinberg 2-D torus, all through the one Router/route_batch code
 // path the metric-generic overlay provides (§7's "other metrics").
-// Part 2 uses the event-driven simulator: a search is in flight when a
-// failure wave hits, and the per-hop adaptive routing reacts.
+// Part 2 replays a one-delta churn log: a failure wave hits while searches
+// are in flight, and the per-hop adaptive routing reacts.
 #include <algorithm>
 #include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "churn/churn_log.h"
+#include "churn/replay.h"
 #include "core/router.h"
 #include "failure/failure_model.h"
 #include "graph/graph_builder.h"
+#include "sim/event_queue.h"
 #include "sim/hop_simulator.h"
-#include "sim/network_sim.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -71,34 +73,40 @@ int main() {
       std::find_if(topologies.begin(), topologies.end(),
                    [](const auto& t) { return t.first == "ring"; });
   const graph::OverlayGraph& ring = ring_entry->second;
-  std::cout << "\n-- event-driven: failure wave at t=25ms, searches in flight --\n";
-  auto view = failure::FailureView::all_alive(ring);
+  std::cout << "\n-- churn replay: failure wave at t=25ms, searches in flight --\n";
+  // The wave is one kill delta: at t=25 a tenth of the network dies at once.
+  churn::ChurnLog log(ring);
+  util::Rng wave(3);
+  for (graph::NodeId node = 0; node < ring.size(); ++node) {
+    if (wave.next_bool(0.1)) log.kill_node(node);
+  }
+  log.commit(25.0);
+
+  failure::FailureView view = log.baseline();
   core::RouterConfig cfg;
   cfg.stuck_policy = core::StuckPolicy::kBacktrack;
-  sim::NetworkSimulator simulator(ring, std::move(view), cfg,
-                                  sim::LatencyModel{5.0, 15.0}, /*seed=*/99);
-  // 20 searches start at t=0; at t=25 a tenth of the network dies at once.
-  for (int i = 0; i < 20; ++i) {
-    simulator.submit_search(0.0, static_cast<graph::NodeId>(rng.next_below(8192)),
-                            static_cast<metric::Point>(rng.next_below(8192)));
-  }
-  util::Rng wave(3);
-  for (graph::NodeId node = 0; node < 8192; ++node) {
-    if (wave.next_bool(0.1)) simulator.schedule_failure(25.0, node);
-  }
-  simulator.run();
+  const core::Router router(ring, view, cfg);
+  sim::EventQueue queue;
+  churn::ReplayConfig replay_cfg;
+  replay_cfg.queries = 20;
+  replay_cfg.seed = 99;
+  // 20 searches share the pipeline, one transmission per tick: at 2 ticks
+  // per ms each search makes about one hop every 10 ms.
+  replay_cfg.ticks_per_ms = 2.0;
+  churn::Replay replay(router, log, view, queue, replay_cfg);
+  const auto stats = replay.run();
 
-  std::size_t delivered = 0;
-  double worst_latency = 0.0;
-  for (const auto& record : simulator.records()) {
-    if (record.result.delivered()) {
-      ++delivered;
-      worst_latency = std::max(worst_latency, record.latency());
-    }
+  // completion_epoch is the view epoch a search ended in: 0 before the
+  // wave, 1 after it.
+  std::size_t delivered_before = 0;
+  std::size_t delivered_after = 0;
+  for (const auto& result : replay.results()) {
+    if (!result.delivered()) continue;
+    ++(result.completion_epoch == 0 ? delivered_before : delivered_after);
   }
-  std::cout << delivered << "/20 searches delivered despite the wave; "
-            << "slowest took " << util::format_double(worst_latency, 1)
-            << " ms of simulated time.\n"
+  std::cout << stats.delivered << "/" << stats.routed
+            << " searches delivered despite the wave: " << delivered_before
+            << " finished before it, " << delivered_after << " after it.\n"
             << "(RouteSession re-reads node liveness at every hop, so "
                "searches adapt to failures that happen under them.)\n";
   return 0;

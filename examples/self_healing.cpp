@@ -122,7 +122,7 @@ int main() {
       }
     }
     // Lazy self-repair at epoch end (amortized over traffic in a real
-    // deployment; see dht::Dht for the per-route version).
+    // deployment).
     const std::size_t dangling = overlay.dangling_count();
     const std::size_t repaired = overlay.repair(rng);
     repaired_total += repaired;

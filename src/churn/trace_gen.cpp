@@ -243,7 +243,8 @@ ChurnLog make_adversarial(const graph::OverlayGraph& g, const TraceSpec& spec,
   // Rank every node once; wave k rotates through the ranking so successive
   // waves decapitate fresh hubs instead of re-killing the same set.
   const auto ranked = high_degree_targets(g, n - kAliveFloor);
-  util::require(spec.wave_period > 0.0, "make_trace: wave_period must be > 0");
+  util::require(std::isfinite(spec.wave_period) && spec.wave_period > 0.0,
+                "make_trace: wave_period must be finite and > 0");
   std::size_t k = 0;
   for (double t = 0.0; t < spec.duration; t += spec.wave_period, ++k) {
     const std::size_t base = (k * wave) % ranked.size();
@@ -343,11 +344,14 @@ TraceSpec default_spec(TraceSpec::Scenario s, double duration, std::size_t n) {
 ChurnLog make_trace(const graph::OverlayGraph& g, const TraceSpec& spec,
                     util::Rng& rng) {
   util::require(g.size() > kAliveFloor, "make_trace: graph too small to churn");
-  util::require(spec.duration >= 0.0, "make_trace: duration must be >= 0");
-  util::require(spec.batch_interval > 0.0,
-                "make_trace: batch_interval must be > 0");
-  util::require(spec.kill_rate >= 0.0 && spec.revive_rate >= 0.0,
-                "make_trace: rates must be >= 0");
+  util::require(util::finite_non_negative(spec.duration),
+                "make_trace: duration must be finite and >= 0");
+  util::require(std::isfinite(spec.batch_interval) && spec.batch_interval > 0.0,
+                "make_trace: batch_interval must be finite and > 0");
+  // util::poisson_sample(inf) never returns, so the rates must be finite.
+  util::require(util::finite_non_negative(spec.kill_rate) &&
+                    util::finite_non_negative(spec.revive_rate),
+                "make_trace: rates must be finite and >= 0");
   util::require(spec.crowd_fraction >= 0.0 && spec.crowd_fraction <= 1.0,
                 "make_trace: crowd_fraction must be in [0,1]");
   util::require(spec.crowd_time >= 0.0 && spec.crowd_time <= 1.0,
@@ -394,10 +398,10 @@ std::vector<failure::ByzantineDelta> make_byzantine_waves(
     const graph::OverlayGraph& g, const ByzantineWaveSpec& spec) {
   util::require(g.size() > kAliveFloor,
                 "make_byzantine_waves: graph too small");
-  util::require(spec.duration >= 0.0,
-                "make_byzantine_waves: duration must be >= 0");
-  util::require(spec.wave_period > 0.0,
-                "make_byzantine_waves: wave_period must be > 0");
+  util::require(util::finite_non_negative(spec.duration),
+                "make_byzantine_waves: duration must be finite and >= 0");
+  util::require(std::isfinite(spec.wave_period) && spec.wave_period > 0.0,
+                "make_byzantine_waves: wave_period must be finite and > 0");
   const std::size_t n = g.size();
   const std::size_t wave =
       std::max<std::size_t>(1, std::min(spec.wave_size, n - kAliveFloor));

@@ -110,16 +110,6 @@ class DynamicOverlay {
   /// Current long-link targets of the node at p (dangling ones included).
   [[nodiscard]] std::vector<metric::Point> long_links_of(metric::Point p) const;
 
-  /// Visits every long-link target of the node at p (dangling ones included)
-  /// without materializing a vector — the DHT routing hot path.
-  /// Precondition: space().contains(p).
-  template <typename Fn>
-  void for_each_long_link(metric::Point p, Fn&& fn) const {
-    for (const LinkRecord& rec : out_links_[static_cast<std::size_t>(p)]) {
-      fn(rec.target);
-    }
-  }
-
   /// Lengths of all live long links (Figure 5's measurement).
   [[nodiscard]] std::vector<metric::Distance> long_link_lengths() const;
 

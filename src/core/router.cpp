@@ -668,17 +668,6 @@ std::vector<graph::NodeId> Router::candidates(graph::NodeId u,
   return result;
 }
 
-graph::NodeId Router::next_hop(graph::NodeId u, metric::Point target) const {
-  util::require_in_range(u < graph_->size(), "next_hop: node out of range");
-  util::require(graph_->space().contains(target), "next_hop: target outside space");
-  const graph::NodeId best = select_candidate(u, target, 0);
-  if (best == graph::kInvalidNode) return graph::kInvalidNode;
-  if (config_.knowledge == Knowledge::kStale && !view_->node_alive(best)) {
-    return graph::kInvalidNode;
-  }
-  return best;
-}
-
 RouteResult Router::route(graph::NodeId src, metric::Point target,
                           util::Rng& rng) const {
   RouteSession session(*this, src, target);

@@ -34,8 +34,8 @@
 //
 // Three entry points share one implementation: Router::route() walks a
 // search synchronously (hop counting, the paper's measurements), RouteSession
-// exposes the same walk one message-transmission at a time for the
-// discrete-event simulator, and Router::route_batch() software-pipelines many
+// exposes the same walk one message-transmission at a time for the churn
+// replays, and Router::route_batch() software-pipelines many
 // independent searches through a rotating ring of RouteSessions. The shared
 // per-hop advance lives in RouteSession::step_inline (this header) so all
 // three stay bit-identical per query.
@@ -213,11 +213,6 @@ class Router {
   void route_batch(std::span<const Query> queries, std::span<RouteResult> results,
                    util::Rng& rng, const BatchConfig& batch = {}) const;
 
-  /// The single best next hop from `u` toward `target` under this
-  /// configuration, or kInvalidNode when u is stuck. Ignores the stuck
-  /// policy; used by the DHT layer for hop-at-a-time forwarding.
-  [[nodiscard]] graph::NodeId next_hop(graph::NodeId u, metric::Point target) const;
-
   /// Streaming selection: the rank-th entry of candidates(u, target)
   /// (0 = best) without materializing the list, or kInvalidNode when fewer
   /// than rank+1 candidates exist. Allocation-free; O((rank+1)·degree).
@@ -259,7 +254,7 @@ class Router {
 ///
 /// The session re-reads the failure view on every step, so views mutated
 /// between steps (churn during a search) are honoured — exactly what the
-/// discrete-event simulator needs.
+/// churn replays need.
 class RouteSession {
  public:
   /// Preconditions as Router::route.

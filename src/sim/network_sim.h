@@ -1,26 +1,11 @@
-// Message-level overlay simulator.
+// Per-hop message latency for simulated-time measurements.
 //
-// Wraps a built overlay graph in virtual time: searches advance one message
-// transmission per latency draw, and node failures/recoveries can be
-// scheduled mid-flight. Because RouteSession re-reads the failure view on
-// every hop, searches adapt to churn that happens while they are in transit
-// — the scenario §2 footnote 1 describes ("the request message may be routed
-// over a series of different overlay networks").
-//
-// Hop counts produced here match core::Router::route exactly (same session
-// machinery); the paper's hop-count experiments use sim/hop_simulator.h,
-// which skips the event queue for speed.
+// The quorum store (store/quorum_store.h) draws every routed sub-query's
+// latency from this model. The header keeps its old name because the
+// benchmark rigs include it by this path; moving the model beside the store
+// waits for a change that may also edit the benchmark.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <vector>
-
-#include "core/router.h"
-#include "failure/failure_model.h"
-#include "graph/overlay_graph.h"
-#include "sim/event_queue.h"
 #include "util/rng.h"
 
 namespace p2p::sim {
@@ -33,63 +18,6 @@ struct LatencyModel {
   [[nodiscard]] double sample(util::Rng& rng) const noexcept {
     return min_ms + (max_ms - min_ms) * rng.next_double();
   }
-};
-
-/// Completed (or failed) search bookkeeping.
-struct SearchRecord {
-  std::uint64_t id = 0;
-  graph::NodeId src = graph::kInvalidNode;
-  metric::Point target = 0;
-  SimTime submitted = 0.0;
-  SimTime completed = 0.0;
-  core::RouteResult result;
-
-  [[nodiscard]] double latency() const noexcept { return completed - submitted; }
-};
-
-/// Discrete-event simulation of searches over one overlay.
-class NetworkSimulator {
- public:
-  /// The graph must outlive the simulator. The failure view is copied and
-  /// owned (it mutates under scheduled churn).
-  NetworkSimulator(const graph::OverlayGraph& g, failure::FailureView view,
-                   core::RouterConfig router_config, LatencyModel latency,
-                   std::uint64_t seed);
-
-  /// Queues a search to start at virtual time `when`.
-  void submit_search(SimTime when, graph::NodeId src, metric::Point target);
-
-  /// Schedules a node crash / recovery.
-  void schedule_failure(SimTime when, graph::NodeId node);
-  void schedule_recovery(SimTime when, graph::NodeId node);
-
-  /// Optional observer invoked as each search completes.
-  void on_search_complete(std::function<void(const SearchRecord&)> callback) {
-    completion_callback_ = std::move(callback);
-  }
-
-  /// Drains the event queue (or up to `max_events`).
-  void run(std::size_t max_events = static_cast<std::size_t>(-1));
-
-  [[nodiscard]] SimTime now() const noexcept { return events_.now(); }
-  [[nodiscard]] const std::vector<SearchRecord>& records() const noexcept {
-    return records_;
-  }
-  [[nodiscard]] const failure::FailureView& view() const noexcept { return view_; }
-  [[nodiscard]] failure::FailureView& view() noexcept { return view_; }
-
- private:
-  void advance_search(std::size_t record_index,
-                      std::shared_ptr<core::RouteSession> session);
-
-  const graph::OverlayGraph* graph_;
-  failure::FailureView view_;
-  core::Router router_;
-  LatencyModel latency_;
-  util::Rng rng_;
-  EventQueue events_;
-  std::vector<SearchRecord> records_;
-  std::function<void(const SearchRecord&)> completion_callback_;
 };
 
 }  // namespace p2p::sim

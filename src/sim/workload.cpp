@@ -29,7 +29,14 @@ std::vector<ChurnEvent> make_churn_trace(const metric::Space& space,
                                          double join_rate, double leave_rate,
                                          double crash_rate, double duration,
                                          util::Rng& rng) {
-  util::require(duration >= 0.0, "make_churn_trace: duration must be >= 0");
+  // An infinite rate draws zero gaps, so the clock below would never pass
+  // even a finite duration.
+  util::require(util::finite_non_negative(duration),
+                "make_churn_trace: duration must be finite and >= 0");
+  util::require(util::finite_non_negative(join_rate) &&
+                    util::finite_non_negative(leave_rate) &&
+                    util::finite_non_negative(crash_rate),
+                "make_churn_trace: rates must be finite and >= 0");
   std::set<metric::Point> occupied(initial_members.begin(), initial_members.end());
   std::vector<ChurnEvent> trace;
 

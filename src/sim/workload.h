@@ -35,8 +35,9 @@ struct ChurnEvent {
 
 /// Generates a randomized churn trace over a grid: joins arrive at vacant
 /// positions, leaves/crashes hit occupied ones, with the given rates (events
-/// per ms) over [0, duration]. Positions are flattened grid points, so any
-/// metric::Space (line, ring, torus) works — occupancy is metric-blind.
+/// per ms) over [0, duration]; rates and duration must be finite and >= 0.
+/// Positions are flattened grid points, so any metric::Space (line, ring,
+/// torus) works — occupancy is metric-blind.
 ///
 /// `initial_members` seeds the occupancy model so the trace stays
 /// consistent (no leave of a node that never joined).

@@ -4,6 +4,7 @@
 // validate their arguments and throw; internal invariants use assert().
 #pragma once
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -21,6 +22,12 @@ inline void require(bool condition, const char* message) {
 }
 inline void require(bool condition, const std::string& message) {
   if (!condition) throw std::invalid_argument(message);
+}
+
+/// True for a finite x >= 0. Durations and rates that drive a time loop must
+/// pass: an infinite one never lets the loop end.
+[[nodiscard]] inline bool finite_non_negative(double x) noexcept {
+  return std::isfinite(x) && x >= 0.0;
 }
 
 /// Throws std::out_of_range with `message` unless `condition` holds.

@@ -139,7 +139,9 @@ inline int poisson_sample(Rng& rng, double mean) noexcept {
   // (a Taylor series here would cancel catastrophically past m ~ 16).
   double m = mean;
   double bound = 1.0;
-  while (m > 30.0) {
+  // Stop once exp(-mean) has underflowed: past ~1e17, m -= 30 no longer
+  // changes m, and an infinite mean never shrinks at all.
+  while (m > 30.0 && bound > 0.0) {
     bound *= std::exp(-30.0);
     m -= 30.0;
   }

@@ -307,6 +307,41 @@ TEST(TraceGen, TwoDimensionalShapesRejectedOffTheTorus) {
   EXPECT_NO_THROW(static_cast<void>(make_trace(tg, spec, rng)));
 }
 
+TEST(TraceGen, RejectsNonFiniteInputs) {
+  // An infinite duration or rate never ends the generators' time loops, so
+  // every non-finite duration, rate and period must be refused up front.
+  const auto g = make_graph(256, 4, 21);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  util::Rng rng(22);
+  const auto trace = [&](double TraceSpec::*field, double value,
+                         TraceSpec::Scenario scenario) {
+    TraceSpec spec;
+    spec.scenario = scenario;
+    spec.*field = value;
+    static_cast<void>(make_trace(g, spec, rng));
+  };
+  const auto waves = [&](double ByzantineWaveSpec::*field, double value) {
+    ByzantineWaveSpec spec;
+    spec.*field = value;
+    static_cast<void>(make_byzantine_waves(g, spec));
+  };
+  constexpr auto kPoisson = TraceSpec::Scenario::kPoissonChurn;
+  constexpr auto kWaves = TraceSpec::Scenario::kAdversarialWaves;
+  for (const double bad : {inf, nan}) {
+    EXPECT_THROW(trace(&TraceSpec::duration, bad, kPoisson), std::invalid_argument);
+    EXPECT_THROW(trace(&TraceSpec::batch_interval, bad, kPoisson),
+                 std::invalid_argument);
+    EXPECT_THROW(trace(&TraceSpec::kill_rate, bad, kPoisson), std::invalid_argument);
+    EXPECT_THROW(trace(&TraceSpec::revive_rate, bad, kPoisson),
+                 std::invalid_argument);
+    EXPECT_THROW(trace(&TraceSpec::duration, bad, kWaves), std::invalid_argument);
+    EXPECT_THROW(trace(&TraceSpec::wave_period, bad, kWaves), std::invalid_argument);
+    EXPECT_THROW(waves(&ByzantineWaveSpec::duration, bad), std::invalid_argument);
+    EXPECT_THROW(waves(&ByzantineWaveSpec::wave_period, bad), std::invalid_argument);
+  }
+}
+
 TEST(TraceGen, AdversarialWavesHitTorusInDegreeHubs) {
   util::Rng build_rng(19);
   const auto g = graph::build_kleinberg_overlay(24, 4, 2.0, build_rng);

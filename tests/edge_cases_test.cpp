@@ -1,20 +1,17 @@
 // Cross-module edge cases: degenerate sizes, boundary interactions between
-// failure views and routing policies, simulator corner behaviours, and DHT
-// boundary conditions not covered by the per-module suites.
+// failure views and routing policies, and secure-router corners not covered
+// by the per-module suites.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "core/construction.h"
 #include "core/router.h"
 #include "core/secure_router.h"
-#include "dht/dht.h"
 #include "failure/byzantine.h"
 #include "failure/failure_model.h"
 #include "graph/graph_builder.h"
 #include "sim/hop_simulator.h"
-#include "sim/network_sim.h"
 #include "util/rng.h"
 
 namespace p2p {
@@ -143,107 +140,6 @@ TEST(EdgeCases, LinkAndNodeFailureViewsCompose) {
   EXPECT_FALSE(view.hop_usable(0, 0));
   EXPECT_FALSE(view.node_alive(5));
   EXPECT_TRUE(view.node_alive(0));
-}
-
-// -- Simulator corners ---------------------------------------------------------
-
-TEST(EdgeCases, SimulatorHandlesBacktrackPolicy) {
-  OverlayGraph g(Space1D::ring(10));
-  graph::wire_short_links(g);
-  auto view = FailureView::all_alive(g);
-  view.kill_node(4);
-  core::RouterConfig cfg;
-  cfg.stuck_policy = StuckPolicy::kBacktrack;
-  sim::NetworkSimulator simulator(g, std::move(view), cfg,
-                                  sim::LatencyModel{1.0, 1.0}, 9);
-  simulator.submit_search(0.0, 0, 5);
-  simulator.run();
-  ASSERT_EQ(simulator.records().size(), 1u);
-  const auto& rec = simulator.records()[0];
-  EXPECT_TRUE(rec.result.delivered());
-  EXPECT_EQ(rec.result.hops, 11u);  // same walk as the synchronous router
-  EXPECT_DOUBLE_EQ(rec.latency(), 11.0);
-}
-
-TEST(EdgeCases, SimulatorZeroHopSearchCompletesImmediately) {
-  OverlayGraph g(Space1D::ring(4));
-  graph::wire_short_links(g);
-  sim::NetworkSimulator simulator(g, FailureView::all_alive(g), {},
-                                  sim::LatencyModel{1.0, 1.0}, 10);
-  simulator.submit_search(5.0, 2, 2);
-  simulator.run();
-  ASSERT_EQ(simulator.records().size(), 1u);
-  EXPECT_TRUE(simulator.records()[0].result.delivered());
-  EXPECT_DOUBLE_EQ(simulator.records()[0].latency(), 0.0);
-}
-
-TEST(EdgeCases, SimulatorCompletionCallbackFires) {
-  OverlayGraph g(Space1D::ring(8));
-  graph::wire_short_links(g);
-  sim::NetworkSimulator simulator(g, FailureView::all_alive(g), {},
-                                  sim::LatencyModel{1.0, 1.0}, 11);
-  int completed = 0;
-  simulator.on_search_complete([&](const sim::SearchRecord&) { ++completed; });
-  simulator.submit_search(0.0, 0, 3);
-  simulator.submit_search(0.0, 1, 5);
-  simulator.run();
-  EXPECT_EQ(completed, 2);
-}
-
-// -- DHT boundaries -------------------------------------------------------------
-
-TEST(EdgeCases, DhtWithSingleNodeStoresLocally) {
-  dht::DhtConfig cfg;
-  cfg.overlay.long_links = 2;
-  cfg.replication = 3;  // more replicas than nodes: clamps to node count
-  dht::Dht store(Space1D::ring(64), cfg, 12);
-  store.add_node(7);
-  ASSERT_TRUE(store.put(7, "k", "v").ok);
-  EXPECT_EQ(store.stored_copies(), 1u);
-  const auto got = store.get(7, "k");
-  ASSERT_TRUE(got.ok);
-  EXPECT_EQ(got.value, "v");
-}
-
-TEST(EdgeCases, DhtEraseOfUnknownKeySucceedsIdempotently) {
-  dht::DhtConfig cfg;
-  cfg.overlay.long_links = 2;
-  dht::Dht store(Space1D::ring(64), cfg, 13);
-  store.add_node(0);
-  store.add_node(32);
-  EXPECT_TRUE(store.erase(0, "never-put").ok);
-  EXPECT_EQ(store.stored_copies(), 0u);
-}
-
-TEST(EdgeCases, DhtReplicationClampsToMembership) {
-  dht::DhtConfig cfg;
-  cfg.overlay.long_links = 2;
-  cfg.replication = 5;
-  dht::Dht store(Space1D::ring(256), cfg, 14);
-  store.add_node(0);
-  store.add_node(100);
-  ASSERT_TRUE(store.put(0, "k", "v").ok);
-  EXPECT_EQ(store.stored_copies(), 2u);  // only two members exist
-  store.add_node(50);
-  store.add_node(150);
-  store.add_node(200);
-  // Rebalance on join grows the replica set toward the factor.
-  EXPECT_EQ(store.owners_of("k").size(), 5u);
-  EXPECT_EQ(store.stored_copies(), 5u);
-}
-
-TEST(EdgeCases, DhtValueOverwriteKeepsSingleHolderSet) {
-  dht::DhtConfig cfg;
-  cfg.overlay.long_links = 2;
-  cfg.replication = 2;
-  dht::Dht store(Space1D::ring(128), cfg, 15);
-  for (Point p = 0; p < 128; p += 16) store.add_node(p);
-  for (int i = 0; i < 5; ++i) {
-    const std::string value = std::string("v") + std::to_string(i);
-    ASSERT_TRUE(store.put(0, "k", value).ok);
-  }
-  EXPECT_EQ(store.stored_copies(), 2u);  // overwrites do not duplicate
-  EXPECT_EQ(store.get(16, "k").value, "v4");
 }
 
 // -- Secure router corners -------------------------------------------------------

@@ -11,10 +11,10 @@
 #include "analysis/bounds.h"
 #include "core/construction.h"
 #include "core/router.h"
-#include "dht/dht.h"
 #include "failure/failure_model.h"
 #include "graph/graph_builder.h"
 #include "sim/hop_simulator.h"
+#include "store/quorum_store.h"
 #include "util/rng.h"
 
 namespace p2p {
@@ -191,34 +191,47 @@ TEST(Integration, MeasuredSingleLinkTimeIsWithinTheorem12Bound) {
   EXPECT_LT(batch.hops_success.mean(), analysis::upper_single_link(4096));
 }
 
-TEST(Integration, DhtServesLookupsOverAChurningOverlay) {
-  dht::DhtConfig cfg;
-  cfg.overlay.long_links = 6;
-  cfg.replication = 3;
-  dht::Dht store(Space1D::ring(1024), cfg, /*seed=*/34);
+TEST(Integration, QuorumStoreServesEveryKeyThroughCrashChurn) {
+  // A replicated store serves every key through crash churn: each crash
+  // wipes the victim's replicas, and one anti-entropy sweep re-replicates
+  // before the next crash strikes.
+  BuildSpec spec;
+  spec.grid_size = 1024;
+  spec.long_links = 6;
+  spec.topology = Space1D::Kind::kRing;
+  util::Rng build_rng(34);
+  const auto g = graph::build_overlay(spec, build_rng);
+  auto view = FailureView::all_alive(g);
+  store::QuorumConfig cfg;
+  cfg.k = 3;
+  cfg.r = cfg.w = 2;
+  store::QuorumStore store(g, cfg);
+  const auto key = [](int i) { return "k" + std::to_string(i); };
+  const auto value = [](int i) { return "v" + std::to_string(i); };
+  for (int i = 0; i < 40; ++i) store.install(view, key(i), value(i));
+
+  // 30 single-node crashes; node 0 stays up as the reading client.
   util::Rng rng(35);
-  // Bootstrap 128 members.
-  for (Point p = 0; p < 1024; p += 8) store.add_node(p);
-  for (int i = 0; i < 40; ++i) {
-    const std::string key = std::string("k") + std::to_string(i);
-    const std::string value = std::string("v") + std::to_string(i);
-    ASSERT_TRUE(store.put(0, key, value).ok);
+  for (int crashes = 0; crashes < 30;) {
+    const graph::NodeId victim = view.random_alive(rng);
+    if (victim == 0) continue;
+    store.forget(victim);
+    view.kill_node(victim);
+    ++crashes;
+    ASSERT_EQ(store.repair_sweep(view).lost, 0u) << "after crash " << crashes;
   }
-  // Churn: 30 joins at odd positions, 30 crashes of existing non-origin nodes.
-  for (int i = 0; i < 30; ++i) {
-    const Point p = 8 * static_cast<Point>(rng.next_below(128)) + 1 +
-                    static_cast<Point>(rng.next_below(7));
-    if (!store.has_node(p)) store.add_node(p);
-    const auto members = store.overlay().members();
-    const Point victim = members[rng.next_below(members.size())];
-    if (victim != 0) store.crash_node(victim);
-  }
-  EXPECT_EQ(store.lost_keys(), 0u);
+
+  std::vector<store::Op> gets(40);
+  for (int i = 0; i < 40; ++i) gets[static_cast<std::size_t>(i)].key = key(i);
+  RouterConfig router_cfg;
+  router_cfg.stuck_policy = StuckPolicy::kBacktrack;
+  const Router router(g, view, router_cfg);
+  std::vector<store::OpResult> results(gets.size());
+  store.run_batch(router, gets, results, /*seed_base=*/36);
   for (int i = 0; i < 40; ++i) {
-    const std::string key = std::string("k") + std::to_string(i);
-    const auto got = store.get(0, key);
-    ASSERT_TRUE(got.ok) << key;
-    EXPECT_EQ(got.value, std::string("v") + std::to_string(i));
+    const auto& got = results[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(got.ok && got.found) << key(i);
+    EXPECT_EQ(got.value, value(i));
   }
 }
 

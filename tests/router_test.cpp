@@ -73,24 +73,24 @@ TEST(Router, LongLinkShortcutsTheWalk) {
   EXPECT_EQ(res.hops, 3u);  // 0 -> 16 -> 15 -> 14
 }
 
-TEST(Router, NextHopPicksClosestCandidate) {
+TEST(Router, RankZeroCandidateIsClosest) {
   auto g = bare_ring(32);
   g.add_long_link(0, 8);
   g.add_long_link(0, 12);
   const auto view = FailureView::all_alive(g);
   const Router router(g, view);
-  EXPECT_EQ(router.next_hop(0, 13), 12u);
-  EXPECT_EQ(router.next_hop(0, 8), 8u);
-  EXPECT_EQ(router.next_hop(0, 1), 1u);
+  EXPECT_EQ(router.select_candidate(0, 13, 0), 12u);
+  EXPECT_EQ(router.select_candidate(0, 8, 0), 8u);
+  EXPECT_EQ(router.select_candidate(0, 1, 0), 1u);
 }
 
-TEST(Router, NextHopReturnsInvalidWhenStuck) {
+TEST(Router, RankZeroCandidateIsInvalidWhenStuck) {
   auto g = bare_ring(8);
   auto view = FailureView::all_alive(g);
   view.kill_node(1);
   view.kill_node(7);
   const Router router(g, view);
-  EXPECT_EQ(router.next_hop(0, 3), graph::kInvalidNode);
+  EXPECT_EQ(router.select_candidate(0, 3, 0), graph::kInvalidNode);
 }
 
 TEST(Router, DuplicateLinksAreDeduplicated) {

@@ -1,7 +1,8 @@
-// Unit tests for the simulator substrate: event queue, message-level
-// simulation, workloads, and the multi-trial driver.
+// Unit tests for the simulator substrate: event queue, hop simulator,
+// workloads, and the multi-trial driver.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -11,7 +12,6 @@
 #include "sim/event_queue.h"
 #include "sim/experiment.h"
 #include "sim/hop_simulator.h"
-#include "sim/network_sim.h"
 #include "sim/workload.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -99,73 +99,6 @@ OverlayGraph test_graph(std::uint64_t n, std::size_t links, std::uint64_t seed) 
   return graph::build_overlay(spec, rng);
 }
 
-TEST(NetworkSimulator, DeliversWithHopTimesLatency) {
-  const auto g = test_graph(64, 3, 1);
-  NetworkSimulator sim(g, FailureView::all_alive(g), core::RouterConfig{},
-                       LatencyModel{2.0, 2.0}, /*seed=*/7);
-  sim.submit_search(0.0, 5, 40);
-  sim.run();
-  ASSERT_EQ(sim.records().size(), 1u);
-  const SearchRecord& rec = sim.records()[0];
-  EXPECT_TRUE(rec.result.delivered());
-  EXPECT_DOUBLE_EQ(rec.latency(), 2.0 * static_cast<double>(rec.result.hops));
-}
-
-TEST(NetworkSimulator, HopCountsMatchSynchronousRouter) {
-  const auto g = test_graph(256, 4, 2);
-  const auto view = FailureView::all_alive(g);
-  const core::Router router(g, view);
-
-  NetworkSimulator sim(g, FailureView::all_alive(g), core::RouterConfig{},
-                       LatencyModel{1.0, 1.0}, /*seed=*/3);
-  util::Rng rng(3);
-  for (int i = 0; i < 20; ++i) {
-    const auto src = static_cast<NodeId>(rng.next_below(g.size()));
-    const auto dst = static_cast<NodeId>(rng.next_below(g.size()));
-    sim.submit_search(static_cast<SimTime>(i) * 100.0, src, g.position(dst));
-  }
-  sim.run();
-  util::Rng verify_rng(99);
-  for (const SearchRecord& rec : sim.records()) {
-    const auto direct = router.route(rec.src, rec.target, verify_rng);
-    EXPECT_EQ(rec.result.hops, direct.hops);
-    EXPECT_EQ(rec.result.status, direct.status);
-  }
-}
-
-TEST(NetworkSimulator, MidFlightFailureChangesTheOutcome) {
-  // Bare ring: the only path 0 -> 5 is through nodes 1..4 or 9..6.
-  OverlayGraph g(metric::Space1D::ring(10));
-  graph::wire_short_links(g);
-  NetworkSimulator sim(g, FailureView::all_alive(g), core::RouterConfig{},
-                       LatencyModel{1.0, 1.0}, /*seed=*/5);
-  sim.submit_search(0.0, 0, 5);
-  // Hop decisions fire at t = 0, 1, 2, ...: the message reaches node 2 at
-  // t=1 (decision) and decides its next hop at t=2. Killing 3 and 9 at t=1.5
-  // closes both arcs before that decision.
-  sim.schedule_failure(1.5, 3);
-  sim.schedule_failure(1.5, 9);
-  sim.run();
-  ASSERT_EQ(sim.records().size(), 1u);
-  EXPECT_EQ(sim.records()[0].result.status, core::RouteResult::Status::kStuck);
-}
-
-TEST(NetworkSimulator, RecoveryRestoresDelivery) {
-  OverlayGraph g(metric::Space1D::ring(10));
-  graph::wire_short_links(g);
-  auto view = FailureView::all_alive(g);
-  view.kill_node(2);
-  view.kill_node(9);
-  NetworkSimulator sim(g, std::move(view), core::RouterConfig{},
-                       LatencyModel{1.0, 1.0}, /*seed=*/6);
-  // Node 2 recovers before the message (submitted late) starts.
-  sim.schedule_recovery(5.0, 2);
-  sim.submit_search(10.0, 0, 5);
-  sim.run();
-  ASSERT_EQ(sim.records().size(), 1u);
-  EXPECT_TRUE(sim.records()[0].result.delivered());
-}
-
 TEST(HopSimulator, BatchAggregatesAreConsistent) {
   const auto g = test_graph(512, 5, 8);
   const auto view = FailureView::all_alive(g);
@@ -245,6 +178,27 @@ TEST(Workload, ChurnTraceIsConsistent) {
       EXPECT_TRUE(occupied.contains(ev.position));
       occupied.erase(ev.position);
     }
+  }
+}
+
+TEST(Workload, ChurnTraceRejectsNonFiniteInputs) {
+  // An infinite duration never ends the event loop, and an infinite rate
+  // draws zero gaps so the clock never advances: both must be refused.
+  util::Rng rng(17);
+  const auto space = metric::Space1D::ring(64);
+  const std::vector<metric::Point> initial{1, 2, 3, 4};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto trace = [&](double join, double leave, double crash,
+                         double duration) {
+    static_cast<void>(
+        make_churn_trace(space, initial, join, leave, crash, duration, rng));
+  };
+  for (const double bad : {inf, nan, -1.0}) {
+    EXPECT_THROW(trace(0.1, 0.1, 0.1, bad), std::invalid_argument);
+    EXPECT_THROW(trace(bad, 0.1, 0.1, 10.0), std::invalid_argument);
+    EXPECT_THROW(trace(0.1, bad, 0.1, 10.0), std::invalid_argument);
+    EXPECT_THROW(trace(0.1, 0.1, bad, 10.0), std::invalid_argument);
   }
 }
 

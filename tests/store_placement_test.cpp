@@ -7,12 +7,17 @@
 //    bits — the same FailureView epoch yields the same set whether reached
 //    by apply() going forward or revert() coming back;
 //  * the pooled torus scan is bit-identical to the serial walk;
-//  * count > alive clamps to the live population.
+//  * count > alive clamps to the live population;
+//  * the key embedding placement starts from (dht/hash.h): standard FNV-1a
+//    vectors, stable in-range points, and a near-collision-free spread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "dht/hash.h"
 #include "failure/failure_model.h"
 #include "graph/graph_builder.h"
 #include "graph/overlay_graph.h"
@@ -190,6 +195,30 @@ TEST(Placement, CountClampsToLivePopulation) {
   const auto empty_count =
       nearest_live(view, 9, 0, std::span<NodeId>(out));
   EXPECT_EQ(empty_count, 0u);
+}
+
+TEST(Hash, Fnv1aMatchesKnownVectors) {
+  // Standard FNV-1a 64-bit test vectors.
+  EXPECT_EQ(dht::fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(dht::fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(dht::fnv1a64("foobar"), 0x85944171f73967e8ULL);
+}
+
+TEST(Hash, PointForKeyIsStableAndInRange) {
+  for (const std::string key : {"alice.mp3", "bob.txt", "", "z"}) {
+    const metric::Point p = dht::point_for_key(key, 1024);
+    EXPECT_GE(p, 0);
+    EXPECT_LT(p, 1024);
+    EXPECT_EQ(p, dht::point_for_key(key, 1024));  // deterministic
+  }
+}
+
+TEST(Hash, PointsSpreadAcrossTheGrid) {
+  std::set<metric::Point> points;
+  for (int i = 0; i < 1000; ++i) {
+    points.insert(dht::point_for_key("key-" + std::to_string(i), 1 << 20));
+  }
+  EXPECT_GT(points.size(), 990u);  // essentially no collisions at 2^20
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -166,6 +167,16 @@ TEST(Poisson, SmallMeanMostlyZero) {
   int zeros = 0;
   for (int i = 0; i < 10'000; ++i) zeros += poisson_sample(rng, 0.01) == 0 ? 1 : 0;
   EXPECT_GT(zeros, 9'800);  // P(0) = e^-0.01 ~ 0.99
+}
+
+TEST(Poisson, ReturnsForHugeAndInfiniteMeans) {
+  // Means past double's integer precision used to spin forever.
+  Rng rng(37);
+  for (const double mean : {1e17, 1e300, std::numeric_limits<double>::infinity()}) {
+    const int draw = poisson_sample(rng, mean);
+    EXPECT_GE(draw, 0) << mean;
+    EXPECT_LE(draw, 10'000) << mean;
+  }
 }
 
 }  // namespace
