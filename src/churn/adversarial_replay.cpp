@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "churn/trace_gen.h"
 #include "failure/reputation.h"
 #include "util/require.h"
 
@@ -35,6 +36,15 @@ AdversarialReplay::AdversarialReplay(const core::SecureRouter& router,
   for (std::size_t i = 1; i < waves_.size(); ++i) {
     util::require(waves_[i - 1].when <= waves_[i].when,
                   "AdversarialReplay: Byzantine deltas must be time-ordered");
+  }
+  if (config.decay_interval_ms > 0.0) {
+    // Both schedules are time-ordered, so the decay horizon run() loops to
+    // is the later of their last deltas.
+    double horizon = log.empty() ? 0.0 : log.delta(log.size() - 1).when;
+    if (!waves_.empty()) horizon = std::max(horizon, waves_.back().when);
+    util::require(horizon / config.decay_interval_ms <= kMaxTraceSteps,
+                  "AdversarialReplay: decay_interval_ms must be at least the "
+                  "replay horizon / kMaxTraceSteps");
   }
 }
 

@@ -81,13 +81,16 @@ struct AdversarialReplayConfig {
   double ticks_per_ms = 256.0;
   /// Total searches routed over the run (src/dst drawn live at epoch 0).
   std::size_t queries = 4096;
-  /// SecureBatchPipeline width (sessions in flight).
+  /// Sessions in flight in the SecureBatchPipeline ring. The ring prefetches
+  /// at core::BatchConfig's default lookahead distance; results do not
+  /// depend on either.
   std::size_t width = 32;
   /// Master seed: query workload and per-query routing streams.
   std::uint64_t seed = 1;
   /// Virtual ms between ReputationTable::decay_epoch calls; 0 disables the
   /// decay schedule (and is the only valid value when the router carries no
-  /// reputation table — decay without a table is a config error).
+  /// reputation table — decay without a table is a config error). At most
+  /// kMaxTraceSteps decays fit the replay horizon (churn/trace_gen.h).
   double decay_interval_ms = 50.0;
   /// Optional driver telemetry: event/tick throughput counters, recorded per
   /// event and per advance batch (never per hop). Null = off. Recording

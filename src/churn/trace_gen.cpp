@@ -88,6 +88,14 @@ void revive_random_nodes(ChurnLog& log, Membership& members, std::size_t count,
   }
 }
 
+/// Rejects a cadence whose loop over [0, span] would take more than
+/// kMaxTraceSteps steps (or never end; see trace_gen.h).
+void require_cadence(double span, double interval, const char* what) {
+  util::require(std::isfinite(interval) && interval > 0.0 &&
+                    span / interval <= kMaxTraceSteps,
+                what);
+}
+
 void commit_if_staged(ChurnLog& log, double when) {
   if (!log.staged_empty()) log.commit(when);
 }
@@ -243,8 +251,6 @@ ChurnLog make_adversarial(const graph::OverlayGraph& g, const TraceSpec& spec,
   // Rank every node once; wave k rotates through the ranking so successive
   // waves decapitate fresh hubs instead of re-killing the same set.
   const auto ranked = high_degree_targets(g, n - kAliveFloor);
-  util::require(std::isfinite(spec.wave_period) && spec.wave_period > 0.0,
-                "make_trace: wave_period must be finite and > 0");
   std::size_t k = 0;
   for (double t = 0.0; t < spec.duration; t += spec.wave_period, ++k) {
     const std::size_t base = (k * wave) % ranked.size();
@@ -346,8 +352,14 @@ ChurnLog make_trace(const graph::OverlayGraph& g, const TraceSpec& spec,
   util::require(g.size() > kAliveFloor, "make_trace: graph too small to churn");
   util::require(util::finite_non_negative(spec.duration),
                 "make_trace: duration must be finite and >= 0");
-  util::require(std::isfinite(spec.batch_interval) && spec.batch_interval > 0.0,
-                "make_trace: batch_interval must be finite and > 0");
+  require_cadence(spec.duration, spec.batch_interval,
+                  "make_trace: batch_interval must be finite, > 0 and at "
+                  "least duration / kMaxTraceSteps");
+  if (spec.scenario == TraceSpec::Scenario::kAdversarialWaves) {
+    require_cadence(spec.duration, spec.wave_period,
+                    "make_trace: wave_period must be finite, > 0 and at "
+                    "least duration / kMaxTraceSteps");
+  }
   // util::poisson_sample(inf) never returns, so the rates must be finite.
   util::require(util::finite_non_negative(spec.kill_rate) &&
                     util::finite_non_negative(spec.revive_rate),
@@ -400,8 +412,9 @@ std::vector<failure::ByzantineDelta> make_byzantine_waves(
                 "make_byzantine_waves: graph too small");
   util::require(util::finite_non_negative(spec.duration),
                 "make_byzantine_waves: duration must be finite and >= 0");
-  util::require(std::isfinite(spec.wave_period) && spec.wave_period > 0.0,
-                "make_byzantine_waves: wave_period must be finite and > 0");
+  require_cadence(spec.duration, spec.wave_period,
+                  "make_byzantine_waves: wave_period must be finite, > 0 and "
+                  "at least duration / kMaxTraceSteps");
   const std::size_t n = g.size();
   const std::size_t wave =
       std::max<std::size_t>(1, std::min(spec.wave_size, n - kAliveFloor));

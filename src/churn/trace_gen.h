@@ -45,6 +45,17 @@
 
 namespace p2p::churn {
 
+/// Most fixed-cadence steps (span / interval) a generator here, or
+/// AdversarialReplay's reputation-decay schedule, accepts. The cadence loops
+/// advance by accumulating `t += interval`; once ulp(t) exceeds the
+/// interval that sum stops moving and the loop never ends, so a finite but
+/// tiny batch_interval, wave_period or decay interval would hang instead of
+/// failing. Below this bound every addition moves t by ~interval. It sits
+/// three orders of magnitude above the longest schedule any driver in this
+/// repository builds (~10^4 steps); finer cadences throw
+/// std::invalid_argument.
+inline constexpr double kMaxTraceSteps = 1e7;
+
 /// Parameters of one generated trace. Fields are grouped by the scenario
 /// that reads them; unrelated fields are ignored.
 struct TraceSpec {
@@ -57,7 +68,8 @@ struct TraceSpec {
   };
   Scenario scenario = Scenario::kPoissonChurn;
 
-  /// Trace length in virtual ms; deltas are committed every batch_interval.
+  /// Trace length in virtual ms; deltas are committed every batch_interval
+  /// (at most kMaxTraceSteps batches).
   double duration = 1000.0;
   double batch_interval = 1.0;
 
@@ -82,7 +94,8 @@ struct TraceSpec {
 
   // kAdversarialWaves.
   std::size_t wave_size = 64;  ///< hubs killed per wave
-  double wave_period = 100.0;  ///< ms between wave starts (revive at half)
+  /// ms between wave starts (revive at half); at most kMaxTraceSteps waves.
+  double wave_period = 100.0;
 
   // kLinkFlap.
   double flap_fraction = 0.05;  ///< fraction of long links flapped per batch
@@ -128,7 +141,8 @@ inline constexpr std::array<TraceSpec::Scenario, 5> kAllScenarios = {
 struct ByzantineWaveSpec {
   /// Schedule length in virtual ms.
   double duration = 1000.0;
-  /// ms between wave starts; each wave heals at half-period.
+  /// ms between wave starts; each wave heals at half-period. At most
+  /// kMaxTraceSteps waves.
   double wave_period = 100.0;
   /// Hubs corrupted per wave.
   std::size_t wave_size = 64;

@@ -12,6 +12,7 @@
 #endif
 
 #include "core/route_telemetry.h"
+#include "core/secure_router.h"
 #include "failure/reputation.h"
 #include "telemetry/flight_recorder.h"
 #include "util/require.h"
@@ -671,9 +672,9 @@ std::vector<graph::NodeId> Router::candidates(graph::NodeId u,
 RouteResult Router::route(graph::NodeId src, metric::Point target,
                           util::Rng& rng) const {
   RouteSession session(*this, src, target);
-  while (session.step_inline(rng)) {
+  while (session.step(rng)) {
   }
-  return session.progress();
+  return session.result();
 }
 
 void Router::route_batch(std::span<const Query> queries,
@@ -714,24 +715,26 @@ void RouteSession::restart(graph::NodeId src, metric::Point target) {
   if (router_->config().record_path) result_.path.push_back(current_);
 }
 
-std::optional<graph::NodeId> RouteSession::step(util::Rng& rng) {
-  return step_inline(rng);
-}
-
 static_assert(telemetry::TraceBuffer::kNone == ~std::uint32_t{0},
-              "BatchPipeline::kNoTrail must mirror TraceBuffer::kNone");
+              "WalkPipeline::kNoTrail must mirror TraceBuffer::kNone");
 
-BatchPipeline::BatchPipeline(const Router& router, std::span<const Query> queries,
-                             std::span<RouteResult> results,
-                             std::uint64_t seed_base, const BatchConfig& config)
+template <class Session>
+WalkPipeline<Session>::WalkPipeline(const RouterType& router,
+                                    std::span<const Query> queries,
+                                    std::span<Result> results,
+                                    std::uint64_t seed_base,
+                                    const BatchConfig& config)
     : router_(&router),
       queries_(queries),
       results_(results),
       seed_base_(seed_base),
       prefetch_distance_(config.prefetch_distance) {
   util::require(results.size() >= queries.size(),
-                "BatchPipeline: results span shorter than queries");
-  if constexpr (telemetry::kCompiledIn) {
+                "WalkPipeline: results span shorter than queries");
+  if constexpr (!kHopCapture) {
+    util::require(config.telemetry == nullptr && config.trace == nullptr,
+                  "WalkPipeline: hop telemetry and traces need RouteSessions");
+  } else if constexpr (telemetry::kCompiledIn) {
     telemetry_ = config.telemetry;
     trace_ = config.trace;
   }
@@ -739,7 +742,7 @@ BatchPipeline::BatchPipeline(const Router& router, std::span<const Query> querie
   const std::size_t lanes = width < queries.size() ? width : queries.size();
   lanes_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
-    lanes_.push_back(Lane{RouteSession(router, queries[i].src, queries[i].target),
+    lanes_.push_back(Lane{Session(router, queries[i].src, queries[i].target),
                           util::substream(seed_base, i), i});
     if (trace_ != nullptr)
       lanes_.back().trail = trace_->begin(i, queries[i].src);
@@ -750,7 +753,8 @@ BatchPipeline::BatchPipeline(const Router& router, std::span<const Query> querie
   next_query_ = lanes;
 }
 
-bool BatchPipeline::tick() {
+template <class Session>
+bool WalkPipeline<Session>::tick() {
   if (lanes_.empty()) return false;
   const graph::OverlayGraph& g = router_->graph();
   if (prefetch_distance_ != 0 && prefetch_distance_ < lanes_.size()) {
@@ -767,8 +771,8 @@ bool BatchPipeline::tick() {
     g.prefetch_spill(lanes_[ahead].session.current());
   }
   Lane& lane = lanes_[cursor_];
-  const std::optional<graph::NodeId> moved = lane.session.step_inline(lane.rng);
-  if constexpr (telemetry::kCompiledIn) {
+  [[maybe_unused]] const auto moved = lane.session.step(lane.rng);
+  if constexpr (kHopCapture && telemetry::kCompiledIn) {
     // Hop capture touches only sampled lanes; untraced batches pay one
     // predicted-not-taken branch here (compiled out under P2P_TELEMETRY=OFF).
     if (trace_ != nullptr && lane.trail != kNoTrail && moved.has_value()) {
@@ -777,9 +781,10 @@ bool BatchPipeline::tick() {
     }
   }
   if (lane.session.finished()) {
-    results_[lane.query] = lane.session.progress();
+    results_[lane.query] = lane.session.result();
+    last_retired_ = lane.query;
     ++retired_;
-    if constexpr (telemetry::kCompiledIn) {
+    if constexpr (kHopCapture && telemetry::kCompiledIn) {
       if (telemetry_ != nullptr) telemetry_->record(results_[lane.query]);
       if (trace_ != nullptr && lane.trail != kNoTrail) {
         trace_->end(lane.trail,
@@ -791,7 +796,7 @@ bool BatchPipeline::tick() {
       lane.session.restart(queries_[refill].src, queries_[refill].target);
       lane.rng = util::substream(seed_base_, refill);
       lane.query = refill;
-      if constexpr (telemetry::kCompiledIn) {
+      if constexpr (kHopCapture && telemetry::kCompiledIn) {
         if (trace_ != nullptr)
           lane.trail = trace_->begin(refill, queries_[refill].src);
       }
@@ -809,5 +814,8 @@ bool BatchPipeline::tick() {
   if (++cursor_ == lanes_.size()) cursor_ = 0;
   return true;
 }
+
+template class WalkPipeline<RouteSession>;
+template class WalkPipeline<SecureRouteSession>;
 
 }  // namespace p2p::core

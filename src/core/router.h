@@ -37,8 +37,8 @@
 // exposes the same walk one message-transmission at a time for the churn
 // replays, and Router::route_batch() software-pipelines many
 // independent searches through a rotating ring of RouteSessions. The shared
-// per-hop advance lives in RouteSession::step_inline (this header) so all
-// three stay bit-identical per query.
+// per-hop advance lives in RouteSession::step (this header) so all three stay
+// bit-identical per query.
 //
 // Batching exists because a single search is a serial chain of dependent
 // header loads (~one cache line per hop, see overlay_graph.h): at large n the
@@ -52,11 +52,18 @@
 // node's spill tail) `prefetch_distance` ticks ahead of its step. Per-query
 // results are bit-identical to route() seeded with util::substream(base,
 // query_index), independent of the interleaving.
+//
+// The ring is one template, WalkPipeline<Session>, over the session it
+// rotates: BatchPipeline rotates RouteSessions, and SecureBatchPipeline
+// (core/secure_router.h) rotates the §7 redundant SecureRouteSessions with
+// the same lanes, seeding, refill, drain and both prefetch levels. What
+// differs between the two is fixed by the session type at compile time.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -257,6 +264,9 @@ class Router {
 /// churn replays need.
 class RouteSession {
  public:
+  using RouterType = Router;
+  using ResultType = RouteResult;
+
   /// Preconditions as Router::route.
   RouteSession(const Router& router, graph::NodeId src, metric::Point target);
 
@@ -275,13 +285,10 @@ class RouteSession {
   /// Advances until the next physical message transmission or a terminal
   /// state. Returns the node the message moved to, or std::nullopt when the
   /// session ended (check state()). Each returned hop is one unit of
-  /// delivery time.
-  std::optional<graph::NodeId> step(util::Rng& rng);
-
-  /// Body of step(), visible here so the batch pipeline's tick loop and the
+  /// delivery time. Visible here so the batch pipeline's tick loop and the
   /// single-stream entry points compile against the one implementation and
   /// stay bit-identical per query. Allocation-free except record_path.
-  std::optional<graph::NodeId> step_inline(util::Rng& rng) {
+  std::optional<graph::NodeId> step(util::Rng& rng) {
     if (state_ != State::kInTransit) return std::nullopt;
     const RouterConfig& cfg = router_->config();
     const graph::OverlayGraph& g = router_->graph();
@@ -352,7 +359,7 @@ class RouteSession {
 
   /// Hops, backtracks, reroutes and status so far (status meaningful once
   /// finished()).
-  [[nodiscard]] const RouteResult& progress() const noexcept { return result_; }
+  [[nodiscard]] const RouteResult& result() const noexcept { return result_; }
 
   /// Candidate rank of the most recent transmission: the rank the forward
   /// hop was selected at, or the resume rank of a backtrack return.
@@ -361,7 +368,7 @@ class RouteSession {
   [[nodiscard]] std::uint32_t last_rank() const noexcept { return last_rank_; }
 
  private:
-  /// Terminal transition shared by every exit of step_inline: records the
+  /// Terminal transition shared by every exit of step: records the
   /// outcome and stamps the failure-view epoch the search ended at.
   std::optional<graph::NodeId> finish(State state,
                                       RouteResult::Status status) noexcept {
@@ -415,31 +422,51 @@ class RouteSession {
   RouteResult result_;
 };
 
-/// The software-pipelined batch scheduler behind Router::route_batch,
-/// exposed so churn experiments and tests can mutate the failure view
-/// *between ticks* (sessions re-read the view every step, so mid-batch churn
-/// is honoured exactly as in RouteSession).
+/// The software-pipelined ring of sessions behind Router::route_batch and
+/// the churn replays, exposed so churn experiments and tests can mutate the
+/// failure view (and, for secure sessions, the Byzantine set) *between
+/// ticks*: sessions re-read both every step, so mid-batch churn is honoured
+/// exactly as in a stepped session.
+///
+/// Session is RouteSession (BatchPipeline) or SecureRouteSession
+/// (SecureBatchPipeline, core/secure_router.h). Each provides RouterType and
+/// ResultType, a (router, src, target) constructor, restart(), step(rng),
+/// finished(), result() and current() — the node its next step reads.
 ///
 /// Keeps min(width, #queries) lanes in flight. Each tick prefetches the
 /// adjacency lines of the lane `prefetch_distance` ahead in the ring (its
 /// header is already resident: the select of its previous step, or the
 /// construction/refill prefetch, pulled it a rotation ago), advances the
-/// current lane by one message transmission, retires it if finished, and
-/// refills the lane from the pending queries (once those run out, retired
-/// lanes compact out of the ring so the drain phase keeps prefetching over
-/// live lanes only). After construction the tick loop performs no
-/// allocations (record_path excepted).
-class BatchPipeline {
+/// current lane by one step, retires it if finished, and refills the lane
+/// from the pending queries (once those run out, retired lanes compact out
+/// of the ring so the drain phase keeps prefetching over live lanes only).
+/// After construction the tick loop performs no allocations (record_path
+/// excepted).
+template <class Session>
+class WalkPipeline {
  public:
+  using RouterType = typename Session::RouterType;
+  using Result = typename Session::ResultType;
+
   /// Lane i of the batch runs on util::substream(seed_base, i); see
   /// Router::route_batch for the determinism contract. `queries` and
   /// `results` must outlive the pipeline; results.size() >= queries.size().
-  BatchPipeline(const Router& router, std::span<const Query> queries,
-                std::span<RouteResult> results, std::uint64_t seed_base,
-                const BatchConfig& config = {});
+  /// BatchConfig::telemetry and ::trace are per-hop RouteSession capture;
+  /// secure sessions record outcomes through SecureRouterConfig::telemetry
+  /// instead, and reject them.
+  WalkPipeline(const RouterType& router, std::span<const Query> queries,
+               std::span<Result> results, std::uint64_t seed_base,
+               const BatchConfig& config = {});
 
-  /// Advances one in-flight search by one transmission. Returns false once
-  /// every query has retired (the final retiring advance included).
+  /// `width` lanes at the default lookahead distance, no capture.
+  WalkPipeline(const RouterType& router, std::span<const Query> queries,
+               std::span<Result> results, std::uint64_t seed_base,
+               std::size_t width)
+      : WalkPipeline(router, queries, results, seed_base,
+                     BatchConfig{.width = width}) {}
+
+  /// Advances one in-flight search by one step. Returns false once every
+  /// query has retired (the final retiring advance included).
   bool tick();
 
   /// Ticks until every query has retired.
@@ -450,22 +477,30 @@ class BatchPipeline {
 
   [[nodiscard]] std::size_t in_flight() const noexcept { return lanes_.size(); }
   [[nodiscard]] std::size_t retired() const noexcept { return retired_; }
+  /// The query index retired by the most recent tick() that increased
+  /// retired() — at most one retires per tick. Meaningful only immediately
+  /// after such a tick; replay drivers use it to timestamp completions.
+  [[nodiscard]] std::size_t last_retired_query() const noexcept {
+    return last_retired_;
+  }
 
  private:
+  /// Hop trails and per-query RouteTelemetry exist for plain sessions only.
+  static constexpr bool kHopCapture = std::is_same_v<Session, RouteSession>;
   /// Matches telemetry::TraceBuffer::kNone (static_asserted in router.cpp);
   /// kept local so this header needs only the forward declaration.
   static constexpr std::uint32_t kNoTrail = ~std::uint32_t{0};
 
   struct Lane {
-    RouteSession session;
+    Session session;
     util::Rng rng;
     std::size_t query = 0;
     std::uint32_t trail = kNoTrail;  // flight-recorder handle, when sampled
   };
 
-  const Router* router_;
+  const RouterType* router_;
   std::span<const Query> queries_;
-  std::span<RouteResult> results_;
+  std::span<Result> results_;
   std::uint64_t seed_base_;
   std::size_t prefetch_distance_;
   RouteTelemetry* telemetry_ = nullptr;
@@ -474,6 +509,12 @@ class BatchPipeline {
   std::size_t cursor_ = 0;      // ring position of the lane advanced next
   std::size_t next_query_ = 0;  // first query not yet assigned to a lane
   std::size_t retired_ = 0;
+  std::size_t last_retired_ = 0;
 };
+
+/// Both instantiations live in router.cpp. The RouteSession one stays out
+/// of line so the code generated for its tick does not depend on callers.
+extern template class WalkPipeline<RouteSession>;
+using BatchPipeline = WalkPipeline<RouteSession>;
 
 }  // namespace p2p::core

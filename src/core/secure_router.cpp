@@ -48,7 +48,7 @@ std::size_t SecureRouter::max_walks() const noexcept {
 SecureRouteResult SecureRouter::route(graph::NodeId src, metric::Point target,
                                       util::Rng& rng) const {
   SecureRouteSession session(*this, src, target);
-  while (session.tick(rng)) {
+  while (session.step(rng)) {
   }
   return session.result();
 }
@@ -108,7 +108,7 @@ void SecureRouteSession::start_walk() {
   walk_active_ = true;
 }
 
-bool SecureRouteSession::tick(util::Rng& rng) {
+bool SecureRouteSession::step(util::Rng& rng) {
   if (done_) return false;
   if (!walk_active_) start_walk();  // bookkeeping only; the hop happens below
 
@@ -316,54 +316,6 @@ void SecureRouteSession::finish_walk(WalkOutcome outcome) {
   // One record per retired query, shared by route(), session stepping and
   // the batch pipeline (all of which funnel through this terminal state).
   if (cfg.telemetry != nullptr) cfg.telemetry->record(result_);
-}
-
-SecureBatchPipeline::SecureBatchPipeline(const SecureRouter& router,
-                                         std::span<const Query> queries,
-                                         std::span<SecureRouteResult> results,
-                                         std::uint64_t seed_base,
-                                         std::size_t width)
-    : router_(&router),
-      queries_(queries),
-      results_(results),
-      seed_base_(seed_base) {
-  util::require(results.size() >= queries.size(),
-                "SecureBatchPipeline: results span shorter than queries");
-  if (width < 1) width = 1;
-  const std::size_t lanes = width < queries.size() ? width : queries.size();
-  lanes_.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    lanes_.push_back(
-        Lane{SecureRouteSession(router, queries[i].src, queries[i].target),
-             util::substream(seed_base, i), i});
-  }
-  next_query_ = lanes;
-}
-
-bool SecureBatchPipeline::tick() {
-  if (lanes_.empty()) return false;
-  Lane& lane = lanes_[cursor_];
-  lane.session.tick(lane.rng);
-  if (lane.session.finished()) {
-    results_[lane.query] = lane.session.result();
-    last_retired_ = lane.query;
-    ++retired_;
-    if (next_query_ < queries_.size()) {
-      const std::size_t refill = next_query_++;
-      lane.session.restart(queries_[refill].src, queries_[refill].target);
-      lane.rng = util::substream(seed_base_, refill);
-      lane.query = refill;
-    } else {
-      // Drain phase: compact the retired lane out of the ring. The lane
-      // moved into this slot is stepped on the next tick, never skipped.
-      if (&lane != &lanes_.back()) lane = std::move(lanes_.back());
-      lanes_.pop_back();
-      if (cursor_ == lanes_.size()) cursor_ = 0;
-      return !lanes_.empty();
-    }
-  }
-  if (++cursor_ == lanes_.size()) cursor_ = 0;
-  return true;
 }
 
 }  // namespace p2p::core

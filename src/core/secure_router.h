@@ -37,15 +37,14 @@
 // same search one message transmission at a time (the discrete-event
 // replay's unit — sessions re-read the failure view *and* the Byzantine set
 // every step, so crash churn and corrupt/heal events mid-search are
-// honoured), and SecureBatchPipeline rotates many sessions round-robin for
-// replay throughput. route() is the session ticked to completion, so all
+// honoured), and SecureBatchPipeline rotates many sessions through the
+// plain router's ring (core::WalkPipeline, core/router.h), adjacency
+// lookahead included. route() is the session stepped to completion, so all
 // three stay bit-identical per query.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -143,8 +142,8 @@ class SecureRouter {
 
   /// Launches config.paths walks from src toward the node nearest `target`
   /// (plus escalation batches, when enabled). Implemented as a
-  /// SecureRouteSession ticked to completion — bit-identical to stepping one
-  /// yourself.
+  /// SecureRouteSession stepped to completion — bit-identical to stepping
+  /// one yourself.
   [[nodiscard]] SecureRouteResult route(graph::NodeId src, metric::Point target,
                                         util::Rng& rng) const;
 
@@ -187,6 +186,9 @@ class SecureRouter {
 /// stepping out of a crashed node.
 class SecureRouteSession {
  public:
+  using RouterType = SecureRouter;
+  using ResultType = SecureRouteResult;
+
   /// Preconditions as SecureRouter::route. Allocates the visited array once
   /// (one u32 per node); restart() reuses it.
   SecureRouteSession(const SecureRouter& router, graph::NodeId src,
@@ -199,15 +201,20 @@ class SecureRouteSession {
   /// Advances by one message transmission or one terminal walk event.
   /// Returns false once the whole search has terminated (results in
   /// result()).
-  bool tick(util::Rng& rng);
+  bool step(util::Rng& rng);
 
   [[nodiscard]] bool finished() const noexcept { return done_; }
+  /// The node the next step() reads: the active walk's position, or the
+  /// source while the next walk waits to start.
+  [[nodiscard]] graph::NodeId current() const noexcept {
+    return walk_active_ ? current_ : src_;
+  }
   /// The accumulated outcome; complete once finished().
   [[nodiscard]] const SecureRouteResult& result() const noexcept { return result_; }
 
  private:
   /// Starts walk number result_.walks_launched (bookkeeping only — no
-  /// message moves until the next tick()).
+  /// message moves until the next step()).
   void start_walk();
   /// Terminal transition of the active walk: accumulates the outcome,
   /// attributes reputation, and decides continue / escalate / finish.
@@ -240,58 +247,16 @@ class SecureRouteSession {
   SecureRouteResult result_;
 };
 
-/// Round-robin scheduler over many SecureRouteSessions — the secure twin of
-/// core::BatchPipeline, minus the prefetch machinery (secure walks are
-/// dominated by redundancy, not header latency). Lane i of the batch runs on
-/// util::substream(seed_base, i), so results are bit-identical to routing
-/// each query directly with that stream, independent of width or
-/// interleaving — and, as with BatchPipeline, the failure view and Byzantine
-/// set may be mutated *between ticks* (sessions re-read both every step),
-/// which is exactly how churn::AdversarialReplay composes the two
-/// adversarial timelines with routing.
-class SecureBatchPipeline {
- public:
-  /// `queries` and `results` must outlive the pipeline;
-  /// results.size() >= queries.size().
-  SecureBatchPipeline(const SecureRouter& router, std::span<const Query> queries,
-                      std::span<SecureRouteResult> results,
-                      std::uint64_t seed_base, std::size_t width = 32);
-
-  /// Advances one in-flight search by one transmission. Returns false once
-  /// every query has retired (the final retiring advance included).
-  bool tick();
-
-  /// Ticks until every query has retired.
-  void run() {
-    while (tick()) {
-    }
-  }
-
-  [[nodiscard]] std::size_t in_flight() const noexcept { return lanes_.size(); }
-  [[nodiscard]] std::size_t retired() const noexcept { return retired_; }
-  /// The query index retired by the most recent tick() that increased
-  /// retired() — at most one retires per tick. Meaningful only immediately
-  /// after such a tick; replay drivers use it to timestamp completions.
-  [[nodiscard]] std::size_t last_retired_query() const noexcept {
-    return last_retired_;
-  }
-
- private:
-  struct Lane {
-    SecureRouteSession session;
-    util::Rng rng;
-    std::size_t query = 0;
-  };
-
-  const SecureRouter* router_;
-  std::span<const Query> queries_;
-  std::span<SecureRouteResult> results_;
-  std::uint64_t seed_base_;
-  std::vector<Lane> lanes_;
-  std::size_t cursor_ = 0;
-  std::size_t next_query_ = 0;
-  std::size_t retired_ = 0;
-  std::size_t last_retired_ = 0;
-};
+/// The batch ring over SecureRouteSessions: core::WalkPipeline with the
+/// plain pipeline's lanes, seeding, refill, drain and prefetching. Lane i
+/// runs on util::substream(seed_base, i), so results are bit-identical to
+/// SecureRouter::route with that stream, independent of width, lookahead or
+/// interleaving — and the failure view and Byzantine set may be mutated
+/// *between ticks* (sessions re-read both every step), which is how
+/// churn::AdversarialReplay composes the two adversarial timelines with
+/// routing. Reputation feedback shares one table across lanes, so with it
+/// on, results depend on the interleaving by design.
+extern template class WalkPipeline<SecureRouteSession>;
+using SecureBatchPipeline = WalkPipeline<SecureRouteSession>;
 
 }  // namespace p2p::core

@@ -281,9 +281,9 @@ TEST(AdversarialReplay, WalkOnFreshlyKilledNodeDiesWhereItStands) {
 
   SecureRouteSession session(router, 0, g.position(3));
   util::Rng rng(1);
-  ASSERT_TRUE(session.tick(rng));  // one transmission: 0 -> 1
+  ASSERT_TRUE(session.step(rng));  // one transmission: 0 -> 1
   view.kill_node(first);           // the delta lands between transmissions
-  while (session.tick(rng)) {
+  while (session.step(rng)) {
   }
   const SecureRouteResult& res = session.result();
   EXPECT_FALSE(res.delivered);
@@ -444,6 +444,20 @@ TEST(AdversarialReplay, ValidatesItsBindings) {
     bad.ticks_per_ms = 0.0;
     EXPECT_THROW(AdversarialReplay(router, log, waves, view, byz, queue, bad),
                  std::invalid_argument);
+  }
+  {  // A decay cadence too fine for `t += interval` to advance would never
+     // finish scheduling; it is refused before anything is queued.
+    auto view = log.baseline();
+    auto byz = ByzantineSet::none(g);
+    ReputationTable table(g);
+    SecureRouterConfig with_table = cfg;
+    with_table.reputation = &table;
+    const SecureRouter router(g, view, byz, with_table);
+    auto bad = rc;
+    bad.decay_interval_ms = 1e-20;
+    EXPECT_THROW(
+        AdversarialReplay(router, log, waves, view, byz, queue, bad).run(),
+        std::invalid_argument);
   }
   {  // The tick rate must be finite: inf or NaN cannot be cast to a tick count.
     auto view = log.baseline();

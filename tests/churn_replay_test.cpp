@@ -342,6 +342,45 @@ TEST(TraceGen, RejectsNonFiniteInputs) {
   }
 }
 
+// A finite cadence so fine that `t += interval` stops advancing (ulp(t)
+// exceeds the step long before t reaches the duration) would loop forever;
+// anything past kMaxTraceSteps steps is refused up front instead.
+TEST(TraceGen, MakeTraceRejectsCadencesTooFineToAdvance) {
+  const auto g = make_graph(256, 4, 23);
+  util::Rng rng(24);
+  const auto trace = [&](TraceSpec::Scenario scenario, double TraceSpec::*field,
+                         double value) {
+    TraceSpec spec;
+    spec.scenario = scenario;
+    spec.*field = value;
+    static_cast<void>(make_trace(g, spec, rng));
+  };
+  // The three cadence loops: Poisson batches (also the flash crowd's
+  // background), link-flap batches and adversarial waves.
+  for (const auto scenario :
+       {TraceSpec::Scenario::kPoissonChurn, TraceSpec::Scenario::kFlashCrowd,
+        TraceSpec::Scenario::kLinkFlap}) {
+    EXPECT_THROW(trace(scenario, &TraceSpec::batch_interval, 1e-20),
+                 std::invalid_argument)
+        << scenario_name(scenario);
+  }
+  EXPECT_THROW(trace(TraceSpec::Scenario::kAdversarialWaves,
+                     &TraceSpec::wave_period, 1e-20),
+               std::invalid_argument);
+  // Just past the bound, not only at ulp scale: 2·kMaxTraceSteps batches.
+  EXPECT_THROW(trace(TraceSpec::Scenario::kPoissonChurn, &TraceSpec::batch_interval,
+                     TraceSpec{}.duration / (2.0 * kMaxTraceSteps)),
+               std::invalid_argument);
+}
+
+TEST(TraceGen, ByzantineWavesRejectCadencesTooFineToAdvance) {
+  const auto g = make_graph(256, 4, 25);
+  ByzantineWaveSpec spec;
+  spec.wave_period = 1e-20;
+  EXPECT_THROW(static_cast<void>(make_byzantine_waves(g, spec)),
+               std::invalid_argument);
+}
+
 TEST(TraceGen, AdversarialWavesHitTorusInDegreeHubs) {
   util::Rng build_rng(19);
   const auto g = graph::build_kleinberg_overlay(24, 4, 2.0, build_rng);
@@ -504,7 +543,7 @@ TEST(ChurnReplay, WidthOneReplayedChurnMatchesSteppedSessions) {
       }
       if (session.finished()) break;
     }
-    expect_same_outcome(got[i], session.progress(),
+    expect_same_outcome(got[i], session.result(),
                         "stepped query " + std::to_string(i));
   }
   EXPECT_EQ(t, ref_t);

@@ -5,20 +5,26 @@
 //  * mid-batch churn (FailureView mutation between BatchPipeline ticks) is
 //    deterministic and, at width 1, identical to a stepped RouteSession fed
 //    the same mutation schedule;
-//  * the tick loop performs no heap allocations after pipeline setup.
+//  * the tick loop performs no heap allocations after pipeline setup;
+//  * the same ring over SecureRouteSessions (SecureBatchPipeline) is
+//    bit-identical to per-query SecureRouter::route under attack and churn.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/router.h"
+#include "core/secure_router.h"
+#include "failure/byzantine.h"
 #include "failure/failure_model.h"
 #include "graph/graph_builder.h"
 #include "graph/overlay_graph.h"
+#include "telemetry/flight_recorder.h"
 #include "util/rng.h"
 
 // ---------------------------------------------------------------------------
@@ -299,7 +305,7 @@ TEST(RouteBatch, WidthOneChurnMatchesSteppedSession) {
       }
       if (session.finished()) break;
     }
-    expect_identical(got[i], session.progress(),
+    expect_identical(got[i], session.result(),
                      "stepped query " + std::to_string(i));
   }
   EXPECT_EQ(t, ref_t);
@@ -370,6 +376,97 @@ TEST(RouteBatch, TickLoopDoesNotAllocate) {
         << ": the batch tick loop must not allocate after setup";
     EXPECT_EQ(pipeline.retired(), queries.size());
   }
+}
+
+void expect_identical(const SecureRouteResult& got, const SecureRouteResult& want,
+                      const std::string& label) {
+  EXPECT_EQ(got.delivered, want.delivered) << label;
+  EXPECT_EQ(got.successful_walks, want.successful_walks) << label;
+  EXPECT_EQ(got.total_messages, want.total_messages) << label;
+  EXPECT_EQ(got.best_hops, want.best_hops) << label;
+  EXPECT_EQ(got.walks_launched, want.walks_launched) << label;
+  EXPECT_EQ(got.walks_died, want.walks_died) << label;
+  EXPECT_EQ(got.walks_stuck, want.walks_stuck) << label;
+  EXPECT_EQ(got.walks_ttl_expired, want.walks_ttl_expired) << label;
+  EXPECT_EQ(got.escalations, want.escalations) << label;
+  EXPECT_EQ(got.completion_epoch, want.completion_epoch) << label;
+  EXPECT_EQ(got.byzantine_epoch, want.byzantine_epoch) << label;
+  ASSERT_EQ(got.walks.size(), want.walks.size()) << label;
+  for (std::size_t w = 0; w < got.walks.size(); ++w) {
+    EXPECT_EQ(got.walks[w].outcome, want.walks[w].outcome) << label;
+    EXPECT_EQ(got.walks[w].hops, want.walks[w].hops) << label;
+    EXPECT_EQ(got.walks[w].first_hop_rank, want.walks[w].first_hop_rank) << label;
+    EXPECT_EQ(got.walks[w].last, want.walks[w].last) << label;
+  }
+}
+
+TEST(RouteBatch, SecureRingBitIdenticalToSequentialSecureRoute) {
+  // Reputation stays off: one table shared by every lane makes results
+  // depend on the interleaving by design.
+  for (const graph::EdgeLayout layout :
+       {graph::EdgeLayout::kStandard, graph::EdgeLayout::kCompact}) {
+    const OverlayGraph g = test_graph(1024, 8, 139, layout);
+    util::Rng fail_rng(149);
+    const auto view = FailureView::with_node_failures(g, 0.3, fail_rng);
+    util::Rng byz_rng(151);
+    const auto byz = failure::ByzantineSet::random(g, 0.1, byz_rng);
+    auto queries = random_queries(g, 120, 157);
+    const auto last = static_cast<NodeId>(g.size() - 1);
+    for (std::size_t i = 0; i < 6; ++i) {
+      queries[10 * i] = {last, g.position(static_cast<NodeId>(97 * i))};
+      queries[10 * i + 5] = {static_cast<NodeId>(131 * i), g.position(last)};
+    }
+    for (const failure::ByzantineBehavior behavior :
+         {failure::ByzantineBehavior::kDrop,
+          failure::ByzantineBehavior::kMisroute}) {
+      SecureRouterConfig cfg;
+      cfg.paths = 3;
+      cfg.max_paths = 6;  // escalation batches ride the same lanes
+      cfg.behavior = behavior;
+      cfg.record_walks = true;
+      const SecureRouter router(g, view, byz, cfg);
+      for (const std::size_t width : {std::size_t{1}, std::size_t{7},
+                                      std::size_t{64}}) {
+        for (const std::size_t distance :
+             {std::size_t{0}, std::size_t{1}, std::size_t{4}, width - 1, width}) {
+          const std::uint64_t base = 0x5ec0 + width;
+          BatchConfig batch;
+          batch.width = width;
+          batch.prefetch_distance = distance;
+          std::vector<SecureRouteResult> got(queries.size());
+          SecureBatchPipeline pipeline(router, queries, got, base, batch);
+          pipeline.run();
+          EXPECT_EQ(pipeline.retired(), queries.size());
+          for (std::size_t i = 0; i < queries.size(); ++i) {
+            util::Rng sub = util::substream(base, i);
+            expect_identical(
+                got[i], router.route(queries[i].src, queries[i].target, sub),
+                std::string(g.compact() ? "compact" : "standard") +
+                    " behavior=" + std::to_string(static_cast<int>(behavior)) +
+                    " width=" + std::to_string(width) +
+                    " prefetch=" + std::to_string(distance) +
+                    " query=" + std::to_string(i));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RouteBatch, SecureRingRejectsHopCapture) {
+  // Per-hop capture is RouteSession-only; secure walks record their
+  // outcomes through SecureRouterConfig::telemetry.
+  const OverlayGraph g = test_graph(256, 4, 163);
+  const auto view = FailureView::all_alive(g);
+  const auto byz = failure::ByzantineSet::none(g);
+  const SecureRouter router(g, view, byz, SecureRouterConfig{});
+  const auto queries = random_queries(g, 4, 167);
+  std::vector<SecureRouteResult> results(queries.size());
+  telemetry::TraceBuffer trace(8, 1);
+  BatchConfig batch;
+  batch.trace = &trace;
+  EXPECT_THROW(SecureBatchPipeline(router, queries, results, 1, batch),
+               std::invalid_argument);
 }
 
 }  // namespace

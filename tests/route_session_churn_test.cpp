@@ -151,8 +151,8 @@ TEST(RouteSessionChurn, SessionMatchesReferenceUnderChurn) {
         }
       }
     }
-    EXPECT_EQ(session.progress().hops, reference.hops());
-    EXPECT_EQ(session.progress().backtracks, reference.backtracks());
+    EXPECT_EQ(session.result().hops, reference.hops());
+    EXPECT_EQ(session.result().backtracks, reference.backtracks());
     EXPECT_EQ(session.state() == RouteSession::State::kDelivered,
               reference.delivered());
   }
@@ -185,10 +185,10 @@ TEST(RouteSessionChurn, RouteAgreesWithSessionOnChurnedView) {
       std::vector<NodeId> stepped{src};
       while (const auto hop = session.step(rng_b)) stepped.push_back(*hop);
 
-      EXPECT_EQ(session.progress().status, direct.status);
-      EXPECT_EQ(session.progress().hops, direct.hops);
-      EXPECT_EQ(session.progress().backtracks, direct.backtracks);
-      EXPECT_EQ(session.progress().reroutes, direct.reroutes);
+      EXPECT_EQ(session.result().status, direct.status);
+      EXPECT_EQ(session.result().hops, direct.hops);
+      EXPECT_EQ(session.result().backtracks, direct.backtracks);
+      EXPECT_EQ(session.result().reroutes, direct.reroutes);
       EXPECT_EQ(stepped, direct.path);
     }
   }

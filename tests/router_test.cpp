@@ -291,8 +291,8 @@ TEST(RouteSession, StepByStepMatchesRoute) {
   RouteSession session(router, 7, 200);
   std::size_t steps = 0;
   while (session.step(rng_b)) ++steps;
-  EXPECT_EQ(session.progress().status, direct.status);
-  EXPECT_EQ(session.progress().hops, direct.hops);
+  EXPECT_EQ(session.result().status, direct.status);
+  EXPECT_EQ(session.result().hops, direct.hops);
   EXPECT_EQ(steps, direct.hops);
 }
 
