@@ -519,6 +519,98 @@ TEST(GraphBuilderParallel, BidirectionalBuildOverlayMatchesSerial) {
   expect_graphs_identical(b, a, "build_overlay bidirectional");
 }
 
+// ---------------------------------------------------------------------------
+// Pinned graphs. Serial ≡ pooled alone would pass a change that alters both
+// paths alike, so each build below is also checked against an FNV-1a
+// fingerprint of every node's (degree, short degree, neighbours) taken from
+// the reference builder. A sampler or make_bidirectional rewrite must keep
+// every one of these graphs bit-identical.
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (value >> (8 * byte)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t fingerprint(const OverlayGraph& g) {
+  std::uint64_t h = fnv1a(0xcbf29ce484222325ULL, g.size());
+  for (NodeId u = 0; u < g.size(); ++u) {
+    h = fnv1a(h, g.out_degree(u));
+    h = fnv1a(h, g.short_degree(u));
+    for (const NodeId v : g.neighbors(u)) h = fnv1a(h, v);
+  }
+  return h;
+}
+
+struct PinnedBuild {
+  const char* label;
+  BuildSpec spec;  // ignored when kleinberg_side != 0
+  std::uint32_t kleinberg_side;
+  std::uint64_t fingerprint;
+};
+
+OverlayGraph build_pinned(const PinnedBuild& p, util::ThreadPool* pool) {
+  util::Rng rng(2002);
+  if (p.kleinberg_side != 0) {
+    return pool != nullptr ? build_kleinberg_overlay(p.kleinberg_side, 2, 2.0, rng, *pool)
+                           : build_kleinberg_overlay(p.kleinberg_side, 2, 2.0, rng);
+  }
+  return pool != nullptr ? build_overlay(p.spec, rng, *pool) : build_overlay(p.spec, rng);
+}
+
+TEST(GraphBuilderPinned, BuildsMatchReferenceFingerprints) {
+  using Mode = BuildSpec::SparseLinkMode;
+  const BuildSpec ring{.grid_size = 4096, .long_links = 12, .bidirectional = true};
+  auto with = [&](auto edit) {
+    BuildSpec s = ring;
+    edit(s);
+    return s;
+  };
+  const PinnedBuild builds[] = {
+      {"ring 2^12", ring, 0, 0x2b7489cebd27de58ULL},
+      {"ring 2^12 compact", with([](BuildSpec& s) { s.layout = EdgeLayout::kCompact; }), 0,
+       0x2b7489cebd27de58ULL},
+      {"odd ring", with([](BuildSpec& s) { s.grid_size = 3001; s.long_links = 7; }), 0,
+       0xa90227a897b374aaULL},
+      {"line", with([](BuildSpec& s) {
+         s.grid_size = 3000;
+         s.topology = Space1D::Kind::kLine;
+         s.long_links = 6;
+       }), 0, 0xaf30f5321eb69ac7ULL},
+      {"presence 0.5 rejection", with([](BuildSpec& s) {
+         s.presence = 0.5;
+         s.long_links = 4;
+         s.sparse_mode = Mode::kRejection;
+       }), 0, 0xd08bfabbbc7d161cULL},
+      {"presence 0.5 snap", with([](BuildSpec& s) {
+         s.presence = 0.5;
+         s.long_links = 4;
+         s.sparse_mode = Mode::kSnap;
+       }), 0, 0x4f71076454dc9a76ULL},
+      {"exponent 0", with([](BuildSpec& s) { s.exponent = 0.0; s.long_links = 4; }), 0,
+       0x83cd7a5837e56927ULL},
+      {"exponent 2", with([](BuildSpec& s) { s.exponent = 2.0; s.long_links = 4; }), 0,
+       0x4b9a2175214497eeULL},
+      {"base-b full", with([](BuildSpec& s) {
+         s.grid_size = 2048;
+         s.link_model = BuildSpec::LinkModel::kBaseBFull;
+         s.base = 3;
+       }), 0, 0x97bbf2720361659dULL},
+      {"kleinberg 64", {}, 64, 0xf6d755bc1b6ca081ULL},
+  };
+  for (const PinnedBuild& p : builds) {
+    EXPECT_EQ(fingerprint(build_pinned(p, nullptr)), p.fingerprint)
+        << p.label << " serial";
+    for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+      util::ThreadPool pool(threads);
+      EXPECT_EQ(fingerprint(build_pinned(p, &pool)), p.fingerprint)
+          << p.label << " pooled, " << threads << " threads";
+    }
+  }
+}
+
 TEST(OverlayGraph, StructuralGenerationTracksSlotMoves) {
   GraphBuilder builder(Space1D::ring(8));
   builder.wire_short_links();
