@@ -24,7 +24,6 @@
 #include "failure/failure_model.h"
 #include "graph/graph_builder.h"
 #include "graph/link_distribution.h"
-#include "util/prefix_sampler.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -41,22 +40,6 @@ void BM_PowerLawSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PowerLawSample)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_PrefixVsAlias(benchmark::State& state) {
-  std::vector<double> weights(1 << 16);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    weights[i] = 1.0 / static_cast<double>(i + 1);
-  }
-  util::Rng rng(2);
-  if (state.range(0) == 0) {
-    const util::PrefixSampler s(weights);
-    for (auto _ : state) benchmark::DoNotOptimize(s.sample(rng));
-  } else {
-    const util::AliasSampler s(weights);
-    for (auto _ : state) benchmark::DoNotOptimize(s.sample(rng));
-  }
-}
-BENCHMARK(BM_PrefixVsAlias)->Arg(0)->Arg(1)->ArgNames({"alias"});
 
 void BM_BuildIdealOverlay(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "util/require.h"
 
@@ -92,65 +94,68 @@ void wire_short_links_impl(GraphLike& g) {
   }
 }
 
-template <typename GraphLike>
-void make_bidirectional_impl(GraphLike& g, std::vector<NodeId>& scratch) {
-  for (NodeId u = 0; u < g.size(); ++u) {
-    // Snapshot u's current long neighbours before mutating anything.
-    const auto longs = g.long_neighbors(u);
-    scratch.assign(longs.begin(), longs.end());
-    for (const NodeId v : scratch) {
-      if (!g.has_link(v, u)) g.add_long_link(v, u);
-    }
-  }
-}
-
 }  // namespace
 
 void GraphBuilder::wire_short_links() { wire_short_links_impl(*this); }
 
-void GraphBuilder::make_bidirectional() {
-  std::vector<NodeId> scratch;
-  make_bidirectional_impl(*this, scratch);
-}
+void GraphBuilder::make_bidirectional() { add_missing_reverses(nullptr); }
 
-void GraphBuilder::make_bidirectional(util::ThreadPool& pool) {
+void GraphBuilder::make_bidirectional(util::ThreadPool& pool) { add_missing_reverses(&pool); }
+
+void GraphBuilder::add_missing_reverses(util::ThreadPool* pool) {
+  util::require(link_count_ <= std::numeric_limits<std::uint32_t>::max(),
+                "GraphBuilder::make_bidirectional: edge slot index overflow");
   const std::size_t n = adjacency_.size();
-  if (pool.thread_count() <= 1 || n < 1024) {
-    make_bidirectional();
-    return;
+  // Transpose the long links by counting sort. start[v] first counts v's
+  // in-links, then (inclusive prefix sum) marks the end of v's range; the
+  // fill walks sources from the back, so afterwards sources[start[v],
+  // start[v + 1]) lists every u with a long link u -> v, ascending in u.
+  std::vector<std::uint32_t> start(n + 1, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    for (const NodeId v : long_neighbors(u)) ++start[v];
   }
-  // Phase 1 (parallel, read-only): for every original long link u -> v,
-  // decide whether the reverse v -> u must be added. The serial loop's
-  // has_link checks only ever see reverse links whose forward twin already
-  // exists (adding v -> u cannot make any later has_link(x, y) flip for a
-  // pair the serial loop still tests), so "missing" is decidable against the
-  // immutable pre-call graph plus first-occurrence dedup within u's slice —
-  // which is what makes this phase safely parallel and the result
-  // bit-identical to the serial overload.
-  std::vector<std::vector<NodeId>> missing(n);
-  pool.parallel_chunks(n, pool.thread_count() * 8,
-                       [&](std::size_t lo, std::size_t hi) {
-                         for (std::size_t u = lo; u < hi; ++u) {
-                           const auto id = static_cast<NodeId>(u);
-                           const auto longs = long_neighbors(id);
-                           for (std::size_t k = 0; k < longs.size(); ++k) {
-                             const NodeId v = longs[k];
-                             bool first = true;
-                             for (std::size_t j = 0; j < k; ++j) {
-                               if (longs[j] == v) {
-                                 first = false;
-                                 break;
-                               }
-                             }
-                             if (first && !has_link(v, id)) {
-                               missing[u].push_back(v);
-                             }
-                           }
-                         }
-                       });
-  // Phase 2 (serial, cheap appends) in the serial loop's exact order.
-  for (std::size_t u = 0; u < n; ++u) {
-    for (const NodeId v : missing[u]) add_long_link(v, static_cast<NodeId>(u));
+  std::partial_sum(start.begin(), start.end() - 1, start.begin());
+  start[n] = n > 0 ? start[n - 1] : 0;
+  std::vector<NodeId> sources(start[n]);
+  for (std::size_t u = n; u-- > 0;) {
+    const auto longs = long_neighbors(static_cast<NodeId>(u));
+    for (auto it = longs.rbegin(); it != longs.rend(); ++it) {
+      sources[--start[*it]] = static_cast<NodeId>(u);
+    }
+  }
+  // Walking u in ascending order and adding v -> u for each long link
+  // u -> v unless v already links to u appends to v exactly the distinct
+  // sources u, ascending, that v's pre-call slice lacks: no reverse added on
+  // the way is one a later check tests. So each node decides alone,
+  // compacting its survivors to the front of its own range of sources.
+  std::vector<std::uint32_t> kept(n, 0);
+  const auto decide = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t v = lo; v < hi; ++v) {
+      const std::vector<NodeId>& adj = adjacency_[v];
+      NodeId* const first = sources.data() + start[v];
+      NodeId* const last = sources.data() + start[v + 1];
+      NodeId* out = first;
+      for (const NodeId* it = first; it != last; ++it) {
+        if (it != first && *it == it[-1]) continue;
+        // Branch-free scan: the slice is short, and this form vectorizes.
+        unsigned present = 0;
+        for (const NodeId x : adj) present |= static_cast<unsigned>(x == *it);
+        if (present == 0) *out++ = *it;
+      }
+      kept[v] = static_cast<std::uint32_t>(out - first);
+    }
+  };
+  if (pool != nullptr && pool->thread_count() > 1 && n >= 1024) {
+    pool->parallel_chunks(n, pool->thread_count() * 8, decide);
+  } else {
+    decide(0, n);
+  }
+  // One insert per node, on the calling thread: slices regrown there reuse
+  // the heap their old storage came from instead of growing the workers'.
+  for (std::size_t v = 0; v < n; ++v) {
+    const NodeId* const first = sources.data() + start[v];
+    adjacency_[v].insert(adjacency_[v].end(), first, first + kept[v]);
+    link_count_ += kept[v];
   }
 }
 
@@ -208,11 +213,6 @@ OverlayGraph GraphBuilder::freeze_impl(util::ThreadPool* pool, FreezeOptions opt
 
 void wire_short_links(OverlayGraph& g) { wire_short_links_impl(g); }
 
-void make_bidirectional(OverlayGraph& g) {
-  std::vector<NodeId> scratch;
-  make_bidirectional_impl(g, scratch);
-}
-
 namespace {
 
 std::vector<metric::Point> draw_present_positions(std::uint64_t grid_size,
@@ -267,10 +267,10 @@ void sample_power_law_targets(const GraphBuilder& g, const BuildSpec& spec,
 /// The long-link sampling loop, optionally fanned over `pool`. Each node
 /// samples from util::substream(base, u), so the built graph depends only on
 /// (spec, rng) — serial and parallel builds of any thread count are
-/// bit-identical. Sampling (the expensive part: one binary search per draw,
-/// plus rejection in sparse mode) runs in parallel into a flat target table;
-/// the cheap appends stay serial because GraphBuilder mutation is not
-/// thread-safe.
+/// bit-identical. Sampling (the expensive part: one guided inverse-CDF
+/// lookup per draw, plus rejection in sparse mode) runs in parallel into a
+/// flat target table; the cheap appends stay serial because GraphBuilder
+/// mutation is not thread-safe.
 void add_power_law_links(GraphBuilder& g, const BuildSpec& spec, util::Rng& rng,
                          util::ThreadPool* pool) {
   if (spec.long_links == 0) return;  // before the base draw: no links, no rng use
@@ -330,6 +330,22 @@ void add_base_b_links(GraphBuilder& g, const BuildSpec& spec) {
   }
 }
 
+/// Throws std::invalid_argument unless `nodes` nodes fit the NodeId range
+/// and their links fit the u32 edge slot index freeze (and the
+/// make_bidirectional transpose) use: each node holds at most `short_links`
+/// short links and `long_links` long links, plus as many reverses when
+/// `bidirectional`. Callers run it before allocating anything per node or
+/// per link, so an impossible spec fails fast instead of in a reserve.
+void require_slot_budget(std::uint64_t nodes, std::uint64_t short_links,
+                         std::uint64_t long_links, bool bidirectional, const char* what) {
+  util::require(nodes <= std::numeric_limits<NodeId>::max(),
+                std::string(what) + ": node count exceeds the NodeId range");
+  const std::uint64_t per_node = std::numeric_limits<std::uint32_t>::max() / nodes;
+  util::require(short_links <= per_node &&
+                    long_links <= (per_node - short_links) / (bidirectional ? 2 : 1),
+                std::string(what) + ": links exceed the u32 edge slot index");
+}
+
 /// Shared implementation of the two public overloads (pool may be null).
 OverlayGraph build_overlay_impl(const BuildSpec& spec, util::Rng& rng,
                                 util::ThreadPool* pool) {
@@ -344,11 +360,17 @@ OverlayGraph build_overlay_impl(const BuildSpec& spec, util::Rng& rng,
                                     ? metric::Space1D::ring(spec.grid_size)
                                     : metric::Space1D::line(spec.grid_size);
 
+  // Reject what cannot be built before allocating for it. A sparse grid
+  // holds at least two nodes; its drawn count is checked once known.
+  util::require(spec.grid_size <= std::numeric_limits<NodeId>::max(),
+                "build_overlay: grid_size exceeds the NodeId range");
+  const bool sparse = spec.presence < 1.0;
+  require_slot_budget(sparse ? 2 : spec.grid_size, 2, spec.long_links, spec.bidirectional,
+                      "build_overlay");
   GraphBuilder builder =
-      spec.presence < 1.0
-          ? GraphBuilder(space,
-                         draw_present_positions(spec.grid_size, spec.presence, rng))
-          : GraphBuilder(space);
+      sparse ? GraphBuilder(space, draw_present_positions(spec.grid_size, spec.presence, rng))
+             : GraphBuilder(space);
+  require_slot_budget(builder.size(), 2, spec.long_links, spec.bidirectional, "build_overlay");
   builder.reserve_links(spec.long_links + 2);
   builder.wire_short_links();
   if (spec.link_model == BuildSpec::LinkModel::kPowerLaw) {
@@ -387,8 +409,7 @@ OverlayGraph build_kleinberg_overlay_impl(std::uint32_t side,
   util::require(side >= 2, "build_kleinberg_overlay: side must be >= 2");
   util::require(exponent >= 0.0, "build_kleinberg_overlay: exponent must be >= 0");
   const metric::Torus2D torus(side);
-  util::require(torus.size() <= std::numeric_limits<NodeId>::max(),
-                "build_kleinberg_overlay: torus larger than the node id space");
+  require_slot_budget(torus.size(), 4, long_links, false, "build_kleinberg_overlay");
 
   GraphBuilder builder{metric::Space(torus)};
   builder.reserve_links(long_links + 4);

@@ -102,12 +102,16 @@ class GraphBuilder {
 
   /// Adds the reverse of every long link not already present, making the
   /// whole overlay usable in both directions (see BuildSpec::bidirectional).
+  /// Node v gains v -> u for each distinct u with a long link u -> v that
+  /// v's links so far lack, in ascending u. Cost O(nodes + links · degree):
+  /// a counting-sort transpose of the long links, then one pass per node
+  /// over its own slice and one insert.
   void make_bidirectional();
 
-  /// As make_bidirectional(), fanning the missing-reverse discovery (the
-  /// O(links · degree) has_link scans that dominate) across `pool`; the
-  /// cheap appends stay serial in node order, so the result is bit-identical
-  /// to the serial overload for any thread count.
+  /// As make_bidirectional(), fanning the per-node decision across `pool`;
+  /// the appends stay on the calling thread. Each decision reads only its
+  /// node's slice and in-links, so the result is bit-identical to the
+  /// serial overload for any thread count.
   void make_bidirectional(util::ThreadPool& pool);
 
   /// Packs the accumulated links into a frozen OverlayGraph in the layout
@@ -123,6 +127,8 @@ class GraphBuilder {
 
  private:
   void check_node(NodeId u) const;
+
+  void add_missing_reverses(util::ThreadPool* pool);
 
   [[nodiscard]] OverlayGraph freeze_impl(util::ThreadPool* pool,
                                          FreezeOptions opts);
@@ -189,12 +195,15 @@ struct BuildSpec {
 /// util::substream, so the result depends only on (spec, rng).
 ///
 /// Throws std::invalid_argument on malformed specs (grid_size < 2,
-/// presence outside (0,1], exponent < 0, base < 2).
+/// presence outside (0,1], exponent < 0, base < 2) and, before allocating,
+/// on specs too large to freeze: grid_size beyond the NodeId range, or
+/// nodes × (2 + long_links), long links counted twice when bidirectional,
+/// beyond the u32 edge slot index.
 [[nodiscard]] OverlayGraph build_overlay(const BuildSpec& spec, util::Rng& rng);
 
-/// As above, fanning the long-link sampling loop (the dominant build cost),
-/// the make_bidirectional reverse-link discovery and the freeze edge packing
-/// across `pool`. Bit-identical to the serial overload for any thread count.
+/// As above, fanning the long-link sampling loop, make_bidirectional's
+/// per-node decisions and the freeze edge packing across `pool`.
+/// Bit-identical to the serial overload for any thread count.
 /// Must not be called from inside a task already running on `pool`.
 [[nodiscard]] OverlayGraph build_overlay(const BuildSpec& spec, util::Rng& rng,
                                          util::ThreadPool& pool);
@@ -210,7 +219,9 @@ struct BuildSpec {
 /// and serial and pooled builds are bit-identical.
 ///
 /// Preconditions (throws std::invalid_argument): side >= 2, exponent >= 0,
-/// long_links == 0 allowed (bare lattice).
+/// long_links == 0 allowed (bare lattice), side² nodes within the NodeId
+/// range and side² × (4 + long_links) within the u32 edge slot index — the
+/// last two checked before allocating.
 [[nodiscard]] OverlayGraph build_kleinberg_overlay(std::uint32_t side,
                                                    std::size_t long_links,
                                                    double exponent, util::Rng& rng);
@@ -226,10 +237,5 @@ struct BuildSpec {
 /// path (O(n²) on a frozen graph) — kept for tests and small fixtures;
 /// large builds use GraphBuilder::wire_short_links.
 void wire_short_links(OverlayGraph& g);
-
-/// Adds the reverse of every long link not already present (in place).
-/// Legacy incremental path — see BuildSpec::bidirectional and
-/// GraphBuilder::make_bidirectional.
-void make_bidirectional(OverlayGraph& g);
 
 }  // namespace p2p::graph

@@ -2,10 +2,52 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/require.h"
 
 namespace p2p::graph {
+
+namespace detail {
+
+GuidedSearch::GuidedSearch(const std::vector<double>& prefix) {
+  const std::size_t m = prefix.size() - 1;
+  if (m + 1 > std::numeric_limits<std::uint32_t>::max()) return;  // search unguided
+  const std::size_t buckets = std::max<std::size_t>(1, m / 4);
+  const double mass = prefix[m];
+  scale_ = static_cast<double>(buckets) / mass;
+  guide_.resize(buckets + 1);
+  std::size_t i = 1;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const double edge = static_cast<double>(b) * mass / static_cast<double>(buckets);
+    while (i <= m && prefix[i] <= edge) ++i;
+    guide_[b] = static_cast<std::uint32_t>(i);
+  }
+  guide_[buckets] = static_cast<std::uint32_t>(m + 1);
+}
+
+std::size_t GuidedSearch::upper_bound(const std::vector<double>& prefix,
+                                      std::size_t limit, double u) const noexcept {
+  const double x = u * scale_;
+  if (!guide_.empty() && x >= 0.0 && x < static_cast<double>(guide_.size() - 1)) {
+    const auto b = static_cast<std::size_t>(x);
+    const std::size_t lo = guide_[b];
+    const std::size_t hi = guide_[b + 1];
+    // The unbounded answer lies in [lo, hi] iff nothing before lo exceeds u
+    // and (unless hi is past the table) prefix[hi] does.
+    if (prefix[lo - 1] <= u && (hi == prefix.size() || prefix[hi] > u)) {
+      if (lo > limit) return limit + 1;
+      const auto first = prefix.begin() + static_cast<std::ptrdiff_t>(lo);
+      const auto last = prefix.begin() + static_cast<std::ptrdiff_t>(std::min(hi, limit + 1));
+      return static_cast<std::size_t>(std::upper_bound(first, last, u) - prefix.begin());
+    }
+  }
+  const auto it = std::upper_bound(prefix.begin() + 1,
+                                   prefix.begin() + static_cast<std::ptrdiff_t>(limit) + 1, u);
+  return static_cast<std::size_t>(it - prefix.begin());
+}
+
+}  // namespace detail
 
 PowerLawLinkSampler::PowerLawLinkSampler(metric::Space space, double exponent)
     : space_(space), exponent_(exponent) {
@@ -28,17 +70,21 @@ PowerLawLinkSampler::PowerLawLinkSampler(metric::Space space, double exponent)
       prefix_[d] = prefix_[d - 1] + w;
     }
   }
+  search_ = detail::GuidedSearch(prefix_);
+  if (space_.kind() == metric::Space::Kind::kRing) {
+    // Total mass = 2 * prefix[half] minus the double-counted antipode.
+    const metric::Distance half = space_.size() / 2;
+    const double antipode_w =
+        space_.size() % 2 == 0 ? std::pow(static_cast<double>(half), -exponent_) : 0.0;
+    ring_total_ = 2.0 * prefix_[half] - antipode_w;
+  }
 }
 
 metric::Distance PowerLawLinkSampler::sample_magnitude(util::Rng& rng,
                                                        metric::Distance limit) const {
   // Inverse CDF over weights w(d) = d^-r for d in [1, limit].
   const double u = rng.next_double() * prefix_[limit];
-  const auto first = prefix_.begin() + 1;
-  const auto last = prefix_.begin() + static_cast<std::ptrdiff_t>(limit) + 1;
-  const auto it = std::upper_bound(first, last, u);
-  auto d = static_cast<metric::Distance>(it - prefix_.begin());
-  return d > limit ? limit : d;
+  return std::min(search_.upper_bound(prefix_, limit, u), limit);
 }
 
 metric::Point PowerLawLinkSampler::sample_torus_target(util::Rng& rng,
@@ -46,10 +92,9 @@ metric::Point PowerLawLinkSampler::sample_torus_target(util::Rng& rng,
   const metric::Torus2D torus = space_.as_torus();
   // Draw the radius first (P ∝ ring_size(d) * d^-r), then a uniform point at
   // that radius.
+  const std::size_t diam = prefix_.size() - 1;
   const double u = rng.next_double() * prefix_.back();
-  const auto it = std::upper_bound(prefix_.begin() + 1, prefix_.end(), u);
-  auto d = static_cast<metric::Distance>(it - prefix_.begin());
-  if (d >= prefix_.size()) d = prefix_.size() - 1;
+  const metric::Distance d = std::min(search_.upper_bound(prefix_, diam, u), diam);
 
   const auto s = static_cast<std::int64_t>(torus.side());
   const std::uint64_t half = static_cast<std::uint64_t>(s) / 2;
@@ -114,34 +159,15 @@ metric::Point PowerLawLinkSampler::sample_target(util::Rng& rng,
   // even n the antipodal magnitude n/2 names a single node. Sampling by
   // magnitude with doubled weights and halving the antipodal weight keeps the
   // per-node distribution exact.
-  const std::uint64_t n = space_.size();
-  const metric::Distance half = n / 2;
-  const bool even = (n % 2 == 0);
-  // Total mass = 2 * prefix[half] minus the double-counted antipode.
-  const double antipode_w =
-      even ? std::pow(static_cast<double>(half), -exponent_) : 0.0;
-  const double total = 2.0 * prefix_[half] - antipode_w;
-  const double u = rng.next_double() * total;
-  metric::Distance d;
-  bool clockwise;
-  if (u < prefix_[half]) {
-    // Clockwise side carries full weight for each magnitude.
-    const double v = u;
-    const auto it = std::upper_bound(prefix_.begin() + 1,
-                                     prefix_.begin() + static_cast<std::ptrdiff_t>(half) + 1, v);
-    d = static_cast<metric::Distance>(it - prefix_.begin());
-    if (d > half) d = half;
-    clockwise = true;
-  } else {
-    // Counter-clockwise side, excluding the antipode when n is even.
-    const metric::Distance limit = even ? half - 1 : half;
-    const double v = u - prefix_[half];
-    const auto it = std::upper_bound(prefix_.begin() + 1,
-                                     prefix_.begin() + static_cast<std::ptrdiff_t>(limit) + 1, v);
-    d = static_cast<metric::Distance>(it - prefix_.begin());
-    if (d > limit) d = limit;
-    clockwise = false;
-  }
+  const metric::Distance half = space_.size() / 2;
+  const bool even = space_.size() % 2 == 0;
+  const double u = rng.next_double() * ring_total_;
+  // The clockwise side carries full weight for each magnitude; the
+  // counter-clockwise side excludes the antipode when n is even.
+  const bool clockwise = u < prefix_[half];
+  const metric::Distance limit = clockwise || !even ? half : half - 1;
+  const double v = clockwise ? u : u - prefix_[half];
+  const metric::Distance d = std::min(search_.upper_bound(prefix_, limit, v), limit);
   const auto delta = clockwise ? static_cast<std::int64_t>(d) : -static_cast<std::int64_t>(d);
   return *space_.offset(source, delta);
 }
@@ -162,11 +188,7 @@ double PowerLawLinkSampler::probability(metric::Point source, metric::Point targ
     const auto right = space_.size() - 1 - static_cast<metric::Distance>(source);
     return w / (prefix_[left] + prefix_[right]);
   }
-  const std::uint64_t n = space_.size();
-  const metric::Distance half = n / 2;
-  const double antipode_w =
-      (n % 2 == 0) ? std::pow(static_cast<double>(half), -exponent_) : 0.0;
-  return w / (2.0 * prefix_[half] - antipode_w);
+  return w / ring_total_;
 }
 
 std::vector<std::uint64_t> base_b_full_offsets(std::uint64_t n, unsigned base) {

@@ -14,6 +14,7 @@
 // generate those sets.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -22,13 +23,50 @@
 
 namespace p2p::graph {
 
+namespace detail {
+
+/// Inverse-CDF search over a non-decreasing prefix-sum table p[0..m] with
+/// p[0] = 0 and p[m] > 0. A guide table of about m/4 buckets, equal-width in
+/// mass, maps each bucket to the first index whose prefix exceeds the
+/// bucket's lower edge; a draw reads its bucket's bracket and binary-searches
+/// only inside it (a handful of entries on the power-law tables, where a
+/// full search walks log2 m of them across a table larger than L1).
+///
+/// upper_bound(p, limit, u) returns exactly
+/// std::upper_bound(p + 1, p + limit + 1, u) - p for every u >= 0 and
+/// limit <= m. The bracket is verified against p before it is trusted, and
+/// the full search runs whenever that check fails, so rounding in the bucket
+/// arithmetic can cost time but never change an answer.
+class GuidedSearch {
+ public:
+  GuidedSearch() = default;
+  /// Builds the guide for `prefix`. The table is not retained: upper_bound
+  /// takes it again on every call.
+  explicit GuidedSearch(const std::vector<double>& prefix);
+
+  [[nodiscard]] std::size_t upper_bound(const std::vector<double>& prefix,
+                                        std::size_t limit, double u) const noexcept;
+
+  /// Bucket count; bucket b spans masses [b, b + 1) · p[m] / buckets().
+  [[nodiscard]] std::size_t buckets() const noexcept {
+    return guide_.empty() ? 0 : guide_.size() - 1;
+  }
+
+ private:
+  std::vector<std::uint32_t> guide_;  // buckets + 1 entries; empty = no guide
+  double scale_ = 0.0;                // buckets / p[m]
+};
+
+}  // namespace detail
+
 /// Exact sampler for P[target = v | source = u] ∝ d(u,v)^-r over a
 /// metric::Space.
 ///
 /// Build cost O(diameter), memory O(diameter) shared by all nodes of the
-/// space; each draw costs O(log diameter) (inverse-CDF by binary search on a
-/// prefix-sum table). On the torus the table weights each radius d by
-/// ring_size(d) — the number of points at that distance, position
+/// space. A draw is an inverse-CDF lookup in a prefix-sum table through
+/// detail::GuidedSearch: O(1) expected for the exponents the experiments
+/// use, O(log diameter) at worst. On the torus the table weights each radius
+/// d by ring_size(d) — the number of points at that distance, position
 /// independent by translation invariance — so a draw picks a radius first
 /// and then a uniform point at that radius.
 class PowerLawLinkSampler {
@@ -58,6 +96,10 @@ class PowerLawLinkSampler {
   // 1-D: prefix_[d] = sum_{i=1..d} i^-r. Torus: prefix_[d] additionally
   // weights each radius by ring_size(i). prefix_[0] = 0 in both.
   std::vector<double> prefix_;
+  detail::GuidedSearch search_;
+  // Ring only: the per-source mass, 2 * prefix_[n/2] less the even ring's
+  // antipode weight (n/2)^-r, which the doubling counts twice.
+  double ring_total_ = 0.0;
 };
 
 /// Offsets {j * b^i : 1 <= j < b, 0 <= i < ceil(log_b n)} truncated to < n —

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -116,6 +117,132 @@ TEST(OverlayGraph, RejectsUnsortedSparsePositions) {
   EXPECT_THROW(OverlayGraph(Space1D::line(10), {5, 3}), std::invalid_argument);
   EXPECT_THROW(OverlayGraph(Space1D::line(10), {3, 3}), std::invalid_argument);
   EXPECT_THROW(OverlayGraph(Space1D::line(10), {3, 11}), std::invalid_argument);
+}
+
+// -- Guided inverse-CDF search -------------------------------------------------
+
+/// The sampler's prefix table for `space` and exponent r, built the same way.
+std::vector<double> power_law_prefix(const metric::Space& space, double r) {
+  const metric::Distance diam = space.diameter();
+  std::vector<double> prefix(diam + 1, 0.0);
+  for (metric::Distance d = 1; d <= diam; ++d) {
+    double w = std::pow(static_cast<double>(d), -r);
+    if (!space.one_dimensional()) {
+      w = static_cast<double>(space.as_torus().ring_size(d)) * w;
+    }
+    prefix[d] = prefix[d - 1] + w;
+  }
+  return prefix;
+}
+
+std::size_t reference_upper_bound(const std::vector<double>& prefix, std::size_t limit,
+                                  double u) {
+  return static_cast<std::size_t>(
+      std::upper_bound(prefix.begin() + 1,
+                       prefix.begin() + static_cast<std::ptrdiff_t>(limit) + 1, u) -
+      prefix.begin());
+}
+
+std::vector<metric::Space> search_spaces() {
+  return {Space1D::ring(4096), Space1D::ring(4097), Space1D::ring(2), Space1D::ring(3),
+          Space1D::line(3000), Space1D::line(2), metric::Torus2D(32),
+          metric::Torus2D(33)};
+}
+
+TEST(GuidedSearch, MatchesUpperBoundAtBoundaryValues) {
+  for (const metric::Space& space : search_spaces()) {
+    for (const double r : {0.0, 1.0, 2.0, 40.0}) {
+      const std::vector<double> prefix = power_law_prefix(space, r);
+      const detail::GuidedSearch search(prefix);
+      const std::size_t m = prefix.size() - 1;
+      ASSERT_GE(search.buckets(), 1u);
+      std::vector<double> values = {0.0, std::nextafter(0.0, 1.0)};
+      const auto around = [&](double x) {
+        values.push_back(x);
+        values.push_back(std::nextafter(x, 0.0));
+        values.push_back(std::nextafter(x, HUGE_VAL));
+      };
+      for (const double p : prefix) around(p);
+      const double buckets = static_cast<double>(search.buckets());
+      for (std::size_t b = 0; b <= search.buckets(); ++b) {
+        around(static_cast<double>(b) * prefix[m] / buckets);
+        around(static_cast<double>(b) / (buckets / prefix[m]));
+      }
+      // Limits the samplers pass: the ring's n/2 and n/2 - 1, the line's
+      // left and right extents from every source, the torus diameter.
+      std::vector<std::size_t> limits = {0, 1, m / 2, m > 0 ? m - 1 : 0, m};
+      if (space.kind() == metric::Space::Kind::kLine) {
+        for (std::size_t l = 0; l <= m; l += std::max<std::size_t>(1, m / 64)) {
+          limits.push_back(l);
+        }
+      }
+      for (const std::size_t limit : limits) {
+        // The largest draw: next_double()'s maximum times the limit's mass.
+        values.push_back(prefix[limit] * (1.0 - 0x1p-53));
+        values.push_back(std::nextafter(prefix[limit], 0.0));
+      }
+      for (const std::size_t limit : limits) {
+        for (const double u : values) {
+          ASSERT_EQ(search.upper_bound(prefix, limit, u),
+                    reference_upper_bound(prefix, limit, u))
+              << space.to_string() << " r=" << r << " limit=" << limit << " u=" << u;
+        }
+      }
+    }
+  }
+}
+
+/// The pre-guide sampler's draw, one std::upper_bound per magnitude. On the
+/// torus it returns only the radius: the rest of the draw does not search.
+metric::Point reference_draw(const metric::Space& space, const std::vector<double>& prefix,
+                                double r, util::Rng rng, metric::Point source) {
+  const std::size_t m = prefix.size() - 1;
+  if (space.kind() == metric::Space::Kind::kTorus2D) {
+    return static_cast<metric::Point>(
+        std::min(reference_upper_bound(prefix, m, rng.next_double() * prefix[m]), m));
+  }
+  if (space.kind() == metric::Space::Kind::kLine) {
+    const auto left = static_cast<std::size_t>(source);
+    const std::size_t right = space.size() - 1 - left;
+    const bool go_left =
+        rng.next_double() * (prefix[left] + prefix[right]) < prefix[left];
+    const std::size_t limit = go_left ? left : right;
+    const std::size_t d =
+        std::min(reference_upper_bound(prefix, limit, rng.next_double() * prefix[limit]), limit);
+    return go_left ? source - static_cast<metric::Point>(d)
+                   : source + static_cast<metric::Point>(d);
+  }
+  const std::size_t half = space.size() / 2;
+  const bool even = space.size() % 2 == 0;
+  const double antipode = even ? std::pow(static_cast<double>(half), -r) : 0.0;
+  const double u = rng.next_double() * (2.0 * prefix[half] - antipode);
+  if (u < prefix[half]) {
+    const std::size_t d = std::min(reference_upper_bound(prefix, half, u), half);
+    return *space.offset(source, static_cast<std::int64_t>(d));
+  }
+  const std::size_t limit = even ? half - 1 : half;
+  const std::size_t d = std::min(reference_upper_bound(prefix, limit, u - prefix[half]), limit);
+  return *space.offset(source, -static_cast<std::int64_t>(d));
+}
+
+TEST(GuidedSearch, SeededDrawsMatchUpperBoundReference) {
+  for (const metric::Space& space : search_spaces()) {
+    for (const double r : {0.0, 1.0, 2.0, 40.0}) {
+      const PowerLawLinkSampler sampler(space, r);
+      const std::vector<double> prefix = power_law_prefix(space, r);
+      const bool torus = space.kind() == metric::Space::Kind::kTorus2D;
+      for (std::uint64_t i = 0; i < 100'000 / 32; ++i) {
+        const auto source = static_cast<metric::Point>(i * 7919 % space.size());
+        const util::Rng rng = util::substream(0x5eed, i);
+        util::Rng draw_rng = rng;
+        const metric::Point target = sampler.sample_target(draw_rng, source);
+        const metric::Point want = reference_draw(space, prefix, r, rng, source);
+        ASSERT_EQ(torus ? static_cast<metric::Point>(space.distance(source, target)) : target,
+                  want)
+            << space.to_string() << " r=" << r << " draw " << i;
+      }
+    }
+  }
 }
 
 // -- Power-law sampler --------------------------------------------------------
@@ -387,6 +514,40 @@ TEST(GraphBuilder, RejectsBadSpecs) {
   spec.presence = 1.0;
   spec.exponent = -1.0;
   EXPECT_THROW(build_overlay(spec, rng), std::invalid_argument);
+}
+
+TEST(GraphBuilder, RejectsOversizedBuildsUpFront) {
+  // Node ids and edge slots are u32. Each spec below fails its up-front
+  // check before anything is sized by it (each reserve would ask for
+  // gigabytes to exabytes), so the error is invalid_argument rather than
+  // length_error or bad_alloc from an allocation.
+  util::Rng rng(44);
+  for (const std::size_t links : {std::numeric_limits<std::size_t>::max(), std::size_t{1} << 62}) {
+    for (const double presence : {1.0, 0.5}) {
+      for (const bool bidirectional : {false, true}) {
+        const BuildSpec spec{.grid_size = 4096,
+                             .long_links = links,
+                             .presence = presence,
+                             .bidirectional = bidirectional};
+        EXPECT_THROW(static_cast<void>(build_overlay(spec, rng)), std::invalid_argument);
+      }
+    }
+    EXPECT_THROW(static_cast<void>(build_kleinberg_overlay(64, links, 2.0, rng)),
+                 std::invalid_argument);
+  }
+  // 2^20 nodes x (2 short + 4095 long) slots, or 2 + 2 x 2048 bidirectional,
+  // is just past 2^32 - 1.
+  EXPECT_THROW(static_cast<void>(build_overlay({.grid_size = 1u << 20, .long_links = 4095}, rng)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(build_overlay(
+                   {.grid_size = 1u << 20, .long_links = 2048, .bidirectional = true}, rng)),
+               std::invalid_argument);
+  for (const double presence : {1.0, 0.5}) {
+    const BuildSpec spec{.grid_size = std::uint64_t{1} << 33, .presence = presence};
+    EXPECT_THROW(static_cast<void>(build_overlay(spec, rng)), std::invalid_argument);
+  }
+  EXPECT_THROW(static_cast<void>(build_kleinberg_overlay(1u << 17, 1, 2.0, rng)),
+               std::invalid_argument);
 }
 
 TEST(GraphBuilder, BidirectionalAddsEveryReverseLink) {

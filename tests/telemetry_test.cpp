@@ -8,6 +8,11 @@
 //  * per-query route/secure/service metric bundles agreeing with the result
 //    aggregates they mirror;
 //  * exporter output sanity (Prometheus text exposition + JSON).
+//
+// The suite also runs in a -DP2P_TELEMETRY=OFF build, where recording
+// compiles out. There the same cases check the compile-out contract instead:
+// handles, recorders and exporters still work, every recorded value reads 0
+// (recorded() below), and routes are unchanged.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -41,6 +46,10 @@ using core::RouteResult;
 using failure::FailureView;
 using graph::NodeId;
 using graph::OverlayGraph;
+
+/// What the registry reads back for a value recorded through it: the value
+/// itself, or 0 when recording is compiled out.
+constexpr std::uint64_t recorded(std::uint64_t value) { return kCompiledIn ? value : 0; }
 
 OverlayGraph make_graph(std::uint64_t n, std::size_t links, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -121,6 +130,10 @@ TEST(Registry, ShardMergeMatchesSerialReference) {
     }
   }
 
+  if constexpr (!kCompiledIn) {
+    ref_count = ref_updates = ref_total = 0;
+    ref_bins.assign(ref_bins.size(), 0);
+  }
   const Snapshot snap = reg.snapshot(3, 9);
   EXPECT_EQ(snap.epoch_lo, 3u);
   EXPECT_EQ(snap.epoch_hi, 9u);
@@ -151,11 +164,11 @@ TEST(Registry, GaugeAggregatesMinMaxAcrossShards) {
   const Snapshot snap = reg.snapshot();
   const GaugeAggregate* agg = snap.gauge("epoch");
   ASSERT_NE(agg, nullptr);
-  EXPECT_TRUE(agg->set());
-  EXPECT_EQ(agg->min, 4u);
-  EXPECT_EQ(agg->max, 10u);
-  EXPECT_EQ(agg->sum, 14u);
-  EXPECT_EQ(agg->updates, 2u);
+  EXPECT_EQ(agg->set(), kCompiledIn);
+  EXPECT_EQ(agg->min, recorded(4));
+  EXPECT_EQ(agg->max, recorded(10));
+  EXPECT_EQ(agg->sum, recorded(14));
+  EXPECT_EQ(agg->updates, recorded(2));
 
   Registry reg2(1);
   (void)reg2.gauge("never");
@@ -172,8 +185,8 @@ TEST(Registry, SnapshotIsolation) {
   rec.add(c, 5);
   const Snapshot before = reg.snapshot();
   rec.add(c, 100);
-  EXPECT_EQ(before.counter_or("n"), 5u);  // unchanged by later recording
-  EXPECT_EQ(reg.snapshot().counter_or("n"), 105u);
+  EXPECT_EQ(before.counter_or("n"), recorded(5));  // unchanged by later recording
+  EXPECT_EQ(reg.snapshot().counter_or("n"), recorded(105));
 }
 
 // The TSan hammer: one writer per shard at full rate, the main thread
@@ -208,8 +221,8 @@ TEST(Registry, ConcurrentRecordingHammer) {
   for (auto& w : writers) w.join();
 
   const Snapshot final_snap = reg.snapshot();
-  EXPECT_EQ(final_snap.counter_or("ops"), kThreads * kOpsPerThread);
-  EXPECT_EQ(final_snap.histogram("vals")->total, kThreads * kOpsPerThread);
+  EXPECT_EQ(final_snap.counter_or("ops"), recorded(kThreads * kOpsPerThread));
+  EXPECT_EQ(final_snap.histogram("vals")->total, recorded(kThreads * kOpsPerThread));
 }
 
 TEST(Registry, ConcurrentRecordersSealOnce) {
@@ -234,7 +247,7 @@ TEST(Registry, ConcurrentRecordersSealOnce) {
     go.store(true, std::memory_order_release);
     for (auto& w : writers) w.join();
     ASSERT_TRUE(reg.sealed());
-    ASSERT_EQ(reg.snapshot().counter_or("ops"), kThreads) << "round " << round;
+    ASSERT_EQ(reg.snapshot().counter_or("ops"), recorded(kThreads)) << "round " << round;
   }
 }
 
@@ -299,6 +312,19 @@ TEST(FlightRecorder, TrailsMatchRecordedPaths) {
   core::BatchPipeline pipeline(router, queries, results, 123, batch);
   pipeline.run();
 
+  if constexpr (!kCompiledIn) {
+    // Hop capture compiles out: nothing is sampled, and the traced run
+    // routes exactly like an untraced one.
+    EXPECT_EQ(trace.sampled(), 0u);
+    std::vector<RouteResult> untraced(queries.size());
+    core::BatchPipeline plain(router, queries, untraced, 123, core::BatchConfig{});
+    plain.run();
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(results[i].status, untraced[i].status) << "query " << i;
+      EXPECT_EQ(results[i].path, untraced[i].path) << "query " << i;
+    }
+    return;
+  }
   EXPECT_EQ(trace.sampled(), queries.size());
   std::size_t checked = 0;
   for (const Trail& trail : trace.slots()) {
@@ -343,11 +369,11 @@ TEST(RouteTelemetry, CountersMatchResultAggregates) {
     backtracks += r.backtracks;
   }
   const Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_or("route.queries"), queries.size());
-  EXPECT_EQ(snap.counter_or("route.delivered"), delivered);
-  EXPECT_EQ(snap.counter_or("route.hops"), hops);
-  EXPECT_EQ(snap.counter_or("route.backtracks"), backtracks);
-  EXPECT_EQ(snap.histogram("route.hop_hist")->total, queries.size());
+  EXPECT_EQ(snap.counter_or("route.queries"), recorded(queries.size()));
+  EXPECT_EQ(snap.counter_or("route.delivered"), recorded(delivered));
+  EXPECT_EQ(snap.counter_or("route.hops"), recorded(hops));
+  EXPECT_EQ(snap.counter_or("route.backtracks"), recorded(backtracks));
+  EXPECT_EQ(snap.histogram("route.hop_hist")->total, recorded(queries.size()));
 }
 
 TEST(SecureTelemetry, CountersMatchResultAggregates) {
@@ -380,13 +406,13 @@ TEST(SecureTelemetry, CountersMatchResultAggregates) {
   }
 
   const Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_or("secure.queries"), queries.size());
-  EXPECT_EQ(snap.counter_or("secure.delivered"), delivered);
-  EXPECT_EQ(snap.counter_or("secure.messages"), messages);
-  EXPECT_EQ(snap.counter_or("secure.walks_launched"), launched);
-  EXPECT_EQ(snap.counter_or("secure.escalations"), escalations);
+  EXPECT_EQ(snap.counter_or("secure.queries"), recorded(queries.size()));
+  EXPECT_EQ(snap.counter_or("secure.delivered"), recorded(delivered));
+  EXPECT_EQ(snap.counter_or("secure.messages"), recorded(messages));
+  EXPECT_EQ(snap.counter_or("secure.walks_launched"), recorded(launched));
+  EXPECT_EQ(snap.counter_or("secure.escalations"), recorded(escalations));
   // Reputation attribution fires when walks die/deliver against the table.
-  EXPECT_EQ(snap.histogram("secure.messages_hist")->total, queries.size());
+  EXPECT_EQ(snap.histogram("secure.messages_hist")->total, recorded(queries.size()));
 }
 
 // -- Service integration ------------------------------------------------------
@@ -414,31 +440,35 @@ TEST(ServiceTelemetry, ServiceCountersMatchStats) {
   const auto stats = svc.route_all(queries, results);
 
   const Snapshot snap = reg.snapshot(stats.min_epoch, stats.max_epoch);
-  EXPECT_EQ(snap.counter_or("service.route.queries"), stats.routed);
-  EXPECT_EQ(snap.counter_or("service.route.delivered"), stats.delivered);
-  EXPECT_EQ(snap.counter_or("service.stripes"), stats.stripes);
+  EXPECT_EQ(snap.counter_or("service.route.queries"), recorded(stats.routed));
+  EXPECT_EQ(snap.counter_or("service.route.delivered"), recorded(stats.delivered));
+  EXPECT_EQ(snap.counter_or("service.stripes"), recorded(stats.stripes));
 
   const GaugeAggregate* lo = snap.gauge("service.stripe_epoch_min");
   const GaugeAggregate* hi = snap.gauge("service.stripe_epoch_max");
   ASSERT_NE(lo, nullptr);
   ASSERT_NE(hi, nullptr);
-  EXPECT_EQ(lo->min, stats.min_epoch);
-  EXPECT_EQ(hi->max, stats.max_epoch);
+  EXPECT_EQ(lo->min, recorded(stats.min_epoch));
+  EXPECT_EQ(hi->max, recorded(stats.max_epoch));
 
   const HistogramAggregate* staleness = snap.histogram("service.staleness_hist");
   ASSERT_NE(staleness, nullptr);
-  EXPECT_EQ(staleness->total, stats.stripes);
+  EXPECT_EQ(staleness->total, recorded(stats.stripes));
 
   // Publisher side: a couple of publishes through the attached recorder.
   pub.writer_view().kill_node(0);
   (void)pub.publish();
   (void)pub.publish();
   const Snapshot after = reg.snapshot();
-  EXPECT_EQ(after.counter_or("publisher.publications"), 2u);
-  EXPECT_EQ(after.gauge("publisher.latest_epoch")->max, pub.latest_epoch());
+  EXPECT_EQ(after.counter_or("publisher.publications"), recorded(2));
+  EXPECT_EQ(after.gauge("publisher.latest_epoch")->max, recorded(pub.latest_epoch()));
 
-  // Sampled trails landed in the per-worker buffers.
-  EXPECT_GT(flight.trail_count(), 0u);
+  // Sampled trails landed in the per-worker buffers (none when compiled out).
+  if constexpr (kCompiledIn) {
+    EXPECT_GT(flight.trail_count(), 0u);
+  } else {
+    EXPECT_EQ(flight.trail_count(), 0u);
+  }
   EXPECT_NE(flight.dump_json().find("\"trails\""), std::string::npos);
 }
 
@@ -488,11 +518,13 @@ TEST(Exporters, PrometheusTextExposition) {
   const std::string text = prometheus_text(reg.snapshot(2, 5));
   EXPECT_NE(text.find("p2p_snapshot_epoch_lo 2"), std::string::npos);
   EXPECT_NE(text.find("p2p_snapshot_epoch_hi 5"), std::string::npos);
-  EXPECT_NE(text.find("p2p_route_queries 12"), std::string::npos);
+  EXPECT_NE(text.find("p2p_route_queries " + std::to_string(recorded(12))),
+            std::string::npos);
   EXPECT_NE(text.find("p2p_publisher_latest_epoch"), std::string::npos);
   EXPECT_NE(text.find("p2p_route_hop_hist_bucket"), std::string::npos);
   EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
-  EXPECT_NE(text.find("p2p_route_hop_hist_count 2"), std::string::npos);
+  EXPECT_NE(text.find("p2p_route_hop_hist_count " + std::to_string(recorded(2))),
+            std::string::npos);
 }
 
 TEST(Exporters, JsonShape) {
@@ -505,7 +537,8 @@ TEST(Exporters, JsonShape) {
 
   const std::string text = json_text(reg.snapshot(1, 4));
   EXPECT_NE(text.find("\"epoch_range\": [1, 4]"), std::string::npos);
-  EXPECT_NE(text.find("\"route.queries\": 3"), std::string::npos);
+  EXPECT_NE(text.find("\"route.queries\": " + std::to_string(recorded(3))),
+            std::string::npos);
   EXPECT_NE(text.find("\"route.hop_hist\""), std::string::npos);
   EXPECT_NE(text.find("\"p50\""), std::string::npos);
   EXPECT_NE(text.find("\"buckets\""), std::string::npos);
