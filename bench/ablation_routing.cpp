@@ -85,7 +85,7 @@ int main() {
   {
     util::Table table({"topology", "hops_p0", "failed_p0.3", "hops_p0.3"});
     for (const auto kind :
-         {metric::Space1D::Kind::kRing, metric::Space1D::Kind::kLine}) {
+         {metric::Space::Kind::kRing, metric::Space::Kind::kLine}) {
       const auto rows = sim::run_trials_multi(
           pool, trials, opts.seed,
           [&](std::size_t /*trial*/, util::Rng& rng) {
@@ -103,7 +103,7 @@ int main() {
             return std::vector<double>{h0, res.failed_fraction, res.hops_success};
           });
       const auto cols = sim::accumulate_columns(rows);
-      table.add_row({kind == metric::Space1D::Kind::kRing ? "ring" : "line",
+      table.add_row({kind == metric::Space::Kind::kRing ? "ring" : "line",
                      util::format_double(cols[0].mean(), 2),
                      util::format_double(cols[1].mean(), 4),
                      util::format_double(cols[2].mean(), 2)});

@@ -86,7 +86,7 @@ inline core::DynamicOverlay constructed_overlay(
   core::ConstructionConfig cfg;
   cfg.long_links = links;
   cfg.replace_policy = policy;
-  core::DynamicOverlay overlay(metric::Space1D::ring(n), cfg);
+  core::DynamicOverlay overlay(metric::Space::ring(n), cfg);
   util::Rng rng(seed);
   std::vector<metric::Point> order(n);
   std::iota(order.begin(), order.end(), 0);

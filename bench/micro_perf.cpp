@@ -33,7 +33,7 @@ using namespace p2p;
 
 void BM_PowerLawSample(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
-  const graph::PowerLawLinkSampler sampler(metric::Space1D::ring(n), 1.0);
+  const graph::PowerLawLinkSampler sampler(metric::Space::ring(n), 1.0);
   util::Rng rng(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sampler.sample_target(rng, 0));
@@ -123,7 +123,7 @@ void BM_HeuristicJoin(benchmark::State& state) {
   const std::uint64_t n = 1 << 16;
   core::ConstructionConfig cfg;
   cfg.long_links = 8;
-  core::DynamicOverlay overlay(metric::Space1D::ring(n), cfg);
+  core::DynamicOverlay overlay(metric::Space::ring(n), cfg);
   util::Rng rng(6);
   // Pre-populate half the grid so joins hit a realistic membership.
   for (metric::Point p = 0; p < static_cast<metric::Point>(n); p += 2) {
@@ -379,7 +379,7 @@ JsonMetrics measure_headline() {
 
     // Pool-parallel freeze packing in isolation: reassemble the builder
     // state of the graph above, then time freeze(pool) alone.
-    graph::GraphBuilder builder((metric::Space1D::ring(m.nodes)));
+    graph::GraphBuilder builder((metric::Space::ring(m.nodes)));
     builder.reserve_links(m.links + 2);
     builder.wire_short_links();
     for (graph::NodeId u = 0; u < g_parallel.size(); ++u) {

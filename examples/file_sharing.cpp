@@ -32,7 +32,7 @@ int main() {
   constexpr std::uint64_t kPeers = 4096;
   graph::BuildSpec spec;
   spec.grid_size = kPeers;
-  spec.topology = metric::Space1D::Kind::kRing;
+  spec.topology = metric::Space::Kind::kRing;
   spec.long_links = 8;
   spec.bidirectional = true;
   util::Rng rng(42);

@@ -36,12 +36,12 @@ int main() {
   const std::uint64_t n = 8192;
   const std::size_t links = 13;
   std::vector<std::pair<std::string, graph::OverlayGraph>> topologies;
-  for (const auto kind : {metric::Space1D::Kind::kLine, metric::Space1D::Kind::kRing}) {
+  for (const auto kind : {metric::Space::Kind::kLine, metric::Space::Kind::kRing}) {
     graph::BuildSpec spec;
     spec.grid_size = n;
     spec.long_links = links;
     spec.topology = kind;
-    topologies.emplace_back(kind == metric::Space1D::Kind::kLine ? "line" : "ring",
+    topologies.emplace_back(kind == metric::Space::Kind::kLine ? "line" : "ring",
                             graph::build_overlay(spec, rng));
   }
   // side 91 ≈ the same node budget; r = 2 is the dimension-matched exponent.

@@ -80,7 +80,7 @@ std::pair<double, double> probe_routing(const core::DynamicOverlay& overlay,
 
 int main() {
   using namespace p2p;
-  const metric::Space1D space = metric::Space1D::ring(8192);
+  const metric::Space space = metric::Space::ring(8192);
   core::ConstructionConfig cfg;
   cfg.long_links = 8;
   core::DynamicOverlay overlay(space, cfg);

@@ -9,9 +9,9 @@ namespace p2p::baselines {
 
 KleinbergGrid::KleinbergGrid(std::uint32_t side, std::size_t long_links,
                              double exponent, util::Rng& rng)
-    : torus_(side) {
+    : torus_(metric::Space::torus(side)) {
   util::require(side >= 2, "KleinbergGrid: side must be >= 2");
-  const graph::PowerLawLinkSampler sampler(metric::Space(torus_), exponent);
+  const graph::PowerLawLinkSampler sampler(torus_, exponent);
   long_links_.resize(size());
   for (std::size_t u = 0; u < size(); ++u) {
     long_links_[u].reserve(long_links);
@@ -24,7 +24,7 @@ KleinbergGrid::KleinbergGrid(std::uint32_t side, std::size_t long_links,
 
 KleinbergGrid::KleinbergGrid(std::uint32_t side,
                              std::vector<std::vector<metric::Point>> long_links)
-    : torus_(side), long_links_(std::move(long_links)) {
+    : torus_(metric::Space::torus(side)), long_links_(std::move(long_links)) {
   util::require(side >= 2, "KleinbergGrid: side must be >= 2");
   util::require(long_links_.size() == size(),
                 "KleinbergGrid: need one long-link set per torus point");

@@ -7,10 +7,11 @@
 // grid dimension) is the unique efficient exponent — the paper's motivation
 // for using exponent 1 on a 1-D space.
 //
-// Since the metric layer grew the torus (metric/space.h), the production
-// path for this topology is graph::build_kleinberg_overlay: a frozen CSR
-// overlay routed through the shared core::Router / route_batch hot path,
-// with FailureView / churn support for free. This class survives as the
+// The torus is a metric::Space of kind kTorus, read through its lattice
+// helpers (coords, at). The production path for this topology is
+// graph::build_kleinberg_overlay: a frozen CSR overlay over the same Space,
+// routed through the shared core::Router / route_batch hot path, with
+// FailureView / churn support for free. This class survives as the
 // independent reference the CSR path is pinned against —
 // tests/torus_overlay_test.cpp checks hop-for-hop equivalence on identical
 // link sets — and is not used by any bench or example.
@@ -19,7 +20,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "metric/grid2d.h"
+#include "metric/space.h"
 #include "util/rng.h"
 
 namespace p2p::baselines {
@@ -38,7 +39,7 @@ class KleinbergGrid {
   /// Preconditions: side >= 2, long_links.size() == side², entries in range.
   KleinbergGrid(std::uint32_t side, std::vector<std::vector<metric::Point>> long_links);
 
-  [[nodiscard]] const metric::Torus2D& torus() const noexcept { return torus_; }
+  [[nodiscard]] const metric::Space& torus() const noexcept { return torus_; }
   [[nodiscard]] std::size_t size() const noexcept {
     return static_cast<std::size_t>(torus_.size());
   }
@@ -58,7 +59,7 @@ class KleinbergGrid {
                              std::size_t ttl = 0) const;
 
  private:
-  metric::Torus2D torus_;
+  metric::Space torus_;
   std::vector<std::vector<metric::Point>> long_links_;
 };
 

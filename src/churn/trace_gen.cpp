@@ -150,7 +150,8 @@ ChurnLog make_regional(const graph::OverlayGraph& g, const TraceSpec& spec,
   ChurnLog log(g);
   const std::size_t n = g.size();
   util::require(spec.outages > 0, "make_trace: outages must be > 0");
-  const bool torus = g.space().kind() == metric::Space::Kind::kTorus2D;
+  const metric::Space& space = g.space();
+  const bool torus = !space.one_dimensional();
   auto shape = spec.region_shape;
   if (shape == TraceSpec::RegionShape::kAuto) {
     shape = torus ? TraceSpec::RegionShape::kRect : TraceSpec::RegionShape::kArc;
@@ -198,8 +199,7 @@ ChurnLog make_regional(const graph::OverlayGraph& g, const TraceSpec& spec,
         // A ~square w x h block of lattice coordinates around a random
         // anchor, sized to the target node count — the 2-D analogue of the
         // arc: one cloud region, both axes wrap.
-        const metric::Torus2D t = g.space().as_torus();
-        const auto side = static_cast<std::size_t>(t.side());
+        const auto side = static_cast<std::size_t>(space.side());
         std::size_t w = static_cast<std::size_t>(
             std::sqrt(static_cast<double>(target)) + 0.5);
         w = std::max<std::size_t>(1, std::min(w, side));
@@ -209,8 +209,8 @@ ChurnLog make_regional(const graph::OverlayGraph& g, const TraceSpec& spec,
         const auto c0 = static_cast<std::int64_t>(rng.next_below(side));
         for (std::size_t dr = 0; dr < h; ++dr) {
           for (std::size_t dc = 0; dc < w; ++dc) {
-            try_kill(t.at(r0 + static_cast<std::int64_t>(dr),
-                          c0 + static_cast<std::int64_t>(dc)));
+            try_kill(space.at(r0 + static_cast<std::int64_t>(dr),
+                              c0 + static_cast<std::int64_t>(dc)));
           }
         }
         break;
@@ -219,8 +219,7 @@ ChurnLog make_regional(const graph::OverlayGraph& g, const TraceSpec& spec,
         // The metric ball of the torus: every node within wrapped Manhattan
         // distance r of a random center, r chosen as the smallest radius
         // whose lattice ball (2r(r+1)+1 points) covers the target count.
-        const metric::Torus2D t = g.space().as_torus();
-        const auto side = static_cast<std::size_t>(t.side());
+        const auto side = static_cast<std::size_t>(space.side());
         std::int64_t r = 0;
         while (static_cast<std::size_t>(2 * r * (r + 1) + 1) < target) ++r;
         const auto r0 = static_cast<std::int64_t>(rng.next_below(side));
@@ -228,7 +227,7 @@ ChurnLog make_regional(const graph::OverlayGraph& g, const TraceSpec& spec,
         for (std::int64_t dr = -r; dr <= r; ++dr) {
           const std::int64_t reach = r - std::abs(dr);
           for (std::int64_t dc = -reach; dc <= reach; ++dc) {
-            try_kill(t.at(r0 + dr, c0 + dc));
+            try_kill(space.at(r0 + dr, c0 + dc));
           }
         }
         break;

@@ -8,12 +8,14 @@
 
 namespace p2p::core {
 
-DynamicOverlay::DynamicOverlay(metric::Space1D space, ConstructionConfig cfg)
+DynamicOverlay::DynamicOverlay(metric::Space space, ConstructionConfig cfg)
     : space_(space),
       config_(cfg),
       sampler_(space, cfg.exponent),
       out_links_(space.size()),
       in_links_(space.size()) {
+  util::require(space_.one_dimensional(),
+                "DynamicOverlay: needs a line or a ring, not a torus");
   util::require(space_.size() >= 2, "DynamicOverlay: space must have >= 2 points");
   util::require(config_.long_links >= 1, "DynamicOverlay: long_links must be >= 1");
 }
@@ -42,7 +44,7 @@ metric::Point DynamicOverlay::nearest_member(metric::Point p,
   for (int i = 0; i < 2 && fwd != members_.end(); ++i, ++fwd) consider(*fwd);
   auto bwd = it;
   for (int i = 0; i < 2 && bwd != members_.begin(); ++i) consider(*--bwd);
-  if (space_.kind() == metric::Space1D::Kind::kRing && !members_.empty()) {
+  if (space_.kind() == metric::Space::Kind::kRing && !members_.empty()) {
     consider(*members_.begin());
     consider(*members_.rbegin());
     if (members_.size() > 1) {
@@ -57,7 +59,7 @@ metric::Point DynamicOverlay::successor(metric::Point p) const noexcept {
   if (members_.empty()) return -1;
   auto it = members_.upper_bound(p);
   if (it != members_.end()) return *it;
-  if (space_.kind() == metric::Space1D::Kind::kRing) return *members_.begin();
+  if (space_.kind() == metric::Space::Kind::kRing) return *members_.begin();
   return -1;
 }
 
@@ -65,7 +67,7 @@ metric::Point DynamicOverlay::predecessor(metric::Point p) const noexcept {
   if (members_.empty()) return -1;
   auto it = members_.lower_bound(p);
   if (it != members_.begin()) return *std::prev(it);
-  if (space_.kind() == metric::Space1D::Kind::kRing) return *members_.rbegin();
+  if (space_.kind() == metric::Space::Kind::kRing) return *members_.rbegin();
   return -1;
 }
 

@@ -31,7 +31,7 @@
 
 #include "graph/link_distribution.h"
 #include "graph/overlay_graph.h"
-#include "metric/space1d.h"
+#include "metric/space.h"
 #include "util/rng.h"
 
 namespace p2p::core {
@@ -57,10 +57,12 @@ struct ConstructionConfig {
 /// compact OverlayGraph for use with Router/FailureView.
 class DynamicOverlay {
  public:
-  /// Preconditions: space.size() >= 2, cfg.long_links >= 1, exponent >= 0.
-  DynamicOverlay(metric::Space1D space, ConstructionConfig cfg);
+  /// Preconditions: space is a line or a ring (the §5 heuristic walks an
+  /// ordered member set), space.size() >= 2, cfg.long_links >= 1,
+  /// exponent >= 0.
+  DynamicOverlay(metric::Space space, ConstructionConfig cfg);
 
-  [[nodiscard]] const metric::Space1D& space() const noexcept { return space_; }
+  [[nodiscard]] const metric::Space& space() const noexcept { return space_; }
   [[nodiscard]] const ConstructionConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t node_count() const noexcept { return members_.size(); }
   [[nodiscard]] bool occupied(metric::Point p) const noexcept;
@@ -138,7 +140,7 @@ class DynamicOverlay {
   /// link was redirected (or added, if u is below its design degree).
   bool offer_in_link(metric::Point u, metric::Point v, util::Rng& rng);
 
-  metric::Space1D space_;
+  metric::Space space_;
   ConstructionConfig config_;
   graph::PowerLawLinkSampler sampler_;
   std::set<metric::Point> members_;

@@ -364,10 +364,10 @@ struct TorusMetric {
 
   P2P_AVX512_TARGET
   TorusMetric(const metric::Space& space, metric::Point target) noexcept {
-    const auto side = static_cast<std::uint64_t>(space.as_torus().side());
-    const auto tv = static_cast<std::uint64_t>(target);
-    vtr = _mm512_set1_epi64(static_cast<long long>(tv / side));
-    vtc = _mm512_set1_epi64(static_cast<long long>(tv % side));
+    const auto side = static_cast<std::uint64_t>(space.side());
+    const auto [row, col] = space.coords(target);
+    vtr = _mm512_set1_epi64(static_cast<long long>(row));
+    vtc = _mm512_set1_epi64(static_cast<long long>(col));
     vside = _mm512_set1_epi64(static_cast<long long>(side));
     vinv_side = _mm512_set1_pd(1.0 / static_cast<double>(side));
   }

@@ -1,6 +1,5 @@
 #include "dht/hash.h"
 
-#include "util/require.h"
 #include "util/rng.h"
 
 namespace p2p::dht {
@@ -18,13 +17,8 @@ std::uint64_t key_digest(std::string_view key) noexcept {
   return util::splitmix64(fnv1a64(key));
 }
 
-metric::Point point_for_key(std::string_view key, std::uint64_t grid_size) {
-  util::require(grid_size >= 1, "point_for_key: grid_size must be >= 1");
-  return static_cast<metric::Point>(key_digest(key) % grid_size);
-}
-
 metric::Point point_for_key(std::string_view key, const metric::Space& space) {
-  return point_for_key(key, space.size());
+  return static_cast<metric::Point>(key_digest(key) % space.size());
 }
 
 }  // namespace p2p::dht

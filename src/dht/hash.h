@@ -10,7 +10,6 @@
 #include <string_view>
 
 #include "metric/space.h"
-#include "metric/space1d.h"
 
 namespace p2p::dht {
 
@@ -19,11 +18,6 @@ namespace p2p::dht {
 
 /// Well-mixed 64-bit digest of a key (FNV-1a + splitmix64 finalizer).
 [[nodiscard]] std::uint64_t key_digest(std::string_view key) noexcept;
-
-/// Grid point a key hashes to in a space of `grid_size` points.
-/// Precondition: grid_size >= 1.
-[[nodiscard]] metric::Point point_for_key(std::string_view key,
-                                          std::uint64_t grid_size);
 
 /// Metric-generic embedding: the point a key hashes to in `space` — line,
 /// ring, or flattened torus alike (the digest reduced over the point count;

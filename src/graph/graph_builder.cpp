@@ -356,9 +356,11 @@ OverlayGraph build_overlay_impl(const BuildSpec& spec, util::Rng& rng,
   util::require(spec.base >= 2 || spec.link_model == BuildSpec::LinkModel::kPowerLaw,
                 "build_overlay: base must be >= 2");
 
-  const metric::Space1D space = spec.topology == metric::Space1D::Kind::kRing
-                                    ? metric::Space1D::ring(spec.grid_size)
-                                    : metric::Space1D::line(spec.grid_size);
+  util::require(spec.topology != metric::Space::Kind::kTorus,
+                "build_overlay: a torus overlay is built by build_kleinberg_overlay");
+  const metric::Space space = spec.topology == metric::Space::Kind::kRing
+                                  ? metric::Space::ring(spec.grid_size)
+                                  : metric::Space::line(spec.grid_size);
 
   // Reject what cannot be built before allocating for it. A sparse grid
   // holds at least two nodes; its drawn count is checked once known.
@@ -408,10 +410,10 @@ OverlayGraph build_kleinberg_overlay_impl(std::uint32_t side,
                                           util::Rng& rng, util::ThreadPool* pool) {
   util::require(side >= 2, "build_kleinberg_overlay: side must be >= 2");
   util::require(exponent >= 0.0, "build_kleinberg_overlay: exponent must be >= 0");
-  const metric::Torus2D torus(side);
+  const metric::Space torus = metric::Space::torus(side);
   require_slot_budget(torus.size(), 4, long_links, false, "build_kleinberg_overlay");
 
-  GraphBuilder builder{metric::Space(torus)};
+  GraphBuilder builder{torus};
   builder.reserve_links(long_links + 4);
   // Four lattice neighbours per node (wrapping, so every node has all four).
   // These are the "short" links a failure model keeps alive, exactly like

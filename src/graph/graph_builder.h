@@ -145,7 +145,8 @@ struct BuildSpec {
   /// Number of grid points of the metric space.
   std::uint64_t grid_size = 1024;
 
-  metric::Space1D::Kind topology = metric::Space1D::Kind::kRing;
+  /// kLine or kRing; the torus is built by build_kleinberg_overlay.
+  metric::Space::Kind topology = metric::Space::Kind::kRing;
 
   /// How long-distance links are generated.
   enum class LinkModel {

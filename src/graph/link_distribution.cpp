@@ -56,19 +56,13 @@ PowerLawLinkSampler::PowerLawLinkSampler(metric::Space space, double exponent)
   const metric::Distance diam = space_.diameter();
   prefix_.resize(diam + 1);
   prefix_[0] = 0.0;
-  if (space_.one_dimensional()) {
-    for (metric::Distance d = 1; d <= diam; ++d) {
-      prefix_[d] = prefix_[d - 1] + std::pow(static_cast<double>(d), -exponent_);
-    }
-  } else {
-    // Torus: weight each radius by its point count so a radius draw followed
-    // by a uniform point at that radius is the exact per-point distribution.
-    const metric::Torus2D torus = space_.as_torus();
-    for (metric::Distance d = 1; d <= diam; ++d) {
-      const double w = static_cast<double>(torus.ring_size(d)) *
-                       std::pow(static_cast<double>(d), -exponent_);
-      prefix_[d] = prefix_[d - 1] + w;
-    }
+  for (metric::Distance d = 1; d <= diam; ++d) {
+    // On the torus each radius is weighted by its point count, so a radius
+    // draw followed by a uniform point at that radius is the exact per-point
+    // distribution.
+    const double points =
+        space_.one_dimensional() ? 1.0 : static_cast<double>(space_.ring_size(d));
+    prefix_[d] = prefix_[d - 1] + points * std::pow(static_cast<double>(d), -exponent_);
   }
   search_ = detail::GuidedSearch(prefix_);
   if (space_.kind() == metric::Space::Kind::kRing) {
@@ -89,31 +83,25 @@ metric::Distance PowerLawLinkSampler::sample_magnitude(util::Rng& rng,
 
 metric::Point PowerLawLinkSampler::sample_torus_target(util::Rng& rng,
                                                        metric::Point source) const {
-  const metric::Torus2D torus = space_.as_torus();
   // Draw the radius first (P ∝ ring_size(d) * d^-r), then a uniform point at
   // that radius.
   const std::size_t diam = prefix_.size() - 1;
   const double u = rng.next_double() * prefix_.back();
   const metric::Distance d = std::min(search_.upper_bound(prefix_, diam, u), diam);
 
-  const auto s = static_cast<std::int64_t>(torus.side());
-  const std::uint64_t half = static_cast<std::uint64_t>(s) / 2;
+  const std::uint64_t side = space_.side();
+  const std::uint64_t half = side / 2;
   // Count of offsets at wrapped axis-distance `x` within one period.
   const auto axis_count = [&](std::uint64_t x) -> std::uint64_t {
     if (x == 0) return 1;
     if (x < half) return 2;
-    if (x == half) return (s % 2 == 0) ? 1 : 2;
+    if (x == half) return (side % 2 == 0) ? 1 : 2;
     return 0;
   };
-  const std::uint64_t max_axis = half;  // floor(s/2) for either parity
   // Choose the row component rd of the Manhattan distance with weight
-  // axis_count(rd) * axis_count(d - rd).
-  double total = 0.0;
-  const std::uint64_t rd_max = std::min<std::uint64_t>(d, max_axis);
-  for (std::uint64_t rd = 0; rd <= rd_max; ++rd) {
-    total += static_cast<double>(axis_count(rd) * axis_count(d - rd));
-  }
-  double pick = rng.next_double() * total;
+  // axis_count(rd) * axis_count(d - rd); the weights sum to ring_size(d).
+  const std::uint64_t rd_max = std::min<std::uint64_t>(d, half);
+  double pick = rng.next_double() * static_cast<double>(space_.ring_size(d));
   std::uint64_t rd = 0;
   for (std::uint64_t r = 0; r <= rd_max; ++r) {
     const double w = static_cast<double>(axis_count(r) * axis_count(d - r));
@@ -133,15 +121,15 @@ metric::Point PowerLawLinkSampler::sample_torus_target(util::Rng& rng,
     return rng.next_bool(0.5) ? static_cast<std::int64_t>(dist)
                               : -static_cast<std::int64_t>(dist);
   };
-  const auto [row, col] = torus.coords(source);
-  return torus.at(static_cast<std::int64_t>(row) + signed_offset(rd),
-                  static_cast<std::int64_t>(col) + signed_offset(cd));
+  const auto [row, col] = space_.coords(source);
+  return space_.at(static_cast<std::int64_t>(row) + signed_offset(rd),
+                   static_cast<std::int64_t>(col) + signed_offset(cd));
 }
 
 metric::Point PowerLawLinkSampler::sample_target(util::Rng& rng,
                                                  metric::Point source) const {
   util::require(space_.contains(source), "sample_target: source outside space");
-  if (space_.kind() == metric::Space::Kind::kTorus2D) {
+  if (space_.kind() == metric::Space::Kind::kTorus) {
     return sample_torus_target(rng, source);
   }
   if (space_.kind() == metric::Space::Kind::kLine) {
@@ -178,7 +166,7 @@ double PowerLawLinkSampler::probability(metric::Point source, metric::Point targ
   if (source == target) return 0.0;
   const double w = std::pow(static_cast<double>(space_.distance(source, target)),
                             -exponent_);
-  if (space_.kind() == metric::Space::Kind::kTorus2D) {
+  if (space_.kind() == metric::Space::Kind::kTorus) {
     // prefix_.back() is sum_d ring_size(d) d^-r — the per-point normalizer,
     // identical for every source by translation invariance.
     return w / prefix_.back();

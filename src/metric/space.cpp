@@ -1,39 +1,158 @@
 #include "metric/space.h"
 
+#include <algorithm>
+#include <cassert>
+#include <limits>
+
 #include "util/require.h"
 
 namespace p2p::metric {
 
+namespace {
+
+constexpr auto kMaxPoints = static_cast<std::uint64_t>(std::numeric_limits<Point>::max());
+
+/// v modulo m in [0, m). Precondition: m > 0.
+std::int64_t floor_mod(std::int64_t v, std::int64_t m) noexcept {
+  const std::int64_t r = v % m;
+  return r < 0 ? r + m : r;
+}
+
+}  // namespace
+
+Space::Space(Kind kind, std::uint64_t size, std::uint32_t side) noexcept
+    : kind_(kind), size_(size), side_(side) {
+#ifdef __SIZEOF_INT128__
+  // Lemire's exact division-by-multiplication: for 2 <= side <= 2^16 every
+  // flattened position is < side^2 <= 2^32, so mulhi(p, ceil(2^64/side))
+  // equals p / side exactly — turning the two per-distance row/column
+  // splits from ~25-cycle divides into 3-cycle multiplies. The routing
+  // inner loop calls distance() once per considered neighbour; with plain
+  // divides the torus hop is compute-bound and the batch pipeline has no
+  // memory latency left to hide.
+  if (side_ >= 2 && side_ <= 0x10000u) {
+    side_magic_ = ~std::uint64_t{0} / side_ + 1;
+  }
+#endif
+}
+
+Space Space::line(std::uint64_t n) {
+  util::require(n >= 1, "Space::line: need at least one grid point");
+  util::require(n <= kMaxPoints, "Space::line: more grid points than a Point can name");
+  return {Kind::kLine, n, 0};
+}
+
+Space Space::ring(std::uint64_t n) {
+  util::require(n >= 1, "Space::ring: need at least one grid point");
+  util::require(n <= kMaxPoints, "Space::ring: more grid points than a Point can name");
+  return {Kind::kRing, n, 0};
+}
+
+Space Space::torus(std::uint32_t side) {
+  util::require(side >= 1, "Space::torus: side must be >= 1");
+  const std::uint64_t size = static_cast<std::uint64_t>(side) * side;
+  util::require(size <= kMaxPoints, "Space::torus: more grid points than a Point can name");
+  return {Kind::kTorus, size, side};
+}
+
 Distance Space::max_distance(Point x) const noexcept {
-  if (kind_ != Kind::kTorus2D) return as_1d().max_distance(x);
-  // Every torus point sees the same distance profile (translation
+  // Ring and torus points all see the same distance profile (translation
   // invariance), so the farthest point is always a full diameter away.
-  return diameter();
+  if (kind_ != Kind::kLine) return diameter();
+  const auto left = static_cast<std::uint64_t>(x);
+  return std::max(left, size_ - 1 - left);
 }
 
 std::optional<Point> Space::offset(Point x, std::int64_t delta) const {
   util::require(one_dimensional(),
                 "Space::offset: signed offsets are only defined on a "
                 "one-dimensional metric (line or ring)");
-  return as_1d().offset(x, delta);
+  // Bounds are compared before adding: x + delta need not fit a Point.
+  if (kind_ == Kind::kLine) {
+    if (delta < -x || delta > static_cast<std::int64_t>(size_ - 1) - x) return std::nullopt;
+    return x + delta;
+  }
+  const auto n = static_cast<std::int64_t>(size_);
+  const auto y = static_cast<std::uint64_t>(x) + static_cast<std::uint64_t>(floor_mod(delta, n));
+  return static_cast<Point>(y >= size_ ? y - size_ : y);
 }
 
 int Space::direction(Point from, Point to) const {
   util::require(one_dimensional(),
                 "Space::direction: sidedness is only defined on a "
                 "one-dimensional metric (line or ring)");
-  return as_1d().direction(from, to);
+  if (from == to) return 0;
+  if (kind_ == Kind::kLine) return to > from ? 1 : -1;
+  const auto n = static_cast<std::int64_t>(size_);
+  const std::int64_t forward = floor_mod(to - from, n);
+  // forward steps clockwise (+1); n - forward steps counter-clockwise.
+  return forward <= n - forward ? 1 : -1;
 }
 
-Space1D Space::as_1d() const {
-  util::require(one_dimensional(),
-                "Space::as_1d: not a one-dimensional space");
-  return one_d_;
+bool Space::between(Point v, Point u, Point t) const noexcept {
+  if (kind_ == Kind::kTorus) {
+    assert(false && "Space::between: sidedness is undefined on a 2-D metric");
+    return false;
+  }
+  if (u == t) return v == t;
+  if (v == t) return true;
+  if (kind_ == Kind::kLine) {
+    return (t < v && v < u) || (u < v && v < t);
+  }
+  // Ring: v must lie strictly inside a shortest arc from u to t, counted in
+  // steps from u along that arc. With antipodal ties either arc is shortest;
+  // we accept membership of whichever arc contains v without overshooting.
+  const auto n = static_cast<std::int64_t>(size_);
+  const std::int64_t cw_t = floor_mod(t - u, n);  // in (0, n): u != t
+  const std::int64_t cw_v = floor_mod(v - u, n);
+  const std::int64_t ccw_t = n - cw_t;
+  const std::int64_t ccw_v = cw_v == 0 ? 0 : n - cw_v;
+  const auto d_ut = static_cast<std::int64_t>(distance(u, t));
+  return (cw_t == d_ut && 0 < cw_v && cw_v < cw_t) ||
+         (ccw_t == d_ut && 0 < ccw_v && ccw_v < ccw_t);
 }
 
-Torus2D Space::as_torus() const {
-  util::require(kind_ == Kind::kTorus2D, "Space::as_torus: not a torus");
-  return Torus2D(side_);
+void Space::require_torus(const char* what) const {
+  if (kind_ != Kind::kTorus) {
+    throw std::invalid_argument(std::string(what) +
+                                ": lattice operations are only defined on a torus");
+  }
+}
+
+std::uint32_t Space::side() const {
+  require_torus("Space::side");
+  return side_;
+}
+
+std::pair<std::uint32_t, std::uint32_t> Space::coords(Point p) const {
+  require_torus("Space::coords");
+  const auto v = static_cast<std::uint64_t>(p);
+  const std::uint64_t row = row_of(v);
+  return {static_cast<std::uint32_t>(row), static_cast<std::uint32_t>(v - row * side_)};
+}
+
+Point Space::at(std::int64_t row, std::int64_t col) const {
+  require_torus("Space::at");
+  const auto s = static_cast<std::int64_t>(side_);
+  return floor_mod(row, s) * s + floor_mod(col, s);
+}
+
+std::uint64_t Space::ring_size(Distance d) const {
+  require_torus("Space::ring_size");
+  // Offsets within one period whose wrapped axis distance is x: the origin,
+  // a ± pair, or the lone antipode of an even side.
+  const std::uint64_t half = side_ / 2;
+  const auto axis_count = [&](std::uint64_t x) -> std::uint64_t {
+    if (x == 0) return 1;
+    if (x < half || (x == half && side_ % 2 == 1)) return 2;
+    return x == half ? 1 : 0;
+  };
+  // Split d into a row part and a column part.
+  std::uint64_t count = 0;
+  for (std::uint64_t rd = 0; rd <= std::min<std::uint64_t>(d, half); ++rd) {
+    count += axis_count(rd) * axis_count(d - rd);
+  }
+  return count;
 }
 
 std::string Space::to_string() const {
@@ -42,7 +161,7 @@ std::string Space::to_string() const {
       return "line(" + std::to_string(size_) + ")";
     case Kind::kRing:
       return "ring(" + std::to_string(size_) + ")";
-    case Kind::kTorus2D:
+    case Kind::kTorus:
       return "torus(" + std::to_string(side_) + "x" + std::to_string(side_) + ")";
   }
   return "space(?)";  // unreachable

@@ -1,15 +1,16 @@
-// The metric the overlay is embedded in: a closed variant over the paper's
-// one-dimensional spaces (line, ring — space1d.h) and the Kleinberg 2-D
-// torus (grid2d.h).
+// The metric the overlay is embedded in: the paper's one-dimensional spaces
+// — the line (§4.3) and the ring Chord-style systems use (§3) — and the
+// Kleinberg 2-D torus (§2, [5]) under wrapped Manhattan distance.
 //
 // The CSR graph, the routers, the failure/churn machinery and the batch
 // pipeline are all generic over this type: they only ever ask for
-// size/contains/distance/diameter, which every member of the variant
-// answers. The 1-D-only notions — direction(), between() (the §4.2.1
-// one-sided "never past the target" test) and signed offset() — are flagged
-// as such: they throw on a 2-D space, so one-sided routing stays confined to
-// the line and the ring where the paper defines it (Router rejects the
-// combination at construction).
+// size/contains/distance/diameter, which every kind answers. The 1-D-only
+// notions — direction(), between() (the §4.2.1 one-sided "never past the
+// target" test) and signed offset() — are flagged as such: they throw on a
+// 2-D space, so one-sided routing stays confined to the line and the ring
+// where the paper defines it (Router rejects the combination at
+// construction). Symmetrically, the lattice helpers side(), coords(), at()
+// and ring_size() throw on a 1-D space.
 //
 // Space is a small tagged value type (kind + size + torus side), not a
 // virtual interface: the routing hot path calls distance() once per
@@ -20,57 +21,47 @@
 // up unchanged.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
-
-#include "metric/grid2d.h"
-#include "metric/space1d.h"
+#include <utility>
 
 namespace p2p::metric {
 
+/// A grid position in a metric space. Positions are non-negative; the signed
+/// type keeps offset arithmetic (position - delta) natural, matching the
+/// paper's notation x - Δi.
+using Point = std::int64_t;
+
+/// A distance between two grid positions.
+using Distance = std::uint64_t;
+
 /// A metric space over grid points 0..size()-1 — line, ring, or 2-D torus
-/// (flattened row-major). Cheap value type; all queries O(1) and noexcept
-/// unless documented otherwise.
+/// (flattened row-major: p = row * side + col). Cheap value type; all queries
+/// O(1) and noexcept unless documented otherwise.
 class Space {
  public:
-  enum class Kind : std::uint8_t { kLine, kRing, kTorus2D };
+  enum class Kind : std::uint8_t { kLine, kRing, kTorus };
 
-  /// Lift a 1-D space into the variant (implicit: every Space1D is a Space).
-  Space(Space1D s) noexcept  // NOLINT(google-explicit-constructor)
-      : kind_(s.kind() == Space1D::Kind::kLine ? Kind::kLine : Kind::kRing),
-        size_(s.size()),
-        one_d_(s) {}
+  /// A line segment of n grid points: distance |a-b|.
+  /// Throws std::invalid_argument unless 1 <= n <= INT64_MAX (every position
+  /// must fit a Point).
+  [[nodiscard]] static Space line(std::uint64_t n);
 
-  /// Lift a torus into the variant (implicit: every Torus2D is a Space).
-  Space(Torus2D t) noexcept  // NOLINT(google-explicit-constructor)
-      : kind_(Kind::kTorus2D), size_(t.size()), side_(t.side()) {
-#ifdef __SIZEOF_INT128__
-    // Lemire's exact division-by-multiplication: for 2 <= side <= 2^16 every
-    // flattened position is < side^2 <= 2^32, so mulhi(p, ceil(2^64/side))
-    // equals p / side exactly — turning the two per-distance row/column
-    // splits from ~25-cycle divides into 3-cycle multiplies. The routing
-    // inner loop calls distance() once per considered neighbour; with plain
-    // divides the torus hop is compute-bound and the batch pipeline has no
-    // memory latency left to hide.
-    if (side_ >= 2 && side_ <= 0x10000u) {
-      side_magic_ = ~std::uint64_t{0} / side_ + 1;
-    }
-#endif
-  }
+  /// A ring (circle) of n grid points: distance min(|a-b|, n-|a-b|).
+  /// Throws as line().
+  [[nodiscard]] static Space ring(std::uint64_t n);
 
-  /// Factories mirroring the member types'. Preconditions as theirs.
-  [[nodiscard]] static Space line(std::uint64_t n) { return Space1D::line(n); }
-  [[nodiscard]] static Space ring(std::uint64_t n) { return Space1D::ring(n); }
-  [[nodiscard]] static Space torus(std::uint32_t side) { return Torus2D(side); }
+  /// A side × side torus under Manhattan distance with wraparound.
+  /// Throws std::invalid_argument unless 1 <= side and side² <= INT64_MAX.
+  [[nodiscard]] static Space torus(std::uint32_t side);
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
 
   /// True for the line and the ring — the spaces where sidedness (direction,
   /// between, signed offsets) is defined.
   [[nodiscard]] bool one_dimensional() const noexcept {
-    return kind_ != Kind::kTorus2D;
+    return kind_ != Kind::kTorus;
   }
 
   /// Number of grid points.
@@ -85,7 +76,7 @@ class Space {
   /// arc on the ring, wrapped Manhattan on the torus).
   /// Preconditions: contains(a) && contains(b).
   [[nodiscard]] Distance distance(Point a, Point b) const noexcept {
-    if (kind_ != Kind::kTorus2D) {
+    if (kind_ != Kind::kTorus) {
       const auto direct = static_cast<std::uint64_t>(a > b ? a - b : b - a);
       if (kind_ == Kind::kLine) return direct;
       return direct <= size_ - direct ? direct : size_ - direct;
@@ -107,7 +98,7 @@ class Space {
         return size_ - 1;
       case Kind::kRing:
         return size_ / 2;
-      case Kind::kTorus2D:
+      case Kind::kTorus:
         return 2 * (static_cast<Distance>(side_) / 2);
     }
     return 0;  // unreachable
@@ -124,38 +115,51 @@ class Space {
   // so a one-sided scan that slipped past the Router's construction-time
   // check fails closed instead of misrouting.
 
-  /// The position reached from x by the signed offset `delta` (wraps on the
-  /// ring, nullopt off the ends of the line). Throws on a 2-D space.
+  /// The position reached from x by the signed offset `delta` (wraps modulo
+  /// size() on the ring, nullopt off the ends of the line). Precondition:
+  /// contains(x). Throws on a 2-D space.
   [[nodiscard]] std::optional<Point> offset(Point x, std::int64_t delta) const;
 
   /// Signed step (+1/-1) toward `to` along a shortest path; 0 when equal.
-  /// Throws on a 2-D space.
+  /// Ring ties (antipodal points) resolve to +1. Throws on a 2-D space.
   [[nodiscard]] int direction(Point from, Point to) const;
 
   /// §4.2.1 one-sided admissibility: v lies on a shortest path from u to t
-  /// without passing t. Hot-path noexcept; on a 2-D space admits nothing
-  /// (and asserts in debug builds — callers must gate on one_dimensional()).
-  /// Delegates to the stored 1-D representation, so the per-neighbour cost
-  /// of a one-sided scan is the same single call it was before the variant.
-  [[nodiscard]] bool between(Point v, Point u, Point t) const noexcept {
-    if (kind_ == Kind::kTorus2D) {
-      assert(false && "Space::between: sidedness is undefined on a 2-D metric");
-      return false;
-    }
-    return one_d_.between(v, u, t);
-  }
+  /// without passing t ("never traverses a link that would take it past its
+  /// target"). Hot-path noexcept; on a 2-D space admits nothing (and asserts
+  /// in debug builds — callers must gate on one_dimensional()).
+  [[nodiscard]] bool between(Point v, Point u, Point t) const noexcept;
 
-  /// The underlying 1-D space. Precondition (throws): one_dimensional().
-  [[nodiscard]] Space1D as_1d() const;
+  // -- Torus-only operations -------------------------------------------------
+  //
+  // The lattice structure of the torus, which a 1-D space does not have.
+  // Each throws std::invalid_argument on a line or a ring.
 
-  /// The underlying torus. Precondition (throws): kind() == kTorus2D.
-  [[nodiscard]] Torus2D as_torus() const;
+  /// Side length of the torus.
+  [[nodiscard]] std::uint32_t side() const;
+
+  /// (row, col) of a flattened position. Precondition: contains(p).
+  [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> coords(Point p) const;
+
+  /// Flattened position of (row, col); coordinates are taken modulo side.
+  [[nodiscard]] Point at(std::int64_t row, std::int64_t col) const;
+
+  /// Number of grid points at exactly distance d from any point (1 at d = 0).
+  ///
+  /// On a torus this count is position independent, which lets the Kleinberg
+  /// link sampler draw a radius first and then a point uniformly at that
+  /// radius. O(min(d, side)) per call; callers cache the result.
+  [[nodiscard]] std::uint64_t ring_size(Distance d) const;
 
   [[nodiscard]] std::string to_string() const;
 
   friend bool operator==(const Space&, const Space&) = default;
 
  private:
+  Space(Kind kind, std::uint64_t size, std::uint32_t side) noexcept;
+
+  void require_torus(const char* what) const;
+
   /// Row of a flattened torus position (exact v / side, by reciprocal
   /// multiplication when the side admits it — see the constructor).
   [[nodiscard]] std::uint64_t row_of(std::uint64_t v) const noexcept {
@@ -179,10 +183,6 @@ class Space {
   std::uint64_t size_;
   std::uint32_t side_ = 0;        // torus only
   std::uint64_t side_magic_ = 0;  // torus only: ceil(2^64 / side), 0 = divide
-  /// The lifted 1-D space (as_1d/between/offset/direction delegate here);
-  /// a 1-point placeholder for the torus, whose constructor overwrites
-  /// nothing else of it. Deriving it once keeps equality well-defined.
-  Space1D one_d_ = Space1D::line(1);
 };
 
 }  // namespace p2p::metric

@@ -262,7 +262,7 @@ TEST(AdversarialReplay, MatchesManualDriverAtWidthsOneAndThirtyTwo) {
 TEST(AdversarialReplay, WalkOnFreshlyKilledNodeDiesWhereItStands) {
   // A bare 8-ring of short links: from 0 toward 3 the only strictly closer
   // neighbour is 1, so the first hop is forced and the test fully determined.
-  graph::GraphBuilder builder{metric::Space1D::ring(8)};
+  graph::GraphBuilder builder{metric::Space::ring(8)};
   builder.wire_short_links();
   const auto g = builder.freeze();
 

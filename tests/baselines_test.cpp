@@ -179,7 +179,7 @@ TEST(Flood, FindsNearbyTargetCheaply) {
 
 TEST(Flood, TtlCutsOffDistantTargets) {
   // Bare ring: a target n/2 away needs ttl >= n/2.
-  graph::OverlayGraph g(metric::Space1D::ring(64));
+  graph::OverlayGraph g(metric::Space::ring(64));
   graph::wire_short_links(g);
   const auto view = failure::FailureView::all_alive(g);
   EXPECT_FALSE(flood_search(g, view, 0, 32, 10).found);
@@ -199,7 +199,7 @@ TEST(Flood, MessageCostExplodesWithTtl) {
 }
 
 TEST(Flood, DeadNodesAreNotExpanded) {
-  graph::OverlayGraph g(metric::Space1D::ring(16));
+  graph::OverlayGraph g(metric::Space::ring(16));
   graph::wire_short_links(g);
   auto view = failure::FailureView::all_alive(g);
   view.kill_node(1);

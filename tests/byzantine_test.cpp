@@ -77,7 +77,7 @@ TEST(SecureRouter, NoAttackersBehavesLikePlainGreedy) {
 
 TEST(SecureRouter, BlackholeOnThePathKillsASingleWalk) {
   // Bare ring: the unique greedy path 0 -> 5 passes node 2.
-  OverlayGraph g(metric::Space1D::ring(10));
+  OverlayGraph g(metric::Space::ring(10));
   graph::wire_short_links(g);
   const auto view = FailureView::all_alive(g);
   const auto byz = ByzantineSet::of(g, {2});
@@ -89,7 +89,7 @@ TEST(SecureRouter, BlackholeOnThePathKillsASingleWalk) {
 }
 
 TEST(SecureRouter, DiverseSecondPathRoutesAroundTheBlackhole) {
-  OverlayGraph g(metric::Space1D::ring(10));
+  OverlayGraph g(metric::Space::ring(10));
   graph::wire_short_links(g);
   const auto view = FailureView::all_alive(g);
   const auto byz = ByzantineSet::of(g, {2});
@@ -257,7 +257,7 @@ TEST(ByzantineSet, ApplyRejectsOutOfSyncDeltas) {
 // stale-view discipline — a slot-moving graph mutation must make every set
 // mutator fail loudly instead of silently mis-keying node flags.
 TEST(ByzantineSet, MutatorsThrowAfterStructuralGraphChange) {
-  graph::GraphBuilder builder(metric::Space1D::ring(16));
+  graph::GraphBuilder builder(metric::Space::ring(16));
   builder.wire_short_links();
   for (NodeId u = 0; u < 16; ++u) builder.add_long_link(u, (u + 5) % 16);
   OverlayGraph g = builder.freeze();

@@ -256,7 +256,7 @@ TEST(ChurnLog, RejectsMidLogBaselines) {
 // mutation must make every view mutator fail loudly instead of silently
 // mis-keying link bits.
 TEST(StructuralGeneration, ViewMutatorsThrowAfterSlotMovingMutation) {
-  graph::GraphBuilder builder(metric::Space1D::ring(16));
+  graph::GraphBuilder builder(metric::Space::ring(16));
   builder.wire_short_links();
   for (NodeId u = 0; u < 16; ++u) builder.add_long_link(u, (u + 5) % 16);
   OverlayGraph g = builder.freeze();
@@ -284,7 +284,7 @@ TEST(StructuralGeneration, ViewMutatorsThrowAfterSlotMovingMutation) {
 }
 
 TEST(StructuralGeneration, ApplyRejectsLinkDeltasRecordedBeforeGrowth) {
-  graph::GraphBuilder builder(metric::Space1D::ring(16));
+  graph::GraphBuilder builder(metric::Space::ring(16));
   builder.wire_short_links();
   for (NodeId u = 0; u < 16; ++u) builder.add_long_link(u, (u + 3) % 16);
   OverlayGraph g = builder.freeze();
@@ -308,7 +308,7 @@ TEST(StructuralGeneration, ApplyRejectsLinkDeltasRecordedBeforeGrowth) {
 }
 
 TEST(StructuralGeneration, SlotReusingMutationsKeepViewsValid) {
-  graph::GraphBuilder builder(metric::Space1D::ring(16));
+  graph::GraphBuilder builder(metric::Space::ring(16));
   builder.wire_short_links();
   for (NodeId u = 0; u < 16; ++u) builder.add_long_link(u, (u + 5) % 16);
   OverlayGraph g = builder.freeze();

@@ -202,7 +202,7 @@ TEST(TraceGen, AdversarialWavesHitTheTopHubs) {
 TEST(TraceGen, TorusRegionalOutagesAreRectangles) {
   util::Rng build_rng(12);
   const auto g = graph::build_kleinberg_overlay(32, 3, 2.0, build_rng);
-  const metric::Torus2D torus = g.space().as_torus();
+  const metric::Space& torus = g.space();
   TraceSpec spec;
   spec.scenario = TraceSpec::Scenario::kRegionalOutage;
   spec.duration = 400.0;

@@ -51,7 +51,7 @@ struct LayoutPair {
 
 OverlayGraph build_ring(std::uint64_t n, std::size_t links, std::uint64_t seed,
                         EdgeLayout layout, double exponent,
-                        metric::Space1D::Kind kind) {
+                        metric::Space::Kind kind) {
   graph::BuildSpec spec;
   spec.grid_size = n;
   spec.long_links = links;
@@ -65,7 +65,7 @@ OverlayGraph build_ring(std::uint64_t n, std::size_t links, std::uint64_t seed,
 
 LayoutPair ring_pair(std::uint64_t n, std::size_t links, std::uint64_t seed,
                      double exponent = 1.0,
-                     metric::Space1D::Kind kind = metric::Space1D::Kind::kRing) {
+                     metric::Space::Kind kind = metric::Space::Kind::kRing) {
   return {build_ring(n, links, seed, EdgeLayout::kStandard, exponent, kind),
           build_ring(n, links, seed, EdgeLayout::kCompact, exponent, kind)};
 }
@@ -75,8 +75,8 @@ LayoutPair ring_pair(std::uint64_t n, std::size_t links, std::uint64_t seed,
 /// same seeded long links through two builders).
 OverlayGraph build_torus(std::uint32_t side, std::size_t long_links,
                          std::uint64_t seed, EdgeLayout layout) {
-  const metric::Torus2D torus(side);
-  graph::GraphBuilder builder{metric::Space(torus)};
+  const metric::Space torus = metric::Space::torus(side);
+  graph::GraphBuilder builder{torus};
   builder.reserve_links(long_links + 4);
   for (NodeId u = 0; u < builder.size(); ++u) {
     const auto [row, col] = torus.coords(static_cast<metric::Point>(u));
@@ -373,7 +373,7 @@ TEST(CompactOverlay, SimdDecodeMatchesNeighbors) {
   // Node 0 is the hub past the SIMD buffer; case k sits on node 1 + k.
   const std::size_t hub_degree = core::kSimdDecodeCap + 44;
   auto build = [&](EdgeLayout layout) {
-    graph::GraphBuilder builder{metric::Space1D::ring(n)};
+    graph::GraphBuilder builder{metric::Space::ring(n)};
     for (std::size_t i = 0; i < hub_degree; ++i) {
       builder.add_long_link(0, static_cast<NodeId>(i % 3 == 0 ? n / 2 + i : 1 + i));
     }
@@ -442,9 +442,9 @@ TEST(CompactOverlay, MemoryAtMostSixtyPercentOfStandard) {
 
 TEST(CompactOverlay, SelectionEquivalenceOneDimensional) {
   for (const auto kind :
-       {metric::Space1D::Kind::kLine, metric::Space1D::Kind::kRing}) {
+       {metric::Space::Kind::kLine, metric::Space::Kind::kRing}) {
     const std::string space =
-        kind == metric::Space1D::Kind::kLine ? "line" : "ring";
+        kind == metric::Space::Kind::kLine ? "line" : "ring";
     const auto p = ring_pair(4096, 12, 103, 1.0, kind);
     for (auto& [name, views] : view_pairs(p, 104)) {
       for (const auto knowledge :
@@ -538,7 +538,7 @@ TEST(CompactOverlay, HubPastSimdDecodeBuffer) {
   // AVX-512 path must hand the hub to the scalar fallback and still match.
   const std::uint64_t n = 4096;
   auto build = [&](EdgeLayout layout) {
-    graph::GraphBuilder builder{metric::Space1D::ring(n)};
+    graph::GraphBuilder builder{metric::Space::ring(n)};
     builder.wire_short_links();
     util::Rng rng(121);
     for (int i = 0; i < 320; ++i) {

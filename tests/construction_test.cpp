@@ -16,7 +16,7 @@ namespace p2p::core {
 namespace {
 
 using metric::Point;
-using metric::Space1D;
+using metric::Space;
 
 ConstructionConfig config(std::size_t links,
                           ReplacePolicy policy = ReplacePolicy::kPowerLaw) {
@@ -29,7 +29,7 @@ ConstructionConfig config(std::size_t links,
 /// Joins every grid position in a random order.
 DynamicOverlay build_full(std::uint64_t n, std::size_t links, std::uint64_t seed,
                           ReplacePolicy policy = ReplacePolicy::kPowerLaw) {
-  DynamicOverlay overlay(Space1D::ring(n), config(links, policy));
+  DynamicOverlay overlay(Space::ring(n), config(links, policy));
   util::Rng rng(seed);
   std::vector<Point> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -41,13 +41,13 @@ DynamicOverlay build_full(std::uint64_t n, std::size_t links, std::uint64_t seed
 }
 
 TEST(DynamicOverlay, StartsEmpty) {
-  DynamicOverlay overlay(Space1D::ring(16), config(2));
+  DynamicOverlay overlay(Space::ring(16), config(2));
   EXPECT_EQ(overlay.node_count(), 0u);
   EXPECT_FALSE(overlay.occupied(3));
 }
 
 TEST(DynamicOverlay, FirstJoinHasNoLinks) {
-  DynamicOverlay overlay(Space1D::ring(16), config(2));
+  DynamicOverlay overlay(Space::ring(16), config(2));
   util::Rng rng(1);
   overlay.join(5, rng);
   EXPECT_EQ(overlay.node_count(), 1u);
@@ -56,7 +56,7 @@ TEST(DynamicOverlay, FirstJoinHasNoLinks) {
 }
 
 TEST(DynamicOverlay, JoinCreatesDesignOutDegree) {
-  DynamicOverlay overlay(Space1D::ring(64), config(3));
+  DynamicOverlay overlay(Space::ring(64), config(3));
   util::Rng rng(2);
   overlay.join(0, rng);
   overlay.join(32, rng);
@@ -71,7 +71,7 @@ TEST(DynamicOverlay, JoinCreatesDesignOutDegree) {
 }
 
 TEST(DynamicOverlay, JoinRejectsOccupiedOrOutside) {
-  DynamicOverlay overlay(Space1D::ring(16), config(1));
+  DynamicOverlay overlay(Space::ring(16), config(1));
   util::Rng rng(3);
   overlay.join(5, rng);
   EXPECT_THROW(overlay.join(5, rng), std::invalid_argument);
@@ -80,7 +80,7 @@ TEST(DynamicOverlay, JoinRejectsOccupiedOrOutside) {
 }
 
 TEST(DynamicOverlay, NearestMemberAndSuccessors) {
-  DynamicOverlay overlay(Space1D::ring(100), config(1));
+  DynamicOverlay overlay(Space::ring(100), config(1));
   util::Rng rng(4);
   for (const Point p : {10, 50, 90}) overlay.join(p, rng);
   EXPECT_EQ(overlay.nearest_member(12, -1), 10);
@@ -94,7 +94,7 @@ TEST(DynamicOverlay, NearestMemberAndSuccessors) {
 }
 
 TEST(DynamicOverlay, SuccessorOnLineStopsAtTheEnds) {
-  DynamicOverlay overlay(Space1D::line(100), config(1));
+  DynamicOverlay overlay(Space::line(100), config(1));
   util::Rng rng(5);
   for (const Point p : {10, 50}) overlay.join(p, rng);
   EXPECT_EQ(overlay.successor(50), -1);
@@ -156,7 +156,7 @@ TEST(DynamicOverlay, CrashLeavesDanglingLinksThatRepairFixes) {
 }
 
 TEST(DynamicOverlay, LeaveAndCrashRejectVacantPositions) {
-  DynamicOverlay overlay(Space1D::ring(16), config(1));
+  DynamicOverlay overlay(Space::ring(16), config(1));
   util::Rng rng(11);
   overlay.join(3, rng);
   EXPECT_THROW(overlay.leave(4, rng), std::invalid_argument);
@@ -191,7 +191,7 @@ TEST(DynamicOverlay, BidirectionalSnapshotHasReverseLinks) {
 }
 
 TEST(DynamicOverlay, PartialSnapshotUsesSparsePositions) {
-  DynamicOverlay overlay(Space1D::ring(64), config(2));
+  DynamicOverlay overlay(Space::ring(64), config(2));
   util::Rng rng(13);
   for (const Point p : {1, 17, 33, 49}) overlay.join(p, rng);
   const graph::OverlayGraph g = overlay.snapshot();
@@ -205,7 +205,7 @@ TEST(DynamicOverlay, PartialSnapshotUsesSparsePositions) {
 TEST(DynamicOverlay, OldestPolicyReplacesTheOldestLink) {
   // A node with design degree 1: its single link is the oldest by
   // definition, so any accepted redirect must replace it.
-  DynamicOverlay overlay(Space1D::ring(1024), config(1, ReplacePolicy::kOldest));
+  DynamicOverlay overlay(Space::ring(1024), config(1, ReplacePolicy::kOldest));
   util::Rng rng(14);
   for (Point p = 0; p < 512; ++p) overlay.join(p, rng);
   expect_link_indexes_consistent(overlay);
@@ -258,14 +258,20 @@ TEST(DynamicOverlay, LinkLengthDistributionTracksInversePowerLaw) {
 }
 
 TEST(DynamicOverlay, RejectsBadConfig) {
-  EXPECT_THROW(DynamicOverlay(Space1D::ring(16), config(0)), std::invalid_argument);
+  EXPECT_THROW(DynamicOverlay(Space::ring(16), config(0)), std::invalid_argument);
   ConstructionConfig bad = config(1);
   bad.exponent = -2.0;
-  EXPECT_THROW(DynamicOverlay(Space1D::ring(16), bad), std::invalid_argument);
+  EXPECT_THROW(DynamicOverlay(Space::ring(16), bad), std::invalid_argument);
+}
+
+TEST(DynamicOverlay, RejectsATorus) {
+  // The §5 heuristic snaps to neighbours in an ordered member set, which a
+  // 2-D metric does not have.
+  EXPECT_THROW(DynamicOverlay(Space::torus(8), config(1)), std::invalid_argument);
 }
 
 TEST(DynamicOverlay, RepairOnEmptyOverlayIsZero) {
-  DynamicOverlay overlay(Space1D::ring(16), config(1));
+  DynamicOverlay overlay(Space::ring(16), config(1));
   util::Rng rng(17);
   EXPECT_EQ(overlay.repair(rng), 0u);
   EXPECT_EQ(overlay.dangling_count(), 0u);

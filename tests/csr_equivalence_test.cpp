@@ -28,7 +28,7 @@ using failure::FailureView;
 using graph::GraphBuilder;
 using graph::NodeId;
 using graph::OverlayGraph;
-using metric::Space1D;
+using metric::Space;
 
 /// Deterministic long-link plan: for each node, `links` targets drawn by a
 /// fixed-seed Rng. Replaying the plan through both construction paths
@@ -48,7 +48,7 @@ std::vector<std::pair<NodeId, NodeId>> long_link_plan(std::size_t n,
   return plan;
 }
 
-OverlayGraph build_incremental(const Space1D& space,
+OverlayGraph build_incremental(const Space& space,
                                const std::vector<std::pair<NodeId, NodeId>>& plan) {
   OverlayGraph g(space);
   graph::wire_short_links(g);
@@ -56,7 +56,7 @@ OverlayGraph build_incremental(const Space1D& space,
   return g;
 }
 
-OverlayGraph build_frozen(const Space1D& space,
+OverlayGraph build_frozen(const Space& space,
                           const std::vector<std::pair<NodeId, NodeId>>& plan) {
   GraphBuilder builder(space);
   builder.wire_short_links();
@@ -102,7 +102,7 @@ const PolicyCase kPolicyCases[] = {
     {"backtrack_one_sided", StuckPolicy::kBacktrack, Sidedness::kOneSided},
 };
 
-void run_equivalence(const Space1D& space, double p_fail) {
+void run_equivalence(const Space& space, double p_fail) {
   const std::size_t n = space.size();
   const auto plan = long_link_plan(n, 4, /*seed=*/77);
   const OverlayGraph incremental = build_incremental(space, plan);
@@ -138,20 +138,20 @@ void run_equivalence(const Space1D& space, double p_fail) {
   }
 }
 
-TEST(CsrEquivalence, RingNoFailures) { run_equivalence(Space1D::ring(512), 0.0); }
+TEST(CsrEquivalence, RingNoFailures) { run_equivalence(Space::ring(512), 0.0); }
 
-TEST(CsrEquivalence, LineNoFailures) { run_equivalence(Space1D::line(512), 0.0); }
+TEST(CsrEquivalence, LineNoFailures) { run_equivalence(Space::line(512), 0.0); }
 
 TEST(CsrEquivalence, RingWithNodeFailures) {
-  run_equivalence(Space1D::ring(512), 0.3);
+  run_equivalence(Space::ring(512), 0.3);
 }
 
 TEST(CsrEquivalence, LineWithNodeFailures) {
-  run_equivalence(Space1D::line(512), 0.3);
+  run_equivalence(Space::line(512), 0.3);
 }
 
 TEST(CsrEquivalence, LinkFailuresMatch) {
-  const Space1D space = Space1D::ring(256);
+  const Space space = Space::ring(256);
   const auto plan = long_link_plan(space.size(), 3, /*seed=*/21);
   const OverlayGraph incremental = build_incremental(space, plan);
   const OverlayGraph frozen = build_frozen(space, plan);
@@ -176,7 +176,7 @@ TEST(CsrEquivalence, LinkFailuresMatch) {
 
 TEST(CsrEquivalence, SparsePositions) {
   // Sparse (binomial presence style) node sets through both paths.
-  const Space1D space = Space1D::ring(300);
+  const Space space = Space::ring(300);
   std::vector<metric::Point> positions;
   for (metric::Point p = 0; p < 300; p += 3) positions.push_back(p);
   const std::size_t n = positions.size();
@@ -214,7 +214,7 @@ TEST(CsrEquivalence, MutationsKeepReplicasInSync) {
   // path (inline prefix, spill tail, reserved-slot reuse); candidates() —
   // which reads the canonical CSR slice — must keep agreeing with
   // select_candidate — which reads the header replica.
-  const Space1D space = Space1D::ring(64);
+  const Space space = Space::ring(64);
   GraphBuilder builder(space);
   builder.wire_short_links();
   util::Rng rng(31);

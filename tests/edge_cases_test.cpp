@@ -24,12 +24,12 @@ using failure::FailureView;
 using graph::NodeId;
 using graph::OverlayGraph;
 using metric::Point;
-using metric::Space1D;
+using metric::Space;
 
 // -- Degenerate graph sizes ---------------------------------------------------
 
 TEST(EdgeCases, TwoNodeRingRoutesBothWays) {
-  OverlayGraph g(Space1D::ring(2));
+  OverlayGraph g(Space::ring(2));
   graph::wire_short_links(g);
   const auto view = FailureView::all_alive(g);
   const Router router(g, view);
@@ -42,7 +42,7 @@ TEST(EdgeCases, TwoNodeLineViaBuilder) {
   util::Rng rng(2);
   graph::BuildSpec spec;
   spec.grid_size = 2;
-  spec.topology = Space1D::Kind::kLine;
+  spec.topology = Space::Kind::kLine;
   const auto g = graph::build_overlay(spec, rng);
   EXPECT_EQ(g.short_degree(0), 1u);
   EXPECT_EQ(g.short_degree(1), 1u);
@@ -54,7 +54,7 @@ TEST(EdgeCases, TwoNodeLineViaBuilder) {
 TEST(EdgeCases, SingleMemberOverlaySnapshotAndRouting) {
   core::ConstructionConfig cfg;
   cfg.long_links = 3;
-  core::DynamicOverlay overlay(Space1D::ring(64), cfg);
+  core::DynamicOverlay overlay(Space::ring(64), cfg);
   util::Rng rng(3);
   overlay.join(10, rng);
   const auto g = overlay.snapshot();
@@ -68,7 +68,7 @@ TEST(EdgeCases, SingleMemberOverlaySnapshotAndRouting) {
 TEST(EdgeCases, ThreeMemberRingSnapshotShortLinksFormACycle) {
   core::ConstructionConfig cfg;
   cfg.long_links = 1;
-  core::DynamicOverlay overlay(Space1D::ring(100), cfg);
+  core::DynamicOverlay overlay(Space::ring(100), cfg);
   util::Rng rng(4);
   for (const Point p : {5, 50, 80}) overlay.join(p, rng);
   const auto g = overlay.snapshot();
@@ -81,7 +81,7 @@ TEST(EdgeCases, ThreeMemberRingSnapshotShortLinksFormACycle) {
 // -- FailureView x policy interactions ---------------------------------------
 
 TEST(EdgeCases, BacktrackOverDeadSourceNeighboursFailsCleanly) {
-  OverlayGraph g(Space1D::ring(8));
+  OverlayGraph g(Space::ring(8));
   graph::wire_short_links(g);
   auto view = FailureView::all_alive(g);
   view.kill_node(1);
@@ -96,7 +96,7 @@ TEST(EdgeCases, BacktrackOverDeadSourceNeighboursFailsCleanly) {
 }
 
 TEST(EdgeCases, RerouteWithZeroBudgetBehavesLikeTerminate) {
-  OverlayGraph g(Space1D::ring(10));
+  OverlayGraph g(Space::ring(10));
   graph::wire_short_links(g);
   auto view = FailureView::all_alive(g);
   view.kill_node(4);
@@ -145,7 +145,7 @@ TEST(EdgeCases, LinkAndNodeFailureViewsCompose) {
 // -- Secure router corners -------------------------------------------------------
 
 TEST(EdgeCases, SecureRouterMorePathsThanNeighboursStillWorks) {
-  OverlayGraph g(Space1D::ring(16));
+  OverlayGraph g(Space::ring(16));
   graph::wire_short_links(g);
   const auto view = FailureView::all_alive(g);
   const auto byz = failure::ByzantineSet::none(g);
@@ -158,7 +158,7 @@ TEST(EdgeCases, SecureRouterMorePathsThanNeighboursStillWorks) {
 }
 
 TEST(EdgeCases, FullyByzantineInteriorBlocksEverything) {
-  OverlayGraph g(Space1D::ring(8));
+  OverlayGraph g(Space::ring(8));
   graph::wire_short_links(g);
   const auto view = FailureView::all_alive(g);
   auto byz = failure::ByzantineSet::none(g);
@@ -173,7 +173,7 @@ TEST(EdgeCases, FullyByzantineInteriorBlocksEverything) {
 // -- run_batch preconditions -----------------------------------------------------
 
 TEST(EdgeCases, RunBatchRequiresTwoLiveNodes) {
-  OverlayGraph g(Space1D::ring(4));
+  OverlayGraph g(Space::ring(4));
   graph::wire_short_links(g);
   auto view = FailureView::all_alive(g);
   for (NodeId u = 1; u < 4; ++u) view.kill_node(u);

@@ -31,7 +31,7 @@ namespace p2p {
 namespace {
 
 using metric::Point;
-using metric::Space1D;
+using metric::Space;
 
 // ---------------------------------------------------------------------------
 // DynamicOverlay fuzz
@@ -65,7 +65,7 @@ TEST_P(OverlayFuzz, RandomOperationSequencesKeepInvariants) {
   cfg.long_links = 4;
   cfg.replace_policy = (seed % 2 == 0) ? core::ReplacePolicy::kPowerLaw
                                        : core::ReplacePolicy::kOldest;
-  core::DynamicOverlay overlay(Space1D::ring(grid), cfg);
+  core::DynamicOverlay overlay(Space::ring(grid), cfg);
 
   // Seed membership so leaves/crashes have something to hit.
   for (Point p = 0; p < static_cast<Point>(grid); p += 16) overlay.join(p, rng);

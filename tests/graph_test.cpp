@@ -19,10 +19,10 @@
 namespace p2p::graph {
 namespace {
 
-using metric::Space1D;
+using metric::Space;
 
 TEST(OverlayGraph, DensePositionsAreIdentity) {
-  OverlayGraph g(Space1D::ring(8));
+  OverlayGraph g(Space::ring(8));
   EXPECT_EQ(g.size(), 8u);
   for (NodeId u = 0; u < 8; ++u) EXPECT_EQ(g.position(u), static_cast<metric::Point>(u));
   EXPECT_EQ(g.node_at(5), 5u);
@@ -30,7 +30,7 @@ TEST(OverlayGraph, DensePositionsAreIdentity) {
 }
 
 TEST(OverlayGraph, SparsePositionsMapCorrectly) {
-  OverlayGraph g(Space1D::line(100), {3, 10, 50, 99});
+  OverlayGraph g(Space::line(100), {3, 10, 50, 99});
   EXPECT_EQ(g.size(), 4u);
   EXPECT_EQ(g.position(2), 50);
   EXPECT_EQ(g.node_at(10), 1u);
@@ -38,7 +38,7 @@ TEST(OverlayGraph, SparsePositionsMapCorrectly) {
 }
 
 TEST(OverlayGraph, NodeNearestPicksClosest) {
-  OverlayGraph g(Space1D::line(100), {3, 10, 50, 99});
+  OverlayGraph g(Space::line(100), {3, 10, 50, 99});
   EXPECT_EQ(g.node_nearest(4), 0u);
   EXPECT_EQ(g.node_nearest(7), 1u);   // 7 is 4 from 3, 3 from 10
   EXPECT_EQ(g.node_nearest(30), 1u);  // 20 from 10, 20 from 50 -> lower position
@@ -46,20 +46,20 @@ TEST(OverlayGraph, NodeNearestPicksClosest) {
 }
 
 TEST(OverlayGraph, NodeNearestWrapsOnRing) {
-  OverlayGraph g(Space1D::ring(100), {10, 90});
+  OverlayGraph g(Space::ring(100), {10, 90});
   EXPECT_EQ(g.node_nearest(99), 1u);  // 9 from 90, 11 from 10 via wrap
   EXPECT_EQ(g.node_nearest(1), 0u);   // 9 from 10, 11 from 90 via wrap
 }
 
 TEST(OverlayGraph, ShortLinksMustPrecedeLongLinks) {
-  OverlayGraph g(Space1D::line(4));
+  OverlayGraph g(Space::line(4));
   g.add_short_link(0, 1);
   g.add_long_link(0, 2);
   EXPECT_THROW(g.add_short_link(0, 3), std::logic_error);
 }
 
 TEST(OverlayGraph, NeighborSpansSplitShortAndLong) {
-  OverlayGraph g(Space1D::line(5));
+  OverlayGraph g(Space::line(5));
   g.add_short_link(2, 1);
   g.add_short_link(2, 3);
   g.add_long_link(2, 0);
@@ -71,7 +71,7 @@ TEST(OverlayGraph, NeighborSpansSplitShortAndLong) {
 }
 
 TEST(OverlayGraph, ReplaceLongLink) {
-  OverlayGraph g(Space1D::line(5));
+  OverlayGraph g(Space::line(5));
   g.add_short_link(0, 1);
   g.add_long_link(0, 3);
   g.replace_long_link(0, 0, 4);
@@ -81,7 +81,7 @@ TEST(OverlayGraph, ReplaceLongLink) {
 }
 
 TEST(OverlayGraph, ClearLinksResetsDegrees) {
-  OverlayGraph g(Space1D::line(5));
+  OverlayGraph g(Space::line(5));
   g.add_short_link(0, 1);
   g.add_long_link(0, 3);
   g.clear_links(0);
@@ -91,7 +91,7 @@ TEST(OverlayGraph, ClearLinksResetsDegrees) {
 }
 
 TEST(OverlayGraph, InDegreesCountIncomingLinks) {
-  OverlayGraph g(Space1D::line(4));
+  OverlayGraph g(Space::line(4));
   g.add_long_link(0, 2);
   g.add_long_link(1, 2);
   g.add_long_link(3, 2);
@@ -103,7 +103,7 @@ TEST(OverlayGraph, InDegreesCountIncomingLinks) {
 }
 
 TEST(OverlayGraph, LongLinkLengths) {
-  OverlayGraph g(Space1D::ring(10));
+  OverlayGraph g(Space::ring(10));
   g.add_short_link(0, 1);
   g.add_long_link(0, 4);  // length 4
   g.add_long_link(0, 9);  // length 1 on the ring
@@ -114,9 +114,9 @@ TEST(OverlayGraph, LongLinkLengths) {
 }
 
 TEST(OverlayGraph, RejectsUnsortedSparsePositions) {
-  EXPECT_THROW(OverlayGraph(Space1D::line(10), {5, 3}), std::invalid_argument);
-  EXPECT_THROW(OverlayGraph(Space1D::line(10), {3, 3}), std::invalid_argument);
-  EXPECT_THROW(OverlayGraph(Space1D::line(10), {3, 11}), std::invalid_argument);
+  EXPECT_THROW(OverlayGraph(Space::line(10), {5, 3}), std::invalid_argument);
+  EXPECT_THROW(OverlayGraph(Space::line(10), {3, 3}), std::invalid_argument);
+  EXPECT_THROW(OverlayGraph(Space::line(10), {3, 11}), std::invalid_argument);
 }
 
 // -- Guided inverse-CDF search -------------------------------------------------
@@ -128,7 +128,7 @@ std::vector<double> power_law_prefix(const metric::Space& space, double r) {
   for (metric::Distance d = 1; d <= diam; ++d) {
     double w = std::pow(static_cast<double>(d), -r);
     if (!space.one_dimensional()) {
-      w = static_cast<double>(space.as_torus().ring_size(d)) * w;
+      w = static_cast<double>(space.ring_size(d)) * w;
     }
     prefix[d] = prefix[d - 1] + w;
   }
@@ -144,9 +144,8 @@ std::size_t reference_upper_bound(const std::vector<double>& prefix, std::size_t
 }
 
 std::vector<metric::Space> search_spaces() {
-  return {Space1D::ring(4096), Space1D::ring(4097), Space1D::ring(2), Space1D::ring(3),
-          Space1D::line(3000), Space1D::line(2), metric::Torus2D(32),
-          metric::Torus2D(33)};
+  return {Space::ring(4096), Space::ring(4097), Space::ring(2), Space::ring(3),
+          Space::line(3000), Space::line(2), Space::torus(32), Space::torus(33)};
 }
 
 TEST(GuidedSearch, MatchesUpperBoundAtBoundaryValues) {
@@ -197,7 +196,7 @@ TEST(GuidedSearch, MatchesUpperBoundAtBoundaryValues) {
 metric::Point reference_draw(const metric::Space& space, const std::vector<double>& prefix,
                                 double r, util::Rng rng, metric::Point source) {
   const std::size_t m = prefix.size() - 1;
-  if (space.kind() == metric::Space::Kind::kTorus2D) {
+  if (space.kind() == metric::Space::Kind::kTorus) {
     return static_cast<metric::Point>(
         std::min(reference_upper_bound(prefix, m, rng.next_double() * prefix[m]), m));
   }
@@ -230,7 +229,7 @@ TEST(GuidedSearch, SeededDrawsMatchUpperBoundReference) {
     for (const double r : {0.0, 1.0, 2.0, 40.0}) {
       const PowerLawLinkSampler sampler(space, r);
       const std::vector<double> prefix = power_law_prefix(space, r);
-      const bool torus = space.kind() == metric::Space::Kind::kTorus2D;
+      const bool torus = space.kind() == metric::Space::Kind::kTorus;
       for (std::uint64_t i = 0; i < 100'000 / 32; ++i) {
         const auto source = static_cast<metric::Point>(i * 7919 % space.size());
         const util::Rng rng = util::substream(0x5eed, i);
@@ -248,13 +247,13 @@ TEST(GuidedSearch, SeededDrawsMatchUpperBoundReference) {
 // -- Power-law sampler --------------------------------------------------------
 
 TEST(PowerLawLinkSampler, NeverReturnsSource) {
-  const PowerLawLinkSampler s(Space1D::ring(64), 1.0);
+  const PowerLawLinkSampler s(Space::ring(64), 1.0);
   util::Rng rng(1);
   for (int i = 0; i < 5000; ++i) EXPECT_NE(s.sample_target(rng, 17), 17);
 }
 
 TEST(PowerLawLinkSampler, ProbabilitiesSumToOneOnRing) {
-  const PowerLawLinkSampler s(Space1D::ring(16), 1.0);
+  const PowerLawLinkSampler s(Space::ring(16), 1.0);
   double total = 0.0;
   for (metric::Point v = 0; v < 16; ++v) total += s.probability(3, v);
   EXPECT_NEAR(total, 1.0, 1e-12);
@@ -262,7 +261,7 @@ TEST(PowerLawLinkSampler, ProbabilitiesSumToOneOnRing) {
 
 TEST(PowerLawLinkSampler, ProbabilitiesSumToOneOnLine) {
   for (const metric::Point src : {0, 5, 15}) {
-    const PowerLawLinkSampler s(Space1D::line(16), 1.0);
+    const PowerLawLinkSampler s(Space::line(16), 1.0);
     double total = 0.0;
     for (metric::Point v = 0; v < 16; ++v) total += s.probability(src, v);
     EXPECT_NEAR(total, 1.0, 1e-12) << "src=" << src;
@@ -270,7 +269,7 @@ TEST(PowerLawLinkSampler, ProbabilitiesSumToOneOnLine) {
 }
 
 TEST(PowerLawLinkSampler, InverseDistanceShapeOnRing) {
-  const PowerLawLinkSampler s(Space1D::ring(64), 1.0);
+  const PowerLawLinkSampler s(Space::ring(64), 1.0);
   // P(distance d) should be proportional to 1/d for each individual node.
   const double p1 = s.probability(0, 1);
   const double p4 = s.probability(0, 4);
@@ -280,7 +279,7 @@ TEST(PowerLawLinkSampler, InverseDistanceShapeOnRing) {
 }
 
 TEST(PowerLawLinkSampler, ExponentZeroIsUniform) {
-  const PowerLawLinkSampler s(Space1D::ring(32), 0.0);
+  const PowerLawLinkSampler s(Space::ring(32), 0.0);
   const double p = s.probability(0, 1);
   for (metric::Point v = 1; v < 32; ++v) {
     EXPECT_NEAR(s.probability(0, v), p, 1e-12);
@@ -288,7 +287,7 @@ TEST(PowerLawLinkSampler, ExponentZeroIsUniform) {
 }
 
 TEST(PowerLawLinkSampler, EmpiricalMatchesExactOnRing) {
-  const Space1D space = Space1D::ring(128);
+  const Space space = Space::ring(128);
   const PowerLawLinkSampler s(space, 1.0);
   util::Rng rng(7);
   constexpr int kDraws = 400'000;
@@ -306,7 +305,7 @@ TEST(PowerLawLinkSampler, EmpiricalMatchesExactOnRing) {
 
 TEST(PowerLawLinkSampler, EmpiricalMatchesExactOnLineEdges) {
   // A node at the line's edge has only one side to link to.
-  const Space1D space = Space1D::line(64);
+  const Space space = Space::line(64);
   const PowerLawLinkSampler s(space, 1.0);
   util::Rng rng(9);
   constexpr int kDraws = 200'000;
@@ -325,17 +324,17 @@ TEST(PowerLawLinkSampler, EmpiricalMatchesExactOnLineEdges) {
 
 TEST(PowerLawLinkSampler, TinySpaces) {
   util::Rng rng(11);
-  const PowerLawLinkSampler ring2(Space1D::ring(2), 1.0);
+  const PowerLawLinkSampler ring2(Space::ring(2), 1.0);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(ring2.sample_target(rng, 0), 1);
-  const PowerLawLinkSampler ring3(Space1D::ring(3), 1.0);
+  const PowerLawLinkSampler ring3(Space::ring(3), 1.0);
   for (int i = 0; i < 20; ++i) EXPECT_NE(ring3.sample_target(rng, 1), 1);
-  const PowerLawLinkSampler line2(Space1D::line(2), 1.0);
+  const PowerLawLinkSampler line2(Space::line(2), 1.0);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(line2.sample_target(rng, 1), 0);
 }
 
 TEST(PowerLawLinkSampler, RejectsBadParameters) {
-  EXPECT_THROW(PowerLawLinkSampler(Space1D::ring(1), 1.0), std::invalid_argument);
-  EXPECT_THROW(PowerLawLinkSampler(Space1D::ring(8), -0.5), std::invalid_argument);
+  EXPECT_THROW(PowerLawLinkSampler(Space::ring(1), 1.0), std::invalid_argument);
+  EXPECT_THROW(PowerLawLinkSampler(Space::ring(8), -0.5), std::invalid_argument);
 }
 
 // -- Deterministic link sets ---------------------------------------------------
@@ -388,8 +387,8 @@ TEST(BaseBOffsets, RejectBadParameters) {
 // -- Unified sampler on the Kleinberg torus -----------------------------------
 
 TEST(TorusSampler, NeverReturnsSourceAndStaysInGrid) {
-  const metric::Torus2D torus(8);
-  const PowerLawLinkSampler s(metric::Space(torus), 2.0);
+  const metric::Space torus = metric::Space::torus(8);
+  const PowerLawLinkSampler s(torus, 2.0);
   util::Rng rng(13);
   for (int i = 0; i < 5000; ++i) {
     const metric::Point t = s.sample_target(rng, 11);
@@ -399,9 +398,9 @@ TEST(TorusSampler, NeverReturnsSourceAndStaysInGrid) {
 }
 
 TEST(TorusSampler, RadiusDistributionMatchesWeights) {
-  const metric::Torus2D torus(9);
+  const metric::Space torus = metric::Space::torus(9);
   const double r = 2.0;
-  const PowerLawLinkSampler s(metric::Space(torus), r);
+  const PowerLawLinkSampler s(torus, r);
   util::Rng rng(17);
   constexpr int kDraws = 200'000;
   std::vector<double> by_radius(torus.diameter() + 1, 0.0);
@@ -442,7 +441,7 @@ TEST(GraphBuilder, LineEndpointsHaveOneShortLink) {
   util::Rng rng(23);
   BuildSpec spec;
   spec.grid_size = 16;
-  spec.topology = Space1D::Kind::kLine;
+  spec.topology = Space::Kind::kLine;
   const OverlayGraph g = build_overlay(spec, rng);
   EXPECT_EQ(g.short_degree(0), 1u);
   EXPECT_EQ(g.short_degree(15), 1u);
@@ -514,6 +513,20 @@ TEST(GraphBuilder, RejectsBadSpecs) {
   spec.presence = 1.0;
   spec.exponent = -1.0;
   EXPECT_THROW(build_overlay(spec, rng), std::invalid_argument);
+}
+
+TEST(GraphBuilder, RejectsTorusTopologyAndNamesTheTorusBuilder) {
+  util::Rng rng(44);
+  BuildSpec spec;
+  spec.grid_size = 64;
+  spec.topology = Space::Kind::kTorus;
+  try {
+    static_cast<void>(build_overlay(spec, rng));
+    FAIL() << "build_overlay accepted a torus topology";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("build_kleinberg_overlay"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(GraphBuilder, RejectsOversizedBuildsUpFront) {
@@ -625,7 +638,7 @@ void expect_graphs_identical(const OverlayGraph& got, const OverlayGraph& want,
 /// One builder state with duplicate long links and missing reverses — the
 /// corner cases make_bidirectional's serial/parallel equivalence hinges on.
 GraphBuilder tricky_builder(std::uint64_t n, std::uint64_t seed) {
-  GraphBuilder b(Space1D::ring(n));
+  GraphBuilder b(Space::ring(n));
   b.wire_short_links();
   util::Rng rng(seed);
   for (NodeId u = 0; u < n; ++u) {
@@ -737,7 +750,7 @@ TEST(GraphBuilderPinned, BuildsMatchReferenceFingerprints) {
        0xa90227a897b374aaULL},
       {"line", with([](BuildSpec& s) {
          s.grid_size = 3000;
-         s.topology = Space1D::Kind::kLine;
+         s.topology = Space::Kind::kLine;
          s.long_links = 6;
        }), 0, 0xaf30f5321eb69ac7ULL},
       {"presence 0.5 rejection", with([](BuildSpec& s) {
@@ -773,7 +786,7 @@ TEST(GraphBuilderPinned, BuildsMatchReferenceFingerprints) {
 }
 
 TEST(OverlayGraph, StructuralGenerationTracksSlotMoves) {
-  GraphBuilder builder(Space1D::ring(8));
+  GraphBuilder builder(Space::ring(8));
   builder.wire_short_links();
   OverlayGraph g = builder.freeze();
   EXPECT_EQ(g.structural_generation(), 0u);

@@ -27,7 +27,7 @@ using failure::FailureView;
 using graph::BuildSpec;
 using graph::OverlayGraph;
 using metric::Point;
-using metric::Space1D;
+using metric::Space;
 
 OverlayGraph ideal_network(std::uint64_t n, std::size_t links, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -41,7 +41,7 @@ OverlayGraph constructed_network(std::uint64_t n, std::size_t links,
                                  std::uint64_t seed) {
   core::ConstructionConfig cfg;
   cfg.long_links = links;
-  core::DynamicOverlay overlay(Space1D::ring(n), cfg);
+  core::DynamicOverlay overlay(Space::ring(n), cfg);
   util::Rng rng(seed);
   std::vector<Point> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -198,7 +198,7 @@ TEST(Integration, QuorumStoreServesEveryKeyThroughCrashChurn) {
   BuildSpec spec;
   spec.grid_size = 1024;
   spec.long_links = 6;
-  spec.topology = Space1D::Kind::kRing;
+  spec.topology = Space::Kind::kRing;
   util::Rng build_rng(34);
   const auto g = graph::build_overlay(spec, build_rng);
   auto view = FailureView::all_alive(g);

@@ -34,7 +34,7 @@ using graph::NodeId;
 using graph::OverlayGraph;
 
 OverlayGraph ring_overlay(std::uint64_t n, std::size_t links, std::uint64_t seed,
-                          metric::Space1D::Kind kind = metric::Space1D::Kind::kRing) {
+                          metric::Space::Kind kind = metric::Space::Kind::kRing) {
   graph::BuildSpec spec;
   spec.grid_size = n;
   spec.long_links = links;
@@ -215,8 +215,8 @@ TEST(MaskedScan, SidebandsTrackDeltaApplyRevert) {
 
 TEST(MaskedScan, SelectionEquivalenceOneDimensional) {
   for (const auto kind :
-       {metric::Space1D::Kind::kLine, metric::Space1D::Kind::kRing}) {
-    const std::string space = kind == metric::Space1D::Kind::kLine ? "line" : "ring";
+       {metric::Space::Kind::kLine, metric::Space::Kind::kRing}) {
+    const std::string space = kind == metric::Space::Kind::kLine ? "line" : "ring";
     const auto g = ring_overlay(4096, 12, 41, kind);
     for (auto& [name, view] : failure_views(g, 42)) {
       for (const auto knowledge :
@@ -255,7 +255,7 @@ TEST(MaskedScan, SelectionEquivalenceHighDegreeHub) {
   // liveness-word boundary, so the masked scan's multi-word refetch and the
   // spill-tail path are both on the hook.
   const std::uint64_t n = 1024;
-  graph::GraphBuilder builder{metric::Space1D::ring(n)};
+  graph::GraphBuilder builder{metric::Space::ring(n)};
   builder.wire_short_links();
   util::Rng rng(61);
   for (int i = 0; i < 150; ++i) {

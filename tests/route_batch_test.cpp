@@ -72,7 +72,7 @@ using failure::FailureView;
 using graph::BuildSpec;
 using graph::NodeId;
 using graph::OverlayGraph;
-using metric::Space1D;
+using metric::Space;
 
 OverlayGraph test_graph(std::uint64_t n, std::size_t links, std::uint64_t seed,
                         graph::EdgeLayout layout = graph::EdgeLayout::kStandard) {

@@ -23,7 +23,7 @@ using failure::FailureView;
 using graph::BuildSpec;
 using graph::NodeId;
 using graph::OverlayGraph;
-using metric::Space1D;
+using metric::Space;
 
 /// Reference re-implementation of the pre-refactor step loop: cursor into a
 /// freshly materialized candidates() vector per hop (backtrack policy,
@@ -197,7 +197,7 @@ TEST(RouteSessionChurn, RouteAgreesWithSessionOnChurnedView) {
 TEST(RouteSessionChurn, SessionStopsWhenPathDiesMidFlight) {
   // The classic mid-flight adaptation case, now against the CSR fast path:
   // a node dying between steps must be honoured by the next step.
-  graph::GraphBuilder builder(Space1D::ring(10));
+  graph::GraphBuilder builder(Space::ring(10));
   builder.wire_short_links();
   OverlayGraph g = builder.freeze();
   auto view = FailureView::all_alive(g);

@@ -20,11 +20,11 @@ using failure::FailureView;
 using graph::BuildSpec;
 using graph::NodeId;
 using graph::OverlayGraph;
-using metric::Space1D;
+using metric::Space;
 
 /// Ring of n nodes with only the ±1 short links.
 OverlayGraph bare_ring(std::uint64_t n) {
-  OverlayGraph g(Space1D::ring(n));
+  OverlayGraph g(Space::ring(n));
   graph::wire_short_links(g);
   return g;
 }
@@ -249,7 +249,7 @@ TEST(Router, TtlBoundsTheSearch) {
 }
 
 TEST(Router, RoutesToNearestNodeForVacantTargets) {
-  OverlayGraph g(Space1D::line(100), {10, 20, 80});
+  OverlayGraph g(Space::line(100), {10, 20, 80});
   graph::wire_short_links(g);
   const auto view = FailureView::all_alive(g);
   const Router router(g, view);
@@ -313,7 +313,7 @@ TEST(RouteSession, AdaptsToViewChangesMidFlight) {
 
 struct SweepCase {
   std::string name;
-  Space1D::Kind topology;
+  Space::Kind topology;
   Sidedness sidedness;
   std::uint64_t n;
   std::size_t links;
@@ -358,13 +358,13 @@ TEST_P(GreedySweep, AlwaysDeliversAndNeverLengthensTheWalk) {
 INSTANTIATE_TEST_SUITE_P(
     Topologies, GreedySweep,
     ::testing::Values(
-        SweepCase{"ring_two_sided", Space1D::Kind::kRing, Sidedness::kTwoSided, 512, 4},
-        SweepCase{"ring_one_sided", Space1D::Kind::kRing, Sidedness::kOneSided, 512, 4},
-        SweepCase{"line_two_sided", Space1D::Kind::kLine, Sidedness::kTwoSided, 512, 4},
-        SweepCase{"line_one_sided", Space1D::Kind::kLine, Sidedness::kOneSided, 512, 4},
-        SweepCase{"ring_single_link", Space1D::Kind::kRing, Sidedness::kTwoSided, 256, 1},
-        SweepCase{"tiny_ring", Space1D::Kind::kRing, Sidedness::kTwoSided, 4, 1},
-        SweepCase{"tiny_line", Space1D::Kind::kLine, Sidedness::kOneSided, 4, 1}),
+        SweepCase{"ring_two_sided", Space::Kind::kRing, Sidedness::kTwoSided, 512, 4},
+        SweepCase{"ring_one_sided", Space::Kind::kRing, Sidedness::kOneSided, 512, 4},
+        SweepCase{"line_two_sided", Space::Kind::kLine, Sidedness::kTwoSided, 512, 4},
+        SweepCase{"line_one_sided", Space::Kind::kLine, Sidedness::kOneSided, 512, 4},
+        SweepCase{"ring_single_link", Space::Kind::kRing, Sidedness::kTwoSided, 256, 1},
+        SweepCase{"tiny_ring", Space::Kind::kRing, Sidedness::kTwoSided, 4, 1},
+        SweepCase{"tiny_line", Space::Kind::kLine, Sidedness::kOneSided, 4, 1}),
     [](const auto& info) { return info.param.name; });
 
 }  // namespace

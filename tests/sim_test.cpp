@@ -162,7 +162,7 @@ TEST(Workload, PoissonGapsHaveTheRightMean) {
 
 TEST(Workload, ChurnTraceIsConsistent) {
   util::Rng rng(16);
-  const auto space = metric::Space1D::ring(256);
+  const auto space = metric::Space::ring(256);
   std::vector<metric::Point> initial{10, 20, 30, 40, 50};
   const auto trace = make_churn_trace(space, initial, 0.5, 0.2, 0.2, 200.0, rng);
   ASSERT_FALSE(trace.empty());
@@ -185,7 +185,7 @@ TEST(Workload, ChurnTraceRejectsNonFiniteInputs) {
   // An infinite duration never ends the event loop, and an infinite rate
   // draws zero gaps so the clock never advances: both must be refused.
   util::Rng rng(17);
-  const auto space = metric::Space1D::ring(64);
+  const auto space = metric::Space::ring(64);
   const std::vector<metric::Point> initial{1, 2, 3, 4};
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();

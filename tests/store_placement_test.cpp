@@ -34,7 +34,7 @@ using graph::NodeId;
 graph::OverlayGraph ring_overlay(std::uint64_t n, std::uint64_t seed = 5) {
   graph::BuildSpec spec;
   spec.grid_size = n;
-  spec.topology = metric::Space1D::Kind::kRing;
+  spec.topology = metric::Space::Kind::kRing;
   spec.long_links = 2;
   util::Rng rng(seed);
   return graph::build_overlay(spec, rng);
@@ -43,7 +43,7 @@ graph::OverlayGraph ring_overlay(std::uint64_t n, std::uint64_t seed = 5) {
 graph::OverlayGraph line_overlay(std::uint64_t n, std::uint64_t seed = 5) {
   graph::BuildSpec spec;
   spec.grid_size = n;
-  spec.topology = metric::Space1D::Kind::kLine;
+  spec.topology = metric::Space::Kind::kLine;
   spec.long_links = 2;
   util::Rng rng(seed);
   return graph::build_overlay(spec, rng);
@@ -205,18 +205,20 @@ TEST(Hash, Fnv1aMatchesKnownVectors) {
 }
 
 TEST(Hash, PointForKeyIsStableAndInRange) {
+  const metric::Space ring = metric::Space::ring(1024);
   for (const std::string key : {"alice.mp3", "bob.txt", "", "z"}) {
-    const metric::Point p = dht::point_for_key(key, 1024);
+    const metric::Point p = dht::point_for_key(key, ring);
     EXPECT_GE(p, 0);
     EXPECT_LT(p, 1024);
-    EXPECT_EQ(p, dht::point_for_key(key, 1024));  // deterministic
+    EXPECT_EQ(p, dht::point_for_key(key, ring));  // deterministic
   }
 }
 
 TEST(Hash, PointsSpreadAcrossTheGrid) {
+  const metric::Space ring = metric::Space::ring(1 << 20);
   std::set<metric::Point> points;
   for (int i = 0; i < 1000; ++i) {
-    points.insert(dht::point_for_key("key-" + std::to_string(i), 1 << 20));
+    points.insert(dht::point_for_key("key-" + std::to_string(i), ring));
   }
   EXPECT_GT(points.size(), 990u);  // essentially no collisions at 2^20
 }

@@ -34,7 +34,7 @@ using graph::NodeId;
 graph::OverlayGraph ring_overlay(std::uint64_t n, std::uint64_t seed = 9) {
   graph::BuildSpec spec;
   spec.grid_size = n;
-  spec.topology = metric::Space1D::Kind::kRing;
+  spec.topology = metric::Space::Kind::kRing;
   spec.long_links = 4;
   spec.bidirectional = true;
   util::Rng rng(seed);

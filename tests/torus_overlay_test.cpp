@@ -11,7 +11,6 @@
 #include "core/router.h"
 #include "failure/failure_model.h"
 #include "graph/graph_builder.h"
-#include "metric/grid2d.h"
 #include "metric/space.h"
 #include "util/rng.h"
 
@@ -38,10 +37,10 @@ TEST(TorusOverlay, BuilderEmitsFourLatticeLinksPlusLongLinks) {
   const std::uint32_t side = 16;
   const std::size_t q = 3;
   const auto g = graph::build_kleinberg_overlay(side, q, 2.0, rng);
-  const metric::Torus2D torus(side);
+  const metric::Space torus = metric::Space::torus(side);
   ASSERT_EQ(g.size(), torus.size());
   EXPECT_TRUE(g.dense());
-  EXPECT_EQ(g.space(), metric::Space(torus));
+  EXPECT_EQ(g.space(), torus);
   for (NodeId u = 0; u < g.size(); ++u) {
     ASSERT_EQ(g.short_degree(u), 4u);
     EXPECT_EQ(g.out_degree(u), 4u + q);
@@ -140,7 +139,7 @@ TEST(TorusOverlay, MinimumSideWiresDistinctLatticeLinksOnly) {
   // slot alive). Each node has exactly two distinct lattice neighbours.
   util::Rng rng(71);
   const auto g = graph::build_kleinberg_overlay(2, 1, 2.0, rng);
-  const metric::Torus2D torus(2);
+  const metric::Space torus = metric::Space::torus(2);
   for (NodeId u = 0; u < g.size(); ++u) {
     ASSERT_EQ(g.short_degree(u), 2u);
     const auto neigh = g.neighbors(u);
@@ -199,7 +198,7 @@ TEST(TorusOverlay, FailureViewKillReviveSmoke) {
   cfg.record_path = true;
   const core::Router router(g, view, cfg);
 
-  const metric::Torus2D torus(16);
+  const metric::Space torus = metric::Space::torus(16);
   const auto src = static_cast<NodeId>(torus.at(0, 0));
   const auto dst = static_cast<metric::Point>(torus.at(8, 8));
   const auto baseline = router.route(src, dst, rng);
