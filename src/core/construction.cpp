@@ -8,15 +8,25 @@
 
 namespace p2p::core {
 
-DynamicOverlay::DynamicOverlay(metric::Space space, ConstructionConfig cfg)
-    : space_(space),
-      config_(cfg),
-      sampler_(space, cfg.exponent),
-      out_links_(space.size()),
-      in_links_(space.size()) {
-  util::require(space_.one_dimensional(),
+namespace {
+
+// Runs in the first member initializer, so a rejected space is refused
+// before the sampler table and the per-position link lists are built.
+metric::Space checked_space(metric::Space space) {
+  util::require(space.one_dimensional(),
                 "DynamicOverlay: needs a line or a ring, not a torus");
-  util::require(space_.size() >= 2, "DynamicOverlay: space must have >= 2 points");
+  util::require(space.size() >= 2, "DynamicOverlay: space must have >= 2 points");
+  return space;
+}
+
+}  // namespace
+
+DynamicOverlay::DynamicOverlay(metric::Space space, ConstructionConfig cfg)
+    : space_(checked_space(space)),
+      config_(cfg),
+      sampler_(space_, cfg.exponent),
+      out_links_(space_.size()),
+      in_links_(space_.size()) {
   util::require(config_.long_links >= 1, "DynamicOverlay: long_links must be >= 1");
 }
 

@@ -89,22 +89,13 @@ metric::Point PowerLawLinkSampler::sample_torus_target(util::Rng& rng,
   const double u = rng.next_double() * prefix_.back();
   const metric::Distance d = std::min(search_.upper_bound(prefix_, diam, u), diam);
 
-  const std::uint64_t side = space_.side();
-  const std::uint64_t half = side / 2;
-  // Count of offsets at wrapped axis-distance `x` within one period.
-  const auto axis_count = [&](std::uint64_t x) -> std::uint64_t {
-    if (x == 0) return 1;
-    if (x < half) return 2;
-    if (x == half) return (side % 2 == 0) ? 1 : 2;
-    return 0;
-  };
   // Choose the row component rd of the Manhattan distance with weight
   // axis_count(rd) * axis_count(d - rd); the weights sum to ring_size(d).
-  const std::uint64_t rd_max = std::min<std::uint64_t>(d, half);
+  const std::uint64_t rd_max = std::min<std::uint64_t>(d, space_.side() / 2);
   double pick = rng.next_double() * static_cast<double>(space_.ring_size(d));
   std::uint64_t rd = 0;
   for (std::uint64_t r = 0; r <= rd_max; ++r) {
-    const double w = static_cast<double>(axis_count(r) * axis_count(d - r));
+    const double w = static_cast<double>(space_.axis_count(r) * space_.axis_count(d - r));
     if (pick < w) {
       rd = r;
       break;
@@ -114,8 +105,7 @@ metric::Point PowerLawLinkSampler::sample_torus_target(util::Rng& rng,
   }
   const std::uint64_t cd = d - rd;
   const auto signed_offset = [&](std::uint64_t dist) -> std::int64_t {
-    const std::uint64_t options = axis_count(dist);
-    if (options == 1) {
+    if (space_.axis_count(dist) == 1) {
       return dist == 0 ? 0 : static_cast<std::int64_t>(dist);
     }
     return rng.next_bool(0.5) ? static_cast<std::int64_t>(dist)

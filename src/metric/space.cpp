@@ -12,12 +12,6 @@ namespace {
 
 constexpr auto kMaxPoints = static_cast<std::uint64_t>(std::numeric_limits<Point>::max());
 
-/// v modulo m in [0, m). Precondition: m > 0.
-std::int64_t floor_mod(std::int64_t v, std::int64_t m) noexcept {
-  const std::int64_t r = v % m;
-  return r < 0 ? r + m : r;
-}
-
 }  // namespace
 
 Space::Space(Kind kind, std::uint64_t size, std::uint32_t side) noexcept
@@ -112,44 +106,15 @@ bool Space::between(Point v, Point u, Point t) const noexcept {
          (ccw_t == d_ut && 0 < ccw_v && ccw_v < ccw_t);
 }
 
-void Space::require_torus(const char* what) const {
-  if (kind_ != Kind::kTorus) {
-    throw std::invalid_argument(std::string(what) +
-                                ": lattice operations are only defined on a torus");
-  }
-}
-
-std::uint32_t Space::side() const {
-  require_torus("Space::side");
-  return side_;
-}
-
-std::pair<std::uint32_t, std::uint32_t> Space::coords(Point p) const {
-  require_torus("Space::coords");
-  const auto v = static_cast<std::uint64_t>(p);
-  const std::uint64_t row = row_of(v);
-  return {static_cast<std::uint32_t>(row), static_cast<std::uint32_t>(v - row * side_)};
-}
-
-Point Space::at(std::int64_t row, std::int64_t col) const {
-  require_torus("Space::at");
-  const auto s = static_cast<std::int64_t>(side_);
-  return floor_mod(row, s) * s + floor_mod(col, s);
+void Space::throw_not_torus(const char* what) {
+  throw std::invalid_argument(std::string(what) +
+                              ": lattice operations are only defined on a torus");
 }
 
 std::uint64_t Space::ring_size(Distance d) const {
   require_torus("Space::ring_size");
-  // Offsets within one period whose wrapped axis distance is x: the origin,
-  // a ± pair, or the lone antipode of an even side.
-  const std::uint64_t half = side_ / 2;
-  const auto axis_count = [&](std::uint64_t x) -> std::uint64_t {
-    if (x == 0) return 1;
-    if (x < half || (x == half && side_ % 2 == 1)) return 2;
-    return x == half ? 1 : 0;
-  };
-  // Split d into a row part and a column part.
   std::uint64_t count = 0;
-  for (std::uint64_t rd = 0; rd <= std::min<std::uint64_t>(d, half); ++rd) {
+  for (std::uint64_t rd = 0; rd <= std::min<std::uint64_t>(d, side_ / 2); ++rd) {
     count += axis_count(rd) * axis_count(d - rd);
   }
   return count;

@@ -133,22 +133,47 @@ class Space {
   // -- Torus-only operations -------------------------------------------------
   //
   // The lattice structure of the torus, which a 1-D space does not have.
-  // Each throws std::invalid_argument on a line or a ring.
+  // Each throws std::invalid_argument on a line or a ring. The check is one
+  // predictable branch, so the inline ones cost nothing on the build loops.
 
   /// Side length of the torus.
-  [[nodiscard]] std::uint32_t side() const;
+  [[nodiscard]] std::uint32_t side() const {
+    require_torus("Space::side");
+    return side_;
+  }
 
   /// (row, col) of a flattened position. Precondition: contains(p).
-  [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> coords(Point p) const;
+  [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> coords(Point p) const {
+    require_torus("Space::coords");
+    const auto v = static_cast<std::uint64_t>(p);
+    const std::uint64_t row = row_of(v);
+    return {static_cast<std::uint32_t>(row), static_cast<std::uint32_t>(v - row * side_)};
+  }
 
   /// Flattened position of (row, col); coordinates are taken modulo side.
-  [[nodiscard]] Point at(std::int64_t row, std::int64_t col) const;
+  [[nodiscard]] Point at(std::int64_t row, std::int64_t col) const {
+    require_torus("Space::at");
+    const auto s = static_cast<std::int64_t>(side_);
+    return floor_mod(row, s) * s + floor_mod(col, s);
+  }
 
-  /// Number of grid points at exactly distance d from any point (1 at d = 0).
+  /// Number of offsets within one period of an axis whose wrapped distance
+  /// is x: 1 for the origin and for the lone antipode of an even side, 2 for
+  /// a ± pair, 0 past side/2.
+  [[nodiscard]] std::uint64_t axis_count(Distance x) const {
+    require_torus("Space::axis_count");
+    const std::uint64_t half = side_ / 2;
+    if (x == 0) return 1;
+    if (x < half || (x == half && side_ % 2 == 1)) return 2;
+    return x == half ? 1 : 0;
+  }
+
+  /// Number of grid points at exactly distance d from any point (1 at d = 0):
+  /// the sum over row parts rd of axis_count(rd) * axis_count(d - rd).
   ///
   /// On a torus this count is position independent, which lets the Kleinberg
   /// link sampler draw a radius first and then a point uniformly at that
-  /// radius. O(min(d, side)) per call; callers cache the result.
+  /// radius. O(min(d, side)) per call.
   [[nodiscard]] std::uint64_t ring_size(Distance d) const;
 
   [[nodiscard]] std::string to_string() const;
@@ -158,7 +183,16 @@ class Space {
  private:
   Space(Kind kind, std::uint64_t size, std::uint32_t side) noexcept;
 
-  void require_torus(const char* what) const;
+  void require_torus(const char* what) const {
+    if (kind_ != Kind::kTorus) [[unlikely]] throw_not_torus(what);
+  }
+  [[noreturn]] static void throw_not_torus(const char* what);
+
+  /// v modulo m in [0, m). Precondition: m > 0.
+  [[nodiscard]] static std::int64_t floor_mod(std::int64_t v, std::int64_t m) noexcept {
+    const std::int64_t r = v % m;
+    return r < 0 ? r + m : r;
+  }
 
   /// Row of a flattened torus position (exact v / side, by reciprocal
   /// multiplication when the side admits it — see the constructor).

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/construction.h"
@@ -264,10 +265,21 @@ TEST(DynamicOverlay, RejectsBadConfig) {
   EXPECT_THROW(DynamicOverlay(Space::ring(16), bad), std::invalid_argument);
 }
 
-TEST(DynamicOverlay, RejectsATorus) {
+TEST(DynamicOverlay, RejectsATorusOrOnePointBeforeBuildingForIt) {
   // The §5 heuristic snaps to neighbours in an ordered member set, which a
-  // 2-D metric does not have.
-  EXPECT_THROW(DynamicOverlay(Space::torus(8), config(1)), std::invalid_argument);
+  // 2-D metric does not have. The overlay's own check refuses the space
+  // before the link sampler (which has a check of its own) or the
+  // per-position link lists are built.
+  const auto refusal = [](const Space& space) -> std::string {
+    try {
+      DynamicOverlay overlay(space, config(1));
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(refusal(Space::torus(8)).rfind("DynamicOverlay:", 0), 0u);
+  EXPECT_EQ(refusal(Space::line(1)).rfind("DynamicOverlay:", 0), 0u);
 }
 
 TEST(DynamicOverlay, RepairOnEmptyOverlayIsZero) {

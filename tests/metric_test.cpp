@@ -186,6 +186,18 @@ TEST(Torus, RingSizeCountsExactly) {
   }
 }
 
+TEST(Torus, AxisCountCountsExactly) {
+  // Brute-force cross-check: count column offsets at each wrapped distance.
+  for (const std::uint32_t side : {1u, 2u, 3u, 4u, 5u, 8u, 9u}) {
+    const Space t = Space::torus(side);
+    std::vector<std::uint64_t> counts(side + 1, 0);
+    for (std::uint32_t c = 0; c < side; ++c) ++counts[t.distance(0, t.at(0, c))];
+    for (Distance x = 0; x <= side; ++x) {
+      EXPECT_EQ(t.axis_count(x), counts[x]) << "side=" << side << " x=" << x;
+    }
+  }
+}
+
 TEST(Torus, RingSizeBeyondDiameterIsZero) {
   const Space t = Space::torus(6);
   EXPECT_EQ(t.ring_size(t.diameter() + 1), 0u);
@@ -285,6 +297,7 @@ TEST(Space, LatticeOperationsThrowOnLineAndRing) {
     EXPECT_THROW(static_cast<void>(s.side()), std::invalid_argument) << s.to_string();
     EXPECT_THROW(static_cast<void>(s.coords(3)), std::invalid_argument) << s.to_string();
     EXPECT_THROW(static_cast<void>(s.at(1, 2)), std::invalid_argument) << s.to_string();
+    EXPECT_THROW(static_cast<void>(s.axis_count(1)), std::invalid_argument) << s.to_string();
     EXPECT_THROW(static_cast<void>(s.ring_size(1)), std::invalid_argument) << s.to_string();
   }
 }
@@ -330,6 +343,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SpaceCase{"ring2", Space::ring(2)},
                       SpaceCase{"ring3", Space::ring(3)},
                       SpaceCase{"torus8", Space::torus(8)},
+                      SpaceCase{"torus9_odd", Space::torus(9)},
                       SpaceCase{"torus6", Space::torus(6)},
                       SpaceCase{"torus7_odd", Space::torus(7)},
                       SpaceCase{"torus2", Space::torus(2)}),
