@@ -746,6 +746,9 @@ TEST(GraphBuilderPinned, BuildsMatchReferenceFingerprints) {
       {"ring 2^12", ring, 0, 0x2b7489cebd27de58ULL},
       {"ring 2^12 compact", with([](BuildSpec& s) { s.layout = EdgeLayout::kCompact; }), 0,
        0x2b7489cebd27de58ULL},
+      // perfbench's churn_replay graph.
+      {"ring 2^16", with([](BuildSpec& s) { s.grid_size = 1u << 16; s.long_links = 16; }), 0,
+       0x6d0bf2b679cf4552ULL},
       {"odd ring", with([](BuildSpec& s) { s.grid_size = 3001; s.long_links = 7; }), 0,
        0xa90227a897b374aaULL},
       {"line", with([](BuildSpec& s) {
