@@ -380,7 +380,6 @@ JsonMetrics measure_headline() {
     // Pool-parallel freeze packing in isolation: reassemble the builder
     // state of the graph above, then time freeze(pool) alone.
     graph::GraphBuilder builder((metric::Space::ring(m.nodes)));
-    builder.reserve_links(m.links + 2);
     builder.wire_short_links();
     for (graph::NodeId u = 0; u < g_parallel.size(); ++u) {
       for (const graph::NodeId v : g_parallel.long_neighbors(u)) {

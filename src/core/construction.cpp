@@ -297,7 +297,6 @@ graph::OverlayGraph DynamicOverlay::snapshot(bool bidirectional) const {
   graph::GraphBuilder builder = full
                                     ? graph::GraphBuilder(space_)
                                     : graph::GraphBuilder(space_, std::move(positions));
-  builder.reserve_links(config_.long_links + 2);
   builder.wire_short_links();
   for (graph::NodeId i = 0; i < builder.size(); ++i) {
     const metric::Point p = builder.position(i);

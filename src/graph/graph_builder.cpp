@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -13,13 +12,29 @@ namespace p2p::graph {
 // ---------------------------------------------------------------------------
 // GraphBuilder
 
+namespace {
+
+/// Throws std::invalid_argument unless `nodes` nodes fit the NodeId range.
+std::size_t checked_node_count(std::uint64_t nodes, const char* what) {
+  util::require(nodes <= std::numeric_limits<NodeId>::max(),
+                std::string(what) + ": node count exceeds the NodeId range");
+  return static_cast<std::size_t>(nodes);
+}
+
+/// True when the per-node passes are worth fanning across `pool`.
+bool fans(const util::ThreadPool* pool, std::size_t n) {
+  return pool != nullptr && pool->thread_count() > 1 && n >= 1024;
+}
+
+}  // namespace
+
 GraphBuilder::GraphBuilder(metric::Space space)
-    : space_(space),
-      adjacency_(space.size()),
-      short_degree_(space.size(), 0) {}
+    : space_(space), node_count_(checked_node_count(space.size(), "GraphBuilder")) {}
 
 GraphBuilder::GraphBuilder(metric::Space space, std::vector<metric::Point> positions)
-    : space_(space), positions_(std::move(positions)) {
+    : space_(space),
+      positions_(std::move(positions)),
+      node_count_(checked_node_count(positions_.size(), "GraphBuilder")) {
   util::require(!positions_.empty(), "GraphBuilder: need at least one node");
   for (std::size_t i = 0; i < positions_.size(); ++i) {
     util::require(space_.contains(positions_[i]),
@@ -29,39 +44,84 @@ GraphBuilder::GraphBuilder(metric::Space space, std::vector<metric::Point> posit
                     "GraphBuilder: positions must be strictly increasing");
     }
   }
-  adjacency_.resize(positions_.size());
-  short_degree_.assign(positions_.size(), 0);
+}
+
+void GraphBuilder::Run::append(NodeId u, NodeId v) {
+  if (offsets.size() > std::size_t{u} + 1) {
+    throw std::logic_error("GraphBuilder: links must be added in node order");
+  }
+  util::require(targets.size() < std::numeric_limits<std::uint32_t>::max(),
+                "GraphBuilder: edge slot index overflow");
+  while (offsets.size() <= u) offsets.push_back(static_cast<std::uint32_t>(targets.size()));
+  targets.push_back(v);
+}
+
+void GraphBuilder::Run::seal(std::size_t n) {
+  offsets.resize(n + 1, static_cast<std::uint32_t>(targets.size()));
 }
 
 void GraphBuilder::check_node(NodeId u) const {
-  util::require_in_range(u < adjacency_.size(), "GraphBuilder: node id out of range");
+  util::require_in_range(u < node_count_, "GraphBuilder: node id out of range");
 }
 
-void GraphBuilder::reserve_links(std::size_t per_node) {
-  for (auto& adj : adjacency_) adj.reserve(per_node);
+void GraphBuilder::check_open() const {
+  if (closed_) {
+    throw std::logic_error("GraphBuilder: no link can be added after make_bidirectional");
+  }
 }
 
 void GraphBuilder::add_short_link(NodeId u, NodeId v) {
+  check_open();
   check_node(u);
   check_node(v);
-  if (short_degree_[u] != adjacency_[u].size()) {
+  if (long_.offsets.size() > u) {
     throw std::logic_error("GraphBuilder: short links must precede long links");
   }
-  adjacency_[u].push_back(v);
-  ++short_degree_[u];
-  ++link_count_;
+  short_.append(u, v);
 }
 
 void GraphBuilder::add_long_link(NodeId u, NodeId v) {
+  check_open();
   check_node(u);
   check_node(v);
-  adjacency_[u].push_back(v);
-  ++link_count_;
+  long_.append(u, v);
+}
+
+void GraphBuilder::add_long_links(std::vector<NodeId> targets, std::size_t per_node) {
+  check_open();
+  if (!long_.offsets.empty()) {
+    throw std::logic_error("GraphBuilder: a long-link table must come before any long link");
+  }
+  util::require(targets.size() <= std::numeric_limits<std::uint32_t>::max(),
+                "GraphBuilder: edge slot index overflow");
+  // Both factors are below 2^32, so the product cannot wrap.
+  util::require(per_node <= std::numeric_limits<std::uint32_t>::max() &&
+                    targets.size() == node_count_ * per_node,
+                "GraphBuilder: long-link table size must be size() * per_node");
+  // Compact the rows in place: the write cursor never passes the read one.
+  // The run is only replaced once every target has passed its check.
+  std::vector<std::uint32_t> offsets(node_count_ + 1);
+  std::size_t out = 0;
+  for (std::size_t u = 0; u < node_count_; ++u) {
+    offsets[u] = static_cast<std::uint32_t>(out);
+    for (std::size_t k = u * per_node; k < (u + 1) * per_node; ++k) {
+      const NodeId v = targets[k];
+      if (v == kInvalidNode) continue;
+      check_node(v);
+      targets[out++] = v;
+    }
+  }
+  offsets[node_count_] = static_cast<std::uint32_t>(out);
+  targets.resize(out);
+  long_ = Run{std::move(offsets), std::move(targets)};
 }
 
 bool GraphBuilder::has_link(NodeId u, NodeId v) const noexcept {
-  const auto& adj = adjacency_[u];
-  return std::find(adj.begin(), adj.end(), v) != adj.end();
+  for (const Run* run : {&short_, &long_, &reverse_}) {
+    const auto links = run->slice(u);
+    if (std::find(links.begin(), links.end(), v) != links.end()) return true;
+  }
+  return false;
 }
 
 namespace {
@@ -103,60 +163,91 @@ void GraphBuilder::make_bidirectional() { add_missing_reverses(nullptr); }
 void GraphBuilder::make_bidirectional(util::ThreadPool& pool) { add_missing_reverses(&pool); }
 
 void GraphBuilder::add_missing_reverses(util::ThreadPool* pool) {
-  util::require(link_count_ <= std::numeric_limits<std::uint32_t>::max(),
-                "GraphBuilder::make_bidirectional: edge slot index overflow");
-  const std::size_t n = adjacency_.size();
-  // Transpose the long links by counting sort. start[v] first counts v's
-  // in-links, then (inclusive prefix sum) marks the end of v's range; the
-  // fill walks sources from the back, so afterwards sources[start[v],
-  // start[v + 1]) lists every u with a long link u -> v, ascending in u.
-  std::vector<std::uint32_t> start(n + 1, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : long_neighbors(u)) ++start[v];
-  }
-  std::partial_sum(start.begin(), start.end() - 1, start.begin());
-  start[n] = n > 0 ? start[n - 1] : 0;
-  std::vector<NodeId> sources(start[n]);
-  for (std::size_t u = n; u-- > 0;) {
-    const auto longs = long_neighbors(static_cast<NodeId>(u));
-    for (auto it = longs.rbegin(); it != longs.rend(); ++it) {
-      sources[--start[*it]] = static_cast<NodeId>(u);
+  if (closed_) return;  // every reverse is already in
+  closed_ = true;
+  const std::size_t n = node_count_;
+  short_.seal(n);
+  long_.seal(n);
+  // Transpose the long links by counting sort, chunked by source. Chunk c
+  // first counts its sources' links into its row of `cursor`; the prefix
+  // sum, in (target, chunk) order, then turns each count into the chunk's
+  // first slot within the target's range, so every chunk fills a disjoint
+  // part of it, all in ascending source order. Afterwards
+  // reverse_.targets[offsets[v], offsets[v + 1]) lists every u with a long
+  // link u -> v, ascending in u, for any chunk count.
+  const std::size_t chunks = fans(pool, n) ? pool->thread_count() : 1;
+  const std::size_t per_chunk = (n + chunks - 1) / chunks;
+  std::vector<std::uint32_t> cursor(chunks * n, 0);
+  const auto over_chunks = [&](auto&& body) {
+    const auto run_chunk = [&](std::size_t c) {
+      std::uint32_t* const row = cursor.data() + c * n;
+      for (std::size_t u = c * per_chunk; u < std::min(n, (c + 1) * per_chunk); ++u) {
+        for (const NodeId v : long_.slice(u)) body(row, static_cast<NodeId>(u), v);
+      }
+    };
+    if (chunks == 1) {
+      run_chunk(0);
+    } else {
+      pool->parallel_for(chunks, run_chunk);
+    }
+  };
+  over_chunks([](std::uint32_t* row, NodeId, NodeId v) { ++row[v]; });
+  reverse_.offsets.resize(n + 1);
+  std::uint32_t total = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    reverse_.offsets[v] = total;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::uint32_t count = cursor[c * n + v];
+      cursor[c * n + v] = total;
+      total += count;
     }
   }
+  reverse_.offsets[n] = total;
+  reverse_.targets.resize(total);
+  NodeId* const sources = reverse_.targets.data();
+  over_chunks([sources](std::uint32_t* row, NodeId u, NodeId v) { sources[row[v]++] = u; });
+  cursor = {};
+
   // Walking u in ascending order and adding v -> u for each long link
   // u -> v unless v already links to u appends to v exactly the distinct
-  // sources u, ascending, that v's pre-call slice lacks: no reverse added on
-  // the way is one a later check tests. So each node decides alone,
-  // compacting its survivors to the front of its own range of sources.
+  // sources u, ascending, that v's short and long links lack: no reverse
+  // added on the way is one a later check tests. So each node decides
+  // alone, compacting its survivors to the front of its own range.
   std::vector<std::uint32_t> kept(n, 0);
   const auto decide = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t v = lo; v < hi; ++v) {
-      const std::vector<NodeId>& adj = adjacency_[v];
-      NodeId* const first = sources.data() + start[v];
-      NodeId* const last = sources.data() + start[v + 1];
+      const auto shorts = short_.slice(v);
+      const auto longs = long_.slice(v);
+      NodeId* const first = sources + reverse_.offsets[v];
+      NodeId* const last = sources + reverse_.offsets[v + 1];
       NodeId* out = first;
       for (const NodeId* it = first; it != last; ++it) {
         if (it != first && *it == it[-1]) continue;
-        // Branch-free scan: the slice is short, and this form vectorizes.
+        // Branch-free scans: the slices are short, and this form vectorizes.
         unsigned present = 0;
-        for (const NodeId x : adj) present |= static_cast<unsigned>(x == *it);
+        for (const NodeId x : shorts) present |= static_cast<unsigned>(x == *it);
+        for (const NodeId x : longs) present |= static_cast<unsigned>(x == *it);
         if (present == 0) *out++ = *it;
       }
       kept[v] = static_cast<std::uint32_t>(out - first);
     }
   };
-  if (pool != nullptr && pool->thread_count() > 1 && n >= 1024) {
+  if (fans(pool, n)) {
     pool->parallel_chunks(n, pool->thread_count() * 8, decide);
   } else {
     decide(0, n);
   }
-  // One insert per node, on the calling thread: slices regrown there reuse
-  // the heap their old storage came from instead of growing the workers'.
+  // Close the gaps the rejected sources left, front to back: a node's
+  // survivors only ever move down.
+  std::uint32_t out = 0;
   for (std::size_t v = 0; v < n; ++v) {
-    const NodeId* const first = sources.data() + start[v];
-    adjacency_[v].insert(adjacency_[v].end(), first, first + kept[v]);
-    link_count_ += kept[v];
+    const std::uint32_t first = reverse_.offsets[v];
+    reverse_.offsets[v] = out;
+    if (out != first) std::copy_n(sources + first, kept[v], sources + out);
+    out += kept[v];
   }
+  reverse_.offsets[n] = out;
+  reverse_.targets.resize(out);
 }
 
 OverlayGraph GraphBuilder::freeze(FreezeOptions opts) {
@@ -168,43 +259,53 @@ OverlayGraph GraphBuilder::freeze(util::ThreadPool& pool, FreezeOptions opts) {
 }
 
 OverlayGraph GraphBuilder::freeze_impl(util::ThreadPool* pool, FreezeOptions opts) {
-  util::require(link_count_ <= std::numeric_limits<std::uint32_t>::max(),
+  const std::size_t n = node_count_;
+  const std::size_t links =
+      short_.targets.size() + long_.targets.size() + reverse_.targets.size();
+  util::require(links <= std::numeric_limits<std::uint32_t>::max(),
                 "GraphBuilder::freeze: edge slot index overflow");
-  const std::size_t n = adjacency_.size();
+  short_.seal(n);
+  long_.seal(n);
+  reverse_.seal(n);
+  // Node u's slice is its short, long and reverse links, in that order.
   std::vector<std::uint32_t> slice_sizes(n);
-  std::vector<std::uint32_t> offsets(n);
-  std::uint32_t offset = 0;
+  std::vector<std::uint32_t> short_degree(n);
   for (std::size_t u = 0; u < n; ++u) {
-    slice_sizes[u] = static_cast<std::uint32_t>(adjacency_[u].size());
-    offsets[u] = offset;
-    offset += slice_sizes[u];
+    short_degree[u] = short_.offsets[u + 1] - short_.offsets[u];
+    slice_sizes[u] = short_degree[u] + (long_.offsets[u + 1] - long_.offsets[u]) +
+                     (reverse_.offsets[u + 1] - reverse_.offsets[u]);
   }
-  // Every slice's destination is fixed by the prefix sum above, so packing
-  // is embarrassingly parallel and bit-identical to the serial copy.
-  std::vector<NodeId> edges(link_count_);
+  // A slice starts at the sum of its three runs' offsets, so packing is
+  // embarrassingly parallel and bit-identical to the serial copy.
+  std::vector<NodeId> edges(links);
   const auto pack = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t u = lo; u < hi; ++u) {
-      std::copy(adjacency_[u].begin(), adjacency_[u].end(),
-                edges.begin() + offsets[u]);
+      NodeId* out = edges.data() + short_.offsets[u] + long_.offsets[u] + reverse_.offsets[u];
+      for (const Run* run : {&short_, &long_, &reverse_}) {
+        const auto slice = run->slice(u);
+        out = std::copy(slice.begin(), slice.end(), out);
+      }
     }
   };
-  if (pool != nullptr && pool->thread_count() > 1 && n >= 1024) {
+  if (fans(pool, n)) {
     pool->parallel_chunks(n, pool->thread_count() * 8, pack);
   } else {
     pack(0, n);
   }
+  short_ = {};
+  long_ = {};
+  reverse_ = {};
   OverlayGraph g =
       opts.layout == EdgeLayout::kCompact
           ? OverlayGraph::freeze_compact(space_, std::move(positions_),
-                                         slice_sizes, short_degree_, edges,
+                                         slice_sizes, short_degree, edges,
                                          opts.huge_pages, pool)
           : OverlayGraph(space_, std::move(positions_), std::move(slice_sizes),
-                         std::move(short_degree_), std::move(edges));
+                         std::move(short_degree), std::move(edges));
   // Leave the builder empty rather than half-moved-from.
-  adjacency_.clear();
   positions_.clear();
-  short_degree_.clear();
-  link_count_ = 0;
+  node_count_ = 0;
+  closed_ = false;
   return g;
 }
 
@@ -269,8 +370,7 @@ void sample_power_law_targets(const GraphBuilder& g, const BuildSpec& spec,
 /// (spec, rng) — serial and parallel builds of any thread count are
 /// bit-identical. Sampling (the expensive part: one guided inverse-CDF
 /// lookup per draw, plus rejection in sparse mode) runs in parallel into a
-/// flat target table; the cheap appends stay serial because GraphBuilder
-/// mutation is not thread-safe.
+/// flat target table, which then becomes the builder's long-link run.
 void add_power_law_links(GraphBuilder& g, const BuildSpec& spec, util::Rng& rng,
                          util::ThreadPool* pool) {
   if (spec.long_links == 0) return;  // before the base draw: no links, no rng use
@@ -296,12 +396,7 @@ void add_power_law_links(GraphBuilder& g, const BuildSpec& spec, util::Rng& rng,
       sample_node(u, node_rng);
     }
   }
-  for (NodeId u = 0; u < n; ++u) {
-    const NodeId* row = targets.data() + static_cast<std::size_t>(u) * spec.long_links;
-    for (std::size_t k = 0; k < spec.long_links; ++k) {
-      if (row[k] != kInvalidNode) g.add_long_link(u, row[k]);
-    }
-  }
+  g.add_long_links(std::move(targets), spec.long_links);
 }
 
 void add_base_b_links(GraphBuilder& g, const BuildSpec& spec) {
@@ -335,11 +430,10 @@ void add_base_b_links(GraphBuilder& g, const BuildSpec& spec) {
 /// make_bidirectional transpose) use: each node holds at most `short_links`
 /// short links and `long_links` long links, plus as many reverses when
 /// `bidirectional`. Callers run it before allocating anything per node or
-/// per link, so an impossible spec fails fast instead of in a reserve.
+/// per link, so an impossible spec fails fast instead of in an allocation.
 void require_slot_budget(std::uint64_t nodes, std::uint64_t short_links,
                          std::uint64_t long_links, bool bidirectional, const char* what) {
-  util::require(nodes <= std::numeric_limits<NodeId>::max(),
-                std::string(what) + ": node count exceeds the NodeId range");
+  checked_node_count(nodes, what);
   const std::uint64_t per_node = std::numeric_limits<std::uint32_t>::max() / nodes;
   util::require(short_links <= per_node &&
                     long_links <= (per_node - short_links) / (bidirectional ? 2 : 1),
@@ -373,7 +467,6 @@ OverlayGraph build_overlay_impl(const BuildSpec& spec, util::Rng& rng,
       sparse ? GraphBuilder(space, draw_present_positions(spec.grid_size, spec.presence, rng))
              : GraphBuilder(space);
   require_slot_budget(builder.size(), 2, spec.long_links, spec.bidirectional, "build_overlay");
-  builder.reserve_links(spec.long_links + 2);
   builder.wire_short_links();
   if (spec.link_model == BuildSpec::LinkModel::kPowerLaw) {
     add_power_law_links(builder, spec, rng, pool);
@@ -414,7 +507,6 @@ OverlayGraph build_kleinberg_overlay_impl(std::uint32_t side,
   require_slot_budget(torus.size(), 4, long_links, false, "build_kleinberg_overlay");
 
   GraphBuilder builder{torus};
-  builder.reserve_links(long_links + 4);
   // Four lattice neighbours per node (wrapping, so every node has all four).
   // These are the "short" links a failure model keeps alive, exactly like
   // the ±1 links of the 1-D overlays. At side 2 the ±1 neighbours coincide,

@@ -1,12 +1,14 @@
 // Overlay assembly: the mutable GraphBuilder and the ideal (one-shot)
 // construction of §4.3.
 //
-// Overlays are built in two phases. A GraphBuilder accumulates links in
-// cheap per-node buffers with the same contract as the frozen graph's
-// incremental API (short links first, then long links); freeze() then packs
-// everything into the flat CSR OverlayGraph the routing hot path wants.
-// Building through the builder costs O(nodes + links) total — no flat-array
-// shifting — so it is the only sanctioned path for large graphs.
+// Overlays are built in two phases. A GraphBuilder appends links, in node
+// order, to three flat runs (short links, long links, and the reverses
+// make_bidirectional adds), each one offsets array over one NodeId array;
+// freeze() then interleaves them into the flat CSR OverlayGraph the routing
+// hot path wants, short links first in every node's slice. Building costs
+// O(nodes + links) time and a few words per link, with no per-node heap
+// block and no flat-array shifting, so it is the only sanctioned path for
+// large graphs.
 //
 // build_overlay realizes the random graph of §4.3 directly: every node links
 // to its nearest neighbour on either side plus ℓ long-distance neighbours
@@ -37,19 +39,25 @@ struct FreezeOptions {
 };
 
 /// Mutable first phase of overlay construction; freeze() yields the CSR
-/// OverlayGraph. The link contract matches OverlayGraph's incremental API:
-/// all short links of a node must be added before its first long link.
+/// OverlayGraph. Each kind of link is appended in node order, and no short
+/// link of u may follow a long link of u or of a later node: wire the short
+/// links, then add the long links node by node. make_bidirectional() then
+/// adds the missing reverses and closes the builder to further links. An
+/// append that breaks this order throws std::logic_error.
 class GraphBuilder {
  public:
   /// A builder whose node i sits at grid position i (fully populated grid).
+  /// Throws std::invalid_argument, before allocating, when the space holds
+  /// more points than the NodeId range can name.
   explicit GraphBuilder(metric::Space space);
 
   /// A builder over a sparse, strictly increasing set of occupied positions.
-  /// Preconditions: positions sorted strictly increasing, all within space.
+  /// Preconditions: positions sorted strictly increasing, all within space,
+  /// and no more of them than the NodeId range can name.
   GraphBuilder(metric::Space space, std::vector<metric::Point> positions);
 
   [[nodiscard]] const metric::Space& space() const noexcept { return space_; }
-  [[nodiscard]] std::size_t size() const noexcept { return adjacency_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return node_count_; }
 
   /// Grid position of node u. Precondition: u < size().
   [[nodiscard]] metric::Point position(NodeId u) const noexcept {
@@ -67,30 +75,22 @@ class GraphBuilder {
     return detail::node_nearest(space_, positions_, p);
   }
 
-  [[nodiscard]] std::size_t short_degree(NodeId u) const noexcept {
-    return short_degree_[u];
-  }
-  [[nodiscard]] std::size_t out_degree(NodeId u) const noexcept {
-    return adjacency_[u].size();
-  }
-  [[nodiscard]] std::size_t link_count() const noexcept { return link_count_; }
-
-  /// Long-distance out-neighbours of u accumulated so far.
-  [[nodiscard]] std::span<const NodeId> long_neighbors(NodeId u) const noexcept {
-    return {adjacency_[u].data() + short_degree_[u],
-            adjacency_[u].size() - short_degree_[u]};
-  }
-
-  /// Reserves capacity for `per_node` links on every node (a build-speed
-  /// hint; ℓ + 2 is the natural choice for the paper's overlays).
-  void reserve_links(std::size_t per_node);
-
-  /// Appends a short (immediate-neighbour) link u -> v. Short links must be
-  /// added before any long link of u. Throws std::logic_error otherwise.
+  /// Appends a short (immediate-neighbour) link u -> v. Throws
+  /// std::logic_error when u or a later node already has a long link, or a
+  /// later node a short link.
   void add_short_link(NodeId u, NodeId v);
 
-  /// Appends a long-distance link u -> v.
+  /// Appends a long-distance link u -> v. Throws std::logic_error when a
+  /// later node already has a long link.
   void add_long_link(NodeId u, NodeId v);
+
+  /// Appends every long link of a row-major table: row u (`per_node`
+  /// entries) lists node u's targets, kInvalidNode marking a draw that made
+  /// no link. The table becomes the long-link storage (its holes compacted
+  /// in place), so no link is copied. Throws std::logic_error unless no long
+  /// link was added before, and std::invalid_argument unless the table has
+  /// size() * per_node entries.
+  void add_long_links(std::vector<NodeId> targets, std::size_t per_node);
 
   /// True when u already has any link to v.
   [[nodiscard]] bool has_link(NodeId u, NodeId v) const noexcept;
@@ -105,13 +105,15 @@ class GraphBuilder {
   /// Node v gains v -> u for each distinct u with a long link u -> v that
   /// v's links so far lack, in ascending u. Cost O(nodes + links · degree):
   /// a counting-sort transpose of the long links, then one pass per node
-  /// over its own slice and one insert.
+  /// over its own links. Afterwards no link can be added; a second call
+  /// adds nothing.
   void make_bidirectional();
 
-  /// As make_bidirectional(), fanning the per-node decision across `pool`;
-  /// the appends stay on the calling thread. Each decision reads only its
-  /// node's slice and in-links, so the result is bit-identical to the
-  /// serial overload for any thread count.
+  /// As make_bidirectional(), fanning the transpose (one chunk of sources
+  /// per thread, each with its own row of n slot cursors) and the per-node
+  /// decisions across `pool`. Chunks fill disjoint ascending parts of every
+  /// target's sources, so the result is bit-identical to the serial
+  /// overload for any thread count.
   void make_bidirectional(util::ThreadPool& pool);
 
   /// Packs the accumulated links into a frozen OverlayGraph in the layout
@@ -126,7 +128,27 @@ class GraphBuilder {
                                     FreezeOptions opts = {});
 
  private:
+  /// One flat run of links: node u's are targets[offsets[u], offsets[u + 1]).
+  /// Appends come in node order, so offsets holds the start of every node
+  /// up to the last one appended to; seal() closes the remaining ranges.
+  struct Run {
+    std::vector<std::uint32_t> offsets;
+    std::vector<NodeId> targets;
+
+    /// Throws std::logic_error when a node after u already has a link here.
+    void append(NodeId u, NodeId v);
+    /// Gives offsets its n + 1 entries.
+    void seal(std::size_t n);
+    /// Node u's links, sealed or not.
+    [[nodiscard]] std::span<const NodeId> slice(std::size_t u) const noexcept {
+      if (u >= offsets.size()) return {};
+      const std::size_t end = u + 1 < offsets.size() ? offsets[u + 1] : targets.size();
+      return {targets.data() + offsets[u], end - offsets[u]};
+    }
+  };
+
   void check_node(NodeId u) const;
+  void check_open() const;
 
   void add_missing_reverses(util::ThreadPool* pool);
 
@@ -134,10 +156,12 @@ class GraphBuilder {
                                          FreezeOptions opts);
 
   metric::Space space_;
-  std::vector<metric::Point> positions_;        // empty when dense
-  std::vector<std::vector<NodeId>> adjacency_;  // short links first
-  std::vector<std::uint32_t> short_degree_;
-  std::size_t link_count_ = 0;
+  std::vector<metric::Point> positions_;  // empty when dense
+  std::size_t node_count_ = 0;
+  Run short_;
+  Run long_;
+  Run reverse_;  // filled by make_bidirectional
+  bool closed_ = false;  // make_bidirectional ran
 };
 
 /// Parameters of an ideal overlay build.
@@ -203,7 +227,8 @@ struct BuildSpec {
 [[nodiscard]] OverlayGraph build_overlay(const BuildSpec& spec, util::Rng& rng);
 
 /// As above, fanning the long-link sampling loop, make_bidirectional's
-/// per-node decisions and the freeze edge packing across `pool`.
+/// transpose and per-node decisions, and the freeze edge packing across
+/// `pool`.
 /// Bit-identical to the serial overload for any thread count.
 /// Must not be called from inside a task already running on `pool`.
 [[nodiscard]] OverlayGraph build_overlay(const BuildSpec& spec, util::Rng& rng,

@@ -47,6 +47,19 @@ std::size_t GuidedSearch::upper_bound(const std::vector<double>& prefix,
   return static_cast<std::size_t>(it - prefix.begin());
 }
 
+std::uint64_t torus_row_part(const metric::Space& torus, metric::Distance d, double pick) {
+  const std::uint64_t half = torus.side() / 2;
+  const std::uint64_t lo = d > half ? d - half : 0;  // the weights before lo are 0
+  const std::uint64_t hi = std::min<std::uint64_t>(d, half);
+  if (lo >= hi) return hi;
+  const double first = static_cast<double>(torus.axis_count(lo) * torus.axis_count(d - lo));
+  if (pick < first) return lo;
+  // Each interior row part weighs 4; the difference, / 4 and floor are exact.
+  const double step = std::floor((pick - first) / 4.0);
+  return step < static_cast<double>(hi - lo - 1) ? lo + 1 + static_cast<std::uint64_t>(step)
+                                                 : hi;
+}
+
 }  // namespace detail
 
 PowerLawLinkSampler::PowerLawLinkSampler(metric::Space space, double exponent)
@@ -91,18 +104,8 @@ metric::Point PowerLawLinkSampler::sample_torus_target(util::Rng& rng,
 
   // Choose the row component rd of the Manhattan distance with weight
   // axis_count(rd) * axis_count(d - rd); the weights sum to ring_size(d).
-  const std::uint64_t rd_max = std::min<std::uint64_t>(d, space_.side() / 2);
-  double pick = rng.next_double() * static_cast<double>(space_.ring_size(d));
-  std::uint64_t rd = 0;
-  for (std::uint64_t r = 0; r <= rd_max; ++r) {
-    const double w = static_cast<double>(space_.axis_count(r) * space_.axis_count(d - r));
-    if (pick < w) {
-      rd = r;
-      break;
-    }
-    pick -= w;
-    rd = r;  // fall back to the last valid radius on FP underflow
-  }
+  const double pick = rng.next_double() * static_cast<double>(space_.ring_size(d));
+  const std::uint64_t rd = detail::torus_row_part(space_, d, pick);
   const std::uint64_t cd = d - rd;
   const auto signed_offset = [&](std::uint64_t dist) -> std::int64_t {
     if (space_.axis_count(dist) == 1) {

@@ -57,6 +57,16 @@ class GuidedSearch {
   double scale_ = 0.0;                // buckets / p[m]
 };
 
+/// The row part rd of a torus draw at Manhattan radius d, given
+/// pick in [0, ring_size(d)): the first rd in [0, min(d, side/2)] at which
+/// pick falls below the running sum of the weights
+/// axis_count(rd) * axis_count(d - rd), or the last rd once pick reaches
+/// the total. O(1): the weights are integers, so subtracting them from pick
+/// one by one is exact below 2^53, and past the first non-zero weight every
+/// one is 4 but the last.
+[[nodiscard]] std::uint64_t torus_row_part(const metric::Space& torus, metric::Distance d,
+                                           double pick);
+
 }  // namespace detail
 
 /// Exact sampler for P[target = v | source = u] ∝ d(u,v)^-r over a

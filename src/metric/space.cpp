@@ -113,11 +113,14 @@ void Space::throw_not_torus(const char* what) {
 
 std::uint64_t Space::ring_size(Distance d) const {
   require_torus("Space::ring_size");
-  std::uint64_t count = 0;
-  for (std::uint64_t rd = 0; rd <= std::min<std::uint64_t>(d, side_ / 2); ++rd) {
-    count += axis_count(rd) * axis_count(d - rd);
-  }
-  return count;
+  // Row parts with a non-zero weight run over [lo, hi]. Strictly between
+  // the ends both rd and d - rd lie in (0, side/2), so each weighs 2 * 2.
+  const std::uint64_t half = side_ / 2;
+  const std::uint64_t lo = d > half ? d - half : 0;
+  const std::uint64_t hi = std::min<std::uint64_t>(d, half);
+  if (lo > hi) return 0;
+  const std::uint64_t ends = axis_count(lo) * axis_count(d - lo);
+  return lo == hi ? ends : ends + 4 * (hi - lo - 1) + axis_count(hi) * axis_count(d - hi);
 }
 
 std::string Space::to_string() const {

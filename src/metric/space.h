@@ -173,7 +173,7 @@ class Space {
   ///
   /// On a torus this count is position independent, which lets the Kleinberg
   /// link sampler draw a radius first and then a point uniformly at that
-  /// radius. O(min(d, side)) per call.
+  /// radius. O(1) per call.
   [[nodiscard]] std::uint64_t ring_size(Distance d) const;
 
   [[nodiscard]] std::string to_string() const;

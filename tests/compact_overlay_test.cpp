@@ -77,7 +77,6 @@ OverlayGraph build_torus(std::uint32_t side, std::size_t long_links,
                          std::uint64_t seed, EdgeLayout layout) {
   const metric::Space torus = metric::Space::torus(side);
   graph::GraphBuilder builder{torus};
-  builder.reserve_links(long_links + 4);
   for (NodeId u = 0; u < builder.size(); ++u) {
     const auto [row, col] = torus.coords(static_cast<metric::Point>(u));
     const auto r = static_cast<std::int64_t>(row);

@@ -419,6 +419,44 @@ TEST(TorusSampler, RadiusDistributionMatchesWeights) {
   }
 }
 
+/// The row-part choice as the sampler first made it: subtract each row
+/// part's weight from the pick until one exceeds what is left.
+std::uint64_t reference_row_part(const metric::Space& torus, metric::Distance d,
+                                 double pick) {
+  const std::uint64_t rd_max = std::min<std::uint64_t>(d, torus.side() / 2);
+  std::uint64_t rd = 0;
+  for (std::uint64_t r = 0; r <= rd_max; ++r) {
+    const double w = static_cast<double>(torus.axis_count(r) * torus.axis_count(d - r));
+    if (pick < w) return r;
+    pick -= w;
+    rd = r;  // the last row part once the pick reaches the total
+  }
+  return rd;
+}
+
+TEST(TorusSampler, RowPartMatchesSequentialSubtraction) {
+  util::Rng rng(71);
+  for (std::uint32_t side = 1; side <= 70; ++side) {
+    const metric::Space torus = metric::Space::torus(side);
+    for (metric::Distance d = 0; d <= torus.diameter(); ++d) {
+      const auto total = static_cast<double>(torus.ring_size(d));
+      // Every integer the running sum can stop at, the values beside it,
+      // random draws, the largest draw, and picks at or past the total.
+      std::vector<double> picks = {(1.0 - 0x1p-53) * total, std::nextafter(total, HUGE_VAL),
+                                   total + 4.0, 1e300};
+      for (double edge = 0.0; edge <= total; edge += 1.0) {
+        picks.insert(picks.end(), {edge, std::nextafter(edge, 0.0),
+                                   std::nextafter(edge, HUGE_VAL), edge + 0.5});
+      }
+      for (int i = 0; i < 16; ++i) picks.push_back(rng.next_double() * total);
+      for (const double pick : picks) {
+        ASSERT_EQ(detail::torus_row_part(torus, d, pick), reference_row_part(torus, d, pick))
+            << "side=" << side << " d=" << d << " pick=" << pick;
+      }
+    }
+  }
+}
+
 // -- Ideal builder --------------------------------------------------------------
 
 TEST(GraphBuilder, ShortLinksWireNearestNeighbours) {
@@ -691,6 +729,108 @@ TEST(GraphBuilderParallel, BidirectionalBuildOverlayMatchesSerial) {
   const OverlayGraph a = build_overlay(spec, rng_a);
   const OverlayGraph b = build_overlay(spec, rng_b, pool);
   expect_graphs_identical(b, a, "build_overlay bidirectional");
+}
+
+// ---------------------------------------------------------------------------
+// The builder's append contract.
+
+TEST(GraphBuilder, LinksMustBeAddedInNodeOrder) {
+  GraphBuilder b(Space::ring(8));
+  b.add_short_link(2, 3);
+  EXPECT_THROW(b.add_short_link(1, 2), std::logic_error);
+  b.add_long_link(3, 6);
+  EXPECT_THROW(b.add_long_link(2, 5), std::logic_error);
+  EXPECT_THROW(b.add_short_link(3, 4), std::logic_error);  // after 3's long link
+  b.add_long_link(3, 7);
+  b.add_long_link(5, 1);
+  EXPECT_THROW(b.add_long_links(std::vector<NodeId>(8, kInvalidNode), 1), std::logic_error);
+  const OverlayGraph g = b.freeze();
+  EXPECT_EQ(g.link_count(), 4u);
+  EXPECT_EQ(std::vector<NodeId>(g.neighbors(2).begin(), g.neighbors(2).end()),
+            std::vector<NodeId>({3}));
+  EXPECT_EQ(g.short_degree(2), 1u);
+  EXPECT_EQ(std::vector<NodeId>(g.neighbors(3).begin(), g.neighbors(3).end()),
+            std::vector<NodeId>({6, 7}));
+  EXPECT_EQ(g.short_degree(3), 0u);
+  EXPECT_EQ(std::vector<NodeId>(g.neighbors(5).begin(), g.neighbors(5).end()),
+            std::vector<NodeId>({1}));
+}
+
+TEST(GraphBuilder, NoLinkCanBeAddedAfterMakeBidirectional) {
+  GraphBuilder b(Space::ring(8));
+  b.wire_short_links();
+  b.add_long_link(0, 4);
+  b.make_bidirectional();
+  try {
+    b.add_long_link(7, 3);
+    ADD_FAILURE() << "a long link was accepted after make_bidirectional";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("make_bidirectional"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(b.add_short_link(7, 6), std::logic_error);
+  EXPECT_THROW(b.add_long_links(std::vector<NodeId>(8, kInvalidNode), 1), std::logic_error);
+}
+
+TEST(GraphBuilder, SecondMakeBidirectionalAddsNothing) {
+  util::ThreadPool pool(4);
+  GraphBuilder once = tricky_builder(2048, 25);
+  GraphBuilder twice = tricky_builder(2048, 25);
+  once.make_bidirectional();
+  twice.make_bidirectional();
+  twice.make_bidirectional(pool);
+  twice.make_bidirectional();
+  expect_graphs_identical(twice.freeze(), once.freeze(), "second make_bidirectional");
+}
+
+TEST(GraphBuilder, HasLinkSeesShortLongAndReverseLinks) {
+  GraphBuilder b(Space::ring(16));
+  b.wire_short_links();
+  b.add_long_link(3, 9);
+  EXPECT_TRUE(b.has_link(3, 4));  // short
+  EXPECT_TRUE(b.has_link(3, 9));  // long
+  EXPECT_FALSE(b.has_link(9, 3));
+  EXPECT_FALSE(b.has_link(3, 10));
+  b.make_bidirectional();
+  EXPECT_TRUE(b.has_link(9, 3));  // reverse
+  EXPECT_FALSE(b.has_link(9, 4));
+}
+
+TEST(GraphBuilder, LongLinkTableMatchesSingleAppends) {
+  // Row u holds node u's draws; kInvalidNode marks a draw that made no link.
+  const std::vector<NodeId> table = {3, kInvalidNode, kInvalidNode, kInvalidNode, 5, 0,
+                                     1, 1,            kInvalidNode, 2,            4, 3};
+  GraphBuilder single(Space::ring(6));
+  single.wire_short_links();
+  for (NodeId u = 0; u < 6; ++u) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      if (table[2 * u + k] != kInvalidNode) single.add_long_link(u, table[2 * u + k]);
+    }
+  }
+  GraphBuilder bulk(Space::ring(6));
+  bulk.wire_short_links();
+  EXPECT_THROW(bulk.add_long_links(table, 3), std::invalid_argument);
+  bulk.add_long_links(table, 2);
+  EXPECT_THROW(bulk.add_long_link(5, 0), std::logic_error);
+  EXPECT_THROW(bulk.add_short_link(5, 0), std::logic_error);
+  expect_graphs_identical(bulk.freeze(), single.freeze(), "long-link table");
+
+  GraphBuilder bad(Space::ring(6));
+  // 6 * 2^63 wraps to 0 entries.
+  EXPECT_THROW(bad.add_long_links({}, std::size_t{1} << 63), std::invalid_argument);
+  EXPECT_THROW(bad.add_long_links(std::vector<NodeId>(6, 6), 1), std::out_of_range);
+  bad.add_long_link(0, 1);  // the refused table left no long link behind
+  EXPECT_EQ(bad.freeze().link_count(), 1u);
+}
+
+TEST(GraphBuilder, RejectsMoreNodesThanNodeIdsBeforeAllocating) {
+  // The constructors size nothing per node, so even the largest accepted
+  // space costs no memory until links arrive.
+  constexpr std::uint64_t kMaxNodes = std::numeric_limits<NodeId>::max();
+  EXPECT_EQ(GraphBuilder(Space::ring(kMaxNodes)).size(), kMaxNodes);
+  EXPECT_THROW(GraphBuilder(Space::ring(kMaxNodes + 1)), std::invalid_argument);
+  EXPECT_THROW(GraphBuilder(Space::ring(std::uint64_t{1} << 33)), std::invalid_argument);
+  EXPECT_THROW(GraphBuilder(Space::line(std::uint64_t{1} << 40)), std::invalid_argument);
+  EXPECT_THROW(GraphBuilder(Space::torus(1u << 17)), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
