@@ -889,6 +889,12 @@ TEST(GraphBuilderPinned, BuildsMatchReferenceFingerprints) {
       // perfbench's churn_replay graph.
       {"ring 2^16", with([](BuildSpec& s) { s.grid_size = 1u << 16; s.long_links = 16; }), 0,
        0x6d0bf2b679cf4552ULL},
+      // The compact encoder across many node blocks and arena pages.
+      {"ring 2^16 compact", with([](BuildSpec& s) {
+         s.grid_size = 1u << 16;
+         s.long_links = 16;
+         s.layout = EdgeLayout::kCompact;
+       }), 0, 0x6d0bf2b679cf4552ULL},
       {"odd ring", with([](BuildSpec& s) { s.grid_size = 3001; s.long_links = 7; }), 0,
        0xa90227a897b374aaULL},
       {"line", with([](BuildSpec& s) {
@@ -905,6 +911,13 @@ TEST(GraphBuilderPinned, BuildsMatchReferenceFingerprints) {
          s.presence = 0.5;
          s.long_links = 4;
          s.sparse_mode = Mode::kSnap;
+       }), 0, 0x4f71076454dc9a76ULL},
+      // A sparse graph (positions, uneven degrees) in compact form.
+      {"presence 0.5 snap compact", with([](BuildSpec& s) {
+         s.presence = 0.5;
+         s.long_links = 4;
+         s.sparse_mode = Mode::kSnap;
+         s.layout = EdgeLayout::kCompact;
        }), 0, 0x4f71076454dc9a76ULL},
       {"exponent 0", with([](BuildSpec& s) { s.exponent = 0.0; s.long_links = 4; }), 0,
        0x83cd7a5837e56927ULL},
