@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/arena.h"
 #include "util/require.h"
 
 namespace p2p::graph {
@@ -247,6 +248,9 @@ void GraphBuilder::add_missing_reverses(util::ThreadPool* pool) {
     out += kept[v];
   }
   reverse_.offsets[n] = out;
+  // The slots past the survivors are never read again: hand their pages
+  // back now rather than when the freeze frees the run.
+  util::release_pages(sources + out, sources + reverse_.targets.size());
   reverse_.targets.resize(out);
 }
 
@@ -260,49 +264,39 @@ OverlayGraph GraphBuilder::freeze(util::ThreadPool& pool, FreezeOptions opts) {
 
 OverlayGraph GraphBuilder::freeze_impl(util::ThreadPool* pool, FreezeOptions opts) {
   const std::size_t n = node_count_;
-  const std::size_t links =
-      short_.targets.size() + long_.targets.size() + reverse_.targets.size();
-  util::require(links <= std::numeric_limits<std::uint32_t>::max(),
-                "GraphBuilder::freeze: edge slot index overflow");
   short_.seal(n);
   long_.seal(n);
   reverse_.seal(n);
-  // Node u's slice is its short, long and reverse links, in that order.
-  std::vector<std::uint32_t> slice_sizes(n);
-  std::vector<std::uint32_t> short_degree(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    short_degree[u] = short_.offsets[u + 1] - short_.offsets[u];
-    slice_sizes[u] = short_degree[u] + (long_.offsets[u + 1] - long_.offsets[u]) +
-                     (reverse_.offsets[u + 1] - reverse_.offsets[u]);
-  }
-  // A slice starts at the sum of its three runs' offsets, so packing is
-  // embarrassingly parallel and bit-identical to the serial copy.
-  std::vector<NodeId> edges(links);
-  const auto pack = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t u = lo; u < hi; ++u) {
-      NodeId* out = edges.data() + short_.offsets[u] + long_.offsets[u] + reverse_.offsets[u];
-      for (const Run* run : {&short_, &long_, &reverse_}) {
-        const auto slice = run->slice(u);
-        out = std::copy(slice.begin(), slice.end(), out);
-      }
+  detail::LinkRuns runs{{{short_.offsets, short_.targets},
+                         {long_.offsets, long_.targets},
+                         {reverse_.offsets, reverse_.targets}}};
+  util::require(runs.link_count() <= std::numeric_limits<std::uint32_t>::max(),
+                "GraphBuilder::freeze: edge slot index overflow");
+  OverlayGraph g = [&] {
+    if (opts.layout == EdgeLayout::kCompact) {
+      return OverlayGraph::freeze_compact(space_, std::move(positions_), runs,
+                                          opts.huge_pages, pool);
     }
-  };
-  if (fans(pool, n)) {
-    pool->parallel_chunks(n, pool->thread_count() * 8, pack);
-  } else {
-    pack(0, n);
-  }
+    // The standard form keeps the concatenated slices as its flat edge
+    // array; packing streams the runs into it, releasing them behind.
+    std::vector<std::uint32_t> slice_sizes(n);
+    std::vector<std::uint32_t> short_degree(n);
+    std::vector<NodeId> edges(runs.link_count());
+    runs.stream(pool, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t u = lo; u < hi; ++u) {
+        slice_sizes[u] = runs.degree(u);
+        short_degree[u] = runs.short_degree(u);
+        NodeId* out = edges.data() + runs.slot_base(u);
+        runs.for_each_link(u, [&out](NodeId v) { *out++ = v; });
+      }
+    });
+    return OverlayGraph(space_, std::move(positions_), std::move(slice_sizes),
+                        std::move(short_degree), std::move(edges));
+  }();
+  // Leave the builder empty rather than half-moved-from.
   short_ = {};
   long_ = {};
   reverse_ = {};
-  OverlayGraph g =
-      opts.layout == EdgeLayout::kCompact
-          ? OverlayGraph::freeze_compact(space_, std::move(positions_),
-                                         slice_sizes, short_degree, edges,
-                                         opts.huge_pages, pool)
-          : OverlayGraph(space_, std::move(positions_), std::move(slice_sizes),
-                         std::move(short_degree), std::move(edges));
-  // Leave the builder empty rather than half-moved-from.
   positions_.clear();
   node_count_ = 0;
   closed_ = false;

@@ -4,11 +4,14 @@
 // Overlays are built in two phases. A GraphBuilder appends links, in node
 // order, to three flat runs (short links, long links, and the reverses
 // make_bidirectional adds), each one offsets array over one NodeId array;
-// freeze() then interleaves them into the flat CSR OverlayGraph the routing
-// hot path wants, short links first in every node's slice. Building costs
-// O(nodes + links) time and a few words per link, with no per-node heap
-// block and no flat-array shifting, so it is the only sanctioned path for
-// large graphs.
+// freeze() then reads node u's slice as short(u) ‖ long(u) ‖ reverse(u) and
+// streams the runs, in blocks of nodes, into the frozen OverlayGraph the
+// routing hot path wants: the compact layout encodes them straight into its
+// arena, the standard one packs them into its flat edge array. Behind each
+// block the runs' pages go back to the OS, so a build peaks at about the
+// runs alone, not the runs plus a copy. Building costs O(nodes + links) time
+// and a few words per link, with no per-node heap block and no flat-array
+// shifting, so it is the only sanctioned path for large graphs.
 //
 // build_overlay realizes the random graph of §4.3 directly: every node links
 // to its nearest neighbour on either side plus ℓ long-distance neighbours
@@ -116,14 +119,16 @@ class GraphBuilder {
   /// overload for any thread count.
   void make_bidirectional(util::ThreadPool& pool);
 
-  /// Packs the accumulated links into a frozen OverlayGraph in the layout
-  /// `opts` selects. The builder is consumed: left empty (size 0) afterwards.
+  /// Streams the accumulated links into a frozen OverlayGraph in the layout
+  /// `opts` selects, releasing the link runs' pages block by block behind
+  /// the encode (or pack). The builder is consumed: left empty (size 0)
+  /// afterwards.
   [[nodiscard]] OverlayGraph freeze(FreezeOptions opts = {});
 
-  /// As freeze(), fanning the edge packing (per-node slice copies into the
-  /// flat CSR array, plus the compact encode passes) across `pool`.
-  /// Bit-identical to the serial overload: every slice lands at an offset
-  /// fixed by the serial prefix sum.
+  /// As freeze(), fanning the per-node work of every node block (the
+  /// compact size and encode passes, or the standard slice copies) across
+  /// `pool`. Bit-identical to the serial overload: every slice lands at an
+  /// offset fixed by the runs' offsets.
   [[nodiscard]] OverlayGraph freeze(util::ThreadPool& pool,
                                     FreezeOptions opts = {});
 
@@ -227,7 +232,7 @@ struct BuildSpec {
 [[nodiscard]] OverlayGraph build_overlay(const BuildSpec& spec, util::Rng& rng);
 
 /// As above, fanning the long-link sampling loop, make_bidirectional's
-/// transpose and per-node decisions, and the freeze edge packing across
+/// transpose and per-node decisions, and the freeze's per-block passes across
 /// `pool`.
 /// Bit-identical to the serial overload for any thread count.
 /// Must not be called from inside a task already running on `pool`.
@@ -252,7 +257,7 @@ struct BuildSpec {
                                                    std::size_t long_links,
                                                    double exponent, util::Rng& rng);
 
-/// As above, fanning the long-link sampling and freeze packing across `pool`.
+/// As above, fanning the long-link sampling and the freeze across `pool`.
 [[nodiscard]] OverlayGraph build_kleinberg_overlay(std::uint32_t side,
                                                    std::size_t long_links,
                                                    double exponent, util::Rng& rng,

@@ -212,88 +212,90 @@ OverlayGraph& OverlayGraph::operator=(const OverlayGraph& other) {
   return *this;
 }
 
-OverlayGraph OverlayGraph::freeze_compact(
-    metric::Space space, std::vector<metric::Point> positions,
-    const std::vector<std::uint32_t>& slice_sizes,
-    const std::vector<std::uint32_t>& short_degree,
-    const std::vector<NodeId>& edges, bool huge_pages, util::ThreadPool* pool) {
-  const std::size_t n = slice_sizes.size();
-  util::require(edges.size() <= std::numeric_limits<std::uint32_t>::max(),
+OverlayGraph OverlayGraph::freeze_compact(metric::Space space,
+                                          std::vector<metric::Point> positions,
+                                          detail::LinkRuns runs, bool huge_pages,
+                                          util::ThreadPool* pool) {
+  const std::size_t n = runs.size();
+  const std::size_t links = runs.link_count();
+  util::require(links <= std::numeric_limits<std::uint32_t>::max(),
                 "freeze_compact: slot index overflow");
   OverlayGraph g(space, std::move(positions), CompactTag{});
   g.node_count_ = n;
   g.arena_ = util::Arena(util::Arena::kDefaultChunkBytes, huge_pages);
-  g.link_count_ = edges.size();
+  g.link_count_ = links;
 
-  const auto fan = [&](std::size_t jobs, auto&& body) {
-    if (pool != nullptr && jobs >= 1024) {
-      pool->parallel_chunks(jobs, pool->thread_count() * 4, body);
-    } else {
-      body(0, jobs);
-    }
-  };
-
-  // Slot bases (shared keying with the standard layout).
-  std::vector<std::uint64_t> slot_off(n + 1);
-  slot_off[0] = 0;
-  for (std::size_t u = 0; u < n; ++u) slot_off[u + 1] = slot_off[u] + slice_sizes[u];
-  util::require(slot_off[n] == edges.size(),
-                "freeze_compact: slice sizes disagree with the edge array");
-
-  // Pass 1: per-node encoded length (one slot word per link plus two
-  // exception words per escaped link), rounded up to a whole 2-word unit so
-  // the u32 `enc` header field addresses streams past 2^32 words.
-  std::vector<std::uint32_t> unit_len(n);
-  fan(n, [&](std::size_t lo, std::size_t hi) {
+  // Pass 1: every header but its stream start, whose field first holds the
+  // node's encoded length (one slot word per link plus two exception words
+  // per escaped link) in whole 2-word units, so the u32 `enc` field
+  // addresses streams past 2^32 words.
+  auto* ch = g.arena_.allocate_array<CompactHeader>(n + 1);
+  const auto size_nodes = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t u = lo; u < hi; ++u) {
       std::size_t words = 0;
-      const std::size_t base = slot_off[u];
-      for (std::size_t i = 0; i < slice_sizes[u]; ++i) {
-        words += encoded_words(static_cast<NodeId>(u), edges[base + i]);
-      }
-      unit_len[u] = static_cast<std::uint32_t>((words + 1) / 2);
+      runs.for_each_link(u, [&](NodeId v) { words += encoded_words(static_cast<NodeId>(u), v); });
+      ch[u] = CompactHeader{runs.slot_base(u), static_cast<std::uint32_t>((words + 1) / 2),
+                            runs.degree(u), static_cast<std::uint16_t>(runs.short_degree(u)),
+                            0};
     }
-  });
-
-  std::vector<std::uint64_t> enc_unit_off(n + 1);
-  enc_unit_off[0] = 0;
-  for (std::size_t u = 0; u < n; ++u) enc_unit_off[u + 1] = enc_unit_off[u] + unit_len[u];
-  util::require(enc_unit_off[n] <= std::numeric_limits<std::uint32_t>::max(),
+  };
+  if (pool != nullptr && n >= 1024) {
+    pool->parallel_chunks(n, pool->thread_count() * 4, size_nodes);
+  } else {
+    size_nodes(0, n);
+  }
+  // Lengths to stream starts. A start past the u32 range wraps, but the
+  // total then is past it too, and the check below throws.
+  std::uint64_t units = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::uint32_t len = ch[u].enc;
+    ch[u].enc = static_cast<std::uint32_t>(units);
+    units += len;
+  }
+  util::require(units <= std::numeric_limits<std::uint32_t>::max(),
                 "freeze_compact: encoded stream exceeds the addressable range");
-  const std::uint64_t total_words = enc_unit_off[n] * 2;
+  ch[n] = CompactHeader{static_cast<std::uint32_t>(links), static_cast<std::uint32_t>(units),
+                        0, 0, 0};
+  const std::uint64_t total_words = units * 2;
+  auto* stream = g.arena_.allocate_array<std::uint16_t>(static_cast<std::size_t>(total_words));
 
-  auto* ch = g.arena_.allocate_array<CompactHeader>(n + 1);
-  auto* stream = g.arena_.allocate_array<std::uint16_t>(
-      static_cast<std::size_t>(total_words));
-
-  // Pass 2: headers + encoding (parallel: workers first-touch their span of
-  // the arena pages, which matters once shards pin their build pools).
-  fan(n, [&](std::size_t lo, std::size_t hi) {
+  // Pass 2: the encoding, streamed block by block so the runs' pages go
+  // back as the stream fills in (workers first-touch their span of the
+  // arena pages, which matters once shards pin their build pools).
+  runs.stream(pool, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t u = lo; u < hi; ++u) {
-      CompactHeader& h = ch[u];
-      h.offset = static_cast<std::uint32_t>(slot_off[u]);
-      h.enc = static_cast<std::uint32_t>(enc_unit_off[u]);
-      h.degree = slice_sizes[u];
-      h.short_degree = static_cast<std::uint16_t>(short_degree[u]);
-      h.reserved = 0;
       // Slot words first, the escaped targets' absolutes behind them.
-      std::uint16_t* const slots = stream + enc_unit_off[u] * 2;
-      std::uint16_t* exc = slots + slice_sizes[u];
-      std::uint16_t* const end = stream + enc_unit_off[u + 1] * 2;
-      const std::size_t base = slot_off[u];
-      for (std::size_t i = 0; i < slice_sizes[u]; ++i) {
-        encode_link(slots + i, exc, static_cast<NodeId>(u), edges[base + i]);
-      }
+      std::uint16_t* const slots = stream + std::size_t{ch[u].enc} * 2;
+      std::uint16_t* exc = slots + ch[u].degree;
+      std::uint16_t* const end = stream + std::size_t{ch[u + 1].enc} * 2;
+      std::uint16_t* slot = slots;
+      runs.for_each_link(u, [&](NodeId v) { encode_link(slot++, exc, static_cast<NodeId>(u), v); });
       if (exc != end) *exc = 0;  // even-unit padding word
     }
   });
-  ch[n] = CompactHeader{static_cast<std::uint32_t>(slot_off[n]),
-                        static_cast<std::uint32_t>(enc_unit_off[n]), 0, 0, 0};
 
   g.cheaders_ = ch;
   g.enc_ = stream;
   g.enc_words_ = total_words;
   return g;
+}
+
+void detail::LinkRuns::stream(util::ThreadPool* pool,
+                              const std::function<void(std::size_t, std::size_t)>& body) {
+  const std::size_t n = size();
+  void* released[3] = {runs[0].targets.data(), runs[1].targets.data(), runs[2].targets.data()};
+  for (std::size_t lo = 0; lo < n; lo += kFreezeBlockNodes) {
+    const std::size_t hi = std::min(n, lo + kFreezeBlockNodes);
+    if (pool != nullptr && hi - lo >= 1024) {
+      pool->parallel_chunks(hi - lo, pool->thread_count() * 4,
+                            [&](std::size_t a, std::size_t b) { body(lo + a, lo + b); });
+    } else {
+      body(lo, hi);
+    }
+    for (std::size_t r = 0; r < 3; ++r) {
+      released[r] = util::release_pages(released[r], runs[r].targets.data() + runs[r].offsets[hi]);
+    }
+  }
 }
 
 void OverlayGraph::check_node(NodeId u) const {

@@ -55,6 +55,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <span>
 #include <vector>
@@ -129,6 +130,55 @@ inline std::size_t count_escapes(const std::uint16_t* slot, std::size_t n) noexc
   for (std::size_t i = 0; i < n; ++i) escapes += slot[i] == kEscapeWord ? 1 : 0;
   return escapes;
 }
+
+/// Nodes per block of the streamed freeze (LinkRuns::stream). One block's
+/// output is all that sits beside the full runs at the freeze's peak: on a
+/// 2^19-node ring with 19 long links each way, 2^16 peaked ~6 MiB higher,
+/// while 2^12 saved nothing more and only adds pool round trips.
+inline constexpr std::size_t kFreezeBlockNodes = std::size_t{1} << 14;
+
+/// The links a GraphBuilder hands to the freeze: three flat runs (short,
+/// long, reverse), each an offsets array of size() + 1 entries over a NodeId
+/// array. Node u's slice is its short, long and reverse links, in that
+/// order, so it starts at the sum of its three runs' offsets.
+struct LinkRuns {
+  struct Run {
+    std::span<const std::uint32_t> offsets;  // node u's links: [offsets[u], offsets[u + 1])
+    std::span<NodeId> targets;
+  };
+  Run runs[3];  // short, long, reverse
+
+  [[nodiscard]] std::size_t size() const noexcept { return runs[0].offsets.size() - 1; }
+  [[nodiscard]] std::size_t link_count() const noexcept {
+    return runs[0].targets.size() + runs[1].targets.size() + runs[2].targets.size();
+  }
+  /// First flat slot of node u's slice.
+  [[nodiscard]] std::uint32_t slot_base(std::size_t u) const noexcept {
+    return runs[0].offsets[u] + runs[1].offsets[u] + runs[2].offsets[u];
+  }
+  [[nodiscard]] std::uint32_t degree(std::size_t u) const noexcept {
+    return slot_base(u + 1) - slot_base(u);
+  }
+  [[nodiscard]] std::uint32_t short_degree(std::size_t u) const noexcept {
+    return runs[0].offsets[u + 1] - runs[0].offsets[u];
+  }
+  /// Calls f(v) for every link u -> v, in slice order.
+  template <typename F>
+  void for_each_link(std::size_t u, F&& f) const {
+    for (const Run& run : runs) {
+      for (std::uint32_t i = run.offsets[u]; i < run.offsets[u + 1]; ++i) f(run.targets[i]);
+    }
+  }
+
+  /// Runs body(lo, hi) over every node range of the graph: blocks of
+  /// kFreezeBlockNodes in node order, each fanned across `pool` (when given)
+  /// in disjoint sub-ranges. After each block it releases (util::release_pages)
+  /// the whole pages of the three target arrays that lie below the block's
+  /// last link, so the runs shrink as the frozen form grows; body must not
+  /// read a link of an earlier block.
+  void stream(util::ThreadPool* pool,
+              const std::function<void(std::size_t, std::size_t)>& body);
+};
 
 }  // namespace detail
 
@@ -495,14 +545,15 @@ class OverlayGraph {
                std::vector<std::uint32_t> short_degree, std::vector<NodeId> edges);
 
   /// Compact frozen-form factory used by GraphBuilder::freeze with
-  /// EdgeLayout::kCompact: encodes `edges` into the arena-backed stream.
-  /// `pool` (optional) fans the encode passes.
+  /// EdgeLayout::kCompact: encodes `runs` straight into the arena-backed
+  /// stream. A first pass sizes every node's stream into its header; the
+  /// encode pass then streams the runs (LinkRuns::stream), releasing their
+  /// pages behind it, so the caller must not read them afterwards. `pool`
+  /// (optional) fans both passes.
   static OverlayGraph freeze_compact(metric::Space space,
                                      std::vector<metric::Point> positions,
-                                     const std::vector<std::uint32_t>& slice_sizes,
-                                     const std::vector<std::uint32_t>& short_degree,
-                                     const std::vector<NodeId>& edges,
-                                     bool huge_pages, util::ThreadPool* pool);
+                                     detail::LinkRuns runs, bool huge_pages,
+                                     util::ThreadPool* pool);
 
   /// Tag ctor for freeze_compact: space/positions only, edge state unset.
   struct CompactTag {};

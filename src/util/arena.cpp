@@ -5,6 +5,7 @@
 
 #if defined(__linux__)
 #include <sys/mman.h>
+#include <unistd.h>
 #endif
 
 namespace p2p::util {
@@ -40,6 +41,21 @@ void unmap_huge(void* p, std::size_t bytes) noexcept {
   (void)p;
   (void)bytes;
 #endif
+}
+
+void* release_pages(void* begin, void* end) noexcept {
+#if defined(__linux__)
+  static const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+#else
+  constexpr std::uintptr_t page = 4096;
+#endif
+  const auto lo = (reinterpret_cast<std::uintptr_t>(begin) + page - 1) & ~(page - 1);
+  const auto hi = reinterpret_cast<std::uintptr_t>(end) & ~(page - 1);
+  if (lo >= hi) return begin;
+#if defined(__linux__)
+  (void)::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+#endif
+  return reinterpret_cast<void*>(hi);
 }
 
 Arena::Arena(std::size_t chunk_bytes, bool huge_pages)

@@ -33,6 +33,15 @@ namespace p2p::util {
 /// Releases a map_huge mapping (no-op on nullptr).
 void unmap_huge(void* p, std::size_t bytes) noexcept;
 
+/// Hands the physical pages lying wholly inside [begin, end) back to the OS
+/// (MADV_DONTNEED on Linux, a no-op elsewhere) for memory the caller will
+/// never read again: the bytes of the range outside those pages are
+/// untouched, and the dropped ones read back unspecified. Returns the end of
+/// the dropped pages, or `begin` when no whole page fits, so a buffer
+/// consumed front to back is released by calling it again from the returned
+/// address each time its consumed prefix grows.
+void* release_pages(void* begin, void* end) noexcept;
+
 /// Chunked bump allocator. Not thread-safe; allocations are freed only in
 /// bulk (destructor or reset). Alignment up to the chunk granularity is
 /// honoured per allocation.

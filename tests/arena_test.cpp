@@ -7,7 +7,9 @@
 //    reuses them without growing the reservation;
 //  * move construction/assignment transfer ownership and leave the source
 //    empty;
-//  * HpVector storage works on both sides of the 1 MiB mmap threshold.
+//  * HpVector storage works on both sides of the 1 MiB mmap threshold;
+//  * release_pages drops only the whole pages inside its range and resumes
+//    where the previous call stopped.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +18,10 @@
 #include <vector>
 
 #include "util/arena.h"
+
+#if defined(__linux__)
+#include <unistd.h>
+#endif
 
 namespace p2p::util {
 namespace {
@@ -180,6 +186,52 @@ TEST(HugePageAllocator, SmallAndLargeBlocks) {
               HugePageAllocator<std::uint32_t>());
   EXPECT_FALSE(HugePageAllocator<std::uint64_t>() !=
                HugePageAllocator<std::uint32_t>());
+}
+
+TEST(ReleasePages, DropsOnlyWholePagesInsideTheRange) {
+#if defined(__linux__)
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+#else
+  constexpr std::size_t page = 4096;
+#endif
+  std::vector<unsigned char> storage(6 * page);
+  const auto addr = reinterpret_cast<std::uintptr_t>(storage.data());
+  unsigned char* const base = storage.data() + ((page - addr % page) % page);
+  const std::size_t bytes = 5 * page;  // base is page-aligned, inside storage
+  std::memset(base, 0xAB, bytes);
+  const auto untouched = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (base[i] != 0xAB) return false;
+    }
+    return true;
+  };
+
+  // Empty and sub-page ranges, and one straddling a page boundary without
+  // covering a whole page, drop nothing and hand back their begin.
+  EXPECT_EQ(release_pages(base, base), base);
+  EXPECT_EQ(release_pages(base + 10, base + page - 10), base + 10);
+  EXPECT_EQ(release_pages(base + page / 2, base + page + page / 2), base + page / 2);
+  EXPECT_EQ(release_pages(base + 3 * page, base + 2 * page), base + 3 * page);
+  EXPECT_TRUE(untouched(0, bytes));
+
+  // Pages 1 and 2 lie wholly inside; the partial pages 0 and 3 stay.
+  void* const resume = release_pages(base + 100, base + 3 * page + 50);
+  EXPECT_EQ(resume, base + 3 * page);
+  EXPECT_TRUE(untouched(0, page));
+  EXPECT_TRUE(untouched(3 * page, bytes));
+#if defined(__linux__)
+  // Dropped anonymous pages read back zero, which shows they were released.
+  EXPECT_EQ(base[page], 0);
+  EXPECT_EQ(base[3 * page - 1], 0);
+#endif
+
+  // Resuming from the returned address takes page 3 once it is covered.
+  EXPECT_EQ(release_pages(resume, base + 4 * page + 1), base + 4 * page);
+  EXPECT_TRUE(untouched(4 * page, bytes));
+#if defined(__linux__)
+  EXPECT_EQ(base[3 * page], 0);
+  EXPECT_EQ(base[4 * page - 1], 0);
+#endif
 }
 
 }  // namespace

@@ -664,6 +664,7 @@ void expect_graphs_identical(const OverlayGraph& got, const OverlayGraph& want,
     ASSERT_EQ(got.position(u), want.position(u)) << label << " node " << u;
     ASSERT_EQ(got.short_degree(u), want.short_degree(u)) << label << " node " << u;
     ASSERT_EQ(got.edge_base(u), want.edge_base(u)) << label << " node " << u;
+    ASSERT_EQ(got.out_degree(u), want.out_degree(u)) << label << " node " << u;
     const auto a = got.neighbors(u);
     const auto b = want.neighbors(u);
     ASSERT_EQ(a.size(), b.size()) << label << " node " << u;
@@ -729,6 +730,34 @@ TEST(GraphBuilderParallel, BidirectionalBuildOverlayMatchesSerial) {
   const OverlayGraph a = build_overlay(spec, rng_a);
   const OverlayGraph b = build_overlay(spec, rng_b, pool);
   expect_graphs_identical(b, a, "build_overlay bidirectional");
+}
+
+TEST(GraphBuilder, CompactFreezeMatchesStandardAtBlockEdges) {
+  // The freeze streams the runs in blocks of B nodes and releases their
+  // pages behind each block; a slice read across a block edge, or a page
+  // dropped too early, shows up as a compact node that differs from the
+  // standard one. Random long links reach across the whole ring, so the
+  // larger sizes encode escaped slots too.
+  constexpr std::size_t B = detail::kFreezeBlockNodes;
+  util::ThreadPool pool(3);
+  for (const std::size_t n : {std::size_t{2}, std::size_t{3}, B - 1, B, B + 1, 2 * B + 1}) {
+    const auto frozen = [n](util::ThreadPool* p, EdgeLayout layout) {
+      GraphBuilder b = tricky_builder(n, 27);
+      if (p != nullptr) {
+        b.make_bidirectional(*p);
+        return b.freeze(*p, {.layout = layout});
+      }
+      b.make_bidirectional();
+      return b.freeze({.layout = layout});
+    };
+    const OverlayGraph standard = frozen(nullptr, EdgeLayout::kStandard);
+    const std::string label = "n = " + std::to_string(n);
+    ASSERT_TRUE(frozen(nullptr, EdgeLayout::kCompact).compact());
+    expect_graphs_identical(frozen(nullptr, EdgeLayout::kCompact), standard, label + " serial");
+    expect_graphs_identical(frozen(&pool, EdgeLayout::kCompact), standard, label + " pooled");
+    expect_graphs_identical(frozen(&pool, EdgeLayout::kStandard), standard,
+                            label + " pooled standard");
+  }
 }
 
 // ---------------------------------------------------------------------------
