@@ -59,9 +59,21 @@ bool simd_select_eligible(const graph::OverlayGraph& g,
 
 }  // namespace
 
+namespace {
+
+/// RouterConfig::ttl, or max(64, 8·⌈lg(n + 1)⌉²) hops when it is 0.
+std::size_t hop_budget(std::size_t ttl, std::size_t nodes) noexcept {
+  if (ttl != 0) return ttl;
+  const double lg = std::ceil(std::log2(static_cast<double>(nodes) + 1.0));
+  const auto budget = static_cast<std::size_t>(8.0 * lg * lg);
+  return budget < 64 ? 64 : budget;
+}
+
+}  // namespace
+
 Router::Router(const graph::OverlayGraph& g, const failure::FailureView& view,
                RouterConfig config)
-    : graph_(&g), view_(&view), config_(config) {
+    : graph_(&g), view_(&view), config_(config), ttl_(hop_budget(config.ttl, g.size())) {
   util::require(&view.graph() == &g, "Router: view must be over the same graph");
   util::require(config_.backtrack_window >= 1, "Router: backtrack_window must be >= 1");
   // §4.2.1's one-sided variant needs an ordering of the space ("never
@@ -76,13 +88,6 @@ Router::Router(const graph::OverlayGraph& g, const failure::FailureView& view,
                     &config_.reputation->graph() == &g,
                 "Router: reputation table must be over the same graph");
   simd_ok_ = simd_select_eligible(g, config_);
-}
-
-std::size_t Router::effective_ttl() const noexcept {
-  if (config_.ttl != 0) return config_.ttl;
-  const double lg = std::ceil(std::log2(static_cast<double>(graph_->size()) + 1.0));
-  const auto budget = static_cast<std::size_t>(8.0 * lg * lg);
-  return budget < 64 ? 64 : budget;
 }
 
 namespace {
@@ -688,7 +693,8 @@ RouteSession::RouteSession(const Router& router, graph::NodeId src,
                            metric::Point target)
     : router_(&router),
       trail_(router.config().stuck_policy == StuckPolicy::kBacktrack
-                 ? Trail(router.config().backtrack_window)
+                 ? Trail(std::min(router.config().backtrack_window,
+                                  router.effective_ttl()))
                  : Trail()) {
   restart(src, target);
 }

@@ -239,7 +239,8 @@ class Router {
   [[nodiscard]] const graph::OverlayGraph& graph() const noexcept { return *graph_; }
   [[nodiscard]] const failure::FailureView& view() const noexcept { return *view_; }
 
-  [[nodiscard]] std::size_t effective_ttl() const noexcept;
+  /// The hop budget every search gets: config().ttl, or the automatic one.
+  [[nodiscard]] std::size_t effective_ttl() const noexcept { return ttl_; }
 
   /// True when this (graph, config, CPU) combination dispatches the
   /// vectorized selection — every rank, intact and failure-masked variants
@@ -252,6 +253,7 @@ class Router {
   const graph::OverlayGraph* graph_;
   const failure::FailureView* view_;
   RouterConfig config_;
+  std::size_t ttl_;  // effective_ttl(), fixed at construction
   /// True when this (graph, config, CPU) combination takes the vectorized
   /// selection fast path (see simd_eligible()).
   bool simd_ok_ = false;
@@ -379,9 +381,11 @@ class RouteSession {
   }
 
   /// Fixed-capacity ring buffer of (node, next candidate rank) — the
-  /// backtrack trail. Sessions under kBacktrack allocate the full window up
-  /// front (the batch tick loop must never allocate mid-flight); other
-  /// policies never push and carry an empty buffer.
+  /// backtrack trail. Sessions under kBacktrack allocate it up front (the
+  /// batch tick loop must never allocate mid-flight) at the window or the
+  /// hop budget, whichever is smaller: every push is a forward hop, so no
+  /// session pushes more than effective_ttl() entries, and a larger buffer
+  /// would never evict. Other policies never push and carry an empty buffer.
   class Trail {
    public:
     Trail() = default;

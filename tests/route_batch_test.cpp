@@ -204,6 +204,40 @@ TEST(RouteBatch, StaleKnowledgeMatchesSequentialRoute) {
   }
 }
 
+TEST(RouteBatch, UnboundedBacktrackWindowMatchesTtlWindow) {
+  // No session pushes more trail entries than its hop budget, so a window
+  // past effective_ttl() routes exactly like one equal to it; SIZE_MAX
+  // ("unbounded") must neither allocate its window nor change a route.
+  const OverlayGraph g = test_graph(1024, 4, 43);
+  util::Rng fail_rng(47);
+  const auto view = FailureView::with_node_failures(g, 0.45, fail_rng);
+  const auto queries = random_queries(g, 200, 53);
+  for (const std::size_t ttl : {std::size_t{0}, std::size_t{24}}) {
+    RouterConfig cfg;
+    cfg.stuck_policy = StuckPolicy::kBacktrack;
+    cfg.record_path = true;
+    cfg.ttl = ttl;
+    RouterConfig bounded = cfg;
+    bounded.backtrack_window = Router(g, view, cfg).effective_ttl();
+    cfg.backtrack_window = SIZE_MAX;
+    const Router unbounded_router(g, view, cfg);
+    const Router bounded_router(g, view, bounded);
+    const std::string label = "ttl=" + std::to_string(ttl);
+    std::vector<RouteResult> got(queries.size());
+    std::vector<RouteResult> want(queries.size());
+    util::Rng rng_a(59), rng_b(59);
+    unbounded_router.route_batch(queries, got, rng_a, BatchConfig{.width = 8});
+    bounded_router.route_batch(queries, want, rng_b, BatchConfig{.width = 8});
+    std::size_t backtracks = 0;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      expect_identical(got[i], want[i], label + " query " + std::to_string(i));
+      backtracks += want[i].backtracks;
+    }
+    EXPECT_GT(backtracks, 0u) << label;
+    check_batch_equivalence(unbounded_router, queries, 8, label + " unbounded");
+  }
+}
+
 TEST(RouteBatch, WidthLargerThanBatchAndDegenerateShapes) {
   const OverlayGraph g = test_graph(512, 6, 43);
   const auto view = FailureView::all_alive(g);
