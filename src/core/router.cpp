@@ -57,10 +57,6 @@ bool simd_select_eligible(const graph::OverlayGraph& g,
          g.space().size() <= 0xffffffffull;
 }
 
-}  // namespace
-
-namespace {
-
 /// RouterConfig::ttl, or max(64, 8·⌈lg(n + 1)⌉²) hops when it is 0.
 std::size_t hop_budget(std::size_t ttl, std::size_t nodes) noexcept {
   if (ttl != 0) return ttl;

@@ -8,6 +8,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph_builder.h"
@@ -732,10 +733,49 @@ TEST(GraphBuilderParallel, BidirectionalBuildOverlayMatchesSerial) {
   expect_graphs_identical(b, a, "build_overlay bidirectional");
 }
 
+/// tricky_builder(n, seed) after make_bidirectional, built without a
+/// GraphBuilder: every node's slice (short links, long links, then the
+/// missing reverses in ascending source order) and its short degree.
+struct ReferenceAdjacency {
+  std::vector<std::vector<NodeId>> slices;
+  std::vector<std::size_t> short_degree;
+};
+
+ReferenceAdjacency tricky_reference(std::uint64_t n, std::uint64_t seed) {
+  ReferenceAdjacency ref{std::vector<std::vector<NodeId>>(n), std::vector<std::size_t>(n)};
+  for (NodeId u = 0; u < n; ++u) {
+    ref.slices[u] = n == 2 ? std::vector<NodeId>{static_cast<NodeId>(1 - u)}
+                           : std::vector<NodeId>{static_cast<NodeId>((u + 1) % n),
+                                                 static_cast<NodeId>((u + n - 1) % n)};
+    ref.short_degree[u] = ref.slices[u].size();
+  }
+  std::vector<std::pair<NodeId, NodeId>> long_links;
+  util::Rng rng(seed);
+  for (NodeId u = 0; u < n; ++u) {
+    const std::size_t links = 1 + rng.next_below(4);
+    for (std::size_t k = 0; k < links; ++k) {
+      NodeId v = static_cast<NodeId>(rng.next_below(n));
+      if (v == u) v = static_cast<NodeId>((u + 1) % n);
+      ref.slices[u].push_back(v);
+      long_links.emplace_back(u, v);
+    }
+  }
+  const std::vector<std::vector<NodeId>> own = ref.slices;  // before any reverse
+  for (const auto& [u, v] : long_links) {
+    std::vector<NodeId>& slice = ref.slices[v];
+    const bool known = std::find(own[v].begin(), own[v].end(), u) != own[v].end() ||
+                       std::find(slice.begin() + static_cast<std::ptrdiff_t>(own[v].size()),
+                                 slice.end(), u) != slice.end();
+    if (!known) slice.push_back(u);
+  }
+  return ref;
+}
+
 TEST(GraphBuilder, CompactFreezeMatchesStandardAtBlockEdges) {
   // The freeze streams the runs in blocks of B nodes and releases their
   // pages behind each block; a slice read across a block edge, or a page
-  // dropped too early, shows up as a compact node that differs from the
+  // dropped too early, shows up as a node that differs from a reference
+  // built without the runs, or as a compact node that differs from the
   // standard one. Random long links reach across the whole ring, so the
   // larger sizes encode escaped slots too.
   constexpr std::size_t B = detail::kFreezeBlockNodes;
@@ -752,6 +792,13 @@ TEST(GraphBuilder, CompactFreezeMatchesStandardAtBlockEdges) {
     };
     const OverlayGraph standard = frozen(nullptr, EdgeLayout::kStandard);
     const std::string label = "n = " + std::to_string(n);
+    const ReferenceAdjacency ref = tricky_reference(n, 27);
+    for (NodeId u = 0; u < n; ++u) {
+      ASSERT_EQ(standard.short_degree(u), ref.short_degree[u]) << label << " node " << u;
+      const auto links = standard.neighbors(u);
+      ASSERT_EQ(std::vector<NodeId>(links.begin(), links.end()), ref.slices[u])
+          << label << " node " << u;
+    }
     ASSERT_TRUE(frozen(nullptr, EdgeLayout::kCompact).compact());
     expect_graphs_identical(frozen(nullptr, EdgeLayout::kCompact), standard, label + " serial");
     expect_graphs_identical(frozen(&pool, EdgeLayout::kCompact), standard, label + " pooled");
