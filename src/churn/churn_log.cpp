@@ -22,18 +22,9 @@ bool erase_staged(std::vector<T>& batch, T value) {
 }  // namespace
 
 ChurnLog::ChurnLog(const failure::FailureView& baseline)
-    : baseline_(baseline),
-      committed_(baseline),
-      shadow_(baseline),
-      graph_generation_(baseline.graph().structural_generation()) {
+    : baseline_(baseline), committed_(baseline), shadow_(baseline) {
   util::require(baseline.epoch() == 0,
                 "ChurnLog: baseline must be an epoch-0 view");
-}
-
-void ChurnLog::check_generation() const {
-  util::require(graph().structural_generation() == graph_generation_,
-                "ChurnLog: graph changed structurally; the log's link slots "
-                "are stale");
 }
 
 void ChurnLog::kill_node(graph::NodeId u) {
@@ -63,7 +54,6 @@ void ChurnLog::revive_node(graph::NodeId u) {
 }
 
 void ChurnLog::kill_link(graph::NodeId u, std::size_t link_index) {
-  check_generation();
   util::require_in_range(u < graph().size(),
                          "ChurnLog::kill_link: node out of range");
   util::require_in_range(link_index < graph().out_degree(u),
@@ -80,7 +70,6 @@ void ChurnLog::kill_link(graph::NodeId u, std::size_t link_index) {
 }
 
 void ChurnLog::revive_link(graph::NodeId u, std::size_t link_index) {
-  check_generation();
   util::require_in_range(u < graph().size(),
                          "ChurnLog::revive_link: node out of range");
   util::require_in_range(link_index < graph().out_degree(u),
@@ -108,7 +97,6 @@ std::size_t ChurnLog::commit(double when) {
 }
 
 void ChurnLog::seek(failure::FailureView& view, std::uint64_t target_epoch) const {
-  check_generation();
   util::require(&view.graph() == &graph(),
                 "ChurnLog::seek: view belongs to a different graph");
   util::require(target_epoch <= deltas_.size(),
@@ -120,7 +108,6 @@ void ChurnLog::seek(failure::FailureView& view, std::uint64_t target_epoch) cons
 }
 
 failure::FailureView ChurnLog::materialize(std::uint64_t epoch) const {
-  check_generation();
   util::require(epoch <= deltas_.size(),
                 "ChurnLog::materialize: epoch beyond the log");
   failure::FailureView view = baseline_;

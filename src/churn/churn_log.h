@@ -105,10 +105,6 @@ class ChurnLog {
   [[nodiscard]] failure::FailureView materialize(std::uint64_t epoch) const;
 
  private:
-  /// Link slots recorded in deltas are keyed to the graph layout at log
-  /// construction; throws if the graph has structurally changed since.
-  void check_generation() const;
-
   failure::FailureView baseline_;
   /// State after every committed delta (advanced by apply at each commit).
   /// A bit that differs between committed_ and shadow_ is staged in the
@@ -119,7 +115,6 @@ class ChurnLog {
   FailureDelta staged_;
   std::vector<FailureDelta> deltas_;
   std::size_t total_changes_ = 0;
-  std::uint64_t graph_generation_ = 0;
 };
 
 }  // namespace p2p::churn

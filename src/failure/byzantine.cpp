@@ -4,18 +4,13 @@
 
 namespace p2p::failure {
 
-ByzantineSet ByzantineSet::none(const graph::OverlayGraph& g) {
-  ByzantineSet set(g);
-  set.graph_generation_ = g.structural_generation();
-  return set;
-}
+ByzantineSet ByzantineSet::none(const graph::OverlayGraph& g) { return ByzantineSet(g); }
 
 ByzantineSet ByzantineSet::random(const graph::OverlayGraph& g, double fraction,
                                   util::Rng& rng) {
   util::require(fraction >= 0.0 && fraction <= 1.0,
                 "ByzantineSet::random: fraction must be in [0,1]");
   ByzantineSet set(g);
-  set.graph_generation_ = g.structural_generation();
   set.flags_.assign(g.size(), 0);
   for (graph::NodeId u = 0; u < g.size(); ++u) {
     if (rng.next_bool(fraction)) {
@@ -29,7 +24,6 @@ ByzantineSet ByzantineSet::random(const graph::OverlayGraph& g, double fraction,
 ByzantineSet ByzantineSet::of(const graph::OverlayGraph& g,
                               const std::vector<graph::NodeId>& nodes) {
   ByzantineSet set(g);
-  set.graph_generation_ = g.structural_generation();
   set.flags_.assign(g.size(), 0);
   for (const graph::NodeId u : nodes) {
     util::require_in_range(u < g.size(), "ByzantineSet::of: node out of range");
@@ -41,23 +35,9 @@ ByzantineSet ByzantineSet::of(const graph::OverlayGraph& g,
   return set;
 }
 
-void ByzantineSet::ensure_flags() {
-  if (flags_.empty()) {
-    // First corruption: snapshot the node range the flags are keyed over.
-    graph_generation_ = graph_->structural_generation();
-    flags_.assign(graph_->size(), 0);
-    return;
-  }
-  // Structural growth extends the node range past the flag array, silently
-  // mis-keying is_byzantine — fail loudly instead (mirrors FailureView's
-  // stale-view discipline; rebuild the set after structural mutation).
-  util::require(graph_->structural_generation() == graph_generation_,
-                "ByzantineSet: graph changed structurally; rebuild the set");
-}
-
 void ByzantineSet::corrupt(graph::NodeId u) {
   util::require_in_range(u < graph_->size(), "corrupt: node out of range");
-  ensure_flags();
+  if (flags_.empty()) flags_.assign(graph_->size(), 0);  // first corruption
   if (flags_[u] == 0) {
     flags_[u] = 1;
     ++count_;
@@ -67,7 +47,6 @@ void ByzantineSet::corrupt(graph::NodeId u) {
 void ByzantineSet::heal(graph::NodeId u) {
   util::require_in_range(u < graph_->size(), "heal: node out of range");
   if (flags_.empty()) return;  // healing the honest is a no-op
-  ensure_flags();
   if (flags_[u] == 1) {
     flags_[u] = 0;
     --count_;
@@ -89,7 +68,7 @@ void ByzantineSet::heal_checked(graph::NodeId u, const char* what) {
 }
 
 void ByzantineSet::apply(const ByzantineDelta& delta) {
-  ensure_flags();
+  if (flags_.empty()) flags_.assign(graph_->size(), 0);
   for (const graph::NodeId u : delta.corrupts) {
     corrupt_checked(u, "ByzantineSet::apply: corrupting an already-corrupt "
                        "node (set and schedule out of sync)");
@@ -103,7 +82,6 @@ void ByzantineSet::apply(const ByzantineDelta& delta) {
 
 void ByzantineSet::revert(const ByzantineDelta& delta) {
   util::require(epoch_ > 0, "ByzantineSet::revert: already at epoch 0");
-  ensure_flags();
   // The inverse batch: what apply corrupted gets healed and vice versa, so a
   // revert with the wrong delta (or out of order) fails loudly.
   for (const graph::NodeId u : delta.corrupts) {

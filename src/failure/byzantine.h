@@ -21,14 +21,10 @@
 // FailureView::apply/revert do, so crash churn and Byzantine churn replay
 // through one discrete-event queue with a shared notion of time.
 //
-// Stale-set discipline mirrors FailureView: flags are keyed by node id over
-// a snapshot of the graph's node range, so once flags exist, mutators throw
-// (and debug queries assert) if the graph has structurally changed since the
-// flags were allocated — rebuild the set instead of silently indexing out of
-// range.
+// Flags are keyed by node id. The graph is immutable (overlay_graph.h), so
+// its node range, and with it every flag, stays valid for the set's life.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -74,9 +70,6 @@ class ByzantineSet {
                                        const std::vector<graph::NodeId>& nodes);
 
   [[nodiscard]] bool is_byzantine(graph::NodeId u) const noexcept {
-    assert((flags_.empty() ||
-            graph_->structural_generation() == graph_generation_) &&
-           "ByzantineSet: graph changed structurally; rebuild the set");
     return !flags_.empty() && flags_[u] != 0;
   }
 
@@ -84,9 +77,7 @@ class ByzantineSet {
   [[nodiscard]] const graph::OverlayGraph& graph() const noexcept { return *graph_; }
 
   /// Idempotent single-node flips (manual injection; leave epoch() alone).
-  /// Throw std::out_of_range for ids outside the graph and
-  /// std::invalid_argument if the graph changed structurally since flags
-  /// were allocated.
+  /// Throw std::out_of_range for ids outside the graph.
   void corrupt(graph::NodeId u);
   void heal(graph::NodeId u);
 
@@ -96,8 +87,8 @@ class ByzantineSet {
 
   /// Applies one normalized delta batch: corrupts then heals the listed
   /// nodes, advances epoch() by one. O(changed nodes). Throws if any listed
-  /// change is a no-op (the set and the schedule are out of sync), an id is
-  /// out of range, or the graph changed structurally since flag allocation.
+  /// change is a no-op (the set and the schedule are out of sync) or an id
+  /// is out of range.
   void apply(const ByzantineDelta& delta);
 
   /// Exact inverse of apply(delta): rewinds epoch() by one. Preconditions as
@@ -108,11 +99,6 @@ class ByzantineSet {
  private:
   explicit ByzantineSet(const graph::OverlayGraph& g) : graph_(&g) {}
 
-  /// Allocates flags on first corruption, stamping the structural generation
-  /// the node range was snapshotted at; once flags exist, throws when the
-  /// graph has structurally changed since.
-  void ensure_flags();
-
   /// Non-idempotent single flips used by apply/revert to enforce
   /// normalization (flipping to the current state throws).
   void corrupt_checked(graph::NodeId u, const char* what);
@@ -121,8 +107,7 @@ class ByzantineSet {
   const graph::OverlayGraph* graph_;
   std::vector<std::uint8_t> flags_;
   std::size_t count_ = 0;
-  std::uint64_t epoch_ = 0;             // delta cursor (see apply/revert)
-  std::uint64_t graph_generation_ = 0;  // structural_generation() at flag alloc
+  std::uint64_t epoch_ = 0;  // delta cursor (see apply/revert)
 };
 
 }  // namespace p2p::failure

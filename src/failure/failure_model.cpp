@@ -4,8 +4,7 @@
 
 namespace p2p::failure {
 
-FailureView::FailureView(const graph::OverlayGraph& g)
-    : graph_(&g), graph_generation_(g.structural_generation()) {}
+FailureView::FailureView(const graph::OverlayGraph& g) : graph_(&g) {}
 
 FailureView FailureView::all_alive(const graph::OverlayGraph& g) {
   FailureView view(g);
@@ -107,19 +106,10 @@ void FailureView::ensure_node_bits() {
 }
 
 void FailureView::ensure_link_bits() {
-  if (link_dead_.empty()) {
-    // First link bit: key the bitset to the graph's current slot layout.
-    // +1: guard word so link_live_word's two-word window stays in bounds.
-    graph_generation_ = graph_->structural_generation();
-    link_slots_ = graph_->edge_slots();
-    link_dead_.assign(words_for(link_slots_) + 1, 0);
-    return;
-  }
-  // Structural growth moves flat slots, silently mis-keying every bit
-  // recorded so far — fail loudly instead (see the class comment: views
-  // holding link bits must be rebuilt after a slot-moving mutation).
-  util::require(graph_->structural_generation() == graph_generation_,
-                "FailureView: graph changed structurally; rebuild the view");
+  if (!link_dead_.empty()) return;
+  // +1: guard word so link_live_word's two-word window stays in bounds.
+  link_slots_ = graph_->edge_slots();
+  link_dead_.assign(words_for(link_slots_) + 1, 0);
 }
 
 void FailureView::kill_link(graph::NodeId u, std::size_t link_index) {
@@ -135,7 +125,6 @@ void FailureView::revive_link(graph::NodeId u, std::size_t link_index) {
   util::require_in_range(link_index < graph_->out_degree(u),
                          "revive_link: link index out of range");
   if (link_dead_.empty()) return;
-  ensure_link_bits();
   reset_bit(link_dead_, graph_->edge_base(u) + link_index);
 }
 
@@ -150,24 +139,11 @@ void FailureView::revive_link_slot(std::size_t slot) {
   util::require_in_range(slot < graph_->edge_slots(),
                          "revive_link_slot: slot out of range");
   if (link_dead_.empty()) return;
-  ensure_link_bits();
   reset_bit(link_dead_, slot);
 }
 
 void FailureView::apply(const FailureDelta& delta) {
-  util::require(link_dead_.empty() ||
-                    graph_->structural_generation() == graph_generation_,
-                "FailureView::apply: graph changed structurally; rebuild the view");
-  if (!delta.link_kills.empty() || !delta.link_revives.empty()) {
-    // Delta link slots are keyed to the layout this view was created
-    // against; unlike the slot-computing mutators (which may re-key a fresh
-    // bitset to the current layout), a stale generation cannot be re-stamped
-    // away here — the delta's slot basis is unknowable.
-    util::require(graph_->structural_generation() == graph_generation_,
-                  "FailureView::apply: graph changed structurally since the "
-                  "delta's slots were recorded");
-    ensure_link_bits();
-  }
+  if (!delta.link_kills.empty() || !delta.link_revives.empty()) ensure_link_bits();
   if (!delta.node_kills.empty()) ensure_node_bits();
   for (const graph::NodeId u : delta.node_kills) {
     util::require_in_range(u < graph_->size(), "apply: node out of range");
@@ -202,9 +178,6 @@ void FailureView::apply(const FailureDelta& delta) {
 
 void FailureView::revert(const FailureDelta& delta) {
   util::require(epoch_ > 0, "revert: already at epoch 0");
-  util::require(link_dead_.empty() ||
-                    graph_->structural_generation() == graph_generation_,
-                "FailureView::revert: graph changed structurally; rebuild the view");
   // The inverse batch: what apply killed gets revived and vice versa. The
   // normalization requires mirror apply's, so a revert with the wrong delta
   // (or out of order) fails loudly instead of silently corrupting the view.
@@ -225,13 +198,7 @@ void FailureView::revert(const FailureDelta& delta) {
     node_alive_byte_[u] = 0;
     --alive_count_;
   }
-  if (!delta.link_kills.empty() || !delta.link_revives.empty()) {
-    // See apply: delta slots cannot be re-keyed to a changed layout.
-    util::require(graph_->structural_generation() == graph_generation_,
-                  "FailureView::revert: graph changed structurally since the "
-                  "delta's slots were recorded");
-    ensure_link_bits();
-  }
+  if (!delta.link_kills.empty() || !delta.link_revives.empty()) ensure_link_bits();
   for (const std::uint32_t slot : delta.link_kills) {
     util::require_in_range(slot < link_slots_, "revert: link slot out of range");
     util::require(test_bit(link_dead_, slot),

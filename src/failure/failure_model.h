@@ -9,14 +9,9 @@
 // Liveness is stored in packed 64-bit word bitsets — one bit per node and
 // one bit per CSR link slot (keyed by OverlayGraph::edge_base(u) + i) — so
 // the router's inner loop pays one shift-and-mask per query and the common
-// all-alive case is a null check. Views key link bits by flat slot index:
-// after a structural graph mutation that moves slots (see overlay_graph.h),
-// a view holding link bits must be rebuilt — an invariant enforced against
-// the graph's structural generation counter: once link bits exist, mutators
-// throw and (debug builds) queries assert when the graph has structurally
-// changed since the bits were allocated. Views without link bits (the
-// all-alive fast path, node-only failures) have no slot-keyed state and stay
-// valid across growth. replace_long_link and clear_links never move slots.
+// all-alive case is a null check. The graph is immutable (overlay_graph.h),
+// so its slot numbering, and with it every link bit and every delta's slot,
+// stays valid for the view's whole life.
 //
 // Views also carry an *epoch*: a cursor into a churn::ChurnLog delta log.
 // apply(delta) / revert(delta) flip exactly the bits a FailureDelta lists —
@@ -103,9 +98,6 @@ class FailureView {
 
   /// Aliveness of the link at `link_index` within neighbors(u).
   [[nodiscard]] bool link_alive(graph::NodeId u, std::size_t link_index) const noexcept {
-    assert((link_dead_.empty() ||
-            graph_->structural_generation() == graph_generation_) &&
-           "FailureView: graph changed structurally; rebuild the view");
     return link_dead_.empty() ||
            !test_bit(link_dead_, graph_->edge_base(u) + link_index);
   }
@@ -113,9 +105,6 @@ class FailureView {
   /// Aliveness of the link in flat CSR slot `slot` (= edge_base(u) + i).
   /// The router's inner loop uses this to skip the per-node base lookup.
   [[nodiscard]] bool link_alive_at(std::size_t slot) const noexcept {
-    assert((link_dead_.empty() ||
-            graph_->structural_generation() == graph_generation_) &&
-           "FailureView: graph changed structurally; rebuild the view");
     return link_dead_.empty() || !test_bit(link_dead_, slot);
   }
 
@@ -134,8 +123,6 @@ class FailureView {
   /// bounds). Precondition: !links_intact() and first < edge_slots().
   [[nodiscard]] std::uint64_t link_live_word(std::size_t first) const noexcept {
     assert(!link_dead_.empty() && first < link_slots_);
-    assert(graph_->structural_generation() == graph_generation_ &&
-           "FailureView: graph changed structurally; rebuild the view");
     const std::size_t w = first >> 6;
     const unsigned sh = static_cast<unsigned>(first & 63);
     std::uint64_t dead = link_dead_[w] >> sh;
@@ -174,7 +161,7 @@ class FailureView {
   /// revives the listed nodes/links, advances epoch() by one. O(changed
   /// bits). Throws if the delta is not normalized against the current state
   /// (a listed change that is a no-op means the view and the log are out of
-  /// sync) or the graph changed structurally since the view was built.
+  /// sync).
   void apply(const FailureDelta& delta);
 
   /// Exact inverse of apply(delta): rewinds epoch() by one. Preconditions as
@@ -210,9 +197,7 @@ class FailureView {
   }
   static std::size_t words_for(std::size_t bits) noexcept { return (bits + 63) / 64; }
 
-  /// Allocates the link bitset on first use, stamping the graph generation
-  /// the slots are keyed against; once bits exist, throws when the graph
-  /// has structurally changed since (slots would be mis-keyed).
+  /// Allocates the link bitset on first link death.
   void ensure_link_bits();
 
   /// Allocates node_dead_ and the byte sideband together on first node
@@ -232,8 +217,7 @@ class FailureView {
   BitWords link_dead_;  // packed over CSR slots (+ guard word)
   std::size_t link_slots_ = 0;  // edge_slots() when link_dead_ was allocated
   std::size_t alive_count_ = 0;
-  std::uint64_t epoch_ = 0;             // delta-log cursor (see apply/revert)
-  std::uint64_t graph_generation_ = 0;  // structural_generation() at creation
+  std::uint64_t epoch_ = 0;  // delta-log cursor (see apply/revert)
 };
 
 }  // namespace p2p::failure

@@ -78,6 +78,8 @@ void GraphBuilder::add_short_link(NodeId u, NodeId v) {
   if (long_.offsets.size() > u) {
     throw std::logic_error("GraphBuilder: short links must precede long links");
   }
+  util::require(short_.slice(u).size() < std::numeric_limits<std::uint16_t>::max(),
+                "GraphBuilder: a node's short degree must fit in 16 bits");
   short_.append(u, v);
 }
 
@@ -125,39 +127,31 @@ bool GraphBuilder::has_link(NodeId u, NodeId v) const noexcept {
   return false;
 }
 
-namespace {
-
-/// Shared short-link wiring over anything with size/space/add_short_link.
-/// Node order equals position order, so index neighbours are the nearest
-/// occupied grid points on either side — a 1-D notion; the torus wires its
-/// lattice in build_kleinberg_overlay instead.
-template <typename GraphLike>
-void wire_short_links_impl(GraphLike& g) {
-  util::require(g.space().one_dimensional(),
+// Node order equals position order, so index neighbours are the nearest
+// occupied grid points on either side — a 1-D notion; the torus wires its
+// lattice in build_kleinberg_overlay instead.
+void GraphBuilder::wire_short_links() {
+  util::require(space_.one_dimensional(),
                 "wire_short_links: side neighbours are only defined on a "
                 "one-dimensional space (use build_kleinberg_overlay for the "
                 "torus lattice)");
-  const std::size_t n = g.size();
+  const std::size_t n = node_count_;
   if (n < 2) return;
-  const bool ring = g.space().kind() == metric::Space::Kind::kRing;
+  const bool ring = space_.kind() == metric::Space::Kind::kRing;
   for (NodeId u = 0; u < n; ++u) {
     if (u + 1 < n) {
-      g.add_short_link(u, u + 1);
+      add_short_link(u, u + 1);
     } else if (ring && n > 2) {
-      g.add_short_link(u, 0);
+      add_short_link(u, 0);
     }
     if (u > 0) {
-      g.add_short_link(u, u - 1);
+      add_short_link(u, u - 1);
     } else if (ring && n > 2) {
       // n == 2 is excluded: the u+1 branch already wired 0 <-> 1 once.
-      g.add_short_link(u, static_cast<NodeId>(n - 1));
+      add_short_link(u, static_cast<NodeId>(n - 1));
     }
   }
 }
-
-}  // namespace
-
-void GraphBuilder::wire_short_links() { wire_short_links_impl(*this); }
 
 void GraphBuilder::make_bidirectional() { add_missing_reverses(nullptr); }
 
@@ -254,15 +248,13 @@ void GraphBuilder::add_missing_reverses(util::ThreadPool* pool) {
   reverse_.targets.resize(out);
 }
 
-OverlayGraph GraphBuilder::freeze(FreezeOptions opts) {
-  return freeze_impl(nullptr, opts);
+OverlayGraph GraphBuilder::freeze(EdgeLayout layout) { return freeze_impl(nullptr, layout); }
+
+OverlayGraph GraphBuilder::freeze(util::ThreadPool& pool, EdgeLayout layout) {
+  return freeze_impl(&pool, layout);
 }
 
-OverlayGraph GraphBuilder::freeze(util::ThreadPool& pool, FreezeOptions opts) {
-  return freeze_impl(&pool, opts);
-}
-
-OverlayGraph GraphBuilder::freeze_impl(util::ThreadPool* pool, FreezeOptions opts) {
+OverlayGraph GraphBuilder::freeze_impl(util::ThreadPool* pool, EdgeLayout layout) {
   const std::size_t n = node_count_;
   short_.seal(n);
   long_.seal(n);
@@ -273,9 +265,8 @@ OverlayGraph GraphBuilder::freeze_impl(util::ThreadPool* pool, FreezeOptions opt
   util::require(runs.link_count() <= std::numeric_limits<std::uint32_t>::max(),
                 "GraphBuilder::freeze: edge slot index overflow");
   OverlayGraph g = [&] {
-    if (opts.layout == EdgeLayout::kCompact) {
-      return OverlayGraph::freeze_compact(space_, std::move(positions_), runs,
-                                          opts.huge_pages, pool);
+    if (layout == EdgeLayout::kCompact) {
+      return OverlayGraph::freeze_compact(space_, std::move(positions_), runs, pool);
     }
     // The standard form keeps the concatenated slices as its flat edge
     // array; packing streams the runs into it, releasing them behind.
@@ -305,8 +296,6 @@ OverlayGraph GraphBuilder::freeze_impl(util::ThreadPool* pool, FreezeOptions opt
 
 // ---------------------------------------------------------------------------
 // Ideal (one-shot) construction
-
-void wire_short_links(OverlayGraph& g) { wire_short_links_impl(g); }
 
 namespace {
 
@@ -474,9 +463,7 @@ OverlayGraph build_overlay_impl(const BuildSpec& spec, util::Rng& rng,
       builder.make_bidirectional();
     }
   }
-  const FreezeOptions freeze_opts{.layout = spec.layout};
-  return pool != nullptr ? builder.freeze(*pool, freeze_opts)
-                         : builder.freeze(freeze_opts);
+  return pool != nullptr ? builder.freeze(*pool, spec.layout) : builder.freeze(spec.layout);
 }
 
 }  // namespace

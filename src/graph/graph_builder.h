@@ -1,17 +1,17 @@
-// Overlay assembly: the mutable GraphBuilder and the ideal (one-shot)
-// construction of §4.3.
+// Overlay assembly: GraphBuilder, the only way to make an OverlayGraph, and
+// the ideal (one-shot) construction of §4.3.
 //
 // Overlays are built in two phases. A GraphBuilder appends links, in node
 // order, to three flat runs (short links, long links, and the reverses
 // make_bidirectional adds), each one offsets array over one NodeId array;
 // freeze() then reads node u's slice as short(u) ‖ long(u) ‖ reverse(u) and
-// streams the runs, in blocks of nodes, into the frozen OverlayGraph the
+// streams the runs, in blocks of nodes, into the immutable OverlayGraph the
 // routing hot path wants: the compact layout encodes them straight into its
 // arena, the standard one packs them into its flat edge array. Behind each
 // block the runs' pages go back to the OS, so a build peaks at about the
 // runs alone, not the runs plus a copy. Building costs O(nodes + links) time
-// and a few words per link, with no per-node heap block and no flat-array
-// shifting, so it is the only sanctioned path for large graphs.
+// and a few words per link, with no per-node heap block. A graph that must
+// change (§5 maintenance, test fixtures) is rebuilt through a new builder.
 //
 // build_overlay realizes the random graph of §4.3 directly: every node links
 // to its nearest neighbour on either side plus ℓ long-distance neighbours
@@ -31,17 +31,7 @@
 
 namespace p2p::graph {
 
-/// How GraphBuilder::freeze materializes the frozen graph.
-struct FreezeOptions {
-  /// kStandard: the 64-byte-header CSR with inline/spill replicas (mutable,
-  /// the churn experiments' form). kCompact: the 16-byte-header
-  /// delta-encoded arena form (immutable, ~2x leaner; the scale sweeps').
-  EdgeLayout layout = EdgeLayout::kStandard;
-  /// Compact only: request MADV_HUGEPAGE on the arena chunks.
-  bool huge_pages = true;
-};
-
-/// Mutable first phase of overlay construction; freeze() yields the CSR
+/// First phase of overlay construction; freeze() yields the CSR
 /// OverlayGraph. Each kind of link is appended in node order, and no short
 /// link of u may follow a long link of u or of a later node: wire the short
 /// links, then add the long links node by node. make_bidirectional() then
@@ -80,7 +70,8 @@ class GraphBuilder {
 
   /// Appends a short (immediate-neighbour) link u -> v. Throws
   /// std::logic_error when u or a later node already has a long link, or a
-  /// later node a short link.
+  /// later node a short link, and std::invalid_argument when u already has
+  /// 65,535 short links (the compact header's 16-bit short degree).
   void add_short_link(NodeId u, NodeId v);
 
   /// Appends a long-distance link u -> v. Throws std::logic_error when a
@@ -119,18 +110,19 @@ class GraphBuilder {
   /// overload for any thread count.
   void make_bidirectional(util::ThreadPool& pool);
 
-  /// Streams the accumulated links into a frozen OverlayGraph in the layout
-  /// `opts` selects, releasing the link runs' pages block by block behind
-  /// the encode (or pack). The builder is consumed: left empty (size 0)
-  /// afterwards.
-  [[nodiscard]] OverlayGraph freeze(FreezeOptions opts = {});
+  /// Streams the accumulated links into a frozen OverlayGraph in `layout`
+  /// (kStandard: the 64-byte-header CSR with inline/spill replicas; kCompact:
+  /// the 16-byte-header delta-encoded arena form, ~2x leaner), releasing the
+  /// link runs' pages block by block behind the encode (or pack). The
+  /// builder is consumed: left empty (size 0) afterwards.
+  [[nodiscard]] OverlayGraph freeze(EdgeLayout layout = EdgeLayout::kStandard);
 
   /// As freeze(), fanning the per-node work of every node block (the
   /// compact size and encode passes, or the standard slice copies) across
   /// `pool`. Bit-identical to the serial overload: every slice lands at an
   /// offset fixed by the runs' offsets.
   [[nodiscard]] OverlayGraph freeze(util::ThreadPool& pool,
-                                    FreezeOptions opts = {});
+                                    EdgeLayout layout = EdgeLayout::kStandard);
 
  private:
   /// One flat run of links: node u's are targets[offsets[u], offsets[u + 1]).
@@ -157,8 +149,7 @@ class GraphBuilder {
 
   void add_missing_reverses(util::ThreadPool* pool);
 
-  [[nodiscard]] OverlayGraph freeze_impl(util::ThreadPool* pool,
-                                         FreezeOptions opts);
+  [[nodiscard]] OverlayGraph freeze_impl(util::ThreadPool* pool, EdgeLayout layout);
 
   metric::Space space_;
   std::vector<metric::Point> positions_;  // empty when dense
@@ -216,7 +207,7 @@ struct BuildSpec {
   /// analyze directed out-links, so the analytical benches keep this off.
   bool bidirectional = false;
 
-  /// Frozen representation of the built graph (see FreezeOptions::layout).
+  /// Frozen representation of the built graph (see GraphBuilder::freeze).
   EdgeLayout layout = EdgeLayout::kStandard;
 };
 
@@ -262,11 +253,5 @@ struct BuildSpec {
                                                    std::size_t long_links,
                                                    double exponent, util::Rng& rng,
                                                    util::ThreadPool& pool);
-
-/// Wires only the immediate-neighbour (short) links of g: every node to its
-/// nearest neighbour on each side (wrapping on a ring). Legacy incremental
-/// path (O(n²) on a frozen graph) — kept for tests and small fixtures;
-/// large builds use GraphBuilder::wire_short_links.
-void wire_short_links(OverlayGraph& g);
 
 }  // namespace p2p::graph

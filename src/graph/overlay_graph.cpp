@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <stdexcept>
 
 #include "util/require.h"
 #include "util/thread_pool.h"
@@ -120,28 +119,6 @@ inline void encode_link(std::uint16_t* slot, std::uint16_t*& exc, NodeId u,
 
 }  // namespace
 
-OverlayGraph::OverlayGraph(metric::Space space)
-    : space_(space),
-      node_count_(space.size()),
-      headers_(space.size() + 1),
-      short_degree_(space.size(), 0) {}
-
-OverlayGraph::OverlayGraph(metric::Space space, std::vector<metric::Point> positions)
-    : space_(space), positions_(std::move(positions)) {
-  util::require(!positions_.empty(), "OverlayGraph: need at least one node");
-  for (std::size_t i = 0; i < positions_.size(); ++i) {
-    util::require(space_.contains(positions_[i]),
-                  "OverlayGraph: position outside the space");
-    if (i > 0) {
-      util::require(positions_[i - 1] < positions_[i],
-                    "OverlayGraph: positions must be strictly increasing");
-    }
-  }
-  node_count_ = positions_.size();
-  headers_.resize(positions_.size() + 1);
-  short_degree_.assign(positions_.size(), 0);
-}
-
 OverlayGraph::OverlayGraph(metric::Space space, std::vector<metric::Point> positions,
                            std::vector<std::uint32_t> slice_sizes,
                            std::vector<std::uint32_t> short_degree,
@@ -149,8 +126,7 @@ OverlayGraph::OverlayGraph(metric::Space space, std::vector<metric::Point> posit
     : space_(space),
       positions_(std::move(positions)),
       short_degree_(std::move(short_degree)),
-      edges_(std::move(edges)),
-      link_count_(edges_.size()) {
+      edges_(std::move(edges)) {
   const std::size_t n = slice_sizes.size();
   node_count_ = n;
   headers_.resize(n + 1);
@@ -193,9 +169,7 @@ OverlayGraph::OverlayGraph(const OverlayGraph& other)
       headers_(other.headers_),
       short_degree_(other.short_degree_),
       edges_(other.edges_),
-      tail_(other.tail_),
-      link_count_(other.link_count_),
-      structural_generation_(other.structural_generation_) {
+      tail_(other.tail_) {
   if (other.layout_ == EdgeLayout::kCompact) {
     auto* ch = arena_.allocate_array<CompactHeader>(node_count_ + 1);
     std::copy_n(other.cheaders_, node_count_ + 1, ch);
@@ -214,7 +188,7 @@ OverlayGraph& OverlayGraph::operator=(const OverlayGraph& other) {
 
 OverlayGraph OverlayGraph::freeze_compact(metric::Space space,
                                           std::vector<metric::Point> positions,
-                                          detail::LinkRuns runs, bool huge_pages,
+                                          detail::LinkRuns runs,
                                           util::ThreadPool* pool) {
   const std::size_t n = runs.size();
   const std::size_t links = runs.link_count();
@@ -222,13 +196,12 @@ OverlayGraph OverlayGraph::freeze_compact(metric::Space space,
                 "freeze_compact: slot index overflow");
   OverlayGraph g(space, std::move(positions), CompactTag{});
   g.node_count_ = n;
-  g.arena_ = util::Arena(util::Arena::kDefaultChunkBytes, huge_pages);
-  g.link_count_ = links;
 
   // Pass 1: every header but its stream start, whose field first holds the
   // node's encoded length (one slot word per link plus two exception words
   // per escaped link) in whole 2-word units, so the u32 `enc` field
-  // addresses streams past 2^32 words.
+  // addresses streams past 2^32 words. The short degree fits its u16:
+  // GraphBuilder::add_short_link refuses a node's 65,536th short link.
   auto* ch = g.arena_.allocate_array<CompactHeader>(n + 1);
   const auto size_nodes = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t u = lo; u < hi; ++u) {
@@ -298,92 +271,6 @@ void detail::LinkRuns::stream(util::ThreadPool* pool,
   }
 }
 
-void OverlayGraph::check_node(NodeId u) const {
-  util::require_in_range(u < size(), "OverlayGraph: node id out of range");
-}
-
-void OverlayGraph::require_mutable() const {
-  if (layout_ == EdgeLayout::kCompact) {
-    throw std::logic_error(
-        "OverlayGraph: the compact layout is immutable (build standard for "
-        "churn mutation)");
-  }
-}
-
-void OverlayGraph::write_slice_entry(NodeId u, std::size_t index, NodeId v) noexcept {
-  NodeHeader& h = headers_[u];
-  edges_[h.offset + index] = v;
-  if (index < kInlineEdges) {
-    h.inline_edges[index] = v;
-  } else {
-    tail_[h.tail + index - kInlineEdges] = v;
-  }
-}
-
-void OverlayGraph::append_slot(NodeId u, NodeId v) {
-  NodeHeader& h = headers_[u];
-  if (h.degree < slot_capacity(u)) {
-    // Reuse a slot reserved by an earlier clear_links; the tail replica slot
-    // exists whenever the capacity extends past the inline prefix.
-    write_slice_entry(u, h.degree, v);
-  } else {
-    util::require(edges_.size() < std::numeric_limits<std::uint32_t>::max(),
-                  "OverlayGraph: edge slot index overflow");
-    ++structural_generation_;  // every later node's slots are about to move
-    const std::size_t slot = h.offset + h.degree;
-    edges_.insert(edges_.begin() + static_cast<std::ptrdiff_t>(slot), v);
-    if (h.degree >= kInlineEdges) {
-      const std::size_t tail_slot = h.tail + h.degree - kInlineEdges;
-      tail_.insert(tail_.begin() + static_cast<std::ptrdiff_t>(tail_slot), v);
-      for (std::size_t w = u + 1; w < headers_.size(); ++w) {
-        ++headers_[w].offset;
-        ++headers_[w].tail;
-      }
-    } else {
-      h.inline_edges[h.degree] = v;
-      for (std::size_t w = u + 1; w < headers_.size(); ++w) ++headers_[w].offset;
-    }
-  }
-  ++h.degree;
-  ++link_count_;
-}
-
-void OverlayGraph::add_short_link(NodeId u, NodeId v) {
-  require_mutable();
-  check_node(u);
-  check_node(v);
-  if (short_degree_[u] != headers_[u].degree) {
-    throw std::logic_error("OverlayGraph: short links must precede long links");
-  }
-  append_slot(u, v);
-  ++short_degree_[u];
-}
-
-void OverlayGraph::add_long_link(NodeId u, NodeId v) {
-  require_mutable();
-  check_node(u);
-  check_node(v);
-  append_slot(u, v);
-}
-
-void OverlayGraph::replace_long_link(NodeId u, std::size_t long_index, NodeId v) {
-  require_mutable();
-  check_node(u);
-  check_node(v);
-  const std::size_t idx = short_degree_[u] + long_index;
-  util::require_in_range(idx < headers_[u].degree,
-                         "OverlayGraph::replace_long_link: index out of range");
-  write_slice_entry(u, idx, v);
-}
-
-void OverlayGraph::clear_links(NodeId u) {
-  require_mutable();
-  check_node(u);
-  link_count_ -= headers_[u].degree;
-  headers_[u].degree = 0;
-  short_degree_[u] = 0;
-}
-
 bool OverlayGraph::has_link(NodeId u, NodeId v) const noexcept {
   const auto adj = neighbors(u);
   return std::find(adj.begin(), adj.end(), v) != adj.end();
@@ -417,7 +304,7 @@ std::vector<std::uint32_t> OverlayGraph::in_degrees(util::ThreadPool& pool) cons
 
 std::vector<metric::Distance> OverlayGraph::long_link_lengths() const {
   std::vector<metric::Distance> lengths;
-  lengths.reserve(link_count_);
+  lengths.reserve(link_count());
   for (NodeId u = 0; u < size(); ++u) {
     for (NodeId v : long_neighbors(u)) {
       lengths.push_back(node_distance(u, v));

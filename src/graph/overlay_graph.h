@@ -10,48 +10,35 @@
 // the split is what lets failure models keep ±1 links alive (§4.3.3 assumes
 // "links to the immediate neighbours are always present").
 //
-// Two frozen representations share one query surface (EdgeLayout):
+// An OverlayGraph is immutable: GraphBuilder (graph_builder.h) assembles
+// the links and freezes them once, and nothing changes a frozen graph.
+// Failures and churn act through failure::FailureView, and §5 maintenance
+// (core/construction.h) keeps its own storage and snapshots through a
+// GraphBuilder. Two frozen representations share one query surface
+// (EdgeLayout):
 //
 //  * kStandard — compressed sparse row with a 64-byte header per node
 //    (CSR offsets + an inline replica of the first kInlineEdges slice
 //    entries) over a canonical flat edge array plus a spill replica. The
-//    router walks headers (one cache line per hop); mutation paths write
-//    through every replica. Supports in-place churn mutation.
+//    router walks headers (one cache line per hop).
 //
-//  * kCompact — a memory-lean immutable form for the 1e7–1e8 node scale
-//    sweeps: a prefix-free 16-byte header per node (slot base, encoded
-//    stream base, degree, short degree) over a single u16 stream. Each
-//    node's stream is `degree` one-word slots followed by an exception
-//    array. Most long links are metric-local, so slot i usually holds the
-//    zigzag of v - u; a target out of that range stores kEscapeWord in its
-//    slot and its u32 absolute (two words, low half first) in the exception
-//    array, in slot order. Every slot is one word at a fixed offset, so a
-//    vector decoder reads 16 slots per step.
+//  * kCompact — a memory-lean form for the 1e7–1e8 node scale sweeps: a
+//    prefix-free 16-byte header per node (slot base, encoded stream base,
+//    degree, short degree) over a single u16 stream. Each node's stream is
+//    `degree` one-word slots followed by an exception array. Most long
+//    links are metric-local, so slot i usually holds the zigzag of v - u; a
+//    target out of that range stores kEscapeWord in its slot and its u32
+//    absolute (two words, low half first) in the exception array, in slot
+//    order. Every slot is one word at a fixed offset, so a vector decoder
+//    reads 16 slots per step.
 //    Headers and stream live in a util::Arena backed by transparent huge
 //    pages. Slot numbering (edge_base(u) + i) is identical to the standard
-//    form, so FailureViews and churn deltas key the same; mutators throw
-//    std::logic_error.
+//    form, so FailureViews and churn deltas key the same.
 //
 // Neighbour queries return a NeighborRange — a forward range that is a raw
 // pointer walk on the standard layout and a two-cursor (slot, exception)
 // decode on the compact one; operator[] is O(1) except on an escaped compact
 // slot, which counts the escapes before it.
-//
-// Graphs are normally assembled through GraphBuilder (graph_builder.h) and
-// frozen once; the standard frozen form still supports the in-place
-// mutations the churn experiments need:
-//
-//  * replace_long_link — rewires a slot in place, O(1), offsets unchanged;
-//  * clear_links       — truncates the node's degree to zero, O(1); the
-//    slots stay reserved, so re-adding up to the old degree is also O(1);
-//  * add_short_link / add_long_link — kept for incremental (test and
-//    small-scale) construction; they reuse reserved slots when available and
-//    otherwise fall back to an O(edges) insertion that shifts the flat
-//    arrays. Bulk construction should go through GraphBuilder.
-//
-// Structural growth (an add_* call that cannot reuse a reserved slot) shifts
-// every later node's slots, so FailureViews built over the graph must be
-// rebuilt afterwards. replace_long_link and clear_links never move slots.
 #pragma once
 
 #include <cstdint>
@@ -281,7 +268,7 @@ class OverlayGraph {
   struct alignas(64) NodeHeader {
     std::uint32_t offset = 0;  ///< flat slot base into edges_
     std::uint32_t tail = 0;    ///< spill base into tail_ (slice entries > kInlineEdges)
-    std::uint32_t degree = 0;  ///< live out-degree
+    std::uint32_t degree = 0;  ///< out-degree
     NodeId inline_edges[kInlineEdges] = {};
   };
   static_assert(sizeof(NodeHeader) == 64);
@@ -294,19 +281,13 @@ class OverlayGraph {
   struct alignas(16) CompactHeader {
     std::uint32_t offset = 0;        ///< flat slot base (same keying as standard)
     std::uint32_t enc = 0;           ///< stream start, in 2-word units
-    std::uint32_t degree = 0;        ///< live out-degree
+    std::uint32_t degree = 0;        ///< out-degree
     std::uint16_t short_degree = 0;  ///< immediate-neighbour prefix length
     std::uint16_t reserved = 0;
   };
   static_assert(sizeof(CompactHeader) == 16);
 
-  /// A graph whose node i sits at grid position i (fully populated grid).
-  explicit OverlayGraph(metric::Space space);
-
-  /// A graph over a sparse, strictly increasing set of occupied positions.
-  /// Preconditions: positions sorted strictly increasing, all within space.
-  OverlayGraph(metric::Space space, std::vector<metric::Point> positions);
-
+  /// Graphs come from GraphBuilder::freeze (or build_overlay and friends).
   OverlayGraph(const OverlayGraph& other);
   OverlayGraph& operator=(const OverlayGraph& other);
   OverlayGraph(OverlayGraph&&) noexcept = default;
@@ -459,42 +440,15 @@ class OverlayGraph {
                                            : headers_[u].offset;
   }
 
-  /// Total number of link slots (live links plus slots reserved by
-  /// clear_links truncation). Flat slot indices are < edge_slots().
+  /// Total number of link slots, one per directed link. Flat slot indices
+  /// are < edge_slots().
   [[nodiscard]] std::size_t edge_slots() const noexcept {
     return layout_ == EdgeLayout::kCompact ? cheaders_[node_count_].offset
                                            : edges_.size();
   }
 
-  /// Incremented by every slot-moving mutation (an add_* call that could not
-  /// reuse a reserved slot and had to shift the flat arrays). FailureViews
-  /// record the generation they were built against and refuse to operate —
-  /// throw in mutators, assert in debug-build queries — once it moves, so
-  /// "rebuild the view after structural growth" is enforced, not advisory.
-  /// replace_long_link and clear_links never change the generation.
-  [[nodiscard]] std::uint64_t structural_generation() const noexcept {
-    return structural_generation_;
-  }
-
-  /// Total number of live directed links in the graph.
-  [[nodiscard]] std::size_t link_count() const noexcept { return link_count_; }
-
-  /// Appends a short (immediate-neighbour) link u -> v. Short links must be
-  /// added before any long link of u. Throws std::logic_error otherwise, and
-  /// always on a compact graph.
-  void add_short_link(NodeId u, NodeId v);
-
-  /// Appends a long-distance link u -> v. Throws on a compact graph.
-  void add_long_link(NodeId u, NodeId v);
-
-  /// Replaces the long link at `long_index` (index into long_neighbors(u))
-  /// with a link to v, in place. Precondition: long_index < long degree of u.
-  /// Throws on a compact graph.
-  void replace_long_link(NodeId u, std::size_t long_index, NodeId v);
-
-  /// Removes every link of u (short and long) by truncating its degree; the
-  /// slots stay reserved for later re-adds. Throws on a compact graph.
-  void clear_links(NodeId u);
+  /// Total number of directed links in the graph (== edge_slots()).
+  [[nodiscard]] std::size_t link_count() const noexcept { return edge_slots(); }
 
   /// True when u has any link to v.
   [[nodiscard]] bool has_link(NodeId u, NodeId v) const noexcept;
@@ -552,8 +506,7 @@ class OverlayGraph {
   /// (optional) fans both passes.
   static OverlayGraph freeze_compact(metric::Space space,
                                      std::vector<metric::Point> positions,
-                                     detail::LinkRuns runs, bool huge_pages,
-                                     util::ThreadPool* pool);
+                                     detail::LinkRuns runs, util::ThreadPool* pool);
 
   /// Tag ctor for freeze_compact: space/positions only, edge state unset.
   struct CompactTag {};
@@ -583,23 +536,6 @@ class OverlayGraph {
     }
   }
 
-  void check_node(NodeId u) const;
-  void require_mutable() const;
-
-  /// Capacity (reserved slots) of u's slice.
-  [[nodiscard]] std::uint32_t slot_capacity(NodeId u) const noexcept {
-    return headers_[u + 1].offset - headers_[u].offset;
-  }
-
-  /// Writes v into slice position `index` of node u in every replica
-  /// (canonical slice, inline prefix, spill tail).
-  void write_slice_entry(NodeId u, std::size_t index, NodeId v) noexcept;
-
-  /// Makes room for one more link of u at slice position degree and writes v
-  /// there. Reuses a reserved slot when one exists; otherwise inserts into
-  /// the flat arrays (O(edges), shifts later nodes' offsets).
-  void append_slot(NodeId u, NodeId v);
-
   metric::Space space_;
   std::vector<metric::Point> positions_;     // empty when dense
   std::size_t node_count_ = 0;
@@ -616,9 +552,6 @@ class OverlayGraph {
   const CompactHeader* cheaders_ = nullptr;  // size()+1: sentinel carries ends
   const std::uint16_t* enc_ = nullptr;       // concatenated per-node streams
   std::uint64_t enc_words_ = 0;              // total u16 words incl. padding
-
-  std::size_t link_count_ = 0;
-  std::uint64_t structural_generation_ = 0;  // bumped when slots move
 };
 
 }  // namespace p2p::graph

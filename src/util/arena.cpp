@@ -58,10 +58,9 @@ void* release_pages(void* begin, void* end) noexcept {
   return reinterpret_cast<void*>(hi);
 }
 
-Arena::Arena(std::size_t chunk_bytes, bool huge_pages)
+Arena::Arena(std::size_t chunk_bytes)
     : chunk_bytes_(round_up_huge(chunk_bytes == 0 ? kDefaultChunkBytes
-                                                  : chunk_bytes)),
-      huge_pages_(huge_pages) {}
+                                                  : chunk_bytes)) {}
 
 Arena::~Arena() { release(); }
 
@@ -70,7 +69,6 @@ Arena::Arena(Arena&& other) noexcept
       active_(other.active_),
       offset_(other.offset_),
       chunk_bytes_(other.chunk_bytes_),
-      huge_pages_(other.huge_pages_),
       allocated_(other.allocated_),
       reserved_(other.reserved_) {
   other.chunks_.clear();
@@ -87,7 +85,6 @@ Arena& Arena::operator=(Arena&& other) noexcept {
     active_ = other.active_;
     offset_ = other.offset_;
     chunk_bytes_ = other.chunk_bytes_;
-    huge_pages_ = other.huge_pages_;
     allocated_ = other.allocated_;
     reserved_ = other.reserved_;
     other.chunks_.clear();
@@ -132,7 +129,7 @@ Arena::Chunk Arena::make_chunk(std::size_t bytes) {
   bytes = round_up_huge(bytes);
   Chunk c;
   c.size = bytes;
-  if (void* p = map_huge(bytes, huge_pages_)) {
+  if (void* p = map_huge(bytes)) {
     c.base = static_cast<std::byte*>(p);
     c.mapped = true;
   } else {

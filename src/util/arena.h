@@ -49,8 +49,7 @@ class Arena {
  public:
   static constexpr std::size_t kDefaultChunkBytes = std::size_t{8} << 20;
 
-  explicit Arena(std::size_t chunk_bytes = kDefaultChunkBytes,
-                 bool huge_pages = true);
+  explicit Arena(std::size_t chunk_bytes = kDefaultChunkBytes);
   ~Arena();
 
   Arena(Arena&& other) noexcept;
@@ -98,7 +97,6 @@ class Arena {
   std::size_t active_ = 0;  ///< chunk currently bumped from
   std::size_t offset_ = 0;  ///< bump offset within chunks_[active_]
   std::size_t chunk_bytes_ = kDefaultChunkBytes;
-  bool huge_pages_ = true;
   std::size_t allocated_ = 0;
   std::size_t reserved_ = 0;
 };

@@ -179,8 +179,7 @@ TEST(Flood, FindsNearbyTargetCheaply) {
 
 TEST(Flood, TtlCutsOffDistantTargets) {
   // Bare ring: a target n/2 away needs ttl >= n/2.
-  graph::OverlayGraph g(metric::Space::ring(64));
-  graph::wire_short_links(g);
+  const graph::OverlayGraph g = flood_graph(64, 0, 0);
   const auto view = failure::FailureView::all_alive(g);
   EXPECT_FALSE(flood_search(g, view, 0, 32, 10).found);
   EXPECT_TRUE(flood_search(g, view, 0, 32, 32).found);
@@ -199,8 +198,7 @@ TEST(Flood, MessageCostExplodesWithTtl) {
 }
 
 TEST(Flood, DeadNodesAreNotExpanded) {
-  graph::OverlayGraph g(metric::Space::ring(16));
-  graph::wire_short_links(g);
+  const graph::OverlayGraph g = flood_graph(16, 0, 0);
   auto view = failure::FailureView::all_alive(g);
   view.kill_node(1);
   view.kill_node(15);

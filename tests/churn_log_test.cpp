@@ -252,78 +252,5 @@ TEST(ChurnLog, RejectsMidLogBaselines) {
   EXPECT_THROW(ChurnLog{advanced}, std::invalid_argument);
 }
 
-// Satellite: the structural-generation invariant. A slot-moving graph
-// mutation must make every view mutator fail loudly instead of silently
-// mis-keying link bits.
-TEST(StructuralGeneration, ViewMutatorsThrowAfterSlotMovingMutation) {
-  graph::GraphBuilder builder(metric::Space::ring(16));
-  builder.wire_short_links();
-  for (NodeId u = 0; u < 16; ++u) builder.add_long_link(u, (u + 5) % 16);
-  OverlayGraph g = builder.freeze();
-  const auto gen0 = g.structural_generation();
-
-  FailureView view = FailureView::all_alive(g);
-  view.kill_link(0, 0);  // allocate link bits against gen0
-
-  g.replace_long_link(2, 0, 9);  // in-place: never moves slots
-  EXPECT_EQ(g.structural_generation(), gen0);
-  view.kill_link(1, 0);  // still valid
-
-  g.add_long_link(3, 9);  // no reserved slot: shifts the flat arrays
-  EXPECT_GT(g.structural_generation(), gen0);
-  EXPECT_THROW(view.kill_link(0, 1), std::invalid_argument);
-  EXPECT_THROW(view.revive_link(0, 0), std::invalid_argument);
-  FailureDelta delta;
-  delta.node_kills.push_back(1);
-  EXPECT_THROW(view.apply(delta), std::invalid_argument);
-
-  // A fresh view over the mutated graph is keyed to the new generation.
-  FailureView fresh = FailureView::all_alive(g);
-  fresh.kill_link(3, 2);
-  EXPECT_FALSE(fresh.link_alive(3, 2));
-}
-
-TEST(StructuralGeneration, ApplyRejectsLinkDeltasRecordedBeforeGrowth) {
-  graph::GraphBuilder builder(metric::Space::ring(16));
-  builder.wire_short_links();
-  for (NodeId u = 0; u < 16; ++u) builder.add_long_link(u, (u + 3) % 16);
-  OverlayGraph g = builder.freeze();
-
-  // A link delta recorded against the pre-growth slot layout...
-  FailureDelta link_delta;
-  link_delta.link_kills.push_back(static_cast<std::uint32_t>(g.edge_base(4)));
-  FailureDelta node_delta;
-  node_delta.node_kills.push_back(4);
-
-  FailureView view = FailureView::all_alive(g);  // no link bits allocated
-  g.add_long_link(2, 9);                         // slots move
-
-  // ...cannot be applied afterwards even though the view has no link bits
-  // yet (a fresh bitset would mis-key the recorded slots). Node ids are
-  // stable across growth, so a node-only delta still applies.
-  EXPECT_THROW(view.apply(link_delta), std::invalid_argument);
-  view.apply(node_delta);
-  EXPECT_FALSE(view.node_alive(4));
-  EXPECT_EQ(view.epoch(), 1u);
-}
-
-TEST(StructuralGeneration, SlotReusingMutationsKeepViewsValid) {
-  graph::GraphBuilder builder(metric::Space::ring(16));
-  builder.wire_short_links();
-  for (NodeId u = 0; u < 16; ++u) builder.add_long_link(u, (u + 5) % 16);
-  OverlayGraph g = builder.freeze();
-  const auto gen0 = g.structural_generation();
-
-  FailureView view = FailureView::all_alive(g);
-  view.kill_link(4, 2);
-  g.clear_links(7);           // truncation reserves the slots
-  g.add_short_link(7, 8);     // reuses a reserved slot
-  g.add_short_link(7, 6);
-  g.add_long_link(7, 12);
-  EXPECT_EQ(g.structural_generation(), gen0);
-  view.kill_link(7, 0);  // still keyed correctly
-  EXPECT_FALSE(view.link_alive(7, 0));
-}
-
 }  // namespace
 }  // namespace p2p::churn

@@ -94,9 +94,7 @@ OverlayGraph build_torus(std::uint32_t side, std::size_t long_links,
       if (v != u) builder.add_long_link(u, v);
     }
   }
-  graph::FreezeOptions opts;
-  opts.layout = layout;
-  return builder.freeze(opts);
+  return builder.freeze(layout);
 }
 
 LayoutPair torus_pair(std::uint32_t side, std::size_t long_links,
@@ -383,9 +381,7 @@ TEST(CompactOverlay, SimdDecodeMatchesNeighbors) {
         builder.add_long_link(u, static_cast<NodeId>(v % n));
       }
     }
-    graph::FreezeOptions opts;
-    opts.layout = layout;
-    return builder.freeze(opts);
+    return builder.freeze(layout);
   };
   const LayoutPair p{build(EdgeLayout::kStandard), build(EdgeLayout::kCompact)};
   check_structure(p);
@@ -412,16 +408,6 @@ TEST(CompactOverlay, SimdDecodeMatchesNeighbors) {
       ASSERT_EQ(out[i], graph::kInvalidNode - 1) << "u=" << u << " i=" << i;
     }
   }
-}
-
-TEST(CompactOverlay, MutatorsThrow) {
-  auto p = ring_pair(256, 4, 99);
-  EXPECT_THROW(p.compact.add_short_link(0, 1), std::logic_error);
-  EXPECT_THROW(p.compact.add_long_link(0, 5), std::logic_error);
-  EXPECT_THROW(p.compact.replace_long_link(0, 0, 5), std::logic_error);
-  EXPECT_THROW(p.compact.clear_links(0), std::logic_error);
-  // The standard twin stays mutable.
-  p.standard.replace_long_link(0, 0, 7);
 }
 
 TEST(CompactOverlay, MemoryAtMostSixtyPercentOfStandard) {
@@ -545,9 +531,7 @@ TEST(CompactOverlay, HubPastSimdDecodeBuffer) {
       while (v == 0) v = static_cast<NodeId>(rng.next_below(n));
       builder.add_long_link(0, v);
     }
-    graph::FreezeOptions opts;
-    opts.layout = layout;
-    return builder.freeze(opts);
+    return builder.freeze(layout);
   };
   const LayoutPair p{build(EdgeLayout::kStandard), build(EdgeLayout::kCompact)};
   ASSERT_GT(p.compact.out_degree(0), 256u);

@@ -26,11 +26,17 @@ using graph::OverlayGraph;
 using metric::Point;
 using metric::Space;
 
+/// The ring of n nodes with only its short links.
+OverlayGraph bare_ring(std::uint64_t n) {
+  graph::GraphBuilder b(Space::ring(n));
+  b.wire_short_links();
+  return b.freeze();
+}
+
 // -- Degenerate graph sizes ---------------------------------------------------
 
 TEST(EdgeCases, TwoNodeRingRoutesBothWays) {
-  OverlayGraph g(Space::ring(2));
-  graph::wire_short_links(g);
+  const OverlayGraph g = bare_ring(2);
   const auto view = FailureView::all_alive(g);
   const Router router(g, view);
   util::Rng rng(1);
@@ -81,8 +87,7 @@ TEST(EdgeCases, ThreeMemberRingSnapshotShortLinksFormACycle) {
 // -- FailureView x policy interactions ---------------------------------------
 
 TEST(EdgeCases, BacktrackOverDeadSourceNeighboursFailsCleanly) {
-  OverlayGraph g(Space::ring(8));
-  graph::wire_short_links(g);
+  const OverlayGraph g = bare_ring(8);
   auto view = FailureView::all_alive(g);
   view.kill_node(1);
   view.kill_node(7);  // source completely cut off
@@ -96,8 +101,7 @@ TEST(EdgeCases, BacktrackOverDeadSourceNeighboursFailsCleanly) {
 }
 
 TEST(EdgeCases, RerouteWithZeroBudgetBehavesLikeTerminate) {
-  OverlayGraph g(Space::ring(10));
-  graph::wire_short_links(g);
+  const OverlayGraph g = bare_ring(10);
   auto view = FailureView::all_alive(g);
   view.kill_node(4);
   RouterConfig cfg;
@@ -145,8 +149,7 @@ TEST(EdgeCases, LinkAndNodeFailureViewsCompose) {
 // -- Secure router corners -------------------------------------------------------
 
 TEST(EdgeCases, SecureRouterMorePathsThanNeighboursStillWorks) {
-  OverlayGraph g(Space::ring(16));
-  graph::wire_short_links(g);
+  const OverlayGraph g = bare_ring(16);
   const auto view = FailureView::all_alive(g);
   const auto byz = failure::ByzantineSet::none(g);
   const core::SecureRouter router(g, view, byz, {.paths = 10});
@@ -158,8 +161,7 @@ TEST(EdgeCases, SecureRouterMorePathsThanNeighboursStillWorks) {
 }
 
 TEST(EdgeCases, FullyByzantineInteriorBlocksEverything) {
-  OverlayGraph g(Space::ring(8));
-  graph::wire_short_links(g);
+  const OverlayGraph g = bare_ring(8);
   const auto view = FailureView::all_alive(g);
   auto byz = failure::ByzantineSet::none(g);
   for (NodeId u = 1; u < 8; ++u) {
@@ -173,8 +175,7 @@ TEST(EdgeCases, FullyByzantineInteriorBlocksEverything) {
 // -- run_batch preconditions -----------------------------------------------------
 
 TEST(EdgeCases, RunBatchRequiresTwoLiveNodes) {
-  OverlayGraph g(Space::ring(4));
-  graph::wire_short_links(g);
+  const OverlayGraph g = bare_ring(4);
   auto view = FailureView::all_alive(g);
   for (NodeId u = 1; u < 4; ++u) view.kill_node(u);
   const Router router(g, view);

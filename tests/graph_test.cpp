@@ -23,7 +23,7 @@ namespace {
 using metric::Space;
 
 TEST(OverlayGraph, DensePositionsAreIdentity) {
-  OverlayGraph g(Space::ring(8));
+  const OverlayGraph g = GraphBuilder(Space::ring(8)).freeze();
   EXPECT_EQ(g.size(), 8u);
   for (NodeId u = 0; u < 8; ++u) EXPECT_EQ(g.position(u), static_cast<metric::Point>(u));
   EXPECT_EQ(g.node_at(5), 5u);
@@ -31,7 +31,7 @@ TEST(OverlayGraph, DensePositionsAreIdentity) {
 }
 
 TEST(OverlayGraph, SparsePositionsMapCorrectly) {
-  OverlayGraph g(Space::line(100), {3, 10, 50, 99});
+  const OverlayGraph g = GraphBuilder(Space::line(100), {3, 10, 50, 99}).freeze();
   EXPECT_EQ(g.size(), 4u);
   EXPECT_EQ(g.position(2), 50);
   EXPECT_EQ(g.node_at(10), 1u);
@@ -39,7 +39,7 @@ TEST(OverlayGraph, SparsePositionsMapCorrectly) {
 }
 
 TEST(OverlayGraph, NodeNearestPicksClosest) {
-  OverlayGraph g(Space::line(100), {3, 10, 50, 99});
+  const OverlayGraph g = GraphBuilder(Space::line(100), {3, 10, 50, 99}).freeze();
   EXPECT_EQ(g.node_nearest(4), 0u);
   EXPECT_EQ(g.node_nearest(7), 1u);   // 7 is 4 from 3, 3 from 10
   EXPECT_EQ(g.node_nearest(30), 1u);  // 20 from 10, 20 from 50 -> lower position
@@ -47,23 +47,17 @@ TEST(OverlayGraph, NodeNearestPicksClosest) {
 }
 
 TEST(OverlayGraph, NodeNearestWrapsOnRing) {
-  OverlayGraph g(Space::ring(100), {10, 90});
+  const OverlayGraph g = GraphBuilder(Space::ring(100), {10, 90}).freeze();
   EXPECT_EQ(g.node_nearest(99), 1u);  // 9 from 90, 11 from 10 via wrap
   EXPECT_EQ(g.node_nearest(1), 0u);   // 9 from 10, 11 from 90 via wrap
 }
 
-TEST(OverlayGraph, ShortLinksMustPrecedeLongLinks) {
-  OverlayGraph g(Space::line(4));
-  g.add_short_link(0, 1);
-  g.add_long_link(0, 2);
-  EXPECT_THROW(g.add_short_link(0, 3), std::logic_error);
-}
-
 TEST(OverlayGraph, NeighborSpansSplitShortAndLong) {
-  OverlayGraph g(Space::line(5));
-  g.add_short_link(2, 1);
-  g.add_short_link(2, 3);
-  g.add_long_link(2, 0);
+  GraphBuilder b(Space::line(5));
+  b.add_short_link(2, 1);
+  b.add_short_link(2, 3);
+  b.add_long_link(2, 0);
+  const OverlayGraph g = b.freeze();
   EXPECT_EQ(g.short_degree(2), 2u);
   EXPECT_EQ(g.out_degree(2), 3u);
   ASSERT_EQ(g.long_neighbors(2).size(), 1u);
@@ -71,32 +65,13 @@ TEST(OverlayGraph, NeighborSpansSplitShortAndLong) {
   EXPECT_EQ(g.link_count(), 3u);
 }
 
-TEST(OverlayGraph, ReplaceLongLink) {
-  OverlayGraph g(Space::line(5));
-  g.add_short_link(0, 1);
-  g.add_long_link(0, 3);
-  g.replace_long_link(0, 0, 4);
-  EXPECT_TRUE(g.has_link(0, 4));
-  EXPECT_FALSE(g.has_link(0, 3));
-  EXPECT_THROW(g.replace_long_link(0, 1, 2), std::out_of_range);
-}
-
-TEST(OverlayGraph, ClearLinksResetsDegrees) {
-  OverlayGraph g(Space::line(5));
-  g.add_short_link(0, 1);
-  g.add_long_link(0, 3);
-  g.clear_links(0);
-  EXPECT_EQ(g.out_degree(0), 0u);
-  EXPECT_EQ(g.short_degree(0), 0u);
-  EXPECT_EQ(g.link_count(), 0u);
-}
-
 TEST(OverlayGraph, InDegreesCountIncomingLinks) {
-  OverlayGraph g(Space::line(4));
-  g.add_long_link(0, 2);
-  g.add_long_link(1, 2);
-  g.add_long_link(3, 2);
-  g.add_long_link(2, 0);
+  GraphBuilder b(Space::line(4));
+  b.add_long_link(0, 2);
+  b.add_long_link(1, 2);
+  b.add_long_link(2, 0);
+  b.add_long_link(3, 2);
+  const OverlayGraph g = b.freeze();
   const auto in = g.in_degrees();
   EXPECT_EQ(in[2], 3u);
   EXPECT_EQ(in[0], 1u);
@@ -104,20 +79,47 @@ TEST(OverlayGraph, InDegreesCountIncomingLinks) {
 }
 
 TEST(OverlayGraph, LongLinkLengths) {
-  OverlayGraph g(Space::ring(10));
-  g.add_short_link(0, 1);
-  g.add_long_link(0, 4);  // length 4
-  g.add_long_link(0, 9);  // length 1 on the ring
-  const auto lengths = g.long_link_lengths();
+  GraphBuilder b(Space::ring(10));
+  b.add_short_link(0, 1);
+  b.add_long_link(0, 4);  // length 4
+  b.add_long_link(0, 9);  // length 1 on the ring
+  const auto lengths = b.freeze().long_link_lengths();
   ASSERT_EQ(lengths.size(), 2u);
   EXPECT_EQ(lengths[0], 4u);
   EXPECT_EQ(lengths[1], 1u);
 }
 
-TEST(OverlayGraph, RejectsUnsortedSparsePositions) {
-  EXPECT_THROW(OverlayGraph(Space::line(10), {5, 3}), std::invalid_argument);
-  EXPECT_THROW(OverlayGraph(Space::line(10), {3, 3}), std::invalid_argument);
-  EXPECT_THROW(OverlayGraph(Space::line(10), {3, 11}), std::invalid_argument);
+TEST(GraphBuilder, RejectsUnsortedSparsePositions) {
+  EXPECT_THROW(GraphBuilder(Space::line(10), {5, 3}), std::invalid_argument);
+  EXPECT_THROW(GraphBuilder(Space::line(10), {3, 3}), std::invalid_argument);
+  EXPECT_THROW(GraphBuilder(Space::line(10), {3, 11}), std::invalid_argument);
+  EXPECT_THROW(GraphBuilder(Space::line(10), std::vector<metric::Point>{}),
+               std::invalid_argument);
+}
+
+// The compact header stores a node's short degree in 16 bits, so the builder
+// refuses the 65,536th short link of a node rather than let the compact
+// freeze wrap it to 0 (and list every link as long) while the standard
+// layout reports 65,536.
+TEST(GraphBuilder, ShortDegreeIsCappedAtSixteenBits) {
+  constexpr std::size_t kMax = std::numeric_limits<std::uint16_t>::max();
+  const auto build = [](EdgeLayout layout) {
+    GraphBuilder b(Space::line(3));
+    for (std::size_t i = 0; i < kMax; ++i) b.add_short_link(0, 1);
+    EXPECT_THROW(b.add_short_link(0, 2), std::invalid_argument);
+    b.add_short_link(1, 0);  // the next node starts its own count
+    b.add_long_link(0, 2);
+    return b.freeze(layout);
+  };
+  const OverlayGraph standard = build(EdgeLayout::kStandard);
+  const OverlayGraph compact = build(EdgeLayout::kCompact);
+  for (const OverlayGraph* g : {&standard, &compact}) {
+    EXPECT_EQ(g->short_degree(0), kMax);
+    EXPECT_EQ(g->out_degree(0), kMax + 1);
+    ASSERT_EQ(g->long_neighbors(0).size(), 1u);
+    EXPECT_EQ(g->long_neighbors(0)[0], 2u);
+    EXPECT_EQ(g->short_degree(1), 1u);
+  }
 }
 
 // -- Guided inverse-CDF search -------------------------------------------------
@@ -785,10 +787,10 @@ TEST(GraphBuilder, CompactFreezeMatchesStandardAtBlockEdges) {
       GraphBuilder b = tricky_builder(n, 27);
       if (p != nullptr) {
         b.make_bidirectional(*p);
-        return b.freeze(*p, {.layout = layout});
+        return b.freeze(*p, layout);
       }
       b.make_bidirectional();
-      return b.freeze({.layout = layout});
+      return b.freeze(layout);
     };
     const OverlayGraph standard = frozen(nullptr, EdgeLayout::kStandard);
     const std::string label = "n = " + std::to_string(n);
@@ -1015,23 +1017,6 @@ TEST(GraphBuilderPinned, BuildsMatchReferenceFingerprints) {
           << p.label << " pooled, " << threads << " threads";
     }
   }
-}
-
-TEST(OverlayGraph, StructuralGenerationTracksSlotMoves) {
-  GraphBuilder builder(Space::ring(8));
-  builder.wire_short_links();
-  OverlayGraph g = builder.freeze();
-  EXPECT_EQ(g.structural_generation(), 0u);
-  g.clear_links(3);
-  EXPECT_EQ(g.structural_generation(), 0u);  // truncation reserves slots
-  g.add_short_link(3, 4);                    // slot reuse
-  EXPECT_EQ(g.structural_generation(), 0u);
-  g.add_short_link(3, 2);  // second reuse
-  EXPECT_EQ(g.structural_generation(), 0u);
-  g.add_long_link(3, 6);  // out of reserved slots: the flat arrays shift
-  EXPECT_EQ(g.structural_generation(), 1u);
-  g.add_long_link(5, 1);
-  EXPECT_EQ(g.structural_generation(), 2u);
 }
 
 }  // namespace

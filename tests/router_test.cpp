@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/router.h"
@@ -22,11 +23,14 @@ using graph::NodeId;
 using graph::OverlayGraph;
 using metric::Space;
 
-/// Ring of n nodes with only the ±1 short links.
-OverlayGraph bare_ring(std::uint64_t n) {
-  OverlayGraph g(Space::ring(n));
-  graph::wire_short_links(g);
-  return g;
+/// Ring of n nodes with the ±1 short links, plus `long_links` (u -> v, in
+/// node order).
+OverlayGraph bare_ring(std::uint64_t n,
+                       const std::vector<std::pair<NodeId, NodeId>>& long_links = {}) {
+  graph::GraphBuilder b(Space::ring(n));
+  b.wire_short_links();
+  for (const auto& [u, v] : long_links) b.add_long_link(u, v);
+  return b.freeze();
 }
 
 TEST(Router, DeliversAlongShortLinks) {
@@ -63,8 +67,7 @@ TEST(Router, ZeroHopsWhenAlreadyAtTarget) {
 }
 
 TEST(Router, LongLinkShortcutsTheWalk) {
-  auto g = bare_ring(32);
-  g.add_long_link(0, 16);
+  const auto g = bare_ring(32, {{0, 16}});
   const auto view = FailureView::all_alive(g);
   const Router router(g, view);
   util::Rng rng(1);
@@ -74,9 +77,7 @@ TEST(Router, LongLinkShortcutsTheWalk) {
 }
 
 TEST(Router, RankZeroCandidateIsClosest) {
-  auto g = bare_ring(32);
-  g.add_long_link(0, 8);
-  g.add_long_link(0, 12);
+  const auto g = bare_ring(32, {{0, 8}, {0, 12}});
   const auto view = FailureView::all_alive(g);
   const Router router(g, view);
   EXPECT_EQ(router.select_candidate(0, 13, 0), 12u);
@@ -94,9 +95,8 @@ TEST(Router, RankZeroCandidateIsInvalidWhenStuck) {
 }
 
 TEST(Router, DuplicateLinksAreDeduplicated) {
-  auto g = bare_ring(16);
-  g.add_long_link(0, 5);
-  g.add_long_link(0, 5);  // drawn twice "with replacement"
+  // The long link 0 -> 5 is drawn twice ("with replacement").
+  const auto g = bare_ring(16, {{0, 5}, {0, 5}});
   const auto view = FailureView::all_alive(g);
   const Router router(g, view);
   const auto cands = router.candidates(0, 5);
@@ -104,8 +104,8 @@ TEST(Router, DuplicateLinksAreDeduplicated) {
 }
 
 TEST(Router, OneSidedNeverOvershoots) {
-  auto g = bare_ring(16);
-  g.add_long_link(2, 12);  // overshoots target 14 when coming from 2
+  // The long link 2 -> 12 overshoots target 14 when coming from 2.
+  const auto g = bare_ring(16, {{2, 12}});
   const auto view = FailureView::all_alive(g);
   RouterConfig cfg;
   cfg.sidedness = Sidedness::kOneSided;
@@ -118,8 +118,7 @@ TEST(Router, OneSidedNeverOvershoots) {
 }
 
 TEST(Router, TwoSidedUsesTheOvershootingLink) {
-  auto g = bare_ring(16);
-  g.add_long_link(2, 12);
+  const auto g = bare_ring(16, {{2, 12}});
   const auto view = FailureView::all_alive(g);
   RouterConfig cfg;
   cfg.record_path = true;
@@ -209,8 +208,8 @@ TEST(Router, RerouteCountsAreReported) {
 }
 
 TEST(Router, StaleKnowledgeStopsAtTheDeadBestNeighbour) {
-  auto g = bare_ring(8);
-  g.add_long_link(0, 3);  // tie at distance 1 from target 2: node 1 wins
+  // The long link 0 -> 3 ties node 1 at distance 1 from target 2: node 1 wins.
+  const auto g = bare_ring(8, {{0, 3}});
   auto view = FailureView::all_alive(g);
   view.kill_node(1);
   RouterConfig live_cfg;
@@ -224,8 +223,7 @@ TEST(Router, StaleKnowledgeStopsAtTheDeadBestNeighbour) {
 }
 
 TEST(Router, StaleKnowledgeStillSkipsDeadLinks) {
-  auto g = bare_ring(8);
-  g.add_long_link(0, 3);
+  const auto g = bare_ring(8, {{0, 3}});
   auto view = FailureView::all_alive(g);
   view.kill_link(0, 0);  // short link 0 -> 1 is down, both nodes alive
   RouterConfig cfg;
@@ -249,8 +247,9 @@ TEST(Router, TtlBoundsTheSearch) {
 }
 
 TEST(Router, RoutesToNearestNodeForVacantTargets) {
-  OverlayGraph g(Space::line(100), {10, 20, 80});
-  graph::wire_short_links(g);
+  graph::GraphBuilder b(Space::line(100), {10, 20, 80});
+  b.wire_short_links();
+  const OverlayGraph g = b.freeze();
   const auto view = FailureView::all_alive(g);
   const Router router(g, view);
   util::Rng rng(1);
