@@ -245,6 +245,26 @@ TEST(GuidedSearch, SeededDrawsMatchUpperBoundReference) {
       }
     }
   }
+  // Lookup-scale tables: past the small spaces' 4097 points a guide bucket
+  // spans up to ~50 entries, so draws take both the narrow-bracket count and
+  // the wider search.
+  const std::pair<metric::Space, double> large[] = {
+      {Space::ring(1u << 19), 1.0}, {Space::line(1u << 19), 1.0}, {Space::torus(512), 2.0}};
+  for (const auto& [space, r] : large) {
+    const PowerLawLinkSampler sampler(space, r);
+    const std::vector<double> prefix = power_law_prefix(space, r);
+    const bool torus = space.kind() == metric::Space::Kind::kTorus;
+    for (std::uint64_t i = 0; i < (1u << 16); ++i) {
+      const auto source = static_cast<metric::Point>(i * 7919 % space.size());
+      const util::Rng rng = util::substream(0x1a7e, i);
+      util::Rng draw_rng = rng;
+      const metric::Point target = sampler.sample_target(draw_rng, source);
+      const metric::Point want = reference_draw(space, prefix, r, rng, source);
+      ASSERT_EQ(torus ? static_cast<metric::Point>(space.distance(source, target)) : target,
+                want)
+          << space.to_string() << " r=" << r << " draw " << i;
+    }
+  }
 }
 
 // -- Power-law sampler --------------------------------------------------------
