@@ -498,6 +498,38 @@ TEST(GraphBuilder, ShortLinksWireNearestNeighbours) {
   }
 }
 
+/// Node u's short links in slot order.
+std::vector<NodeId> short_slice(const OverlayGraph& g, NodeId u) {
+  std::vector<NodeId> links;
+  for (const NodeId v : g.neighbors(u)) {
+    if (links.size() < g.short_degree(u)) links.push_back(v);
+  }
+  return links;
+}
+
+TEST(GraphBuilder, ShortLinksKeepSlotOrder) {
+  // FailureView link deltas name slots, so the wiring's order is part of the
+  // graph: u + 1 first, then u - 1, each only where it exists (on a 2-node
+  // ring both name the same node, wired once).
+  using Slices = std::vector<std::vector<NodeId>>;
+  const auto wired = [](GraphBuilder b) {
+    b.wire_short_links();
+    const OverlayGraph g = b.freeze();
+    Slices slices;
+    for (NodeId u = 0; u < g.size(); ++u) slices.push_back(short_slice(g, u));
+    return slices;
+  };
+  EXPECT_EQ(wired(GraphBuilder(Space::ring(2))), (Slices{{1}, {0}}));
+  EXPECT_EQ(wired(GraphBuilder(Space::ring(3))), (Slices{{1, 2}, {2, 0}, {0, 1}}));
+  EXPECT_EQ(wired(GraphBuilder(Space::ring(4))), (Slices{{1, 3}, {2, 0}, {3, 1}, {0, 2}}));
+  EXPECT_EQ(wired(GraphBuilder(Space::line(2))), (Slices{{1}, {0}}));
+  EXPECT_EQ(wired(GraphBuilder(Space::line(3))), (Slices{{1}, {2, 0}, {1}}));
+  // Sparse positions: node indices, not grid points, are the neighbours.
+  EXPECT_EQ(wired(GraphBuilder(Space::ring(16), {1, 4, 5, 9, 15})),
+            (Slices{{1, 4}, {2, 0}, {3, 1}, {4, 2}, {0, 3}}));
+  EXPECT_EQ(wired(GraphBuilder(Space::line(16), {2, 7, 11})), (Slices{{1}, {2, 0}, {1}}));
+}
+
 TEST(GraphBuilder, LineEndpointsHaveOneShortLink) {
   util::Rng rng(23);
   BuildSpec spec;
