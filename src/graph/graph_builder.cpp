@@ -90,7 +90,7 @@ void GraphBuilder::add_long_link(NodeId u, NodeId v) {
   long_.append(u, v);
 }
 
-void GraphBuilder::add_long_links(std::vector<NodeId> targets, std::size_t per_node) {
+void GraphBuilder::add_long_links(LinkTable targets, std::size_t per_node) {
   check_open();
   if (!long_.offsets.empty()) {
     throw std::logic_error("GraphBuilder: a long-link table must come before any long link");
@@ -101,21 +101,34 @@ void GraphBuilder::add_long_links(std::vector<NodeId> targets, std::size_t per_n
   util::require(per_node <= std::numeric_limits<std::uint32_t>::max() &&
                     targets.size() == node_count_ * per_node,
                 "GraphBuilder: long-link table size must be size() * per_node");
-  // Compact the rows in place: the write cursor never passes the read one.
-  // The run is only replaced once every target has passed its check.
-  std::vector<std::uint32_t> offsets(node_count_ + 1);
-  std::size_t out = 0;
-  for (std::size_t u = 0; u < node_count_; ++u) {
-    offsets[u] = static_cast<std::uint32_t>(out);
-    for (std::size_t k = u * per_node; k < (u + 1) * per_node; ++k) {
-      const NodeId v = targets[k];
-      if (v == kInvalidNode) continue;
-      check_node(v);
-      targets[out++] = v;
-    }
+  // One branch-free scan checks every target and counts the holes; the run
+  // is only replaced once it passed. v + 1 wraps a hole to 0, so a target
+  // names a node iff v + 1 <= size(), and the scan keeps only the maximum.
+  std::size_t holes = 0;
+  NodeId top = 0;
+  for (const NodeId v : targets) {
+    const NodeId next = v + 1;
+    holes += static_cast<std::size_t>(next == 0);
+    top = std::max(top, next);
   }
-  offsets[node_count_] = static_cast<std::uint32_t>(out);
-  targets.resize(out);
+  util::require_in_range(top <= node_count_, "GraphBuilder: node id out of range");
+  detail::NoFillVector<std::uint32_t> offsets(node_count_ + 1);
+  if (holes == 0) {
+    for (std::size_t u = 0; u <= node_count_; ++u) {
+      offsets[u] = static_cast<std::uint32_t>(u * per_node);
+    }
+  } else {
+    // Compact the rows in place: the write cursor never passes the read one.
+    std::size_t out = 0;
+    for (std::size_t u = 0; u < node_count_; ++u) {
+      offsets[u] = static_cast<std::uint32_t>(out);
+      for (std::size_t k = u * per_node; k < (u + 1) * per_node; ++k) {
+        if (targets[k] != kInvalidNode) targets[out++] = targets[k];
+      }
+    }
+    offsets[node_count_] = static_cast<std::uint32_t>(out);
+    targets.resize(out);
+  }
   long_ = Run{std::move(offsets), std::move(targets)};
 }
 
@@ -135,22 +148,38 @@ void GraphBuilder::wire_short_links() {
                 "wire_short_links: side neighbours are only defined on a "
                 "one-dimensional space (use build_kleinberg_overlay for the "
                 "torus lattice)");
+  check_open();
+  if (!short_.offsets.empty() || !long_.offsets.empty()) {
+    throw std::logic_error("GraphBuilder: wire_short_links must come before any link");
+  }
   const std::size_t n = node_count_;
   if (n < 2) return;
-  const bool ring = space_.kind() == metric::Space::Kind::kRing;
-  for (NodeId u = 0; u < n; ++u) {
-    if (u + 1 < n) {
-      add_short_link(u, u + 1);
-    } else if (ring && n > 2) {
-      add_short_link(u, 0);
-    }
-    if (u > 0) {
-      add_short_link(u, u - 1);
-    } else if (ring && n > 2) {
-      // n == 2 is excluded: the u+1 branch already wired 0 <-> 1 once.
-      add_short_link(u, static_cast<NodeId>(n - 1));
-    }
+  // Each end has one link, or two where the ring wraps; on a 2-node ring
+  // u + 1 and u - 1 name the same node, wired once.
+  const bool wrap = space_.kind() == metric::Space::Kind::kRing && n > 2;
+  const std::size_t ends = wrap ? 2 : 1;
+  const std::size_t links = 2 * (n - 2) + 2 * ends;
+  util::require(links <= std::numeric_limits<std::uint32_t>::max(),
+                "GraphBuilder: edge slot index overflow");
+  // The last node's range stays open, as after appends (Run::seal closes it).
+  short_.offsets.resize(n);
+  short_.targets.resize(links);
+  std::uint32_t* const offsets = short_.offsets.data();
+  NodeId* const targets = short_.targets.data();
+  const auto last = static_cast<NodeId>(n - 1);
+  offsets[0] = 0;
+  targets[0] = 1;
+  if (wrap) targets[1] = last;
+  for (NodeId u = 1; u < last; ++u) {
+    const std::size_t k = ends + 2 * (std::size_t{u} - 1);
+    offsets[u] = static_cast<std::uint32_t>(k);
+    targets[k] = u + 1;
+    targets[k + 1] = u - 1;
   }
+  const std::size_t k = ends + 2 * (n - 2);
+  offsets[last] = static_cast<std::uint32_t>(k);
+  if (wrap) targets[k] = 0;
+  targets[k + ends - 1] = last - 1;
 }
 
 void GraphBuilder::make_bidirectional() { add_missing_reverses(nullptr); }
@@ -170,12 +199,14 @@ void GraphBuilder::add_missing_reverses(util::ThreadPool* pool) {
   // part of it, all in ascending source order. Afterwards
   // reverse_.targets[offsets[v], offsets[v + 1]) lists every u with a long
   // link u -> v, ascending in u, for any chunk count.
-  const std::size_t chunks = fans(pool, n) ? pool->thread_count() : 1;
+  const std::size_t chunks =
+      fans(pool, n) ? std::min(pool->thread_count(), kTransposeChunks) : 1;
   const std::size_t per_chunk = (n + chunks - 1) / chunks;
-  std::vector<std::uint32_t> cursor(chunks * n, 0);
-  const auto over_chunks = [&](auto&& body) {
+  detail::NoFillVector<std::uint32_t> cursor(chunks * n);
+  const auto over_chunks = [&](bool zero_row, auto&& body) {
     const auto run_chunk = [&](std::size_t c) {
       std::uint32_t* const row = cursor.data() + c * n;
+      if (zero_row) std::fill_n(row, n, 0u);  // each chunk clears its own row
       for (std::size_t u = c * per_chunk; u < std::min(n, (c + 1) * per_chunk); ++u) {
         for (const NodeId v : long_.slice(u)) body(row, static_cast<NodeId>(u), v);
       }
@@ -186,7 +217,7 @@ void GraphBuilder::add_missing_reverses(util::ThreadPool* pool) {
       pool->parallel_for(chunks, run_chunk);
     }
   };
-  over_chunks([](std::uint32_t* row, NodeId, NodeId v) { ++row[v]; });
+  over_chunks(true, [](std::uint32_t* row, NodeId, NodeId v) { ++row[v]; });
   reverse_.offsets.resize(n + 1);
   std::uint32_t total = 0;
   for (std::size_t v = 0; v < n; ++v) {
@@ -200,7 +231,8 @@ void GraphBuilder::add_missing_reverses(util::ThreadPool* pool) {
   reverse_.offsets[n] = total;
   reverse_.targets.resize(total);
   NodeId* const sources = reverse_.targets.data();
-  over_chunks([sources](std::uint32_t* row, NodeId u, NodeId v) { sources[row[v]++] = u; });
+  over_chunks(false,
+              [sources](std::uint32_t* row, NodeId u, NodeId v) { sources[row[v]++] = u; });
   cursor = {};
 
   // Walking u in ascending order and adding v -> u for each long link
@@ -208,21 +240,34 @@ void GraphBuilder::add_missing_reverses(util::ThreadPool* pool) {
   // sources u, ascending, that v's short and long links lack: no reverse
   // added on the way is one a later check tests. So each node decides
   // alone, compacting its survivors to the front of its own range.
-  std::vector<std::uint32_t> kept(n, 0);
+  detail::NoFillVector<std::uint32_t> kept(n);
   const auto decide = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t v = lo; v < hi; ++v) {
       const auto shorts = short_.slice(v);
       const auto longs = long_.slice(v);
       NodeId* const first = sources + reverse_.offsets[v];
       NodeId* const last = sources + reverse_.offsets[v + 1];
+      // A 256-bit filter of v's own links: a source whose bit is clear is
+      // certainly not among them, so only the few whose bit is set scan.
+      std::uint64_t filter[4] = {};
+      const auto bit = [](NodeId x) { return std::uint64_t{1} << (x & 63); };
+      for (const NodeId x : shorts) filter[(x >> 6) & 3] |= bit(x);
+      for (const NodeId x : longs) filter[(x >> 6) & 3] |= bit(x);
       NodeId* out = first;
+      NodeId previous = kInvalidNode;  // no source is kInvalidNode
       for (const NodeId* it = first; it != last; ++it) {
-        if (it != first && *it == it[-1]) continue;
-        // Branch-free scans: the slices are short, and this form vectorizes.
-        unsigned present = 0;
-        for (const NodeId x : shorts) present |= static_cast<unsigned>(x == *it);
-        for (const NodeId x : longs) present |= static_cast<unsigned>(x == *it);
-        if (present == 0) *out++ = *it;
+        const NodeId u = *it;
+        bool keep = u != previous;
+        previous = u;
+        if ((filter[(u >> 6) & 3] & bit(u)) != 0) {
+          // Branch-free scans: the slices are short, and this form vectorizes.
+          unsigned present = 0;
+          for (const NodeId x : shorts) present |= static_cast<unsigned>(x == u);
+          for (const NodeId x : longs) present |= static_cast<unsigned>(x == u);
+          keep &= present == 0;
+        }
+        *out = u;  // out never passes it, so this overwrites a read source
+        out += static_cast<std::ptrdiff_t>(keep);
       }
       kept[v] = static_cast<std::uint32_t>(out - first);
     }
@@ -270,9 +315,9 @@ OverlayGraph GraphBuilder::freeze_impl(util::ThreadPool* pool, EdgeLayout layout
     }
     // The standard form keeps the concatenated slices as its flat edge
     // array; packing streams the runs into it, releasing them behind.
-    std::vector<std::uint32_t> slice_sizes(n);
-    std::vector<std::uint32_t> short_degree(n);
-    std::vector<NodeId> edges(runs.link_count());
+    detail::NoFillVector<std::uint32_t> slice_sizes(n);
+    detail::NoFillVector<std::uint32_t> short_degree(n);
+    detail::NoFillVector<NodeId> edges(runs.link_count());
     runs.stream(pool, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t u = lo; u < hi; ++u) {
         slice_sizes[u] = runs.degree(u);
@@ -281,8 +326,8 @@ OverlayGraph GraphBuilder::freeze_impl(util::ThreadPool* pool, EdgeLayout layout
         runs.for_each_link(u, [&out](NodeId v) { *out++ = v; });
       }
     });
-    return OverlayGraph(space_, std::move(positions_), std::move(slice_sizes),
-                        std::move(short_degree), std::move(edges));
+    return OverlayGraph(space_, std::move(positions_), slice_sizes, std::move(short_degree),
+                        std::move(edges));
   }();
   // Leave the builder empty rather than half-moved-from.
   short_ = {};
@@ -317,31 +362,36 @@ std::vector<metric::Point> draw_present_positions(std::uint64_t grid_size,
 }
 
 /// Samples node u's long-link targets into `out[0..long_links)` using u's
-/// private rng. Read-only on the builder, so any number of nodes can sample
-/// concurrently; a slot is kInvalidNode when the draw produced no link.
+/// private rng; `drawn` is scratch for long_links points. Read-only on the
+/// builder, so any number of nodes can sample concurrently; a slot is
+/// kInvalidNode when the draw produced no link.
 void sample_power_law_targets(const GraphBuilder& g, const BuildSpec& spec,
                               const PowerLawLinkSampler& sampler, NodeId u,
-                              util::Rng& rng, NodeId* out) {
+                              util::Rng& rng, metric::Point* drawn, NodeId* out) {
   const bool sparse = spec.presence < 1.0;
-  constexpr int kMaxRejections = 256;
   const metric::Point src = g.position(u);
+  if (!sparse || spec.sparse_mode == BuildSpec::SparseLinkMode::kSnap) {
+    // One draw per link: the node's whole set in one sampler loop.
+    sampler.sample_targets(rng, src, drawn, spec.long_links);
+    for (std::size_t k = 0; k < spec.long_links; ++k) {
+      // On a full grid node ids are positions.
+      const NodeId target = sparse ? g.node_nearest(drawn[k]) : static_cast<NodeId>(drawn[k]);
+      out[k] = target == u ? kInvalidNode : target;
+    }
+    return;
+  }
+  constexpr int kMaxRejections = 256;
   for (std::size_t k = 0; k < spec.long_links; ++k) {
     NodeId target = kInvalidNode;
-    if (!sparse) {
-      target = g.node_at(sampler.sample_target(rng, src));
-    } else if (spec.sparse_mode == BuildSpec::SparseLinkMode::kRejection) {
-      for (int tries = 0; tries < kMaxRejections; ++tries) {
-        const NodeId candidate = g.node_at(sampler.sample_target(rng, src));
-        if (candidate != kInvalidNode) {
-          target = candidate;
-          break;
-        }
+    for (int tries = 0; tries < kMaxRejections; ++tries) {
+      const NodeId candidate = g.node_at(sampler.sample_target(rng, src));
+      if (candidate != kInvalidNode) {
+        target = candidate;
+        break;
       }
-      if (target == kInvalidNode) {
-        // Degenerate sparsity: fall back to snapping so the build finishes.
-        target = g.node_nearest(sampler.sample_target(rng, src));
-      }
-    } else {
+    }
+    if (target == kInvalidNode) {
+      // Degenerate sparsity: fall back to snapping so the build finishes.
       target = g.node_nearest(sampler.sample_target(rng, src));
     }
     out[k] = target == u ? kInvalidNode : target;
@@ -360,24 +410,19 @@ void add_power_law_links(GraphBuilder& g, const BuildSpec& spec, util::Rng& rng,
   const PowerLawLinkSampler sampler(g.space(), spec.exponent);
   const std::uint64_t base = rng();
   const std::size_t n = g.size();
-  std::vector<NodeId> targets(n * spec.long_links);
-  const auto sample_node = [&](NodeId u, util::Rng& node_rng) {
-    sample_power_law_targets(g, spec, sampler, u, node_rng,
-                             targets.data() + static_cast<std::size_t>(u) * spec.long_links);
-  };
-  if (pool != nullptr && pool->thread_count() > 1 && n >= 1024) {
-    pool->parallel_chunks(n, pool->thread_count() * 8,
-                          [&](std::size_t lo, std::size_t hi) {
-                            for (std::size_t u = lo; u < hi; ++u) {
-                              util::Rng node_rng = util::substream(base, u);
-                              sample_node(static_cast<NodeId>(u), node_rng);
-                            }
-                          });
-  } else {
-    for (NodeId u = 0; u < n; ++u) {
+  LinkTable targets(n * spec.long_links);
+  const auto sample_nodes = [&](std::size_t lo, std::size_t hi) {
+    std::vector<metric::Point> drawn(spec.long_links);
+    for (std::size_t u = lo; u < hi; ++u) {
       util::Rng node_rng = util::substream(base, u);
-      sample_node(u, node_rng);
+      sample_power_law_targets(g, spec, sampler, static_cast<NodeId>(u), node_rng, drawn.data(),
+                               targets.data() + u * spec.long_links);
     }
+  };
+  if (fans(pool, n)) {
+    pool->parallel_chunks(n, pool->thread_count() * 8, sample_nodes);
+  } else {
+    sample_nodes(0, n);
   }
   g.add_long_links(std::move(targets), spec.long_links);
 }

@@ -14,6 +14,7 @@
 // generate those sets.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -26,26 +27,35 @@ namespace p2p::graph {
 namespace detail {
 
 /// Inverse-CDF search over a non-decreasing prefix-sum table p[0..m] with
-/// p[0] = 0 and p[m] > 0. A guide table of about m/4 buckets, equal-width in
-/// mass, maps each bucket to the first index whose prefix exceeds the
-/// bucket's lower edge; a draw reads its bucket's bracket and binary-searches
-/// only inside it (a handful of entries on the power-law tables, where a
-/// full search walks log2 m of them across a table larger than L1).
+/// p[0] = 0 and p[m] > 0, which it owns. A guide table of m buckets,
+/// equal-width in mass, maps each bucket to the first index whose prefix
+/// exceeds the bucket's lower edge; a draw reads its bucket's bracket and
+/// searches only inside it, where a full search walks log2 m entries across
+/// a table larger than L1. A bracket of at most kPad entries, the common
+/// case on the power-law tables, is resolved by counting the entries <= u
+/// among kPad loaded at once: the table ends in kPad +inf sentinels, so the
+/// count needs no mask and no branch. Wider brackets binary-search.
 ///
-/// upper_bound(p, limit, u) returns exactly
+/// upper_bound(limit, u) returns exactly
 /// std::upper_bound(p + 1, p + limit + 1, u) - p for every u >= 0 and
 /// limit <= m. The bracket is verified against p before it is trusted, and
 /// the full search runs whenever that check fails, so rounding in the bucket
 /// arithmetic can cost time but never change an answer.
 class GuidedSearch {
  public:
-  GuidedSearch() = default;
-  /// Builds the guide for `prefix`. The table is not retained: upper_bound
-  /// takes it again on every call.
-  explicit GuidedSearch(const std::vector<double>& prefix);
+  /// Sentinel entries past p[m]; also the widest bracket that is counted.
+  static constexpr std::size_t kPad = 8;
 
-  [[nodiscard]] std::size_t upper_bound(const std::vector<double>& prefix,
-                                        std::size_t limit, double u) const noexcept;
+  GuidedSearch() = default;
+  /// Takes `prefix` as its table and builds the guide over it.
+  explicit GuidedSearch(std::vector<double> prefix);
+
+  [[nodiscard]] std::size_t upper_bound(std::size_t limit, double u) const noexcept;
+
+  /// p[i]. Precondition: i <= last().
+  [[nodiscard]] double operator[](std::size_t i) const noexcept { return table_[i]; }
+  /// m, the table's last index.
+  [[nodiscard]] std::size_t last() const noexcept { return table_.size() - 1 - kPad; }
 
   /// Bucket count; bucket b spans masses [b, b + 1) · p[m] / buckets().
   [[nodiscard]] std::size_t buckets() const noexcept {
@@ -53,9 +63,34 @@ class GuidedSearch {
   }
 
  private:
+  std::vector<double> table_;         // p[0..m], then kPad +inf
   std::vector<std::uint32_t> guide_;  // buckets + 1 entries; empty = no guide
   double scale_ = 0.0;                // buckets / p[m]
 };
+
+inline std::size_t GuidedSearch::upper_bound(std::size_t limit, double u) const noexcept {
+  const double* const p = table_.data();
+  const double x = u * scale_;
+  if (x >= 0.0 && x < static_cast<double>(buckets())) {
+    const auto b = static_cast<std::size_t>(x);
+    const std::size_t lo = guide_[b];
+    const std::size_t hi = guide_[b + 1];
+    // The unbounded answer lies in [lo, hi] iff nothing before lo exceeds u
+    // and p[hi] (a sentinel when hi = m + 1) does. The bounded one is that
+    // answer capped at limit + 1.
+    if (p[lo - 1] <= u && p[hi] > u) {
+      std::size_t answer = lo;
+      if (hi - lo <= kPad) {
+        // Every entry from hi on, sentinels included, exceeds u.
+        for (std::size_t j = 0; j < kPad; ++j) answer += static_cast<std::size_t>(p[lo + j] <= u);
+      } else {
+        answer = static_cast<std::size_t>(std::upper_bound(p + lo, p + hi, u) - p);
+      }
+      return std::min(answer, limit + 1);
+    }
+  }
+  return static_cast<std::size_t>(std::upper_bound(p + 1, p + limit + 1, u) - p);
+}
 
 /// The row part rd of a torus draw at Manhattan radius d, given
 /// pick in [0, ring_size(d)): the first rd in [0, min(d, side/2)] at which
@@ -73,12 +108,13 @@ class GuidedSearch {
 /// metric::Space.
 ///
 /// Build cost O(diameter), memory O(diameter) shared by all nodes of the
-/// space. A draw is an inverse-CDF lookup in a prefix-sum table through
-/// detail::GuidedSearch: O(1) expected for the exponents the experiments
-/// use, O(log diameter) at worst. On the torus the table weights each radius
-/// d by ring_size(d) — the number of points at that distance, position
-/// independent by translation invariance — so a draw picks a radius first
-/// and then a uniform point at that radius.
+/// space: one prefix-sum table, owned by its detail::GuidedSearch. A draw is
+/// an inverse-CDF lookup in that table: O(1) expected for the exponents the
+/// experiments use, O(log diameter) at worst. On the torus the table weights
+/// each radius d by ring_size(d) — the number of points at that distance,
+/// position independent by translation invariance — so a draw picks a radius
+/// first and then a uniform point at that radius. sample_targets draws a
+/// node's whole set in one loop, the form the overlay builders use.
 class PowerLawLinkSampler {
  public:
   /// Preconditions: space.size() >= 2, exponent >= 0.
@@ -87,6 +123,12 @@ class PowerLawLinkSampler {
   /// Draws a target position != source. Precondition: space().contains(source).
   [[nodiscard]] metric::Point sample_target(util::Rng& rng, metric::Point source) const;
 
+  /// Writes `count` independent draws for `source` to out[0..count): the
+  /// same targets, from the same rng calls, as `count` calls of
+  /// sample_target. Precondition: space().contains(source).
+  void sample_targets(util::Rng& rng, metric::Point source, metric::Point* out,
+                      std::size_t count) const;
+
   /// Exact probability that `target` is drawn for `source` (for tests).
   [[nodiscard]] double probability(metric::Point source, metric::Point target) const;
 
@@ -94,20 +136,16 @@ class PowerLawLinkSampler {
   [[nodiscard]] double exponent() const noexcept { return exponent_; }
 
  private:
-  /// Draws a magnitude in [1, limit] with P(d) ∝ prefix weights (1-D only).
-  [[nodiscard]] metric::Distance sample_magnitude(util::Rng& rng,
-                                                  metric::Distance limit) const;
-
+  [[nodiscard]] metric::Point sample_line_target(util::Rng& rng, metric::Point source) const;
   [[nodiscard]] metric::Point sample_torus_target(util::Rng& rng,
                                                   metric::Point source) const;
 
   metric::Space space_;
   double exponent_;
-  // 1-D: prefix_[d] = sum_{i=1..d} i^-r. Torus: prefix_[d] additionally
-  // weights each radius by ring_size(i). prefix_[0] = 0 in both.
-  std::vector<double> prefix_;
+  // 1-D: p[d] = sum_{i=1..d} i^-r. Torus: p[d] additionally weights each
+  // radius by ring_size(i). p[0] = 0 in both.
   detail::GuidedSearch search_;
-  // Ring only: the per-source mass, 2 * prefix_[n/2] less the even ring's
+  // Ring only: the per-source mass, 2 * p[n/2] less the even ring's
   // antipode weight (n/2)^-r, which the doubling counts twice.
   double ring_total_ = 0.0;
 };

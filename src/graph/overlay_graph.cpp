@@ -94,35 +94,42 @@ inline std::uint64_t zigzag64(std::int64_t d) noexcept {
   return (static_cast<std::uint64_t>(d) << 1) ^ static_cast<std::uint64_t>(d >> 63);
 }
 
-/// u16 words the compact encoding of link u -> v occupies.
-inline std::size_t encoded_words(NodeId u, NodeId v) noexcept {
-  return zigzag64(static_cast<std::int64_t>(v) - static_cast<std::int64_t>(u)) <
-                 detail::kEscapeWord
-             ? 1
-             : 3;
+/// Number of links u -> v, v in [first, last), whose compact slot escapes.
+/// Branch-free, so it vectorizes over a run's slice.
+inline std::size_t escaped_links(NodeId u, const NodeId* first, const NodeId* last) noexcept {
+  std::size_t escaped = 0;
+  for (const NodeId* v = first; v != last; ++v) {
+    escaped += static_cast<std::size_t>(
+        zigzag64(static_cast<std::int64_t>(*v) - static_cast<std::int64_t>(u)) >=
+        detail::kEscapeWord);
+  }
+  return escaped;
 }
 
 /// Writes the encoding of u -> v: its slot word, and for a far target the
-/// absolute (low half first) at exc, which then advances past it.
-inline void encode_link(std::uint16_t* slot, std::uint16_t*& exc, NodeId u,
+/// absolute (low half first) at exc, which then advances past it. Branch-free:
+/// the absolute is written either way, to exc while escaped targets remain
+/// to claim it (exc < exc_end, so a later one overwrites it) and to `sink`
+/// once none do, and exc advances only past an escaped one.
+inline void encode_link(std::uint16_t* slot, std::uint16_t*& exc,
+                        const std::uint16_t* exc_end, std::uint16_t* sink, NodeId u,
                         NodeId v) noexcept {
   const std::uint64_t zz =
       zigzag64(static_cast<std::int64_t>(v) - static_cast<std::int64_t>(u));
-  if (zz < detail::kEscapeWord) {
-    *slot = static_cast<std::uint16_t>(zz);
-    return;
-  }
-  *slot = detail::kEscapeWord;
-  *exc++ = static_cast<std::uint16_t>(v & 0xFFFFu);
-  *exc++ = static_cast<std::uint16_t>(v >> 16);
+  const bool escaped = zz >= detail::kEscapeWord;
+  *slot = escaped ? detail::kEscapeWord : static_cast<std::uint16_t>(zz);
+  std::uint16_t* const out = exc != exc_end ? exc : sink;
+  out[0] = static_cast<std::uint16_t>(v & 0xFFFFu);
+  out[1] = static_cast<std::uint16_t>(v >> 16);
+  exc += 2 * static_cast<std::ptrdiff_t>(escaped);
 }
 
 }  // namespace
 
 OverlayGraph::OverlayGraph(metric::Space space, std::vector<metric::Point> positions,
-                           std::vector<std::uint32_t> slice_sizes,
-                           std::vector<std::uint32_t> short_degree,
-                           std::vector<NodeId> edges)
+                           std::span<const std::uint32_t> slice_sizes,
+                           detail::NoFillVector<std::uint32_t> short_degree,
+                           detail::NoFillVector<NodeId> edges)
     : space_(space),
       positions_(std::move(positions)),
       short_degree_(std::move(short_degree)),
@@ -205,8 +212,12 @@ OverlayGraph OverlayGraph::freeze_compact(metric::Space space,
   auto* ch = g.arena_.allocate_array<CompactHeader>(n + 1);
   const auto size_nodes = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t u = lo; u < hi; ++u) {
-      std::size_t words = 0;
-      runs.for_each_link(u, [&](NodeId v) { words += encoded_words(static_cast<NodeId>(u), v); });
+      // One slot word per link, two more per escaped one.
+      std::size_t words = runs.degree(u);
+      for (const detail::LinkRuns::Run& run : runs.runs) {
+        words += 2 * escaped_links(static_cast<NodeId>(u), run.targets.data() + run.offsets[u],
+                                   run.targets.data() + run.offsets[u + 1]);
+      }
       ch[u] = CompactHeader{runs.slot_base(u), static_cast<std::uint32_t>((words + 1) / 2),
                             runs.degree(u), static_cast<std::uint16_t>(runs.short_degree(u)),
                             0};
@@ -241,8 +252,14 @@ OverlayGraph OverlayGraph::freeze_compact(metric::Space space,
       std::uint16_t* const slots = stream + std::size_t{ch[u].enc} * 2;
       std::uint16_t* exc = slots + ch[u].degree;
       std::uint16_t* const end = stream + std::size_t{ch[u + 1].enc} * 2;
+      // The exceptions fill an even number of words; an odd span ends in
+      // the padding word.
+      const std::uint16_t* const exc_end = end - ((end - exc) & 1);
+      std::uint16_t sink[2];
       std::uint16_t* slot = slots;
-      runs.for_each_link(u, [&](NodeId v) { encode_link(slot++, exc, static_cast<NodeId>(u), v); });
+      runs.for_each_link(u, [&](NodeId v) {
+        encode_link(slot++, exc, exc_end, sink, static_cast<NodeId>(u), v);
+      });
       if (exc != end) *exc = 0;  // even-unit padding word
     }
   });

@@ -44,7 +44,11 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "metric/space.h"
@@ -66,6 +70,34 @@ inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 enum class EdgeLayout : std::uint8_t { kStandard, kCompact };
 
 namespace detail {
+
+/// std::allocator, except that a value-less construct default-initialises,
+/// so resize() leaves trivial elements unwritten. For buffers whose every
+/// slot is written before it is read: they then cost no fill pass, and their
+/// pages are first touched by whichever thread writes them.
+template <typename T>
+struct NoFillAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = NoFillAllocator<U>;
+  };
+  NoFillAllocator() noexcept = default;
+  template <typename U>
+  NoFillAllocator(const NoFillAllocator<U>&) noexcept {}  // NOLINT: rebinding copy
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A vector whose resize() does not fill (see NoFillAllocator).
+template <typename T>
+using NoFillVector = std::vector<T, NoFillAllocator<T>>;
 
 /// The index whose position equals p exactly, or kInvalidNode. `positions`
 /// empty means the dense (position == index) case.
@@ -495,8 +527,9 @@ class OverlayGraph {
   /// Frozen-form constructor used by GraphBuilder::freeze. `slice_sizes[u]`
   /// is the degree of node u; `edges` is the concatenated slices.
   OverlayGraph(metric::Space space, std::vector<metric::Point> positions,
-               std::vector<std::uint32_t> slice_sizes,
-               std::vector<std::uint32_t> short_degree, std::vector<NodeId> edges);
+               std::span<const std::uint32_t> slice_sizes,
+               detail::NoFillVector<std::uint32_t> short_degree,
+               detail::NoFillVector<NodeId> edges);
 
   /// Compact frozen-form factory used by GraphBuilder::freeze with
   /// EdgeLayout::kCompact: encodes `runs` straight into the arena-backed
@@ -543,8 +576,8 @@ class OverlayGraph {
 
   // Standard layout.
   std::vector<NodeHeader> headers_;          // size()+1: last entry is the sentinel
-  std::vector<std::uint32_t> short_degree_;  // cold: router never reads it
-  std::vector<NodeId> edges_;                // canonical flat slices, shorts first
+  detail::NoFillVector<std::uint32_t> short_degree_;  // cold: router never reads it
+  detail::NoFillVector<NodeId> edges_;  // canonical flat slices, shorts first
   std::vector<NodeId> tail_;                 // spill replica of slice entries > prefix
 
   // Compact layout (arena-backed; pointers index into arena_ chunks).

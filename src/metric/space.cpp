@@ -57,18 +57,10 @@ Distance Space::max_distance(Point x) const noexcept {
   return std::max(left, size_ - 1 - left);
 }
 
-std::optional<Point> Space::offset(Point x, std::int64_t delta) const {
-  util::require(one_dimensional(),
-                "Space::offset: signed offsets are only defined on a "
-                "one-dimensional metric (line or ring)");
-  // Bounds are compared before adding: x + delta need not fit a Point.
-  if (kind_ == Kind::kLine) {
-    if (delta < -x || delta > static_cast<std::int64_t>(size_ - 1) - x) return std::nullopt;
-    return x + delta;
-  }
-  const auto n = static_cast<std::int64_t>(size_);
-  const auto y = static_cast<std::uint64_t>(x) + static_cast<std::uint64_t>(floor_mod(delta, n));
-  return static_cast<Point>(y >= size_ ? y - size_ : y);
+void Space::throw_offset_on_torus() {
+  throw std::invalid_argument(
+      "Space::offset: signed offsets are only defined on a one-dimensional metric (line or "
+      "ring)");
 }
 
 int Space::direction(Point from, Point to) const {

@@ -118,7 +118,21 @@ class Space {
   /// The position reached from x by the signed offset `delta` (wraps modulo
   /// size() on the ring, nullopt off the ends of the line). Precondition:
   /// contains(x). Throws on a 2-D space.
-  [[nodiscard]] std::optional<Point> offset(Point x, std::int64_t delta) const;
+  [[nodiscard]] std::optional<Point> offset(Point x, std::int64_t delta) const {
+    if (kind_ == Kind::kTorus) [[unlikely]] throw_offset_on_torus();
+    // Bounds are compared before adding: x + delta need not fit a Point.
+    if (kind_ == Kind::kLine) {
+      if (delta < -x || delta > static_cast<std::int64_t>(size_ - 1) - x) return std::nullopt;
+      return x + delta;
+    }
+    // A step shorter than the ring, the common case, wraps without dividing,
+    // and by masks: its sign is a coin flip on the samplers' draws.
+    const auto n = static_cast<std::int64_t>(size_);
+    if (delta <= -n || delta >= n) [[unlikely]] delta = floor_mod(delta, n);
+    const std::int64_t step = delta + (n & (delta >> 63));  // in [0, n)
+    const auto y = static_cast<std::uint64_t>(x) + static_cast<std::uint64_t>(step);
+    return static_cast<Point>(y - (size_ & (0 - static_cast<std::uint64_t>(y >= size_))));
+  }
 
   /// Signed step (+1/-1) toward `to` along a shortest path; 0 when equal.
   /// Ring ties (antipodal points) resolve to +1. Throws on a 2-D space.
@@ -187,6 +201,7 @@ class Space {
     if (kind_ != Kind::kTorus) [[unlikely]] throw_not_torus(what);
   }
   [[noreturn]] static void throw_not_torus(const char* what);
+  [[noreturn]] static void throw_offset_on_torus();
 
   /// v modulo m in [0, m). Precondition: m > 0.
   [[nodiscard]] static std::int64_t floor_mod(std::int64_t v, std::int64_t m) noexcept {

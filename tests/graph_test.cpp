@@ -147,8 +147,9 @@ std::size_t reference_upper_bound(const std::vector<double>& prefix, std::size_t
 }
 
 std::vector<metric::Space> search_spaces() {
-  return {Space::ring(4096), Space::ring(4097), Space::ring(2), Space::ring(3),
-          Space::line(3000), Space::line(2), Space::torus(32), Space::torus(33)};
+  return {Space::ring(4096), Space::ring(4097), Space::ring(2),   Space::ring(3),
+          Space::ring(130),  Space::line(3000), Space::line(2),   Space::torus(32),
+          Space::torus(33)};
 }
 
 TEST(GuidedSearch, MatchesUpperBoundAtBoundaryValues) {
@@ -157,6 +158,8 @@ TEST(GuidedSearch, MatchesUpperBoundAtBoundaryValues) {
       const std::vector<double> prefix = power_law_prefix(space, r);
       const detail::GuidedSearch search(prefix);
       const std::size_t m = prefix.size() - 1;
+      ASSERT_EQ(search.last(), m);
+      for (std::size_t i = 0; i <= m; ++i) ASSERT_EQ(search[i], prefix[i]);
       ASSERT_GE(search.buckets(), 1u);
       std::vector<double> values = {0.0, std::nextafter(0.0, 1.0)};
       const auto around = [&](double x) {
@@ -173,7 +176,11 @@ TEST(GuidedSearch, MatchesUpperBoundAtBoundaryValues) {
       // Limits the samplers pass: the ring's n/2 and n/2 - 1, the line's
       // left and right extents from every source, the torus diameter.
       std::vector<std::size_t> limits = {0, 1, m / 2, m > 0 ? m - 1 : 0, m};
-      if (space.kind() == metric::Space::Kind::kLine) {
+      if (m <= 65) {
+        // Every limit, so some cut through a counted bracket (on ring(130)
+        // at r = 1 the brackets near d = 65 span several entries).
+        for (std::size_t l = 0; l <= m; ++l) limits.push_back(l);
+      } else if (space.kind() == metric::Space::Kind::kLine) {
         for (std::size_t l = 0; l <= m; l += std::max<std::size_t>(1, m / 64)) {
           limits.push_back(l);
         }
@@ -185,7 +192,7 @@ TEST(GuidedSearch, MatchesUpperBoundAtBoundaryValues) {
       }
       for (const std::size_t limit : limits) {
         for (const double u : values) {
-          ASSERT_EQ(search.upper_bound(prefix, limit, u),
+          ASSERT_EQ(search.upper_bound(limit, u),
                     reference_upper_bound(prefix, limit, u))
               << space.to_string() << " r=" << r << " limit=" << limit << " u=" << u;
         }
@@ -268,6 +275,30 @@ TEST(GuidedSearch, SeededDrawsMatchUpperBoundReference) {
 }
 
 // -- Power-law sampler --------------------------------------------------------
+
+TEST(PowerLawLinkSampler, SampleTargetsMatchesRepeatedSampleTarget) {
+  // A node's batch of draws is the same targets from the same rng calls as
+  // one sample_target per draw, so the rng ends in the same state too.
+  for (const auto& [space, r] : {std::pair{Space::ring(1000), 1.0}, std::pair{Space::ring(999), 2.0},
+                                 std::pair{Space::line(1000), 1.0}, std::pair{Space::torus(31), 2.0}}) {
+    const PowerLawLinkSampler sampler(space, r);
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      const auto source = static_cast<metric::Point>(i * 37 % space.size());
+      util::Rng batch_rng = util::substream(0xba7c, i);
+      util::Rng single_rng = batch_rng;
+      std::vector<metric::Point> batch(i % 20);
+      sampler.sample_targets(batch_rng, source, batch.data(), batch.size());
+      for (const metric::Point target : batch) {
+        ASSERT_EQ(target, sampler.sample_target(single_rng, source)) << space.to_string();
+      }
+      ASSERT_EQ(batch_rng(), single_rng()) << space.to_string() << " draw set " << i;
+    }
+    metric::Point unused = 0;
+    util::Rng rng(1);
+    EXPECT_THROW(sampler.sample_targets(rng, static_cast<metric::Point>(space.size()), &unused, 1),
+                 std::invalid_argument);
+  }
+}
 
 TEST(PowerLawLinkSampler, NeverReturnsSource) {
   const PowerLawLinkSampler s(Space::ring(64), 1.0);
@@ -873,7 +904,7 @@ TEST(GraphBuilder, LinksMustBeAddedInNodeOrder) {
   EXPECT_THROW(b.add_short_link(3, 4), std::logic_error);  // after 3's long link
   b.add_long_link(3, 7);
   b.add_long_link(5, 1);
-  EXPECT_THROW(b.add_long_links(std::vector<NodeId>(8, kInvalidNode), 1), std::logic_error);
+  EXPECT_THROW(b.add_long_links(LinkTable(8, kInvalidNode), 1), std::logic_error);
   const OverlayGraph g = b.freeze();
   EXPECT_EQ(g.link_count(), 4u);
   EXPECT_EQ(std::vector<NodeId>(g.neighbors(2).begin(), g.neighbors(2).end()),
@@ -884,6 +915,25 @@ TEST(GraphBuilder, LinksMustBeAddedInNodeOrder) {
   EXPECT_EQ(g.short_degree(3), 0u);
   EXPECT_EQ(std::vector<NodeId>(g.neighbors(5).begin(), g.neighbors(5).end()),
             std::vector<NodeId>({1}));
+}
+
+TEST(GraphBuilder, WireShortLinksMustComeFirst) {
+  // The wiring writes the whole short run at once, so it refuses a builder
+  // that already holds a link, and leaves that builder as it was.
+  GraphBuilder shorts(Space::ring(8));
+  shorts.add_short_link(0, 3);
+  EXPECT_THROW(shorts.wire_short_links(), std::logic_error);
+  GraphBuilder longs(Space::ring(8));
+  longs.add_long_link(2, 6);
+  EXPECT_THROW(longs.wire_short_links(), std::logic_error);
+  EXPECT_EQ(shorts.freeze().link_count(), 1u);
+  EXPECT_EQ(longs.freeze().link_count(), 1u);
+  // After the wiring, later nodes may still append links in node order.
+  GraphBuilder wired(Space::ring(8));
+  wired.wire_short_links();
+  EXPECT_THROW(wired.wire_short_links(), std::logic_error);
+  wired.add_short_link(7, 3);
+  EXPECT_EQ(short_slice(wired.freeze(), 7), (std::vector<NodeId>{0, 6, 3}));
 }
 
 TEST(GraphBuilder, NoLinkCanBeAddedAfterMakeBidirectional) {
@@ -898,7 +948,7 @@ TEST(GraphBuilder, NoLinkCanBeAddedAfterMakeBidirectional) {
     EXPECT_NE(std::string(e.what()).find("make_bidirectional"), std::string::npos) << e.what();
   }
   EXPECT_THROW(b.add_short_link(7, 6), std::logic_error);
-  EXPECT_THROW(b.add_long_links(std::vector<NodeId>(8, kInvalidNode), 1), std::logic_error);
+  EXPECT_THROW(b.add_long_links(LinkTable(8, kInvalidNode), 1), std::logic_error);
 }
 
 TEST(GraphBuilder, SecondMakeBidirectionalAddsNothing) {
@@ -927,7 +977,7 @@ TEST(GraphBuilder, HasLinkSeesShortLongAndReverseLinks) {
 
 TEST(GraphBuilder, LongLinkTableMatchesSingleAppends) {
   // Row u holds node u's draws; kInvalidNode marks a draw that made no link.
-  const std::vector<NodeId> table = {3, kInvalidNode, kInvalidNode, kInvalidNode, 5, 0,
+  const LinkTable table = {3, kInvalidNode, kInvalidNode, kInvalidNode, 5, 0,
                                      1, 1,            kInvalidNode, 2,            4, 3};
   GraphBuilder single(Space::ring(6));
   single.wire_short_links();
@@ -947,7 +997,7 @@ TEST(GraphBuilder, LongLinkTableMatchesSingleAppends) {
   GraphBuilder bad(Space::ring(6));
   // 6 * 2^63 wraps to 0 entries.
   EXPECT_THROW(bad.add_long_links({}, std::size_t{1} << 63), std::invalid_argument);
-  EXPECT_THROW(bad.add_long_links(std::vector<NodeId>(6, 6), 1), std::out_of_range);
+  EXPECT_THROW(bad.add_long_links(LinkTable(6, 6), 1), std::out_of_range);
   bad.add_long_link(0, 1);  // the refused table left no long link behind
   EXPECT_EQ(bad.freeze().link_count(), 1u);
 }
@@ -1069,6 +1119,21 @@ TEST(GraphBuilderPinned, BuildsMatchReferenceFingerprints) {
           << p.label << " pooled, " << threads << " threads";
     }
   }
+}
+
+TEST(GraphBuilderParallel, MorePoolThreadsThanTransposeChunksMatchSerial) {
+  // A pool wider than the transpose's chunk cap: the chunk count, and with
+  // it the cursor table, stops growing, and the graph must not notice.
+  util::ThreadPool pool(16);
+  ASSERT_GT(pool.thread_count(), GraphBuilder::kTransposeChunks);
+  util::Rng rng(2002);
+  const BuildSpec ring{.grid_size = 4096, .long_links = 12, .bidirectional = true};
+  EXPECT_EQ(fingerprint(build_overlay(ring, rng, pool)), 0x2b7489cebd27de58ULL);
+  GraphBuilder serial = tricky_builder(4096, 28);
+  GraphBuilder pooled = tricky_builder(4096, 28);
+  serial.make_bidirectional();
+  pooled.make_bidirectional(pool);
+  expect_graphs_identical(pooled.freeze(pool), serial.freeze(), "16 threads");
 }
 
 }  // namespace
