@@ -14,7 +14,7 @@ GuidedSearch::GuidedSearch(std::vector<double> prefix) : table_(std::move(prefix
   const std::size_t m = table_.size() - 1;
   table_.resize(m + 1 + kPad, std::numeric_limits<double>::infinity());
   if (m + 1 > std::numeric_limits<std::uint32_t>::max()) return;  // search unguided
-  const std::size_t buckets = std::max<std::size_t>(1, m);
+  const std::size_t buckets = std::clamp<std::size_t>(m, 1, kMaxBuckets);
   const double mass = table_[m];
   scale_ = static_cast<double>(buckets) / mass;
   guide_.resize(buckets + 1);

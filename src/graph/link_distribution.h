@@ -27,14 +27,20 @@ namespace p2p::graph {
 namespace detail {
 
 /// Inverse-CDF search over a non-decreasing prefix-sum table p[0..m] with
-/// p[0] = 0 and p[m] > 0, which it owns. A guide table of m buckets,
-/// equal-width in mass, maps each bucket to the first index whose prefix
-/// exceeds the bucket's lower edge; a draw reads its bucket's bracket and
-/// searches only inside it, where a full search walks log2 m entries across
-/// a table larger than L1. A bracket of at most kPad entries, the common
-/// case on the power-law tables, is resolved by counting the entries <= u
-/// among kPad loaded at once: the table ends in kPad +inf sentinels, so the
-/// count needs no mask and no branch. Wider brackets binary-search.
+/// p[0] = 0 and p[m] > 0, which it owns. A guide table of m buckets (at
+/// most kMaxBuckets), equal-width in mass, maps each bucket to the first
+/// index whose prefix exceeds the bucket's lower edge; a draw reads its
+/// bucket's bracket and searches only inside it, where a full search walks
+/// log2 m entries across a table larger than L1. A bracket of at most kPad
+/// entries, the common case on the power-law tables, is resolved by counting
+/// the entries <= u among kPad loaded at once: the table ends in kPad +inf
+/// sentinels, so the count needs no mask and no branch. Wider brackets
+/// binary-search.
+///
+/// The resolution was measured on ring draws at r = 1 (one core): at 2^19
+/// and 2^21 nodes m buckets beat m/4 (36.5 against 41.4 ns, 42.5 against
+/// 45.0), but at 10^7 nodes m buckets make a 20 MB guide and lost (100
+/// against 80–86 ns for m/4's 5 MB), hence the cap.
 ///
 /// upper_bound(limit, u) returns exactly
 /// std::upper_bound(p + 1, p + limit + 1, u) - p for every u >= 0 and
@@ -45,6 +51,8 @@ class GuidedSearch {
  public:
   /// Sentinel entries past p[m]; also the widest bracket that is counted.
   static constexpr std::size_t kPad = 8;
+  /// Most guide buckets: a 4 MiB guide.
+  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
 
   GuidedSearch() = default;
   /// Takes `prefix` as its table and builds the guide over it.
