@@ -86,9 +86,9 @@ class GraphBuilder {
 
   /// Appends every long link of a row-major table: row u (`per_node`
   /// entries) lists node u's targets, kInvalidNode marking a draw that made
-  /// no link. The table becomes the long-link storage, so no link is copied:
-  /// one scan checks every entry, and only a table with holes is compacted
-  /// in place. Throws std::logic_error unless no long link was added before,
+  /// no link. The table becomes the long-link storage, so no link is copied
+  /// out: one scan checks every entry, and one more drops the holes in
+  /// place. Throws std::logic_error unless no long link was added before,
   /// std::invalid_argument unless the table has size() * per_node entries,
   /// and std::out_of_range on a target that names no node.
   void add_long_links(LinkTable targets, std::size_t per_node);
@@ -231,9 +231,7 @@ struct BuildSpec {
 /// comes from `rng`: each node samples its long links from a private
 /// util::substream, so the result depends only on (spec, rng). A node's
 /// draws run in one PowerLawLinkSampler::sample_targets loop (except under
-/// rejection sampling, which re-draws one link at a time). On a 2^19-node
-/// ring at r = 1 a draw took about 40 ns on one core of a 4-vCPU x86-64
-/// host, and the sampler's table and guide take 3 MiB.
+/// rejection sampling, which re-draws one link at a time).
 ///
 /// Throws std::invalid_argument on malformed specs (grid_size < 2,
 /// presence outside (0,1], exponent < 0, base < 2) and, before allocating,

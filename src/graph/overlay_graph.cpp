@@ -107,21 +107,18 @@ inline std::size_t escaped_links(NodeId u, const NodeId* first, const NodeId* la
 }
 
 /// Writes the encoding of u -> v: its slot word, and for a far target the
-/// absolute (low half first) at exc, which then advances past it. Branch-free:
-/// the absolute is written either way, to exc while escaped targets remain
-/// to claim it (exc < exc_end, so a later one overwrites it) and to `sink`
-/// once none do, and exc advances only past an escaped one.
-inline void encode_link(std::uint16_t* slot, std::uint16_t*& exc,
-                        const std::uint16_t* exc_end, std::uint16_t* sink, NodeId u,
+/// absolute (low half first) at exc, which then advances past it.
+inline void encode_link(std::uint16_t* slot, std::uint16_t*& exc, NodeId u,
                         NodeId v) noexcept {
   const std::uint64_t zz =
       zigzag64(static_cast<std::int64_t>(v) - static_cast<std::int64_t>(u));
-  const bool escaped = zz >= detail::kEscapeWord;
-  *slot = escaped ? detail::kEscapeWord : static_cast<std::uint16_t>(zz);
-  std::uint16_t* const out = exc != exc_end ? exc : sink;
-  out[0] = static_cast<std::uint16_t>(v & 0xFFFFu);
-  out[1] = static_cast<std::uint16_t>(v >> 16);
-  exc += 2 * static_cast<std::ptrdiff_t>(escaped);
+  if (zz < detail::kEscapeWord) {
+    *slot = static_cast<std::uint16_t>(zz);
+    return;
+  }
+  *slot = detail::kEscapeWord;
+  *exc++ = static_cast<std::uint16_t>(v & 0xFFFFu);
+  *exc++ = static_cast<std::uint16_t>(v >> 16);
 }
 
 }  // namespace
@@ -252,14 +249,8 @@ OverlayGraph OverlayGraph::freeze_compact(metric::Space space,
       std::uint16_t* const slots = stream + std::size_t{ch[u].enc} * 2;
       std::uint16_t* exc = slots + ch[u].degree;
       std::uint16_t* const end = stream + std::size_t{ch[u + 1].enc} * 2;
-      // The exceptions fill an even number of words; an odd span ends in
-      // the padding word.
-      const std::uint16_t* const exc_end = end - ((end - exc) & 1);
-      std::uint16_t sink[2];
       std::uint16_t* slot = slots;
-      runs.for_each_link(u, [&](NodeId v) {
-        encode_link(slot++, exc, exc_end, sink, static_cast<NodeId>(u), v);
-      });
+      runs.for_each_link(u, [&](NodeId v) { encode_link(slot++, exc, static_cast<NodeId>(u), v); });
       if (exc != end) *exc = 0;  // even-unit padding word
     }
   });

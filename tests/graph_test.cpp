@@ -209,10 +209,11 @@ TEST(GuidedSearch, MatchesUpperBoundAtBoundaryValues) {
   }
 }
 
-/// The pre-guide sampler's draw, one std::upper_bound per magnitude. On the
-/// torus it returns only the radius: the rest of the draw does not search.
+/// The pre-guide sampler's draw, one std::upper_bound per magnitude, taken
+/// from `rng`. On the torus it returns only the radius: the rest of the draw
+/// does not search.
 metric::Point reference_draw(const metric::Space& space, const std::vector<double>& prefix,
-                                double r, util::Rng rng, metric::Point source) {
+                             double r, util::Rng& rng, metric::Point source) {
   const std::size_t m = prefix.size() - 1;
   if (space.kind() == metric::Space::Kind::kTorus) {
     return static_cast<metric::Point>(
@@ -242,20 +243,57 @@ metric::Point reference_draw(const metric::Space& space, const std::vector<doubl
   return *space.offset(source, -static_cast<std::int64_t>(d));
 }
 
+/// Compares one sample_target draw from `source`, and on a line or a ring a
+/// batch of `batch` sample_targets draws, with consecutive reference draws
+/// from the same `seed`; after the batch the two rngs must agree as well.
+::testing::AssertionResult draws_match_reference(const PowerLawLinkSampler& sampler,
+                                                 const std::vector<double>& prefix, double r,
+                                                 const util::Rng& seed, metric::Point source,
+                                                 std::size_t batch) {
+  const metric::Space& space = sampler.space();
+  util::Rng draw_rng = seed;
+  util::Rng ref_rng = seed;
+  const metric::Point target = sampler.sample_target(draw_rng, source);
+  const metric::Point got = space.kind() == metric::Space::Kind::kTorus
+                                ? static_cast<metric::Point>(space.distance(source, target))
+                                : target;
+  const metric::Point want = reference_draw(space, prefix, r, ref_rng, source);
+  if (got != want) {
+    return ::testing::AssertionFailure() << "single draw " << got << ", want " << want;
+  }
+  // The torus reference stops at the radius, so its rng state tells nothing.
+  if (space.kind() == metric::Space::Kind::kTorus) return ::testing::AssertionSuccess();
+  draw_rng = seed;
+  ref_rng = seed;
+  std::vector<metric::Point> drawn(batch);
+  sampler.sample_targets(draw_rng, source, drawn.data(), batch);
+  for (std::size_t k = 0; k < batch; ++k) {
+    const metric::Point expected = reference_draw(space, prefix, r, ref_rng, source);
+    if (drawn[k] != expected) {
+      return ::testing::AssertionFailure()
+             << "batch draw " << k << " of " << batch << ": " << drawn[k] << ", want "
+             << expected;
+    }
+  }
+  if (draw_rng() != ref_rng()) {
+    return ::testing::AssertionFailure() << "rng state after a batch of " << batch;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Batch sizes for the seeded draws: one draw in eight also runs a batch of
+/// 0..19.
+std::size_t batch_size(std::uint64_t i) { return i % 8 == 0 ? i / 8 % 20 : 0; }
+
 TEST(GuidedSearch, SeededDrawsMatchUpperBoundReference) {
   for (const metric::Space& space : search_spaces()) {
     for (const double r : {0.0, 1.0, 2.0, 40.0}) {
       const PowerLawLinkSampler sampler(space, r);
       const std::vector<double> prefix = power_law_prefix(space, r);
-      const bool torus = space.kind() == metric::Space::Kind::kTorus;
       for (std::uint64_t i = 0; i < 100'000 / 32; ++i) {
         const auto source = static_cast<metric::Point>(i * 7919 % space.size());
-        const util::Rng rng = util::substream(0x5eed, i);
-        util::Rng draw_rng = rng;
-        const metric::Point target = sampler.sample_target(draw_rng, source);
-        const metric::Point want = reference_draw(space, prefix, r, rng, source);
-        ASSERT_EQ(torus ? static_cast<metric::Point>(space.distance(source, target)) : target,
-                  want)
+        ASSERT_TRUE(draws_match_reference(sampler, prefix, r, util::substream(0x5eed, i),
+                                          source, batch_size(i)))
             << space.to_string() << " r=" << r << " draw " << i;
       }
     }
@@ -268,15 +306,10 @@ TEST(GuidedSearch, SeededDrawsMatchUpperBoundReference) {
   for (const auto& [space, r] : large) {
     const PowerLawLinkSampler sampler(space, r);
     const std::vector<double> prefix = power_law_prefix(space, r);
-    const bool torus = space.kind() == metric::Space::Kind::kTorus;
     for (std::uint64_t i = 0; i < (1u << 16); ++i) {
       const auto source = static_cast<metric::Point>(i * 7919 % space.size());
-      const util::Rng rng = util::substream(0x1a7e, i);
-      util::Rng draw_rng = rng;
-      const metric::Point target = sampler.sample_target(draw_rng, source);
-      const metric::Point want = reference_draw(space, prefix, r, rng, source);
-      ASSERT_EQ(torus ? static_cast<metric::Point>(space.distance(source, target)) : target,
-                want)
+      ASSERT_TRUE(draws_match_reference(sampler, prefix, r, util::substream(0x1a7e, i), source,
+                                        batch_size(i)))
           << space.to_string() << " r=" << r << " draw " << i;
     }
   }
@@ -284,25 +317,9 @@ TEST(GuidedSearch, SeededDrawsMatchUpperBoundReference) {
 
 // -- Power-law sampler --------------------------------------------------------
 
-TEST(PowerLawLinkSampler, SampleTargetsMatchesRepeatedSampleTarget) {
-  // A node's batch of draws is the same targets from the same rng calls as
-  // one sample_target per draw, so the rng ends in the same state too.
-  const std::pair<metric::Space, double> spaces[] = {
-      {Space::ring(1000), 1.0}, {Space::ring(999), 2.0}, {Space::line(1000), 1.0},
-      {Space::torus(31), 2.0}};
-  for (const auto& [space, r] : spaces) {
-    const PowerLawLinkSampler sampler(space, r);
-    for (std::uint64_t i = 0; i < 64; ++i) {
-      const auto source = static_cast<metric::Point>(i * 37 % space.size());
-      util::Rng batch_rng = util::substream(0xba7c, i);
-      util::Rng single_rng = batch_rng;
-      std::vector<metric::Point> batch(i % 20);
-      sampler.sample_targets(batch_rng, source, batch.data(), batch.size());
-      for (const metric::Point target : batch) {
-        ASSERT_EQ(target, sampler.sample_target(single_rng, source)) << space.to_string();
-      }
-      ASSERT_EQ(batch_rng(), single_rng()) << space.to_string() << " draw set " << i;
-    }
+TEST(PowerLawLinkSampler, RejectsSourceOutsideSpace) {
+  for (const metric::Space& space : {Space::ring(64), Space::line(64), Space::torus(8)}) {
+    const PowerLawLinkSampler sampler(space, 1.0);
     metric::Point unused = 0;
     util::Rng rng(1);
     EXPECT_THROW(sampler.sample_targets(rng, static_cast<metric::Point>(space.size()), &unused, 1),
