@@ -101,24 +101,24 @@ void GraphBuilder::add_long_links(LinkTable targets, std::size_t per_node) {
   util::require(per_node <= std::numeric_limits<std::uint32_t>::max() &&
                     targets.size() == node_count_ * per_node,
                 "GraphBuilder: long-link table size must be size() * per_node");
-  // One branch-free scan checks every target; the run is only replaced once
-  // it passed. v + 1 wraps a hole to 0, so a target names a node iff
-  // v + 1 <= size(), and the scan keeps only the maximum.
-  NodeId top = 0;
-  for (const NodeId v : targets) top = std::max(top, static_cast<NodeId>(v + 1));
-  util::require_in_range(top <= node_count_, "GraphBuilder: node id out of range");
-  // Compact the rows in place, branch-free: every target is copied and the
-  // write cursor, which never passes the read one, steps over a hole.
+  // One branch-free pass compacts the rows in place and checks every target.
+  // Each target is copied, and the write cursor, which never passes the read
+  // one, steps over a hole. v + 1 wraps a hole to 0, so a target names a node
+  // iff v + 1 <= size(), and the pass keeps only the maximum. The table is
+  // this call's own, so the run is only replaced once the check passed.
   detail::NoFillVector<std::uint32_t> offsets(node_count_ + 1);
+  NodeId top = 0;
   std::size_t out = 0;
   for (std::size_t u = 0; u < node_count_; ++u) {
     offsets[u] = static_cast<std::uint32_t>(out);
     for (std::size_t k = u * per_node; k < (u + 1) * per_node; ++k) {
       const NodeId v = targets[k];
+      top = std::max(top, static_cast<NodeId>(v + 1));
       targets[out] = v;
       out += static_cast<std::size_t>(v != kInvalidNode);
     }
   }
+  util::require_in_range(top <= node_count_, "GraphBuilder: node id out of range");
   offsets[node_count_] = static_cast<std::uint32_t>(out);
   targets.resize(out);
   long_ = Run{std::move(offsets), std::move(targets)};

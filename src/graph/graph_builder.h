@@ -87,8 +87,7 @@ class GraphBuilder {
   /// Appends every long link of a row-major table: row u (`per_node`
   /// entries) lists node u's targets, kInvalidNode marking a draw that made
   /// no link. The table becomes the long-link storage, so no link is copied
-  /// out: one scan checks every entry, and one more drops the holes in
-  /// place. Throws std::logic_error unless no long link was added before,
+  /// out: one pass checks every entry and drops the holes in place. Throws std::logic_error unless no long link was added before,
   /// std::invalid_argument unless the table has size() * per_node entries,
   /// and std::out_of_range on a target that names no node.
   void add_long_links(LinkTable targets, std::size_t per_node);
