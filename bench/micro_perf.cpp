@@ -235,7 +235,7 @@ struct JsonMetrics {
   double bytes_per_node_ratio = 0;
   /// Routing *under node failures* (§6's regime) per kFailFractions entry:
   /// scalar route(), route_batch at width 32, the same batched workload
-  /// through the forced-scalar router (P2P_NO_SIMD — the pre-masked-kernel
+  /// through a RouterConfig::force_scalar router (the pre-masked-kernel
   /// per-link branch loop), and the masked-SIMD speedup over it.
   double failed_routes_per_sec[std::size(kFailFractions)] = {};
   double failed_batch_routes_per_sec[std::size(kFailFractions)] = {};
@@ -395,7 +395,7 @@ JsonMetrics measure_headline() {
   // Routing under node failures — the paper's headline §6 regime. Src/dst
   // pairs are drawn live (as §6 does); throughput is measured scalar,
   // batched with the masked SIMD candidate scan, and batched through a
-  // router whose vectorized dispatch is forced off (P2P_NO_SIMD at
+  // router whose vectorized dispatch is forced off (force_scalar at
   // construction) — the pre-masked-kernel scalar per-link liveness loop,
   // i.e. the pre-PR under-failure path the speedup is recorded against.
   for (std::size_t pi = 0; pi < std::size(kFailFractions); ++pi) {

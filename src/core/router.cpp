@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <utility>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -33,16 +32,8 @@ namespace {
 
 /// Router-lifetime invariants of the vectorized selection: x86 CPU with
 /// AVX-512F/BW/VL, dense graph (position == id, so ids load straight into vector
-/// lanes), two-sided greedy, and positions narrow enough for the
-/// (distance << 32 | id) key packing. P2P_NO_SIMD=1 (read per Router
-/// construction; empty or "0" means off) forces the scalar path so tests
-/// can pin both implementations against each other on the same host.
-bool simd_disabled_by_env() noexcept {
-  const char* value = std::getenv("P2P_NO_SIMD");
-  return value != nullptr && value[0] != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
-}
-
+/// lanes), two-sided greedy, positions narrow enough for the
+/// (distance << 32 | id) key packing, and no RouterConfig::force_scalar.
 bool simd_select_eligible(const graph::OverlayGraph& g,
                           const RouterConfig& cfg) noexcept {
   // Every metric kind has a vectorized scan of any rank — in intact and
@@ -51,8 +42,7 @@ bool simd_select_eligible(const graph::OverlayGraph& g,
   // multiplication. size <= 2^32 keeps ids and distances inside the
   // (dist << 32 | id) key packing — and, on the torus, bounds the side by
   // 2^16, the domain where the double-reciprocal coordinate split is exact.
-  return simd_decode_supported() && !cfg.force_scalar &&
-         !simd_disabled_by_env() && g.dense() &&
+  return simd_decode_supported() && !cfg.force_scalar && g.dense() &&
          cfg.sidedness == Sidedness::kTwoSided &&
          g.space().size() <= 0xffffffffull;
 }
@@ -92,7 +82,7 @@ namespace {
 /// dense, link-check, node-check, sidedness) combination so the common
 /// configurations run with no per-neighbour flag tests at all. It serves
 /// every router the vectorized kernels cannot (no AVX-512, sparse graph,
-/// one-sided, force_scalar / P2P_NO_SIMD) and compact nodes past
+/// one-sided, RouterConfig::force_scalar) and compact nodes past
 /// kSimdDecodeCap. Candidates order by (distance-to-target, node id);
 /// duplicate links to the same neighbour collapse. Streaming k-th order
 /// statistic: each round takes the minimum pair strictly greater than the
@@ -626,6 +616,8 @@ graph::NodeId Router::select_candidate(graph::NodeId u, metric::Point target,
 std::vector<graph::NodeId> Router::candidates(graph::NodeId u,
                                               metric::Point target) const {
   const metric::Space& space = graph_->space();
+  util::require_in_range(u < graph_->size(), "Router::candidates: u out of range");
+  util::require(space.contains(target), "Router::candidates: target outside space");
   const metric::Point up = graph_->position(u);
   const metric::Distance du = space.distance(up, target);
   const auto neigh = graph_->neighbors(u);
@@ -689,8 +681,8 @@ RouteSession::RouteSession(const Router& router, graph::NodeId src,
                            metric::Point target)
     : router_(&router),
       trail_(router.config().stuck_policy == StuckPolicy::kBacktrack
-                 ? Trail(std::min(router.config().backtrack_window,
-                                  router.effective_ttl()))
+                 ? Trail(std::min({router.config().backtrack_window,
+                                   router.effective_ttl(), router.graph().size()}))
                  : Trail()) {
   restart(src, target);
 }

@@ -104,8 +104,7 @@ struct RouterConfig {
   bool record_path = false;
   /// Force the scalar selection table even where the vectorized scan is
   /// eligible. Results are identical by construction; tests and benches use
-  /// this to pin SIMD against scalar on one host without mutating the
-  /// process environment (P2P_NO_SIMD=1 is the env-level equivalent).
+  /// this to pin SIMD against scalar on one host.
   bool force_scalar = false;
   /// Optional distrust mask (failure/reputation.h). When set, candidate
   /// selection skips neighbours the table currently distrusts — a third
@@ -223,6 +222,8 @@ class Router {
   /// Streaming selection: the rank-th entry of candidates(u, target)
   /// (0 = best) without materializing the list, or kInvalidNode when fewer
   /// than rank+1 candidates exist. Allocation-free; O((rank+1)·degree).
+  /// Preconditions, unchecked on this hot path: u < graph size, space
+  /// contains target (candidates() checks both).
   [[nodiscard]] graph::NodeId select_candidate(graph::NodeId u, metric::Point target,
                                                std::size_t rank) const noexcept;
 
@@ -231,7 +232,8 @@ class Router {
   /// With RouterConfig::reputation set, currently-distrusted neighbours are
   /// filtered exactly as in select_candidate. Reference implementation for
   /// select_candidate; allocates — tests and analysis only, never the hot
-  /// path.
+  /// path. Throws std::out_of_range when u >= graph size and
+  /// std::invalid_argument when the space does not contain `target`.
   [[nodiscard]] std::vector<graph::NodeId> candidates(graph::NodeId u,
                                                       metric::Point target) const;
 
@@ -382,10 +384,12 @@ class RouteSession {
 
   /// Fixed-capacity ring buffer of (node, next candidate rank) — the
   /// backtrack trail. Sessions under kBacktrack allocate it up front (the
-  /// batch tick loop must never allocate mid-flight) at the window or the
-  /// hop budget, whichever is smaller: every push is a forward hop, so no
-  /// session pushes more than effective_ttl() entries, and a larger buffer
-  /// would never evict. Other policies never push and carry an empty buffer.
+  /// batch tick loop must never allocate mid-flight) at the smallest of the
+  /// window, the hop budget and the graph size. A larger buffer would never
+  /// evict: every push is a forward hop, so no session pushes more than
+  /// effective_ttl() entries, and the trail is a chain of nodes strictly
+  /// closer to the target each, so it never holds more than size() - 1.
+  /// Other policies never push and carry an empty buffer.
   class Trail {
    public:
     Trail() = default;

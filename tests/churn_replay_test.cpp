@@ -1,8 +1,8 @@
 // Tests for the churn trace generators (churn/trace_gen.h) and the
-// discrete-event replay driver (churn/replay.h), including the PR acceptance
-// equivalence: route_batch under *replayed* (delta-log) churn must agree with
-// direct view mutation and with manually stepped sessions — the PR 2
-// stepped-session churn test, with ChurnLog as the churn driver.
+// discrete-event replay driver (churn/replay.h), including the equivalence
+// that route_batch under *replayed* (delta-log) churn agrees with direct
+// view mutation. differential_test checks pipelines under seeked logs
+// against stepped reference walks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,7 +32,6 @@ using core::Query;
 using core::RouteResult;
 using core::Router;
 using core::RouterConfig;
-using core::RouteSession;
 using core::StuckPolicy;
 using failure::FailureView;
 using graph::NodeId;
@@ -502,51 +501,6 @@ TEST(ChurnReplay, ReplayedDeltasMatchDirectMutation) {
     expect_same_outcome(got[i], want[i], "query " + std::to_string(i),
                         /*with_epochs=*/false);
   }
-}
-
-// The PR 2 width-1 stepped-session churn test, with the delta log driving
-// the churn: a width-1 pipeline and manually stepped RouteSessions sharing
-// one global tick counter must agree bit-for-bit, epochs included.
-TEST(ChurnReplay, WidthOneReplayedChurnMatchesSteppedSessions) {
-  const auto g = make_graph(512, 6, 16);
-  const auto log = mixed_trace(g, 17, 80);
-  const auto queries = random_queries(g, 40, 18);
-  RouterConfig cfg;
-  cfg.stuck_policy = StuckPolicy::kBacktrack;
-  cfg.record_path = true;
-  constexpr std::uint64_t kBase = 19;
-
-  FailureView view = log.baseline();
-  const Router router(g, view, cfg);
-  std::vector<RouteResult> got(queries.size());
-  BatchConfig batch;
-  batch.width = 1;
-  BatchPipeline pipeline(router, queries, got, kBase, batch);
-  std::size_t t = 0;
-  while (pipeline.tick()) {
-    ++t;
-    seek_for_tick(log, view, t);
-  }
-
-  FailureView ref_view = log.baseline();
-  const Router ref_router(g, ref_view, cfg);
-  std::size_t ref_t = 0;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    RouteSession session(ref_router, queries[i].src, queries[i].target);
-    util::Rng sub = util::substream(kBase, i);
-    for (;;) {
-      session.step(sub);
-      const bool all_done = session.finished() && i + 1 == queries.size();
-      if (!all_done) {
-        ++ref_t;
-        seek_for_tick(log, ref_view, ref_t);
-      }
-      if (session.finished()) break;
-    }
-    expect_same_outcome(got[i], session.result(),
-                        "stepped query " + std::to_string(i));
-  }
-  EXPECT_EQ(t, ref_t);
 }
 
 TEST(ChurnReplay, ReplayIsDeterministic) {

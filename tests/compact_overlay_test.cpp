@@ -9,22 +9,14 @@
 //  * the AVX-512 decode equals neighbors() at degrees 0..33 across the
 //    16-slot group edge, with an escape at every slot position, and hands
 //    nodes past kSimdDecodeCap to the scalar decode;
-//  * routing is bit-identical across layouts: candidates(),
-//    select_candidate (SIMD and forced-scalar, every rank up to the degree),
-//    route() and route_batch() (widths 1 and 32) — under all-alive,
-//    node-failure, link-failure and mixed views, on the ring, the line and a
-//    hand-built Kleinberg torus (the torus AVX-512 compact decode path);
 //  * slot numbering matches: the same kill/revive sequence applied to views
-//    over both layouts keeps every equivalence;
-//  * degrees past the SIMD decode buffer (256) take the scalar fallback and
-//    still agree;
-//  * compact graphs refuse mutation (std::logic_error) and cost <= 60% of
-//    the standard layout's bytes at the paper's lg n link density.
+//    over both layouts leaves the same nodes and slots alive;
+//  * compact graphs cost <= 60% of the standard layout's bytes at the
+//    paper's lg n link density.
+// That both layouts route identically is differential_test's job.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "core/router.h"
@@ -50,13 +42,11 @@ struct LayoutPair {
 };
 
 OverlayGraph build_ring(std::uint64_t n, std::size_t links, std::uint64_t seed,
-                        EdgeLayout layout, double exponent,
-                        metric::Space::Kind kind) {
+                        EdgeLayout layout, double exponent) {
   graph::BuildSpec spec;
   spec.grid_size = n;
   spec.long_links = links;
   spec.exponent = exponent;
-  spec.topology = kind;
   spec.bidirectional = true;  // reverse links push hub degrees past kInlineEdges
   spec.layout = layout;
   util::Rng rng(seed);
@@ -64,10 +54,9 @@ OverlayGraph build_ring(std::uint64_t n, std::size_t links, std::uint64_t seed,
 }
 
 LayoutPair ring_pair(std::uint64_t n, std::size_t links, std::uint64_t seed,
-                     double exponent = 1.0,
-                     metric::Space::Kind kind = metric::Space::Kind::kRing) {
-  return {build_ring(n, links, seed, EdgeLayout::kStandard, exponent, kind),
-          build_ring(n, links, seed, EdgeLayout::kCompact, exponent, kind)};
+                     double exponent = 1.0) {
+  return {build_ring(n, links, seed, EdgeLayout::kStandard, exponent),
+          build_ring(n, links, seed, EdgeLayout::kCompact, exponent)};
 }
 
 /// Hand-built Kleinberg lattice (build_kleinberg_overlay always freezes
@@ -158,133 +147,6 @@ void check_structure(const LayoutPair& p) {
   }
 }
 
-/// Failure views drawn from one seed per layout: slot numbering and node
-/// count match, so the draws land identically.
-std::vector<std::pair<std::string, std::pair<FailureView, FailureView>>>
-view_pairs(const LayoutPair& p, std::uint64_t seed) {
-  std::vector<std::pair<std::string, std::pair<FailureView, FailureView>>> out;
-  {
-    out.emplace_back("alive", std::make_pair(FailureView::all_alive(p.standard),
-                                             FailureView::all_alive(p.compact)));
-  }
-  {
-    util::Rng ra(seed);
-    util::Rng rb(seed);
-    out.emplace_back(
-        "nodes",
-        std::make_pair(FailureView::with_node_failures(p.standard, 0.3, ra),
-                       FailureView::with_node_failures(p.compact, 0.3, rb)));
-  }
-  {
-    util::Rng ra(seed + 1);
-    util::Rng rb(seed + 1);
-    out.emplace_back(
-        "links",
-        std::make_pair(FailureView::with_link_failures(p.standard, 0.6, ra),
-                       FailureView::with_link_failures(p.compact, 0.6, rb)));
-  }
-  {
-    util::Rng ra(seed + 2);
-    util::Rng rb(seed + 2);
-    auto va = FailureView::with_link_failures(p.standard, 0.7, ra);
-    auto vb = FailureView::with_link_failures(p.compact, 0.7, rb);
-    for (NodeId u = 0; u < p.standard.size(); ++u) {
-      if (ra.next_bool(0.25)) va.kill_node(u);
-      if (rb.next_bool(0.25)) vb.kill_node(u);
-    }
-    out.emplace_back("both", std::make_pair(std::move(va), std::move(vb)));
-  }
-  return out;
-}
-
-core::Router scalar_router(const OverlayGraph& g, const FailureView& view,
-                           core::RouterConfig cfg) {
-  cfg.force_scalar = true;
-  return core::Router(g, view, cfg);
-}
-
-/// candidates() / select_candidate bit-identity at every rank up to the
-/// degree: the standard candidates() list is the reference; the standard and
-/// compact SIMD and scalar paths must all agree with it.
-void check_layout_selection(const LayoutPair& p, const FailureView& va,
-                            const FailureView& vb, core::RouterConfig cfg,
-                            std::uint64_t seed, int trials,
-                            const std::string& label) {
-  const core::Router std_simd(p.standard, va, cfg);
-  const core::Router std_scalar = scalar_router(p.standard, va, cfg);
-  const core::Router cmp_simd(p.compact, vb, cfg);
-  const core::Router cmp_scalar = scalar_router(p.compact, vb, cfg);
-  util::Rng pick(seed);
-  for (int trial = 0; trial < trials; ++trial) {
-    const auto u = static_cast<NodeId>(pick.next_below(p.standard.size()));
-    const auto t =
-        p.standard.position(static_cast<NodeId>(pick.next_below(p.standard.size())));
-    const auto reference = std_scalar.candidates(u, t);
-    const auto compact_list = cmp_scalar.candidates(u, t);
-    ASSERT_EQ(compact_list, reference) << label << " u=" << u << " t=" << t;
-    for (std::size_t rank = 0; rank <= p.standard.out_degree(u); ++rank) {
-      const NodeId want =
-          rank < reference.size() ? reference[rank] : graph::kInvalidNode;
-      ASSERT_EQ(std_scalar.select_candidate(u, t, rank), want)
-          << label << "/std-scalar u=" << u << " t=" << t << " rank=" << rank;
-      ASSERT_EQ(std_simd.select_candidate(u, t, rank), want)
-          << label << "/std-simd u=" << u << " t=" << t << " rank=" << rank;
-      ASSERT_EQ(cmp_simd.select_candidate(u, t, rank), want)
-          << label << "/cmp-simd u=" << u << " t=" << t << " rank=" << rank;
-      ASSERT_EQ(cmp_scalar.select_candidate(u, t, rank), want)
-          << label << "/cmp-scalar u=" << u << " t=" << t << " rank=" << rank;
-    }
-  }
-}
-
-/// route() / route_batch() bit-identity across layouts and dispatches.
-void check_layout_routes(const LayoutPair& p, const FailureView& va,
-                         const FailureView& vb, core::RouterConfig cfg,
-                         std::uint64_t seed, std::size_t messages,
-                         const std::string& label) {
-  const core::Router std_simd(p.standard, va, cfg);
-  const core::Router cmp_simd(p.compact, vb, cfg);
-  const core::Router cmp_scalar = scalar_router(p.compact, vb, cfg);
-  util::Rng pick(seed);
-  std::vector<core::Query> queries(messages);
-  for (auto& q : queries) {
-    q = {static_cast<NodeId>(pick.next_below(p.standard.size())),
-         p.standard.position(
-             static_cast<NodeId>(pick.next_below(p.standard.size())))};
-  }
-  for (std::size_t i = 0; i < messages; ++i) {
-    util::Rng a(seed + 1 + i);
-    util::Rng b(seed + 1 + i);
-    util::Rng c(seed + 1 + i);
-    const auto want = std_simd.route(queries[i].src, queries[i].target, a);
-    const auto got = cmp_simd.route(queries[i].src, queries[i].target, b);
-    const auto got_scalar =
-        cmp_scalar.route(queries[i].src, queries[i].target, c);
-    ASSERT_EQ(got.status, want.status) << label << " query=" << i;
-    ASSERT_EQ(got.hops, want.hops) << label << " query=" << i;
-    ASSERT_EQ(got.backtracks, want.backtracks) << label << " query=" << i;
-    ASSERT_EQ(got.reroutes, want.reroutes) << label << " query=" << i;
-    ASSERT_EQ(got_scalar.status, want.status) << label << " query=" << i;
-    ASSERT_EQ(got_scalar.hops, want.hops) << label << " query=" << i;
-  }
-  for (const std::size_t width : {std::size_t{1}, std::size_t{32}}) {
-    core::BatchConfig batch;
-    batch.width = width;
-    std::vector<core::RouteResult> want(messages);
-    std::vector<core::RouteResult> got(messages);
-    util::Rng a(seed + 7);
-    util::Rng b(seed + 7);
-    std_simd.route_batch(queries, want, a, batch);
-    cmp_simd.route_batch(queries, got, b, batch);
-    for (std::size_t i = 0; i < messages; ++i) {
-      ASSERT_EQ(got[i].status, want[i].status)
-          << label << " width=" << width << " query=" << i;
-      ASSERT_EQ(got[i].hops, want[i].hops)
-          << label << " width=" << width << " query=" << i;
-    }
-  }
-}
-
 TEST(CompactOverlay, StructuralEquivalenceRing) {
   check_structure(ring_pair(4096, 12, 91));
 }
@@ -328,10 +190,6 @@ TEST(CompactOverlay, EscapeEncodedFarTargets) {
   }
   ASSERT_GT(escapes, p.compact.size());  // far targets dominate
   check_structure(p);
-  const auto views = view_pairs(p, 96);
-  const auto& [name, pair] = views[1];  // node failures
-  check_layout_routes(p, pair.first, pair.second, {}, 97, 32,
-                      "escape/" + name);
 }
 
 /// Long links of one decode case: `degree` targets next to u (one-word
@@ -425,62 +283,9 @@ TEST(CompactOverlay, MemoryAtMostSixtyPercentOfStandard) {
             0.6 * static_cast<double>(p.compact.standard_layout_bytes()));
 }
 
-TEST(CompactOverlay, SelectionEquivalenceOneDimensional) {
-  for (const auto kind :
-       {metric::Space::Kind::kLine, metric::Space::Kind::kRing}) {
-    const std::string space =
-        kind == metric::Space::Kind::kLine ? "line" : "ring";
-    const auto p = ring_pair(4096, 12, 103, 1.0, kind);
-    for (auto& [name, views] : view_pairs(p, 104)) {
-      for (const auto knowledge :
-           {core::Knowledge::kLiveness, core::Knowledge::kStale}) {
-        core::RouterConfig cfg;
-        cfg.knowledge = knowledge;
-        const std::string label =
-            space + "/" + name +
-            (knowledge == core::Knowledge::kStale ? "/stale" : "/live");
-        check_layout_selection(p, views.first, views.second, cfg, 105, 400,
-                               label);
-      }
-    }
-  }
-}
-
-TEST(CompactOverlay, SelectionEquivalenceTorus) {
-  const auto p = torus_pair(45, 8, 107);
-  for (auto& [name, views] : view_pairs(p, 108)) {
-    for (const auto knowledge :
-         {core::Knowledge::kLiveness, core::Knowledge::kStale}) {
-      core::RouterConfig cfg;
-      cfg.knowledge = knowledge;
-      const std::string label =
-          "torus/" + name +
-          (knowledge == core::Knowledge::kStale ? "/stale" : "/live");
-      check_layout_selection(p, views.first, views.second, cfg, 109, 400, label);
-    }
-  }
-}
-
-TEST(CompactOverlay, RouteAndBatchEquivalence) {
-  const auto ring = ring_pair(4096, 12, 111);
-  const auto torus = torus_pair(45, 8, 112);
-  for (const LayoutPair* p : {&ring, &torus}) {
-    for (auto& [name, views] : view_pairs(*p, 113)) {
-      for (const auto knowledge :
-           {core::Knowledge::kLiveness, core::Knowledge::kStale}) {
-        core::RouterConfig cfg;
-        cfg.knowledge = knowledge;
-        check_layout_routes(*p, views.first, views.second, cfg, 114, 48,
-                            (p == &ring ? "ring/" : "torus/") + name);
-      }
-    }
-  }
-}
-
 TEST(CompactOverlay, KillReviveSlotEquivalence) {
   // The same slot-keyed kill/revive sequence applied to views over both
-  // layouts: slot numbering is shared, so liveness stays identical and so
-  // does every selection.
+  // layouts: slot numbering is shared, so liveness stays identical.
   const auto p = ring_pair(2048, 10, 117);
   auto va = FailureView::all_alive(p.standard);
   auto vb = FailureView::all_alive(p.compact);
@@ -512,59 +317,6 @@ TEST(CompactOverlay, KillReviveSlotEquivalence) {
       for (std::size_t s = 0; s < p.standard.edge_slots(); ++s) {
         ASSERT_EQ(va.link_alive_at(s), vb.link_alive_at(s)) << "slot " << s;
       }
-    }
-  }
-  check_layout_selection(p, va, vb, {}, 119, 400, "killrevive");
-  check_layout_routes(p, va, vb, {}, 120, 48, "killrevive");
-}
-
-TEST(CompactOverlay, HubPastSimdDecodeBuffer) {
-  // One node's degree beyond the 256-entry SIMD decode buffer: the compact
-  // AVX-512 path must hand the hub to the scalar fallback and still match.
-  const std::uint64_t n = 4096;
-  auto build = [&](EdgeLayout layout) {
-    graph::GraphBuilder builder{metric::Space::ring(n)};
-    builder.wire_short_links();
-    util::Rng rng(121);
-    for (int i = 0; i < 320; ++i) {
-      NodeId v = 0;
-      while (v == 0) v = static_cast<NodeId>(rng.next_below(n));
-      builder.add_long_link(0, v);
-    }
-    return builder.freeze(layout);
-  };
-  const LayoutPair p{build(EdgeLayout::kStandard), build(EdgeLayout::kCompact)};
-  ASSERT_GT(p.compact.out_degree(0), 256u);
-  check_structure(p);
-  util::Rng ra(122);
-  util::Rng rb(122);
-  auto va = FailureView::with_node_failures(p.standard, 0.4, ra);
-  auto vb = FailureView::with_node_failures(p.compact, 0.4, rb);
-  for (std::size_t i = 0; i < p.standard.out_degree(0); ++i) {
-    const bool kill_a = ra.next_bool(0.3);
-    const bool kill_b = rb.next_bool(0.3);
-    ASSERT_EQ(kill_a, kill_b);
-    if (kill_a) {
-      va.kill_link(0, i);
-      vb.kill_link(0, i);
-    }
-  }
-  const core::Router std_scalar = scalar_router(p.standard, va, {});
-  const core::Router cmp_simd(p.compact, vb, {});
-  const core::Router cmp_scalar = scalar_router(p.compact, vb, {});
-  util::Rng pick(123);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const auto t = static_cast<metric::Point>(pick.next_below(n));
-    const auto reference = std_scalar.candidates(0, t);
-    // Every rank on a few targets; the scan is O(rank * degree) per call.
-    const std::size_t ranks = trial < 8 ? reference.size() + 1 : 1;
-    for (std::size_t rank = 0; rank < ranks; ++rank) {
-      const NodeId want =
-          rank < reference.size() ? reference[rank] : graph::kInvalidNode;
-      ASSERT_EQ(cmp_simd.select_candidate(0, t, rank), want)
-          << "t=" << t << " rank=" << rank;
-      ASSERT_EQ(cmp_scalar.select_candidate(0, t, rank), want)
-          << "t=" << t << " rank=" << rank;
     }
   }
 }

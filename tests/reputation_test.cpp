@@ -1,16 +1,12 @@
 // Tests for failure::ReputationTable (outcome-driven distrust scores) and
 // the Router's trust mask — the third byte sideband riding the masked-SIMD
-// candidate scan next to link/node liveness. The PR acceptance equivalence
-// lives here: with distrust active, select_candidate must be bit-identical
-// between the vectorized path and the scalar table (RouterConfig::force_scalar
-// pins both on one host; the *_scalar CTest registration re-runs the suite
-// under P2P_NO_SIMD=1), and both must equal the allocating candidates()
-// reference, on the ring and on the Kleinberg torus, composed with failures.
+// candidate scan next to link/node liveness. That the vectorized and scalar
+// kernels mask distrust exactly as candidates() does is differential_test's
+// job.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "core/router.h"
@@ -240,74 +236,6 @@ TEST(RouterTrustMask, CandidatesSkipDistrustedNeighbours) {
   // Trust restored (decay to zero) re-admits the neighbour.
   while (!table.trusted(before[0])) table.decay_epoch();
   EXPECT_EQ(masked.candidates(u, t), before);
-}
-
-/// simd-dispatch vs forced-scalar selection over random (u, target, rank)
-/// triples, both checked against the allocating candidates() reference.
-void check_trust_equivalence(const OverlayGraph& g, const FailureView& view,
-                             const ReputationTable& table, std::uint64_t seed,
-                             const std::string& label) {
-  core::RouterConfig cfg;
-  cfg.reputation = &table;
-  const core::Router simd(g, view, cfg);
-  auto scalar_cfg = cfg;
-  scalar_cfg.force_scalar = true;
-  const core::Router scalar(g, view, scalar_cfg);
-  EXPECT_FALSE(scalar.simd_eligible());
-
-  util::Rng pick(seed);
-  for (int trial = 0; trial < 600; ++trial) {
-    const auto u = static_cast<NodeId>(pick.next_below(g.size()));
-    const auto t = g.position(static_cast<NodeId>(pick.next_below(g.size())));
-    const auto reference = scalar.candidates(u, t);
-    for (const NodeId v : reference) {
-      ASSERT_TRUE(table.trusted(v)) << label << " candidate " << v;
-    }
-    for (std::size_t rank = 0; rank < 3; ++rank) {
-      const NodeId want =
-          rank < reference.size() ? reference[rank] : graph::kInvalidNode;
-      ASSERT_EQ(simd.select_candidate(u, t, rank), want)
-          << label << " u=" << u << " t=" << t << " rank=" << rank;
-      ASSERT_EQ(scalar.select_candidate(u, t, rank), want)
-          << label << " u=" << u << " t=" << t << " rank=" << rank;
-    }
-  }
-}
-
-TEST(RouterTrustMask, SimdAndScalarAgreeUnderDistrust) {
-  // Ring and Kleinberg torus, distrust alone and distrust composed with
-  // node/link failures — every combination the third sideband must mask
-  // identically across the vectorized and scalar kernels.
-  const auto ring = ring_overlay(4096, 12, 21);
-  util::Rng torus_rng(22);
-  const auto torus = graph::build_kleinberg_overlay(45, 8, 2.0, torus_rng);
-
-  for (const OverlayGraph* g : {&ring, &torus}) {
-    const std::string space = g == &ring ? "ring" : "torus";
-    ReputationTable table(*g);
-    util::Rng mark(23);
-    for (NodeId u = 0; u < g->size(); ++u) {
-      if (mark.next_bool(0.2)) distrust(table, u);
-    }
-    ASSERT_GT(table.distrusted_count(), 0u);
-
-    const auto clean = FailureView::all_alive(*g);
-    check_trust_equivalence(*g, clean, table, 24, space + "/intact");
-
-    util::Rng fail_rng(25);
-    auto failed = FailureView::with_link_failures(*g, 0.5, fail_rng);
-    for (NodeId u = 0; u < g->size(); ++u) {
-      if (fail_rng.next_bool(0.2)) failed.kill_node(u);
-    }
-    check_trust_equivalence(*g, failed, table, 26, space + "/failed");
-
-    // Partial decay moves some penalties below the threshold mid-flight;
-    // re-check so the sideband the kernels gather is the *current* one.
-    table.decay_epoch();
-    table.decay_epoch();
-    table.decay_epoch();
-    check_trust_equivalence(*g, failed, table, 27, space + "/decayed");
-  }
 }
 
 }  // namespace

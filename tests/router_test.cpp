@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -172,6 +174,37 @@ TEST(Router, BacktrackWindowLimitsTheEscape) {
   EXPECT_EQ(res.status, RouteResult::Status::kStuck);
 }
 
+TEST(Router, UnboundedWindowAndTtlRouteLikeAGraphSizedWindow) {
+  // The trail is a chain of nodes each strictly closer to the target, so it
+  // never holds more than n - 1 entries: window = ttl = SIZE_MAX allocates a
+  // graph-sized trail, not SIZE_MAX entries, and routes like window = n.
+  const auto g = bare_ring(16, {{0, 8}, {3, 11}, {5, 13}, {9, 1}, {12, 4}});
+  util::Rng fail_rng(3);
+  const auto view = FailureView::with_node_failures(g, 0.4, fail_rng);
+  RouterConfig cfg;
+  cfg.stuck_policy = StuckPolicy::kBacktrack;
+  cfg.record_path = true;
+  cfg.ttl = SIZE_MAX;
+  cfg.backtrack_window = SIZE_MAX;
+  RouterConfig sized = cfg;
+  sized.backtrack_window = g.size();
+  const Router unbounded(g, view, cfg);
+  const Router bounded(g, view, sized);
+  std::size_t backtracks = 0;
+  for (NodeId src = 0; src < g.size(); ++src) {
+    for (NodeId dst = 0; dst < g.size(); ++dst) {
+      util::Rng rng_a(src), rng_b(src);
+      const RouteResult got = unbounded.route(src, g.position(dst), rng_a);
+      const RouteResult want = bounded.route(src, g.position(dst), rng_b);
+      EXPECT_EQ(got.status, want.status) << src << " -> " << dst;
+      EXPECT_EQ(got.hops, want.hops) << src << " -> " << dst;
+      EXPECT_EQ(got.path, want.path) << src << " -> " << dst;
+      backtracks += want.backtracks;
+    }
+  }
+  EXPECT_GT(backtracks, 0u);
+}
+
 TEST(Router, RandomRerouteRescuesTheSearch) {
   auto g = bare_ring(10);
   auto view = FailureView::all_alive(g);
@@ -273,26 +306,8 @@ TEST(Router, RejectsBadRouteArguments) {
   util::Rng rng(1);
   EXPECT_THROW(static_cast<void>(router.route(99, 0, rng)), std::out_of_range);
   EXPECT_THROW(static_cast<void>(router.route(0, 99, rng)), std::invalid_argument);
-}
-
-TEST(RouteSession, StepByStepMatchesRoute) {
-  util::Rng build_rng(5);
-  BuildSpec spec;
-  spec.grid_size = 256;
-  spec.long_links = 4;
-  const OverlayGraph g = build_overlay(spec, build_rng);
-  const auto view = FailureView::all_alive(g);
-  const Router router(g, view);
-
-  util::Rng rng_a(9), rng_b(9);
-  const RouteResult direct = router.route(7, 200, rng_a);
-
-  RouteSession session(router, 7, 200);
-  std::size_t steps = 0;
-  while (session.step(rng_b)) ++steps;
-  EXPECT_EQ(session.result().status, direct.status);
-  EXPECT_EQ(session.result().hops, direct.hops);
-  EXPECT_EQ(steps, direct.hops);
+  EXPECT_THROW(static_cast<void>(router.candidates(99, 0)), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(router.candidates(0, 99)), std::invalid_argument);
 }
 
 TEST(RouteSession, AdaptsToViewChangesMidFlight) {

@@ -1,7 +1,6 @@
 // The Kleinberg torus on the shared CSR hot path: build_kleinberg_overlay
 // pinned hop-for-hop against the legacy baselines::KleinbergGrid reference
-// on identical link sets, batch/scalar equivalence, and failure-view
-// behaviour on a 2-D metric.
+// on identical link sets, and failure-view behaviour on a 2-D metric.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -158,38 +157,6 @@ TEST(TorusOverlay, MinimumSideWiresDistinctLatticeLinksOnly) {
   expect_bit_equivalent(2, 2, 0.0, 404);
 }
 
-TEST(TorusOverlay, RouteBatchWidthsAgreeOnTorus) {
-  util::Rng rng(31);
-  const auto g = graph::build_kleinberg_overlay(32, 3, 2.0, rng);
-  const auto view = failure::FailureView::with_node_failures(g, 0.2, rng);
-  core::RouterConfig cfg;
-  cfg.stuck_policy = core::StuckPolicy::kRandomReroute;  // exercises the rng
-  const core::Router router(g, view, cfg);
-
-  constexpr std::size_t kQueries = 256;
-  std::vector<core::Query> queries(kQueries);
-  for (auto& qy : queries) {
-    const NodeId src = view.random_alive(rng);
-    NodeId dst = src;
-    while (dst == src) dst = view.random_alive(rng);
-    qy = {src, g.position(dst)};
-  }
-  const auto run_width = [&](std::size_t width) {
-    std::vector<core::RouteResult> results(kQueries);
-    util::Rng batch_rng(777);
-    router.route_batch(queries, results, batch_rng, core::BatchConfig{width, 4});
-    return results;
-  };
-  const auto w1 = run_width(1);
-  const auto w32 = run_width(32);
-  for (std::size_t i = 0; i < kQueries; ++i) {
-    EXPECT_EQ(w1[i].status, w32[i].status) << "i=" << i;
-    EXPECT_EQ(w1[i].hops, w32[i].hops) << "i=" << i;
-    EXPECT_EQ(w1[i].reroutes, w32[i].reroutes) << "i=" << i;
-    EXPECT_EQ(w1[i].completion_epoch, w32[i].completion_epoch) << "i=" << i;
-  }
-}
-
 TEST(TorusOverlay, FailureViewKillReviveSmoke) {
   util::Rng rng(41);
   const auto g = graph::build_kleinberg_overlay(16, 2, 2.0, rng);
@@ -218,36 +185,6 @@ TEST(TorusOverlay, FailureViewKillReviveSmoke) {
   ASSERT_TRUE(healed.delivered());
   EXPECT_EQ(healed.path, baseline.path);
   EXPECT_EQ(healed.hops, baseline.hops);
-}
-
-TEST(TorusOverlay, SimdAndScalarSelectionAgreeOnTorus) {
-  // On AVX-512 hosts the intact two-sided torus takes the vectorized scan
-  // (reciprocal-multiplication row/col split); RouterConfig::force_scalar
-  // pins it against the scalar table on the same machine, and both against
-  // the allocating candidates() reference (the *_scalar CTest registration
-  // additionally covers the P2P_NO_SIMD env override). Odd and
-  // non-power-of-two sides exercise the wrap halves and the fixup paths.
-  // Elsewhere the test passes trivially.
-  for (const std::uint32_t side : {17u, 32u, 45u}) {
-    util::Rng rng(side);
-    const auto g = graph::build_kleinberg_overlay(side, 3, 2.0, rng);
-    const auto view = failure::FailureView::all_alive(g);
-    const core::Router simd_router(g, view);
-    core::RouterConfig scalar_cfg;
-    scalar_cfg.force_scalar = true;
-    const core::Router scalar_router(g, view, scalar_cfg);
-    util::Rng pick(side + 1);
-    for (int trial = 0; trial < 2000; ++trial) {
-      const auto u = static_cast<NodeId>(pick.next_below(g.size()));
-      const auto t = static_cast<metric::Point>(pick.next_below(g.size()));
-      const NodeId with_simd = simd_router.select_candidate(u, t, 0);
-      const NodeId without = scalar_router.select_candidate(u, t, 0);
-      ASSERT_EQ(with_simd, without) << "side=" << side << " u=" << u << " t=" << t;
-      const auto reference = scalar_router.candidates(u, t);
-      ASSERT_EQ(without, reference.empty() ? graph::kInvalidNode : reference[0])
-          << "side=" << side << " u=" << u << " t=" << t;
-    }
-  }
 }
 
 TEST(TorusOverlay, OneSidedRoutingRejectedOnTorus) {
