@@ -1148,6 +1148,21 @@ TEST(GraphBuilderPinned, BuildsMatchReferenceFingerprints) {
   }
 }
 
+TEST(GraphBuilderPinned, LookupGraphMatchesReferenceFingerprint) {
+  // perfbench's lookup graph. At 2^19 nodes it is the costliest pinned
+  // build, so it runs serial and on one 2-thread pool only.
+  const PinnedBuild lookup{"ring 2^19 compact",
+                           {.grid_size = 1u << 19,
+                            .long_links = 19,
+                            .bidirectional = true,
+                            .layout = EdgeLayout::kCompact},
+                           0,
+                           0x22b433713e7b8a5cULL};
+  EXPECT_EQ(fingerprint(build_pinned(lookup, nullptr)), lookup.fingerprint) << "serial";
+  util::ThreadPool pool(2);
+  EXPECT_EQ(fingerprint(build_pinned(lookup, &pool)), lookup.fingerprint) << "2 threads";
+}
+
 TEST(GraphBuilderParallel, MorePoolThreadsThanTransposeChunksMatchSerial) {
   // A pool wider than the transpose's chunk cap: the chunk count, and with
   // it the cursor table, stops growing, and the graph must not notice.
