@@ -341,13 +341,19 @@ std::vector<metric::Point> draw_present_positions(std::uint64_t grid_size,
   std::vector<metric::Point> positions;
   positions.reserve(static_cast<std::size_t>(static_cast<double>(grid_size) * presence) + 16);
   // Re-draw until at least two nodes exist; with any sane presence this runs
-  // once. (Theorem 17's analysis assumes a non-degenerate network.)
-  for (int attempt = 0; attempt < 1024; ++attempt) {
+  // once. (Theorem 17's analysis assumes a non-degenerate network.) The
+  // re-draws stop at kMaxPresencePasses passes or once kMaxPresencePoints
+  // points have been drawn, so a hopeless spec on a large grid throws after
+  // one pass rather than after a thousand.
+  std::uint64_t drawn = 0;
+  for (std::size_t pass = 0; pass < kMaxPresencePasses && (pass == 0 || drawn < kMaxPresencePoints);
+       ++pass) {
     positions.clear();
     for (std::uint64_t p = 0; p < grid_size; ++p) {
       if (rng.next_bool(presence)) positions.push_back(static_cast<metric::Point>(p));
     }
     if (positions.size() >= 2) return positions;
+    drawn += grid_size;
   }
   util::require(false, "build_overlay: presence too small to populate the grid");
   return positions;  // unreachable
@@ -395,17 +401,36 @@ void sample_power_law_targets(const GraphBuilder& g, const BuildSpec& spec,
 /// (spec, rng) — serial and parallel builds of any thread count are
 /// bit-identical. Sampling (the expensive part: one guided inverse-CDF
 /// lookup per draw, plus rejection in sparse mode) runs in parallel into a
-/// flat target table, which then becomes the builder's long-link run.
+/// flat target table, which then becomes the builder's long-link run. On a
+/// fully populated ring each chunk draws blocks of eight nodes through
+/// PowerLawLinkSampler::sample_ring_block, where the CPU runs it; the
+/// chunk's last few nodes, and every build the kernel does not serve, draw
+/// node by node. Both make the same rng calls and write the same targets.
 void add_power_law_links(GraphBuilder& g, const BuildSpec& spec, util::Rng& rng,
                          util::ThreadPool* pool) {
   if (spec.long_links == 0) return;  // before the base draw: no links, no rng use
   const PowerLawLinkSampler sampler(g.space(), spec.exponent);
   const std::uint64_t base = rng();
   const std::size_t n = g.size();
+  const bool dense = spec.presence >= 1.0;
   LinkTable targets(n * spec.long_links);
   const auto sample_nodes = [&](std::size_t lo, std::size_t hi) {
+    constexpr std::size_t kLanes = PowerLawLinkSampler::kBlockLanes;
+    std::size_t u = lo;
+    for (; dense && u + kLanes <= hi; u += kLanes) {
+      util::Rng rngs[kLanes];
+      metric::Point sources[kLanes];
+      for (std::size_t i = 0; i < kLanes; ++i) {
+        rngs[i] = util::substream(base, u + i);
+        sources[i] = static_cast<metric::Point>(u + i);
+      }
+      if (!sampler.sample_ring_block(rngs, sources, spec.long_links,
+                                     targets.data() + u * spec.long_links)) {
+        break;
+      }
+    }
     std::vector<metric::Point> drawn(spec.long_links);
-    for (std::size_t u = lo; u < hi; ++u) {
+    for (; u < hi; ++u) {
       util::Rng node_rng = util::substream(base, u);
       sample_power_law_targets(g, spec, sampler, static_cast<NodeId>(u), node_rng, drawn.data(),
                                targets.data() + u * spec.long_links);

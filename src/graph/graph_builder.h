@@ -87,7 +87,8 @@ class GraphBuilder {
   /// Appends every long link of a row-major table: row u (`per_node`
   /// entries) lists node u's targets, kInvalidNode marking a draw that made
   /// no link. The table becomes the long-link storage, so no link is copied
-  /// out: one pass checks every entry and drops the holes in place. Throws std::logic_error unless no long link was added before,
+  /// out: one pass checks every entry and drops the holes in place. Throws
+  /// std::logic_error unless no long link was added before,
   /// std::invalid_argument unless the table has size() * per_node entries,
   /// and std::out_of_range on a target that names no node.
   void add_long_links(LinkTable targets, std::size_t per_node);
@@ -175,6 +176,11 @@ class GraphBuilder {
   bool closed_ = false;  // make_bidirectional ran
 };
 
+/// Most passes over the grid that build_overlay draws node presence in.
+inline constexpr std::size_t kMaxPresencePasses = 1024;
+/// Grid points after which build_overlay draws no further presence pass.
+inline constexpr std::uint64_t kMaxPresencePoints = std::uint64_t{1} << 22;
+
 /// Parameters of an ideal overlay build.
 struct BuildSpec {
   /// Number of grid points of the metric space.
@@ -202,7 +208,11 @@ struct BuildSpec {
   unsigned base = 2;
 
   /// Binomial node presence (§4.3.4.1): each grid point holds a node
-  /// independently with this probability. 1.0 = fully populated.
+  /// independently with this probability. 1.0 = fully populated. Every
+  /// point is re-drawn while fewer than two nodes result, up to
+  /// kMaxPresencePasses passes over the grid or kMaxPresencePoints points in
+  /// all, whichever comes first (one pass at least); build_overlay then
+  /// throws std::invalid_argument.
   double presence = 1.0;
 
   /// How long links resolve when the sampled grid point has no node
@@ -230,7 +240,11 @@ struct BuildSpec {
 /// comes from `rng`: each node samples its long links from a private
 /// util::substream, so the result depends only on (spec, rng). A node's
 /// draws run in one PowerLawLinkSampler::sample_targets loop (except under
-/// rejection sampling, which re-draws one link at a time).
+/// rejection sampling, which re-draws one link at a time). On a fully
+/// populated ring, eight nodes at a time draw side by side in the AVX-512
+/// kernel PowerLawLinkSampler::sample_ring_block instead, wherever the CPU
+/// reports AVX-512F/DQ/VL at run time; there is no switch, since both paths
+/// make the same rng calls and build the same graph.
 ///
 /// Throws std::invalid_argument on malformed specs (grid_size < 2,
 /// presence outside (0,1], exponent < 0, base < 2) and, before allocating,

@@ -1,8 +1,13 @@
 #include "graph/link_distribution.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
 
 #include "util/require.h"
 
@@ -41,6 +46,174 @@ std::uint64_t torus_row_part(const metric::Space& torus, metric::Distance d, dou
 }
 
 }  // namespace detail
+
+namespace {
+
+/// What sample_targets' ring loop reads, gathered for the ring kernel.
+struct RingTables {
+  const detail::GuidedSearch* search;  // the scalar fallback
+  const double* p;                     // p[0..m], then kPad +inf
+  const std::uint32_t* guide;          // buckets + 1 entries
+  double scale;                        // buckets / p[m]
+  double buckets;
+  double ring_total;
+  double mass_cw;                      // p[half]
+  std::uint64_t half;
+  bool even;
+  std::uint64_t n;
+};
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define P2P_HAVE_RING_KERNEL 1
+
+bool ring_kernel_supported() noexcept {
+  return __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512dq") != 0 &&
+         __builtin_cpu_supports("avx512vl") != 0;
+}
+
+// GCC's _mm512_* expansions seed results from _mm512_undefined_*, which
+// -Wmaybe-uninitialized flags at -O3; the intrinsics are correct as written.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#define P2P_RING_ISA "avx512f,avx512dq,avx512vl"
+
+/// Adds `step` to the lanes of c in `lanes` whose p[lo + c + at] <= v.
+__attribute__((target(P2P_RING_ISA), always_inline)) inline __m512i ring_count_step(
+    const double* p, __m512i c, __mmask8 lanes, __m512i lo, __m512d v, long long at,
+    long long step) {
+  const __m512i index = _mm512_add_epi64(_mm512_add_epi64(lo, c), _mm512_set1_epi64(at));
+  const __m512d q = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), lanes, index, p, 8);
+  const __mmask8 le = _mm512_mask_cmp_pd_mask(lanes, q, v, _CMP_LE_OQ);
+  return _mm512_mask_add_epi64(c, le, c, _mm512_set1_epi64(step));
+}
+
+/// sample_targets' ring loop with lane i drawing for sources[i]. Each step
+/// is the scalar one in vector form: an xoshiro256++ step and next_double,
+/// the side as a mask, the guide bucket, the bracket check, the count, the
+/// offset's wrap. Every product is a single rounding, as in the scalar
+/// loop, and no product feeds an addition, so no fused multiply-add can
+/// change a bit.
+///
+/// AddressSanitizer does not instrument gathers, so their bounds are
+/// argued here. Only lanes inside the guide (0 <= x < buckets) gather from
+/// it, at b and b + 1 <= buckets, its last entry. Guide entries are first
+/// indices i >= 1 with p[i] above a bucket edge, at most m + 1 (the first
+/// sentinel): so lo - 1 >= 0 and hi <= m + 1 for the bracket check. The
+/// count runs only on lanes that passed it and reads p[lo + c + j] with
+/// c + j <= 7, so at most p[m + 8] = p[m + kPad], the last sentinel.
+__attribute__((target(P2P_RING_ISA))) void ring_block_avx512(
+    const RingTables& t, util::Rng* rngs, const metric::Point* sources, std::size_t count,
+    NodeId* out) {
+  constexpr std::size_t kLanes = PowerLawLinkSampler::kBlockLanes;
+  alignas(64) std::uint64_t words[4][kLanes];
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    const std::array<std::uint64_t, 4> state = rngs[i].state();
+    for (std::size_t w = 0; w < 4; ++w) words[w][i] = state[w];
+  }
+  __m512i s0 = _mm512_load_si512(words[0]);
+  __m512i s1 = _mm512_load_si512(words[1]);
+  __m512i s2 = _mm512_load_si512(words[2]);
+  __m512i s3 = _mm512_load_si512(words[3]);
+
+  const __m512i src = _mm512_loadu_si512(sources);
+  const __m512i rows = _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+                                          _mm512_set1_epi64(static_cast<long long>(count)));
+  const __m512d ring_total = _mm512_set1_pd(t.ring_total);
+  const __m512d mass_cw = _mm512_set1_pd(t.mass_cw);
+  const __m512d scale = _mm512_set1_pd(t.scale);
+  const __m512d buckets = _mm512_set1_pd(t.buckets);
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512i izero = _mm512_setzero_si512();
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i pad = _mm512_set1_epi64(detail::GuidedSearch::kPad);
+  const __m512i half = _mm512_set1_epi64(static_cast<long long>(t.half));
+  const __m512i n = _mm512_set1_epi64(static_cast<long long>(t.n));
+  const __m512i invalid = _mm512_set1_epi64(kInvalidNode);
+  const __mmask8 even = t.even ? 0xff : 0;
+
+  for (std::size_t k = 0; k < count; ++k) {
+    // util::Rng::operator() and next_double().
+    const __m512i r = _mm512_add_epi64(_mm512_rol_epi64(_mm512_add_epi64(s0, s3), 23), s0);
+    const __m512i shifted = _mm512_slli_epi64(s1, 17);
+    s2 = _mm512_xor_si512(s2, s0);
+    s3 = _mm512_xor_si512(s3, s1);
+    s1 = _mm512_xor_si512(s1, s2);
+    s0 = _mm512_xor_si512(s0, s3);
+    s2 = _mm512_xor_si512(s2, shifted);
+    s3 = _mm512_rol_epi64(s3, 45);
+    const __m512d unit =
+        _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(r, 11)), _mm512_set1_pd(0x1.0p-53));
+    const __m512d u = _mm512_mul_pd(unit, ring_total);
+
+    // The side, the limit and the magnitude's mass, as sample_targets.
+    const __mmask8 ccw = _mm512_cmp_pd_mask(u, mass_cw, _CMP_GE_OQ);
+    const __m512i limit = _mm512_mask_sub_epi64(half, ccw & even, half, one);
+    const __m512d v = _mm512_mask_sub_pd(u, ccw, u, mass_cw);
+
+    // GuidedSearch::upper_bound: the bucket, its bracket and the check.
+    const __m512d x = _mm512_mul_pd(v, scale);
+    const __mmask8 guided =
+        _mm512_cmp_pd_mask(x, zero, _CMP_GE_OQ) & _mm512_cmp_pd_mask(x, buckets, _CMP_LT_OQ);
+    const __m512i b = _mm512_maskz_cvttpd_epu64(guided, x);
+    const __m512i lo = _mm512_cvtepu32_epi64(
+        _mm512_mask_i64gather_epi32(_mm256_setzero_si256(), guided, b, t.guide, 4));
+    const __m512i hi = _mm512_cvtepu32_epi64(_mm512_mask_i64gather_epi32(
+        _mm256_setzero_si256(), guided, _mm512_add_epi64(b, one), t.guide, 4));
+    const __m512d below = _mm512_mask_i64gather_pd(zero, guided, _mm512_sub_epi64(lo, one), t.p, 8);
+    const __m512d above = _mm512_mask_i64gather_pd(zero, guided, hi, t.p, 8);
+    const __mmask8 ok = _mm512_mask_cmp_pd_mask(guided, below, v, _CMP_LE_OQ) &
+                        _mm512_cmp_pd_mask(above, v, _CMP_GT_OQ) &
+                        _mm512_cmple_epu64_mask(_mm512_sub_epi64(hi, lo), pad);
+
+    // The count of p[lo..lo + 7] <= v: the entries rise, so it is the
+    // first index past v, found in steps of 4, 2 and 1 (0..7), and a last
+    // step of 1 for 8. Four gathers where a plain count takes eight.
+    __m512i c = izero;
+    c = ring_count_step(t.p, c, ok, lo, v, 3, 4);
+    c = ring_count_step(t.p, c, ok, lo, v, 1, 2);
+    c = ring_count_step(t.p, c, ok, lo, v, 0, 1);
+    c = ring_count_step(t.p, c, ok, lo, v, 0, 1);
+    __m512i d = _mm512_min_epu64(_mm512_add_epi64(lo, c), limit);
+
+    const auto fallback = static_cast<unsigned>(static_cast<__mmask8>(~ok));
+    if (fallback != 0) {
+      alignas(64) double vs[kLanes];
+      alignas(64) std::uint64_t limits[kLanes];
+      alignas(64) std::uint64_t ds[kLanes];
+      _mm512_store_pd(vs, v);
+      _mm512_store_si512(limits, limit);
+      _mm512_store_si512(ds, d);
+      for (unsigned lanes = fallback; lanes != 0; lanes &= lanes - 1) {
+        const auto i = static_cast<std::size_t>(__builtin_ctz(lanes));
+        ds[i] = std::min<std::uint64_t>(t.search->upper_bound(limits[i], vs[i]), limits[i]);
+      }
+      d = _mm512_load_si512(ds);
+    }
+
+    // metric::Space::offset(source, ccw ? -d : d) on the ring: |d| < n,
+    // so one wrap in either direction.
+    __m512i y = _mm512_mask_sub_epi64(_mm512_add_epi64(src, d), ccw, src, d);
+    y = _mm512_mask_add_epi64(y, _mm512_cmplt_epi64_mask(y, izero), y, n);
+    y = _mm512_mask_sub_epi64(y, _mm512_cmpge_epi64_mask(y, n), y, n);
+    y = _mm512_mask_mov_epi64(y, _mm512_cmpeq_epi64_mask(y, src), invalid);
+    _mm512_i64scatter_epi32(out + k, rows, _mm512_cvtepi64_epi32(y), 4);
+  }
+
+  _mm512_store_si512(words[0], s0);
+  _mm512_store_si512(words[1], s1);
+  _mm512_store_si512(words[2], s2);
+  _mm512_store_si512(words[3], s3);
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    rngs[i].set_state({words[0][i], words[1][i], words[2][i], words[3][i]});
+  }
+}
+#pragma GCC diagnostic pop
+#else
+#define P2P_HAVE_RING_KERNEL 0
+#endif
+
+}  // namespace
 
 PowerLawLinkSampler::PowerLawLinkSampler(metric::Space space, double exponent)
     : space_(space), exponent_(exponent) {
@@ -148,6 +321,37 @@ void PowerLawLinkSampler::sample_targets(util::Rng& rng, metric::Point source,
       for (std::size_t k = 0; k < count; ++k) out[k] = sample_torus_target(rng, source);
       return;
   }
+}
+
+bool PowerLawLinkSampler::sample_ring_block(util::Rng* rngs, const metric::Point* sources,
+                                            std::size_t count, NodeId* out) const {
+  for (std::size_t i = 0; i < kBlockLanes; ++i) {
+    util::require(space_.contains(sources[i]), "PowerLawLinkSampler: source outside space");
+  }
+#if P2P_HAVE_RING_KERNEL
+  if (space_.kind() != metric::Space::Kind::kRing || space_.size() > kInvalidNode ||
+      search_.buckets() == 0 || !ring_kernel_supported()) {
+    return false;
+  }
+  const metric::Distance half = space_.size() / 2;
+  const RingTables tables{&search_,
+                          search_.table_.data(),
+                          search_.guide_.data(),
+                          search_.scale_,
+                          static_cast<double>(search_.buckets()),
+                          ring_total_,
+                          search_[half],
+                          half,
+                          space_.size() % 2 == 0,
+                          space_.size()};
+  ring_block_avx512(tables, rngs, sources, count, out);
+  return true;
+#else
+  (void)rngs;
+  (void)count;
+  (void)out;
+  return false;
+#endif
 }
 
 double PowerLawLinkSampler::probability(metric::Point source, metric::Point target) const {

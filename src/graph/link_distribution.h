@@ -19,10 +19,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/overlay_graph.h"
 #include "metric/space.h"
 #include "util/rng.h"
 
 namespace p2p::graph {
+
+class PowerLawLinkSampler;
 
 namespace detail {
 
@@ -37,10 +40,12 @@ namespace detail {
 /// sentinels, so the count needs no mask and no branch. Wider brackets
 /// binary-search.
 ///
-/// The resolution was measured on ring draws at r = 1 (one core): at 2^19
-/// and 2^21 nodes m buckets beat m/4 (36.5 against 41.4 ns, 42.5 against
-/// 45.0), but at 10^7 nodes m buckets make a 20 MB guide and lost (100
-/// against 80–86 ns for m/4's 5 MB), hence the cap.
+/// The resolution was measured on ring draws at r = 1 (one core), through
+/// the per-node sample_targets loop: at 2^19 and 2^21 nodes m buckets beat
+/// m/4 (36.5 against 41.4 ns, 42.5 against 45.0), but at 10^7 nodes m
+/// buckets make a 20 MB guide and lost (100 against 80–86 ns for m/4's
+/// 5 MB), hence the cap. PowerLawLinkSampler::sample_ring_block reads the
+/// same guide and table eight draws at a time.
 ///
 /// upper_bound(limit, u) returns exactly
 /// std::upper_bound(p + 1, p + limit + 1, u) - p for every u >= 0 and
@@ -71,6 +76,8 @@ class GuidedSearch {
   }
 
  private:
+  friend class graph::PowerLawLinkSampler;  // its ring kernel reads the tables
+
   std::vector<double> table_;         // p[0..m], then kPad +inf
   std::vector<std::uint32_t> guide_;  // buckets + 1 entries; empty = no guide
   double scale_ = 0.0;                // buckets / p[m]
@@ -122,9 +129,15 @@ inline std::size_t GuidedSearch::upper_bound(std::size_t limit, double u) const 
 /// each radius d by ring_size(d) — the number of points at that distance,
 /// position independent by translation invariance — so a draw picks a radius
 /// first and then a uniform point at that radius. sample_targets draws a
-/// node's whole set in one loop, the form the overlay builders use.
+/// node's whole set in one loop, the form the overlay builders use;
+/// sample_ring_block, an AVX-512 kernel, draws the sets of eight ring nodes
+/// at once where the CPU has AVX-512F/DQ/VL (checked at run time, with no
+/// option to turn it off), and the builders use it on fully populated rings.
 class PowerLawLinkSampler {
  public:
+  /// Sources per sample_ring_block call.
+  static constexpr std::size_t kBlockLanes = 8;
+
   /// Preconditions: space.size() >= 2, exponent >= 0.
   PowerLawLinkSampler(metric::Space space, double exponent);
 
@@ -136,6 +149,22 @@ class PowerLawLinkSampler {
   /// sample_target. Precondition: space().contains(source).
   void sample_targets(util::Rng& rng, metric::Point source, metric::Point* out,
                       std::size_t count) const;
+
+  /// sample_targets for kBlockLanes ring sources at once, as the builders
+  /// write a fully populated ring's long-link table. Lane i draws `count`
+  /// targets for sources[i] from rngs[i], making the same rng calls as
+  /// sample_targets(rngs[i], sources[i], ...), and writes them to
+  /// out[i * count, (i + 1) * count) as node ids (a node's id is its
+  /// position), with a target equal to its source written as kInvalidNode.
+  /// The lanes run in AVX-512 registers; a lane whose guide bracket fails
+  /// its check or is wider than GuidedSearch::kPad resolves that draw with
+  /// the scalar GuidedSearch::upper_bound, so every target equals the
+  /// per-node loop's. Returns false, drawing and writing nothing, when the
+  /// kernel cannot run: not a ring, a ring too large for node ids, an
+  /// unguided table, or a CPU without AVX-512F/DQ/VL. Precondition: every
+  /// source lies in space() (throws std::invalid_argument otherwise).
+  bool sample_ring_block(util::Rng* rngs, const metric::Point* sources, std::size_t count,
+                         NodeId* out) const;
 
   /// Exact probability that `target` is drawn for `source` (for tests).
   [[nodiscard]] double probability(metric::Point source, metric::Point target) const;

@@ -102,6 +102,14 @@ class Rng {
     return next_double() < p;
   }
 
+  /// The four state words, for kernels that step several generators side
+  /// by side in vector lanes (PowerLawLinkSampler::sample_ring_block).
+  [[nodiscard]] constexpr std::array<std::uint64_t, 4> state() const noexcept { return state_; }
+
+  /// Puts back state words that state() returned, stepped as operator()
+  /// steps them.
+  constexpr void set_state(const std::array<std::uint64_t, 4>& state) noexcept { state_ = state; }
+
   /// Derives an independent child stream; used to fan experiments out across
   /// seeds/threads without correlated streams.
   [[nodiscard]] constexpr Rng split() noexcept {

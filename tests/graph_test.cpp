@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -312,6 +314,158 @@ TEST(GuidedSearch, SeededDrawsMatchUpperBoundReference) {
                                         batch_size(i)))
           << space.to_string() << " r=" << r << " draw " << i;
     }
+  }
+}
+
+// -- The 8-lane ring kernel ---------------------------------------------------
+
+/// True where sample_ring_block can run: an x86-64 CPU with AVX-512F/DQ/VL.
+bool cpu_runs_ring_kernel() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  return __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512dq") != 0 &&
+         __builtin_cpu_supports("avx512vl") != 0;
+#else
+  return false;
+#endif
+}
+
+/// Runs one sample_ring_block call from `seeds` and compares every lane
+/// with sample_targets from the same seed, as the builders map its targets
+/// (a target equal to its source is kInvalidNode), the rng states after
+/// the draws, and the entries past the block, which must stay unwritten.
+/// Sets `ran` to whether the kernel ran; when it did not, nothing is
+/// compared.
+::testing::AssertionResult ring_block_matches_per_node(const PowerLawLinkSampler& sampler,
+                                                       const util::Rng* seeds,
+                                                       const metric::Point* sources,
+                                                       std::size_t count, bool& ran) {
+  constexpr std::size_t kLanes = PowerLawLinkSampler::kBlockLanes;
+  constexpr NodeId kUnwritten = 0xdeadbeef;
+  util::Rng rngs[kLanes];
+  std::copy(seeds, seeds + kLanes, rngs);
+  std::vector<NodeId> out(kLanes * count + 4, kUnwritten);
+  ran = sampler.sample_ring_block(rngs, sources, count, out.data());
+  if (!ran) return ::testing::AssertionSuccess();
+  std::vector<metric::Point> drawn(count);
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    util::Rng ref = seeds[i];
+    sampler.sample_targets(ref, sources[i], drawn.data(), count);
+    for (std::size_t k = 0; k < count; ++k) {
+      const NodeId want = drawn[k] == sources[i] ? kInvalidNode : static_cast<NodeId>(drawn[k]);
+      if (out[i * count + k] != want) {
+        return ::testing::AssertionFailure() << "lane " << i << " draw " << k << ": "
+                                             << out[i * count + k] << ", want " << want;
+      }
+    }
+    if (rngs[i].state() != ref.state()) {
+      return ::testing::AssertionFailure() << "lane " << i << ": rng state after the draws";
+    }
+  }
+  for (std::size_t j = kLanes * count; j < out.size(); ++j) {
+    if (out[j] != kUnwritten) return ::testing::AssertionFailure() << "wrote past its block";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A generator whose first output is `first`: xoshiro256++ returns
+/// rotl(s0 + s3, 23) + s0, so s3 follows from s0 and that output.
+util::Rng rng_starting_with(std::uint64_t first, std::uint64_t salt) {
+  util::Rng filler(salt);
+  std::array<std::uint64_t, 4> state = {filler(), filler(), filler(), 0};
+  const std::uint64_t sum = first - state[0];
+  state[3] = ((sum >> 23) | (sum << 41)) - state[0];
+  util::Rng rng;
+  rng.set_state(state);
+  return rng;
+}
+
+TEST(PowerLawLinkSampler, RingBlockKernelMatchesPerNodeDraws) {
+  constexpr std::size_t kLanes = PowerLawLinkSampler::kBlockLanes;
+  std::size_t blocks = 0;
+  std::size_t ran_blocks = 0;
+  const auto check = [&](const PowerLawLinkSampler& sampler, const util::Rng* seeds,
+                         const metric::Point* sources, std::size_t count) {
+    bool ran = false;
+    const ::testing::AssertionResult match =
+        ring_block_matches_per_node(sampler, seeds, sources, count, ran);
+    ++blocks;
+    ran_blocks += ran ? 1 : 0;
+    return match;
+  };
+  // Rings below eight nodes, where lanes repeat sources; rings whose tables
+  // sit in L1; lookup's ring; and one past 2^21 nodes, where kMaxBuckets
+  // caps the guide, its buckets span several entries, and lanes whose
+  // bracket is wider than kPad fall back to the scalar search.
+  const std::uint64_t sizes[] = {2, 3, 4, 5, 9, 4096, 4097, 1u << 19, (1u << 21) + 1001};
+  for (const std::uint64_t n : sizes) {
+    for (const double r : {0.0, 1.0, 2.0, 40.0}) {
+      const Space space = Space::ring(n);
+      const PowerLawLinkSampler sampler(space, r);
+      const std::string where = space.to_string() + " r=" + std::to_string(r);
+      metric::Point sources[kLanes];
+      util::Rng seeds[kLanes];
+      // Seeded blocks that start off multiples of 8, at the ring's end
+      // (lanes wrap to node 0) and at scattered nodes; 0–19 draws per node.
+      for (std::uint64_t block = 0; block < 48; ++block) {
+        const std::uint64_t starts[] = {0, 1, 3, n - 1, n - 5};
+        const std::uint64_t first = block < 5 ? starts[block] % n : (block * 7919 + 3) % n;
+        for (std::size_t i = 0; i < kLanes; ++i) {
+          sources[i] = static_cast<metric::Point>((first + i) % n);
+          seeds[i] = util::substream(n * 41 + static_cast<std::uint64_t>(r), block * kLanes + i);
+        }
+        ASSERT_TRUE(check(sampler, seeds, sources, block % 20)) << where << " block " << block;
+      }
+      if (n > 4097) continue;
+      // Draws placed at the boundaries: u within two steps of every prefix
+      // entry and bucket edge on either side of the ring. They reach the
+      // guide's first and last brackets (lo - 1 = 0; lo near m + 1, whose
+      // count reads the sentinels), every bracket edge, and any draw where
+      // rounding in the bucket arithmetic would fail the bracket check.
+      const std::vector<double> prefix = power_law_prefix(space, r);
+      const std::size_t half = n / 2;
+      const double antipode = n % 2 == 0 ? std::pow(static_cast<double>(half), -r) : 0.0;
+      const double total = 2.0 * prefix[half] - antipode;
+      const std::size_t buckets = detail::GuidedSearch(prefix).buckets();
+      std::vector<double> masses(prefix.begin(), prefix.end());
+      for (std::size_t b = 0; b <= buckets; ++b) {
+        masses.push_back(static_cast<double>(b) * prefix.back() / static_cast<double>(buckets));
+      }
+      std::vector<std::uint64_t> draws;
+      for (const double mass : masses) {
+        for (const double u : {mass, prefix[half] + mass}) {
+          const auto k = static_cast<std::int64_t>(u / total * 0x1p53);
+          for (std::int64_t step = -2; step <= 2; ++step) {
+            if (k + step >= 0 && k + step < (std::int64_t{1} << 53)) {
+              draws.push_back(static_cast<std::uint64_t>(k + step) << 11);
+            }
+          }
+        }
+      }
+      for (std::size_t j = 0; j < draws.size(); j += kLanes) {
+        for (std::size_t i = 0; i < kLanes; ++i) {
+          sources[i] = static_cast<metric::Point>((j + i) % n);
+          seeds[i] = rng_starting_with(draws[(j + i) % draws.size()], j + i);
+        }
+        ASSERT_TRUE(check(sampler, seeds, sources, 1)) << where << " boundary draw " << j;
+      }
+    }
+  }
+  // Spaces the kernel does not serve: nothing drawn, nothing written.
+  for (const metric::Space& space : {Space::line(64), Space::torus(8)}) {
+    const PowerLawLinkSampler sampler(space, 1.0);
+    metric::Point sources[kLanes] = {};
+    util::Rng rngs[kLanes];
+    NodeId out[kLanes] = {};
+    EXPECT_FALSE(sampler.sample_ring_block(rngs, sources, 1, out)) << space.to_string();
+    EXPECT_EQ(rngs[0].state(), util::Rng().state());
+    EXPECT_EQ(out[0], 0u);
+  }
+  std::printf("ring kernel: %s (%zu of %zu ring blocks)\n", ran_blocks > 0 ? "ran" : "did not run",
+              ran_blocks, blocks);
+  if (cpu_runs_ring_kernel()) {
+    EXPECT_EQ(ran_blocks, blocks) << "an AVX-512F/DQ/VL host must run the kernel on every ring";
+  } else {
+    EXPECT_EQ(ran_blocks, 0u);
   }
 }
 
@@ -664,6 +818,25 @@ TEST(GraphBuilder, RejectsBadSpecs) {
   spec.presence = 1.0;
   spec.exponent = -1.0;
   EXPECT_THROW(build_overlay(spec, rng), std::invalid_argument);
+}
+
+TEST(GraphBuilder, HopelessPresenceThrowsWithinItsDrawBudget) {
+  // Presence so small that no pass yields two nodes. Every drawn point
+  // takes one rng step, so the rng after the throw tells how many were
+  // drawn: one pass on a grid of kMaxPresencePoints points, where the old
+  // rule drew 1024 passes, and all kMaxPresencePasses passes on two points.
+  const auto expect_draws = [](std::uint64_t grid_size, std::uint64_t draws) {
+    const BuildSpec spec{.grid_size = grid_size, .presence = 1e-300};
+    util::Rng rng(45);
+    util::Rng drawn(45);
+    for (std::uint64_t i = 0; i < draws; ++i) drawn();
+    EXPECT_THROW(static_cast<void>(build_overlay(spec, rng)), std::invalid_argument)
+        << grid_size << " points";
+    EXPECT_EQ(rng.state(), drawn.state()) << grid_size << " points";
+  };
+  expect_draws(kMaxPresencePoints, kMaxPresencePoints);
+  expect_draws(kMaxPresencePoints / 2 + 1, 2 * (kMaxPresencePoints / 2 + 1));
+  expect_draws(2, 2 * kMaxPresencePasses);
 }
 
 TEST(GraphBuilder, RejectsTorusTopologyAndNamesTheTorusBuilder) {
