@@ -344,16 +344,16 @@ std::vector<metric::Point> draw_present_positions(std::uint64_t grid_size,
   // once. (Theorem 17's analysis assumes a non-degenerate network.) The
   // re-draws stop at kMaxPresencePasses passes or once kMaxPresencePoints
   // points have been drawn, so a hopeless spec on a large grid throws after
-  // one pass rather than after a thousand.
+  // one pass.
   std::uint64_t drawn = 0;
-  for (std::size_t pass = 0; pass < kMaxPresencePasses && (pass == 0 || drawn < kMaxPresencePoints);
-       ++pass) {
+  for (std::size_t pass = 0; pass < kMaxPresencePasses; ++pass) {
     positions.clear();
     for (std::uint64_t p = 0; p < grid_size; ++p) {
       if (rng.next_bool(presence)) positions.push_back(static_cast<metric::Point>(p));
     }
     if (positions.size() >= 2) return positions;
     drawn += grid_size;
+    if (drawn >= kMaxPresencePoints) break;
   }
   util::require(false, "build_overlay: presence too small to populate the grid");
   return positions;  // unreachable

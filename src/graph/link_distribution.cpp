@@ -53,6 +53,7 @@ namespace {
 struct RingTables {
   const detail::GuidedSearch* search;  // the scalar fallback
   const double* p;                     // p[0..m], then kPad +inf
+  std::uint64_t last;                  // m + kPad, p's last index
   const std::uint32_t* guide;          // buckets + 1 entries
   double scale;                        // buckets / p[m]
   double buckets;
@@ -90,18 +91,25 @@ __attribute__((target(P2P_RING_ISA), always_inline)) inline __m512i ring_count_s
 
 /// sample_targets' ring loop with lane i drawing for sources[i]. Each step
 /// is the scalar one in vector form: an xoshiro256++ step and next_double,
-/// the side as a mask, the guide bucket, the bracket check, the count, the
-/// offset's wrap. Every product is a single rounding, as in the scalar
-/// loop, and no product feeds an addition, so no fused multiply-add can
-/// change a bit.
+/// the side as a mask, the guide bucket, a count over kPad entries from the
+/// bucket's first index lo, the offset's wrap. Every product is a single
+/// rounding, as in the scalar loop, and no product feeds an addition, so no
+/// fused multiply-add can change a bit.
+///
+/// The count is trusted where p[lo - 1] <= v < p[lo + kPad]: the table
+/// rises, so the unbounded answer then lies in [lo, lo + kPad] and is lo
+/// plus the count of p[lo..lo + kPad) <= v, whatever the bucket's bracket
+/// (GuidedSearch::upper_bound also checks the bracket's far end, which the
+/// kernel need not load). That check reads two entries beside the count,
+/// not in its chain, so the count's gathers do not wait for it. Elsewhere
+/// the scalar upper_bound answers.
 ///
 /// AddressSanitizer does not instrument gathers, so their bounds are
 /// argued here. Only lanes inside the guide (0 <= x < buckets) gather from
-/// it, at b and b + 1 <= buckets, its last entry. Guide entries are first
-/// indices i >= 1 with p[i] above a bucket edge, at most m + 1 (the first
-/// sentinel): so lo - 1 >= 0 and hi <= m + 1 for the bracket check. The
-/// count runs only on lanes that passed it and reads p[lo + c + j] with
-/// c + j <= 7, so at most p[m + 8] = p[m + kPad], the last sentinel.
+/// it, at b < buckets. Guide entries are first indices i >= 1 with p[i]
+/// above a bucket edge, at most m + 1 (the first sentinel), so lo - 1 >= 0;
+/// the count reads p[lo + c + j] with c + j <= 7, at most p[m + kPad], the
+/// last sentinel; and p[lo + kPad] is read at min(lo + kPad, m + kPad).
 __attribute__((target(P2P_RING_ISA))) void ring_block_avx512(
     const RingTables& t, util::Rng* rngs, const metric::Point* sources, std::size_t count,
     NodeId* out) {
@@ -127,6 +135,7 @@ __attribute__((target(P2P_RING_ISA))) void ring_block_avx512(
   const __m512i izero = _mm512_setzero_si512();
   const __m512i one = _mm512_set1_epi64(1);
   const __m512i pad = _mm512_set1_epi64(detail::GuidedSearch::kPad);
+  const __m512i last = _mm512_set1_epi64(static_cast<long long>(t.last));
   const __m512i half = _mm512_set1_epi64(static_cast<long long>(t.half));
   const __m512i n = _mm512_set1_epi64(static_cast<long long>(t.n));
   const __m512i invalid = _mm512_set1_epi64(kInvalidNode);
@@ -151,29 +160,27 @@ __attribute__((target(P2P_RING_ISA))) void ring_block_avx512(
     const __m512i limit = _mm512_mask_sub_epi64(half, ccw & even, half, one);
     const __m512d v = _mm512_mask_sub_pd(u, ccw, u, mass_cw);
 
-    // GuidedSearch::upper_bound: the bucket, its bracket and the check.
+    // GuidedSearch::upper_bound: the bucket, its first index and the check.
     const __m512d x = _mm512_mul_pd(v, scale);
     const __mmask8 guided =
         _mm512_cmp_pd_mask(x, zero, _CMP_GE_OQ) & _mm512_cmp_pd_mask(x, buckets, _CMP_LT_OQ);
     const __m512i b = _mm512_maskz_cvttpd_epu64(guided, x);
     const __m512i lo = _mm512_cvtepu32_epi64(
         _mm512_mask_i64gather_epi32(_mm256_setzero_si256(), guided, b, t.guide, 4));
-    const __m512i hi = _mm512_cvtepu32_epi64(_mm512_mask_i64gather_epi32(
-        _mm256_setzero_si256(), guided, _mm512_add_epi64(b, one), t.guide, 4));
     const __m512d below = _mm512_mask_i64gather_pd(zero, guided, _mm512_sub_epi64(lo, one), t.p, 8);
-    const __m512d above = _mm512_mask_i64gather_pd(zero, guided, hi, t.p, 8);
+    const __m512d beyond = _mm512_mask_i64gather_pd(
+        zero, guided, _mm512_min_epu64(_mm512_add_epi64(lo, pad), last), t.p, 8);
     const __mmask8 ok = _mm512_mask_cmp_pd_mask(guided, below, v, _CMP_LE_OQ) &
-                        _mm512_cmp_pd_mask(above, v, _CMP_GT_OQ) &
-                        _mm512_cmple_epu64_mask(_mm512_sub_epi64(hi, lo), pad);
+                        _mm512_cmp_pd_mask(beyond, v, _CMP_GT_OQ);
 
     // The count of p[lo..lo + 7] <= v: the entries rise, so it is the
     // first index past v, found in steps of 4, 2 and 1 (0..7), and a last
     // step of 1 for 8. Four gathers where a plain count takes eight.
     __m512i c = izero;
-    c = ring_count_step(t.p, c, ok, lo, v, 3, 4);
-    c = ring_count_step(t.p, c, ok, lo, v, 1, 2);
-    c = ring_count_step(t.p, c, ok, lo, v, 0, 1);
-    c = ring_count_step(t.p, c, ok, lo, v, 0, 1);
+    c = ring_count_step(t.p, c, guided, lo, v, 3, 4);
+    c = ring_count_step(t.p, c, guided, lo, v, 1, 2);
+    c = ring_count_step(t.p, c, guided, lo, v, 0, 1);
+    c = ring_count_step(t.p, c, guided, lo, v, 0, 1);
     __m512i d = _mm512_min_epu64(_mm512_add_epi64(lo, c), limit);
 
     const auto fallback = static_cast<unsigned>(static_cast<__mmask8>(~ok));
@@ -336,6 +343,7 @@ bool PowerLawLinkSampler::sample_ring_block(util::Rng* rngs, const metric::Point
   const metric::Distance half = space_.size() / 2;
   const RingTables tables{&search_,
                           search_.table_.data(),
+                          search_.table_.size() - 1,
                           search_.guide_.data(),
                           search_.scale_,
                           static_cast<double>(search_.buckets()),

@@ -156,15 +156,15 @@ class PowerLawLinkSampler {
   /// sample_targets(rngs[i], sources[i], ...), and writes them to
   /// out[i * count, (i + 1) * count) as node ids (a node's id is its
   /// position), with a target equal to its source written as kInvalidNode.
-  /// The lanes run in AVX-512 registers; a lane whose guide bracket fails
-  /// its check or is wider than GuidedSearch::kPad resolves that draw with
-  /// the scalar GuidedSearch::upper_bound, so every target equals the
-  /// per-node loop's. Returns false, drawing and writing nothing, when the
+  /// The lanes run in AVX-512 registers and count GuidedSearch::kPad table
+  /// entries from the guide's first index; a lane whose answer the count
+  /// cannot prove resolves that draw with the scalar
+  /// GuidedSearch::upper_bound, so every target equals the per-node loop's. Returns false, drawing and writing nothing, when the
   /// kernel cannot run: not a ring, a ring too large for node ids, an
   /// unguided table, or a CPU without AVX-512F/DQ/VL. Precondition: every
   /// source lies in space() (throws std::invalid_argument otherwise).
-  bool sample_ring_block(util::Rng* rngs, const metric::Point* sources, std::size_t count,
-                         NodeId* out) const;
+  [[nodiscard]] bool sample_ring_block(util::Rng* rngs, const metric::Point* sources,
+                                       std::size_t count, NodeId* out) const;
 
   /// Exact probability that `target` is drawn for `source` (for tests).
   [[nodiscard]] double probability(metric::Point source, metric::Point target) const;
