@@ -98,18 +98,19 @@ __attribute__((target(P2P_RING_ISA), always_inline)) inline __m512i ring_count_s
 ///
 /// The count is trusted where p[lo - 1] <= v < p[lo + kPad]: the table
 /// rises, so the unbounded answer then lies in [lo, lo + kPad] and is lo
-/// plus the count of p[lo..lo + kPad) <= v, whatever the bucket's bracket
-/// (GuidedSearch::upper_bound also checks the bracket's far end, which the
-/// kernel need not load). That check reads two entries beside the count,
-/// not in its chain, so the count's gathers do not wait for it. Elsewhere
-/// the scalar upper_bound answers.
+/// plus the count of p[lo..lo + kPad) <= v. GuidedSearch::upper_bound
+/// checks the bucket's bracket instead; this check needs no second guide
+/// entry, holds in brackets wider than kPad too, and reads its two entries
+/// beside the count's chain, so the count's gathers do not wait for it.
+/// Every other lane takes the scalar upper_bound.
 ///
 /// AddressSanitizer does not instrument gathers, so their bounds are
 /// argued here. Only lanes inside the guide (0 <= x < buckets) gather from
 /// it, at b < buckets. Guide entries are first indices i >= 1 with p[i]
 /// above a bucket edge, at most m + 1 (the first sentinel), so lo - 1 >= 0;
 /// the count reads p[lo + c + j] with c + j <= 7, at most p[m + kPad], the
-/// last sentinel; and p[lo + kPad] is read at min(lo + kPad, m + kPad).
+/// last sentinel; and p[lo + kPad] is read at min(lo + kPad, m + kPad)
+/// (every entry past m is +inf, so the clamp changes no comparison).
 __attribute__((target(P2P_RING_ISA))) void ring_block_avx512(
     const RingTables& t, util::Rng* rngs, const metric::Point* sources, std::size_t count,
     NodeId* out) {

@@ -394,8 +394,9 @@ TEST(PowerLawLinkSampler, RingBlockKernelMatchesPerNodeDraws) {
   };
   // Rings below eight nodes, where lanes repeat sources; rings whose tables
   // sit in L1; lookup's ring; and one past 2^21 nodes, where kMaxBuckets
-  // caps the guide, its buckets span several entries, and lanes whose
-  // bracket is wider than kPad fall back to the scalar search.
+  // caps the guide, its buckets span several entries, and more lanes draw
+  // past the kPad entries the kernel counts and fall back to the scalar
+  // search.
   const std::uint64_t sizes[] = {2, 3, 4, 5, 9, 4096, 4097, 1u << 19, (1u << 21) + 1001};
   for (const std::uint64_t n : sizes) {
     for (const double r : {0.0, 1.0, 2.0, 40.0}) {
@@ -418,9 +419,10 @@ TEST(PowerLawLinkSampler, RingBlockKernelMatchesPerNodeDraws) {
       if (n > 4097) continue;
       // Draws placed at the boundaries: u within two steps of every prefix
       // entry and bucket edge on either side of the ring. They reach the
-      // guide's first and last brackets (lo - 1 = 0; lo near m + 1, whose
-      // count reads the sentinels), every bracket edge, and any draw where
-      // rounding in the bucket arithmetic would fail the bracket check.
+      // guide's first and last buckets (lo - 1 = 0; lo near m + 1, whose
+      // count reads the sentinels), the edges of every counted window, and
+      // any draw where rounding in the bucket arithmetic would fail the
+      // kernel's check.
       const std::vector<double> prefix = power_law_prefix(space, r);
       const std::size_t half = n / 2;
       const double antipode = n % 2 == 0 ? std::pow(static_cast<double>(half), -r) : 0.0;
