@@ -1,6 +1,9 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -178,76 +181,129 @@ void GraphBuilder::make_bidirectional() { add_missing_reverses(nullptr); }
 
 void GraphBuilder::make_bidirectional(util::ThreadPool& pool) { add_missing_reverses(&pool); }
 
+std::size_t GraphBuilder::transpose_block_nodes(std::size_t n) noexcept {
+  std::uint64_t block = std::uint64_t{1} << 12;
+  while (block < (std::uint64_t{1} << 16) && block * block < n) block <<= 1;
+  return static_cast<std::size_t>(block);
+}
+
 void GraphBuilder::add_missing_reverses(util::ThreadPool* pool) {
   if (closed_) return;  // every reverse is already in
   closed_ = true;
   const std::size_t n = node_count_;
   short_.seal(n);
   long_.seal(n);
-  // Transpose the long links by counting sort, chunked by source. Chunk c
-  // first counts its sources' links into its row of `cursor`; the prefix
-  // sum, in (target, chunk) order, then turns each count into the chunk's
-  // first slot within the target's range, so every chunk fills a disjoint
-  // part of it, all in ascending source order. Afterwards
-  // reverse_.targets[offsets[v], offsets[v + 1]) lists every u with a long
-  // link u -> v, ascending in u, for any chunk count.
-  const std::size_t chunks =
-      fans(pool, n) ? std::min(pool->thread_count(), kTransposeChunks) : 1;
-  const std::size_t per_chunk = (n + chunks - 1) / chunks;
-  detail::NoFillVector<std::uint32_t> cursor(chunks * n);
-  const auto over_chunks = [&](bool zero_row, auto&& body) {
-    const auto run_chunk = [&](std::size_t c) {
-      std::uint32_t* const row = cursor.data() + c * n;
-      if (zero_row) std::fill_n(row, n, 0u);  // each chunk clears its own row
-      for (std::size_t u = c * per_chunk; u < std::min(n, (c + 1) * per_chunk); ++u) {
-        for (const NodeId v : long_.slice(u)) body(row, static_cast<NodeId>(u), v);
-      }
+  reverse_.offsets.resize(n + 1);
+  // Transpose the long links in blocks of B nodes, so that every pass
+  // streams: a link u -> v goes from source block a = u / B to target block
+  // b = v / B. `cursor[a * blocks + b]` first counts a's links into b; the
+  // prefix sum in (b, a) order then makes it the first slot of sub-bucket
+  // (a, b), so target block b's region of the reverse run holds exactly its
+  // links, sub-bucketed by source block in ascending a.
+  const std::size_t block = transpose_block_nodes(n);
+  const auto shift = static_cast<unsigned>(std::countr_zero(block));
+  const NodeId mask = static_cast<NodeId>(block - 1);
+  const std::size_t blocks = (n + block - 1) >> shift;
+  // Every pass runs body(block, worker) once per block: `workers` workers
+  // each claim the next unclaimed block, so a worker's scratch is its own.
+  const std::size_t workers = fans(pool, n) ? std::min(pool->thread_count(), blocks) : 1;
+  const auto over_blocks = [&](const std::function<void(std::size_t, std::size_t)>& body) {
+    std::atomic<std::size_t> claimed{0};
+    const auto work = [&](std::size_t w) {
+      for (std::size_t b = claimed++; b < blocks; b = claimed++) body(b, w);
     };
-    if (chunks == 1) {
-      run_chunk(0);
+    if (workers > 1) {
+      pool->parallel_for(workers, work);
     } else {
-      pool->parallel_for(chunks, run_chunk);
+      work(0);
     }
   };
-  over_chunks(true, [](std::uint32_t* row, NodeId, NodeId v) { ++row[v]; });
-  reverse_.offsets.resize(n + 1);
-  std::uint32_t total = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    reverse_.offsets[v] = total;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::uint32_t count = cursor[c * n + v];
-      cursor[c * n + v] = total;
-      total += count;
+  const auto nodes_of = [&](std::size_t a) {
+    return std::pair{a * block, std::min(n, (a + 1) * block)};
+  };
+  detail::NoFillVector<std::uint32_t> cursor(blocks * blocks);
+  over_blocks([&](std::size_t a, std::size_t) {
+    std::uint32_t* const row = cursor.data() + a * blocks;
+    std::fill_n(row, blocks, 0u);
+    const auto [lo, hi] = nodes_of(a);
+    const NodeId* const last = long_.targets.data() + long_.offsets[hi];
+    for (const NodeId* v = long_.targets.data() + long_.offsets[lo]; v != last; ++v) {
+      ++row[*v >> shift];
+    }
+  });
+  // region[b]: the first slot of target block b. Both sweeps read the table
+  // row by row.
+  std::vector<std::uint32_t> region(blocks + 1, 0);
+  for (std::size_t a = 0; a < blocks; ++a) {
+    for (std::size_t b = 0; b < blocks; ++b) region[b + 1] += cursor[a * blocks + b];
+  }
+  for (std::size_t b = 0; b < blocks; ++b) region[b + 1] += region[b];
+  std::vector<std::uint32_t> next(region.begin(), region.end() - 1);
+  for (std::size_t a = 0; a < blocks; ++a) {
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::uint32_t count = cursor[a * blocks + b];
+      cursor[a * blocks + b] = next[b];
+      next[b] += count;
     }
   }
-  reverse_.offsets[n] = total;
-  reverse_.targets.resize(total);
-  NodeId* const sources = reverse_.targets.data();
-  over_chunks(false,
-              [sources](std::uint32_t* row, NodeId u, NodeId v) { sources[row[v]++] = u; });
-  cursor = {};
+  // Each source block writes its links, ascending in u, to its sub-buckets
+  // as (u mod B) | (v mod B) << 16; afterwards its cursors mark the
+  // sub-buckets' ends.
+  reverse_.targets.resize(region[blocks]);
+  std::uint32_t* const packed = reverse_.targets.data();
+  over_blocks([&](std::size_t a, std::size_t) {
+    std::uint32_t* const row = cursor.data() + a * blocks;
+    const auto [lo, hi] = nodes_of(a);
+    for (std::size_t u = lo; u < hi; ++u) {
+      const auto low = static_cast<std::uint32_t>(u & mask);
+      for (const NodeId v : long_.slice(u)) packed[row[v >> shift]++] = low | (v & mask) << 16;
+    }
+  });
 
-  // Walking u in ascending order and adding v -> u for each long link
-  // u -> v unless v already links to u appends to v exactly the distinct
-  // sources u, ascending, that v's short and long links lack: no reverse
-  // added on the way is one a later check tests. So each node decides
-  // alone, compacting its survivors to the front of its own range.
-  detail::NoFillVector<std::uint32_t> kept(n);
-  const auto decide = [&](std::size_t lo, std::size_t hi) {
+  // Each target block then sorts its region by v mod B into a scratch,
+  // reading the sub-buckets in ascending a, so every target's sources come
+  // out ascending, and decides them node by node. Walking u in ascending
+  // order and adding v -> u for each long link u -> v unless v already
+  // links to u appends to v exactly the distinct sources u, ascending, that
+  // v's short and long links lack: no reverse added on the way is one a
+  // later check tests. So each node decides alone; its survivors are
+  // compacted to the front of the block's region, and `kept[b]` counts them.
+  std::vector<std::uint32_t> kept(blocks);
+  const auto sort_and_decide = [&](std::size_t b, NodeId* scratch, std::uint32_t* ends) {
+    const auto [lo, hi] = nodes_of(b);
+    const std::size_t width = hi - lo;
+    // ends[v mod B] counts v's sources, then holds their first slot in the
+    // scratch, which the scatter advances to the range's end.
+    std::fill_n(ends, width, 0u);
+    for (std::uint32_t i = region[b]; i < region[b + 1]; ++i) ++ends[packed[i] >> 16];
+    std::uint32_t sum = 0;
+    for (std::size_t v = 0; v < width; ++v) {
+      const std::uint32_t count = ends[v];
+      ends[v] = sum;
+      sum += count;
+    }
+    std::uint32_t i = region[b];
+    for (std::size_t a = 0; a < blocks; ++a) {
+      const auto high = static_cast<NodeId>(a << shift);
+      for (const std::uint32_t end = cursor[a * blocks + b]; i < end; ++i) {
+        scratch[ends[packed[i] >> 16]++] = high | (packed[i] & 0xFFFFu);
+      }
+    }
+    NodeId* const front = packed + region[b];
+    NodeId* out = front;
     for (std::size_t v = lo; v < hi; ++v) {
+      reverse_.offsets[v] = static_cast<std::uint32_t>(out - packed);
       const auto shorts = short_.slice(v);
       const auto longs = long_.slice(v);
-      NodeId* const first = sources + reverse_.offsets[v];
-      NodeId* const last = sources + reverse_.offsets[v + 1];
       // A 256-bit filter of v's own links: a source whose bit is clear is
       // certainly not among them, so only the few whose bit is set scan.
       std::uint64_t filter[4] = {};
       const auto bit = [](NodeId x) { return std::uint64_t{1} << (x & 63); };
       for (const NodeId x : shorts) filter[(x >> 6) & 3] |= bit(x);
       for (const NodeId x : longs) filter[(x >> 6) & 3] |= bit(x);
-      NodeId* out = first;
       NodeId previous = kInvalidNode;  // no source is kInvalidNode
-      for (const NodeId* it = first; it != last; ++it) {
+      const NodeId* const last = scratch + ends[v - lo];
+      for (const NodeId* it = v == lo ? scratch : scratch + ends[v - lo - 1]; it != last; ++it) {
         const NodeId u = *it;
         bool keep = u != previous;
         previous = u;
@@ -258,30 +314,40 @@ void GraphBuilder::add_missing_reverses(util::ThreadPool* pool) {
           for (const NodeId x : longs) present |= static_cast<unsigned>(x == u);
           keep &= present == 0;
         }
-        *out = u;  // out never passes it, so this overwrites a read source
+        *out = u;  // the region was read into the scratch, so out can overwrite it
         out += static_cast<std::ptrdiff_t>(keep);
       }
-      kept[v] = static_cast<std::uint32_t>(out - first);
     }
+    kept[b] = static_cast<std::uint32_t>(out - front);
   };
-  if (fans(pool, n)) {
-    pool->parallel_chunks(n, pool->thread_count() * 8, decide);
-  } else {
-    decide(0, n);
+  // A scratch per worker for the largest target block's links, and B
+  // counters. The calling thread allocates them, so no worker thread's heap
+  // keeps their pages once they are freed.
+  std::size_t largest = 0;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    largest = std::max<std::size_t>(largest, region[b + 1] - region[b]);
   }
-  // Close the gaps the rejected sources left, front to back: a node's
-  // survivors only ever move down.
+  detail::NoFillVector<NodeId> scratch(workers * largest);
+  detail::NoFillVector<std::uint32_t> counters(workers * block);
+  over_blocks([&](std::size_t b, std::size_t w) {
+    sort_and_decide(b, scratch.data() + w * largest, counters.data() + w * block);
+  });
+  // Close the gaps the rejected sources left, block by block from the
+  // front: a block's survivors only ever move down.
   std::uint32_t out = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::uint32_t first = reverse_.offsets[v];
-    reverse_.offsets[v] = out;
-    if (out != first) std::copy_n(sources + first, kept[v], sources + out);
-    out += kept[v];
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::uint32_t first = region[b];
+    if (out != first) {
+      std::copy_n(packed + first, kept[b], packed + out);
+      const auto [lo, hi] = nodes_of(b);
+      for (std::size_t v = lo; v < hi; ++v) reverse_.offsets[v] -= first - out;
+    }
+    out += kept[b];
   }
   reverse_.offsets[n] = out;
   // The slots past the survivors are never read again: hand their pages
   // back now rather than when the freeze frees the run.
-  util::release_pages(sources + out, sources + reverse_.targets.size());
+  util::release_pages(packed + out, packed + reverse_.targets.size());
   reverse_.targets.resize(out);
 }
 

@@ -11,8 +11,11 @@
 // block the runs' pages go back to the OS, so a build peaks at about the
 // runs alone, not the runs plus a copy. Building costs O(nodes + links) time
 // and a few words per link, with no per-node heap block. No pass fills a
-// buffer it is about to overwrite (the runs and the freeze's scratch are
-// detail::NoFillVectors). A graph that must change (§5 maintenance, test
+// buffer it is about to overwrite: the runs' targets are
+// util::NoFillHpVectors, whose blocks of 1 MiB or more sit on 2 MiB pages
+// (a 2^19-node build then takes a few thousand page faults, not tens of
+// thousands), and the offsets arrays and scratch are heap
+// detail::NoFillVectors. A graph that must change (§5 maintenance, test
 // fixtures) is rebuilt through a new builder.
 //
 // build_overlay realizes the random graph of §4.3 directly: every node links
@@ -28,14 +31,17 @@
 #include "graph/link_distribution.h"
 #include "graph/overlay_graph.h"
 #include "metric/space.h"
+#include "util/arena.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace p2p::graph {
 
-/// A row-major long-link table for GraphBuilder::add_long_links. Its
-/// resize() leaves the entries unwritten: the sampler writes every one.
-using LinkTable = detail::NoFillVector<NodeId>;
+/// A row-major long-link table for GraphBuilder::add_long_links, and the
+/// storage of every builder run. Its resize() leaves the entries unwritten
+/// (the sampler writes every one), and a table of 1 MiB or more is mapped on
+/// transparent huge pages (util::NoFillHugePageAllocator).
+using LinkTable = util::NoFillHpVector<NodeId>;
 
 /// First phase of overlay construction; freeze() yields the CSR
 /// OverlayGraph. Each kind of link is appended in node order, and no short
@@ -108,23 +114,30 @@ class GraphBuilder {
   /// whole overlay usable in both directions (see BuildSpec::bidirectional).
   /// Node v gains v -> u for each distinct u with a long link u -> v that
   /// v's links so far lack, in ascending u. Cost O(nodes + links · degree)
-  /// at worst, O(nodes + links) as a rule: a counting-sort transpose of the
-  /// long links, then one pass per node over its sources, where a 256-bit
-  /// filter of the node's own links clears most sources without scanning
-  /// them. Afterwards no link can be added; a second call adds nothing.
+  /// at worst, O(nodes + links) as a rule: a transpose of the long links in
+  /// blocks of transpose_block_nodes(n) nodes, whose last pass sorts each
+  /// target block's sources in cache and decides them node by node, where a
+  /// 256-bit filter of the node's own links clears most sources without
+  /// scanning them. Memory beside the runs: a count per (source block,
+  /// target block), at most ⌈√n⌉² u32, about 4 bytes per node; and one
+  /// scratch per worker, sized to the largest block's long links plus a
+  /// counter per block node (~0.3 MiB on a 2^19-node ring with 19 long
+  /// links per node). Afterwards no link can be added; a second call adds
+  /// nothing.
   void make_bidirectional();
 
-  /// As make_bidirectional(), fanning the transpose and the per-node
-  /// decisions across `pool`. The transpose splits the sources into at most
-  /// kTransposeChunks chunks (one per thread up to that cap), each with its
-  /// own row of n slot cursors, so the cursors cost at most
-  /// 4 · kTransposeChunks bytes per node whatever the thread count. Chunks
-  /// fill disjoint ascending parts of every target's sources, so the result
-  /// is bit-identical to the serial overload for any chunk count.
+  /// As make_bidirectional(), fanning the transpose's three passes (over
+  /// source blocks, then target blocks) across `pool`. Every block's output
+  /// lands at an offset fixed by the counts, so the result is bit-identical
+  /// to the serial overload for any thread count.
   void make_bidirectional(util::ThreadPool& pool);
 
-  /// Cap on make_bidirectional's transpose chunks.
-  static constexpr std::size_t kTransposeChunks = 4;
+  /// Nodes per block of make_bidirectional's transpose on an n-node
+  /// builder: the least power of two B with B² >= n, clamped to
+  /// [2^12, 2^16]. The (source block, target block) count table then has at
+  /// most ⌈√n⌉² entries, a link packs both its in-block ends into one u32,
+  /// and a target block's sort (B counters plus its sources) stays in L2.
+  [[nodiscard]] static std::size_t transpose_block_nodes(std::size_t n) noexcept;
 
   /// Streams the accumulated links into a frozen OverlayGraph in `layout`
   /// (kStandard: the 64-byte-header CSR with inline/spill replicas; kCompact:
@@ -254,8 +267,7 @@ struct BuildSpec {
 [[nodiscard]] OverlayGraph build_overlay(const BuildSpec& spec, util::Rng& rng);
 
 /// As above, fanning the long-link sampling loop, make_bidirectional's
-/// transpose and per-node decisions, and the freeze's per-block passes across
-/// `pool`.
+/// transpose passes, and the freeze's per-block passes across `pool`.
 /// Bit-identical to the serial overload for any thread count.
 /// Must not be called from inside a task already running on `pool`.
 [[nodiscard]] OverlayGraph build_overlay(const BuildSpec& spec, util::Rng& rng,

@@ -8,10 +8,26 @@
 #include <unistd.h>
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace p2p::util {
 
 namespace {
 constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+#if defined(__SANITIZE_ADDRESS__)
+/// Poisoned page past every allocator block, so a read just past a block
+/// that ends on a mapping boundary lands on it rather than on the next map.
+constexpr std::size_t kGuardBytes = 4096;
+#else
+constexpr std::size_t kGuardBytes = 0;
+#endif
+
+std::size_t block_mapping_bytes(std::size_t bytes) noexcept {
+  return round_up_huge(bytes + kGuardBytes);
+}
 }  // namespace
 
 std::size_t round_up_huge(std::size_t bytes) noexcept {
@@ -43,6 +59,25 @@ void unmap_huge(void* p, std::size_t bytes) noexcept {
 #endif
 }
 
+void* map_block(std::size_t bytes) noexcept {
+  void* p = map_huge(block_mapping_bytes(bytes));
+#if defined(__SANITIZE_ADDRESS__)
+  if (p != nullptr) {
+    __asan_poison_memory_region(static_cast<char*>(p) + bytes,
+                                block_mapping_bytes(bytes) - bytes);
+  }
+#endif
+  return p;
+}
+
+void unmap_block(void* p, std::size_t bytes) noexcept {
+#if defined(__SANITIZE_ADDRESS__)
+  // The next mapping at this address must not inherit the poison.
+  if (p != nullptr) __asan_unpoison_memory_region(p, block_mapping_bytes(bytes));
+#endif
+  unmap_huge(p, block_mapping_bytes(bytes));
+}
+
 void* release_pages(void* begin, void* end) noexcept {
 #if defined(__linux__)
   static const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
@@ -54,6 +89,9 @@ void* release_pages(void* begin, void* end) noexcept {
   if (lo >= hi) return begin;
 #if defined(__linux__)
   (void)::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+  __asan_poison_memory_region(reinterpret_cast<void*>(lo), hi - lo);
 #endif
   return reinterpret_cast<void*>(hi);
 }

@@ -11,11 +11,21 @@
 // `HugePageAllocator<T>` applies the same policy to std::vector storage
 // (FailureView bitsets / alive-byte sidebands): allocations of >= 1 MiB go
 // through mmap + MADV_HUGEPAGE, smaller ones through plain operator new.
+// `NoFillHugePageAllocator<T>` does the same for buffers whose every slot is
+// written before it is read (GraphBuilder's link runs): its resize() leaves
+// trivial elements unwritten.
+//
+// Under AddressSanitizer a mapped block carries one extra 4 KiB page, and
+// every byte past the requested ones is poisoned, so a read past the end of
+// a vector's storage is reported as it would be on the heap; release_pages
+// poisons the pages it drops.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace p2p::util {
@@ -33,10 +43,18 @@ namespace p2p::util {
 /// Releases a map_huge mapping (no-op on nullptr).
 void unmap_huge(void* p, std::size_t bytes) noexcept;
 
+/// Mapping of at least `bytes` for one allocator block: map_huge of the
+/// rounded size (plus a poisoned guard page under ASan), or nullptr.
+[[nodiscard]] void* map_block(std::size_t bytes) noexcept;
+
+/// Releases a map_block mapping of the same `bytes`.
+void unmap_block(void* p, std::size_t bytes) noexcept;
+
 /// Hands the physical pages lying wholly inside [begin, end) back to the OS
 /// (MADV_DONTNEED on Linux, a no-op elsewhere) for memory the caller will
 /// never read again: the bytes of the range outside those pages are
-/// untouched, and the dropped ones read back unspecified. Returns the end of
+/// untouched, and the dropped ones read back unspecified (under ASan, any
+/// access to them is reported until the block is freed). Returns the end of
 /// the dropped pages, or `begin` when no whole page fits, so a buffer
 /// consumed front to back is released by calling it again from the returned
 /// address each time its consumed prefix grows.
@@ -125,7 +143,7 @@ struct HugePageAllocator {
     if (bytes >= kMmapThreshold) {
       // A failed anonymous mmap is genuine address-space exhaustion; do not
       // fall back to operator new — deallocate would munmap a heap pointer.
-      if (void* p = map_huge(round_up_huge(bytes))) return static_cast<T*>(p);
+      if (void* p = map_block(bytes)) return static_cast<T*>(p);
       throw std::bad_alloc();
     }
 #endif
@@ -136,7 +154,7 @@ struct HugePageAllocator {
     const std::size_t bytes = n * sizeof(T);
 #if defined(__linux__)
     if (bytes >= kMmapThreshold) {
-      unmap_huge(p, round_up_huge(bytes));
+      unmap_block(p, bytes);
       return;
     }
 #endif
@@ -158,5 +176,29 @@ bool operator!=(const HugePageAllocator<T>&,
 /// Vector whose backing store is huge-page-mapped once it crosses 1 MiB.
 template <class T>
 using HpVector = std::vector<T, HugePageAllocator<T>>;
+
+/// HugePageAllocator, except that a value-less construct default-initialises,
+/// so resize() leaves trivial elements unwritten: no fill pass, and a block's
+/// pages are first touched by whichever thread writes them. (HugePageAllocator
+/// itself value-initialises; FailureView's bitsets rely on that.)
+template <class T>
+struct NoFillHugePageAllocator : HugePageAllocator<T> {
+  NoFillHugePageAllocator() noexcept = default;
+  template <class U>
+  NoFillHugePageAllocator(const NoFillHugePageAllocator<U>&) noexcept {}  // NOLINT
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// HpVector whose resize() does not fill (see NoFillHugePageAllocator).
+template <class T>
+using NoFillHpVector = std::vector<T, NoFillHugePageAllocator<T>>;
 
 }  // namespace p2p::util

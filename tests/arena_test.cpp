@@ -7,11 +7,16 @@
 //    reuses them without growing the reservation;
 //  * move construction/assignment transfer ownership and leave the source
 //    empty;
-//  * HpVector storage works on both sides of the 1 MiB mmap threshold;
+//  * HpVector storage works on both sides of the 1 MiB mmap threshold, and
+//    so does NoFillHpVector's (blocks of threshold - 1, threshold and
+//    threshold + 1 bytes, and push_back growth across the threshold);
 //  * release_pages drops only the whole pages inside its range and resumes
-//    where the previous call stopped.
+//    where the previous call stopped;
+//  * under AddressSanitizer, a read just past a mapped block or of a
+//    released page is reported (death tests, skipped in other builds).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <utility>
@@ -21,6 +26,10 @@
 
 #if defined(__linux__)
 #include <unistd.h>
+#endif
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
 #endif
 
 namespace p2p::util {
@@ -188,6 +197,73 @@ TEST(HugePageAllocator, SmallAndLargeBlocks) {
                HugePageAllocator<std::uint32_t>());
 }
 
+TEST(NoFillHugePageAllocator, BlocksAroundTheThresholdRoundTrip) {
+  constexpr std::size_t kThreshold = NoFillHugePageAllocator<std::uint8_t>::kMmapThreshold;
+  for (const std::size_t bytes : {kThreshold - 1, kThreshold, kThreshold + 1}) {
+    NoFillHpVector<std::uint8_t> v(bytes);
+    for (std::size_t i = 0; i < bytes; ++i) v[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      ASSERT_EQ(v[i], static_cast<std::uint8_t>(i * 7 + 3)) << bytes << " bytes, index " << i;
+    }
+    NoFillHpVector<std::uint8_t> moved = std::move(v);
+    EXPECT_EQ(moved.size(), bytes);
+    EXPECT_EQ(moved.back(), static_cast<std::uint8_t>((bytes - 1) * 7 + 3));
+  }
+}
+
+TEST(NoFillHugePageAllocator, PushBackAcrossTheThresholdKeepsContents) {
+  // GraphBuilder's runs grow by push_back in base-b and torus builds; the
+  // reallocation that crosses 1 MiB moves them from the heap to a mapping.
+  constexpr std::size_t kWords =
+      NoFillHugePageAllocator<std::uint32_t>::kMmapThreshold / sizeof(std::uint32_t);
+  NoFillHpVector<std::uint32_t> grow;
+  for (std::uint32_t i = 0; i < 3 * kWords + 5; ++i) grow.push_back(i ^ 0x5A5Au);
+  ASSERT_GE(grow.capacity() * sizeof(std::uint32_t),
+            NoFillHugePageAllocator<std::uint32_t>::kMmapThreshold);
+  for (std::uint32_t i = 0; i < grow.size(); ++i) ASSERT_EQ(grow[i], i ^ 0x5A5Au) << i;
+  // A resize() past the end leaves the new slots to the caller; the old
+  // ones survive it.
+  grow.resize(grow.size() + 100);
+  for (std::uint32_t i = 0; i < 3 * kWords + 5; i += 997) ASSERT_EQ(grow[i], i ^ 0x5A5Au) << i;
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAsan = true;
+#else
+constexpr bool kAsan = false;
+#endif
+
+/// Reads *p so that the compiler cannot drop the load.
+std::uint32_t read_word(const std::uint32_t* p) {
+  return *static_cast<const volatile std::uint32_t*>(p);
+}
+
+TEST(HugePageAllocatorDeathTest, ReadPastAMappedBlockIsReported) {
+  if (!kAsan) GTEST_SKIP() << "needs AddressSanitizer";
+  // 2 MiB exactly: the block ends on a huge-page boundary, so only the
+  // guard page lies past it.
+  constexpr std::size_t kWords = (std::size_t{2} << 20) / sizeof(std::uint32_t);
+  for (const std::size_t words : {kWords, kWords + 3}) {
+    NoFillHpVector<std::uint32_t> v(words);
+    v.back() = 7;
+    EXPECT_EQ(read_word(v.data() + words - 1), 7u);
+    EXPECT_DEATH((void)read_word(v.data() + words), "AddressSanitizer") << words << " words";
+    HpVector<std::uint32_t> filled(words);
+    EXPECT_DEATH((void)read_word(filled.data() + words), "AddressSanitizer") << words << " words";
+  }
+}
+
+TEST(ReleasePagesDeathTest, ReadOfAReleasedPageIsReported) {
+  if (!kAsan) GTEST_SKIP() << "needs AddressSanitizer";
+  NoFillHpVector<std::uint32_t> v((std::size_t{4} << 20) / sizeof(std::uint32_t));
+  std::fill(v.begin(), v.end(), 1u);
+  std::uint32_t* const mid = v.data() + v.size() / 2;
+  ASSERT_NE(release_pages(v.data(), mid), static_cast<void*>(v.data()));
+  EXPECT_EQ(read_word(mid), 1u);  // the range's end is not dropped
+  EXPECT_DEATH((void)read_word(mid - 1), "AddressSanitizer");
+  EXPECT_DEATH((void)read_word(v.data()), "AddressSanitizer");
+}
+
 TEST(ReleasePages, DropsOnlyWholePagesInsideTheRange) {
 #if defined(__linux__)
   const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
@@ -219,19 +295,26 @@ TEST(ReleasePages, DropsOnlyWholePagesInsideTheRange) {
   EXPECT_EQ(resume, base + 3 * page);
   EXPECT_TRUE(untouched(0, page));
   EXPECT_TRUE(untouched(3 * page, bytes));
-#if defined(__linux__)
-  // Dropped anonymous pages read back zero, which shows they were released.
-  EXPECT_EQ(base[page], 0);
-  EXPECT_EQ(base[3 * page - 1], 0);
+  // Dropped anonymous pages read back zero, which shows they were released;
+  // under ASan they are poisoned instead, and must not be read.
+  const auto dropped = [&](std::size_t i) {
+#if defined(__SANITIZE_ADDRESS__)
+    return __asan_address_is_poisoned(base + i) != 0;
+#elif defined(__linux__)
+    return base[i] == 0;
+#else
+    (void)i;
+    return true;
 #endif
+  };
+  EXPECT_TRUE(dropped(page));
+  EXPECT_TRUE(dropped(3 * page - 1));
 
   // Resuming from the returned address takes page 3 once it is covered.
   EXPECT_EQ(release_pages(resume, base + 4 * page + 1), base + 4 * page);
   EXPECT_TRUE(untouched(4 * page, bytes));
-#if defined(__linux__)
-  EXPECT_EQ(base[3 * page], 0);
-  EXPECT_EQ(base[4 * page - 1], 0);
-#endif
+  EXPECT_TRUE(dropped(3 * page));
+  EXPECT_TRUE(dropped(4 * page - 1));
 }
 
 }  // namespace

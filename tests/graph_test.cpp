@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -18,6 +20,10 @@
 #include "graph/overlay_graph.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 namespace p2p::graph {
 namespace {
@@ -1177,6 +1183,43 @@ TEST(GraphBuilder, HasLinkSeesShortLongAndReverseLinks) {
   EXPECT_FALSE(b.has_link(9, 4));
 }
 
+#if defined(__linux__)
+/// The VmFlags of the /proc/self/smaps mapping that holds p ("" if none).
+std::string vm_flags_of(const void* p) {
+  std::ifstream smaps("/proc/self/smaps");
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  bool inside = false;
+  for (std::string line; std::getline(smaps, line);) {
+    unsigned long lo = 0, hi = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2 && line.find(':') > line.find(' ')) {
+      inside = lo <= addr && addr < hi;
+    } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+      return line;
+    }
+  }
+  return "";
+}
+#endif
+
+TEST(GraphBuilder, LargeLinkTablesSitOnHugePageMappings) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "reads /proc/self/smaps";
+#else
+  constexpr std::size_t kProbe = std::size_t{2} << 20;
+  void* probe = ::mmap(nullptr, kProbe, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(probe, MAP_FAILED);
+  const int refused = ::madvise(probe, kProbe, MADV_HUGEPAGE);
+  ::munmap(probe, kProbe);
+  if (refused != 0) GTEST_SKIP() << "madvise(MADV_HUGEPAGE) is refused here";
+  // 1 MiB is the smallest table that is mapped; its flags carry "hg".
+  LinkTable table(util::NoFillHugePageAllocator<NodeId>::kMmapThreshold / sizeof(NodeId));
+  table.front() = 1;
+  const std::string flags = vm_flags_of(table.data());
+  ASSERT_FALSE(flags.empty());
+  EXPECT_NE((flags + " ").find(" hg "), std::string::npos) << flags;
+#endif
+}
+
 TEST(GraphBuilder, LongLinkTableMatchesSingleAppends) {
   // Row u holds node u's draws; kInvalidNode marks a draw that made no link.
   const LinkTable table = {3, kInvalidNode, kInvalidNode, kInvalidNode, 5, 0,
@@ -1338,19 +1381,52 @@ TEST(GraphBuilderPinned, LookupGraphMatchesReferenceFingerprint) {
   EXPECT_EQ(fingerprint(build_pinned(lookup, &pool)), lookup.fingerprint) << "2 threads";
 }
 
-TEST(GraphBuilderParallel, MorePoolThreadsThanTransposeChunksMatchSerial) {
-  // A pool wider than the transpose's chunk cap: the chunk count, and with
-  // it the cursor table, stops growing, and the graph must not notice.
+TEST(GraphBuilderParallel, AnyPoolWidthMatchesSerialAcrossTransposeBlocks) {
+  // make_bidirectional transposes in blocks of transpose_block_nodes(n)
+  // nodes; pools narrower and wider than the block count, and a ragged last
+  // block, must all give the serial graph.
+  const std::size_t B = GraphBuilder::transpose_block_nodes(4096);
+  for (const std::size_t n : {2 * B - 1, 3 * B + 1234}) {
+    ASSERT_EQ(GraphBuilder::transpose_block_nodes(n), B);
+    GraphBuilder serial = tricky_builder(n, 28);
+    serial.make_bidirectional();
+    const OverlayGraph want = serial.freeze();
+    for (const std::size_t threads : {1u, 2u, 3u, 4u, 16u}) {
+      util::ThreadPool pool(threads);
+      GraphBuilder pooled = tricky_builder(n, 28);
+      pooled.make_bidirectional(pool);
+      expect_graphs_identical(pooled.freeze(pool), want,
+                              "n = " + std::to_string(n) + ", " + std::to_string(threads) +
+                                  " threads");
+    }
+  }
   util::ThreadPool pool(16);
-  ASSERT_GT(pool.thread_count(), GraphBuilder::kTransposeChunks);
   util::Rng rng(2002);
   const BuildSpec ring{.grid_size = 4096, .long_links = 12, .bidirectional = true};
   EXPECT_EQ(fingerprint(build_overlay(ring, rng, pool)), 0x2b7489cebd27de58ULL);
-  GraphBuilder serial = tricky_builder(4096, 28);
-  GraphBuilder pooled = tricky_builder(4096, 28);
-  serial.make_bidirectional();
-  pooled.make_bidirectional(pool);
-  expect_graphs_identical(pooled.freeze(pool), serial.freeze(), "16 threads");
+}
+
+TEST(GraphBuilder, TransposeBlockIsTheLeastPowerOfTwoCoveringTheSquareRoot) {
+  // B is a power of two in [2^12, 2^16] with B² >= n, so the
+  // (source block, target block) count table has at most ⌈√n⌉² entries.
+  const auto block = [](std::uint64_t n) {
+    return static_cast<std::uint64_t>(GraphBuilder::transpose_block_nodes(n));
+  };
+  EXPECT_EQ(block(2), 4096u);
+  EXPECT_EQ(block(std::uint64_t{1} << 12), 4096u);
+  EXPECT_EQ(block(std::uint64_t{1} << 24), 4096u);
+  EXPECT_EQ(block((std::uint64_t{1} << 24) + 1), 8192u);
+  EXPECT_EQ(block(std::numeric_limits<NodeId>::max()), 65536u);
+  for (const std::uint64_t n : {std::uint64_t{2}, std::uint64_t{1} << 12,
+                                (std::uint64_t{1} << 24) + 1, std::uint64_t{100'000'000},
+                                std::uint64_t{std::numeric_limits<NodeId>::max()}}) {
+    const std::uint64_t b = block(n);
+    const std::uint64_t blocks = (n + b - 1) / b;
+    const auto root = static_cast<std::uint64_t>(std::ceil(std::sqrt(static_cast<double>(n))));
+    EXPECT_TRUE(std::has_single_bit(b)) << n;
+    EXPECT_GE(b * b, n) << n;
+    EXPECT_LE(blocks, root) << n;
+  }
 }
 
 }  // namespace
