@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -82,11 +83,10 @@ namespace {
 /// dense, link-check, node-check, sidedness) combination so the common
 /// configurations run with no per-neighbour flag tests at all. It serves
 /// every router the vectorized kernels cannot (no AVX-512, sparse graph,
-/// one-sided, RouterConfig::force_scalar) and compact nodes past
-/// kSimdDecodeCap. Candidates order by (distance-to-target, node id);
-/// duplicate links to the same neighbour collapse. Streaming k-th order
-/// statistic: each round takes the minimum pair strictly greater than the
-/// previous round's.
+/// one-sided, RouterConfig::force_scalar). Candidates order by
+/// (distance-to-target, node id); duplicate links to the same neighbour
+/// collapse. Streaming k-th order statistic: each round takes the minimum
+/// pair strictly greater than the previous round's.
 ///
 /// `trusted` is the reputation distrust sideband (trusted_bytes());
 /// dereferenced only when kCheckTrust, nullptr otherwise.
@@ -216,7 +216,7 @@ constexpr std::array<SelectFn, 64> kSelectTable =
 #define P2P_HAVE_AVX512_SELECT 1
 // The scans are AVX-512F; the compact decode's masked u16 load also needs
 // BW and VL. simd_decode_supported() checks all three. The kernel pieces are
-// forced inline: outlined, they pass the metric and the id segments through
+// forced inline: outlined, they pass the metric and the masks through
 // memory, which costs the standard masked scan ~15 %.
 #define P2P_AVX512_ISA "avx512f,avx512bw,avx512vl"
 #define P2P_AVX512_TARGET __attribute__((target(P2P_AVX512_ISA)))
@@ -227,92 +227,36 @@ constexpr std::array<SelectFn, 64> kSelectTable =
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #pragma GCC diagnostic ignored "-Wuninitialized"
-/// Decodes compact node u's links into out, sixteen slots per step: a
-/// masked u16 load widened to u32, the zigzag decode plus u, then one
-/// expand-load fills the escaped lanes from the exception array (escaped
-/// absolutes in slot order) and a masked store writes the ids. Nothing
-/// branches on the data, and no load touches a word past the node's stream.
-P2P_AVX512_TARGET
-inline void avx512_decode_links(const graph::OverlayGraph& g,
-                                const graph::OverlayGraph::CompactHeader& ch,
-                                graph::NodeId u, graph::NodeId* out) noexcept {
-  const std::uint16_t* slots = g.enc_stream(ch);
-  const std::uint16_t* exc = g.enc_exceptions(ch);
-  const std::uint32_t degree = ch.degree;
-  const __m512i vu = _mm512_set1_epi32(static_cast<int>(u));
-  const __m512i vone = _mm512_set1_epi32(1);
-  const __m512i vesc = _mm512_set1_epi32(graph::detail::kEscapeWord);
-  for (std::uint32_t i = 0; i < degree; i += 16) {
-    const std::uint32_t left = degree - i;
-    const __mmask16 m = left >= 16 ? static_cast<__mmask16>(0xffff)
-                                   : static_cast<__mmask16>((1u << left) - 1u);
-    const __m512i w = _mm512_cvtepu16_epi32(_mm256_maskz_loadu_epi16(m, slots + i));
-    // Zigzag: (w >> 1) ^ -(w & 1); u + d wraps exactly as the scalar decode.
-    const __m512i d = _mm512_xor_si512(
-        _mm512_srli_epi32(w, 1),
-        _mm512_sub_epi32(_mm512_setzero_si512(), _mm512_and_si512(w, vone)));
-    const __mmask16 esc = _mm512_mask_cmpeq_epi32_mask(m, w, vesc);
-    const __m512i v =
-        _mm512_mask_expandloadu_epi32(_mm512_add_epi32(vu, d), esc, exc);
-    exc += 2 * static_cast<unsigned>(__builtin_popcount(esc));
-    _mm512_mask_storeu_epi32(out + i, m, v);
-  }
+/// The first `left` of sixteen lanes.
+P2P_AVX512_INLINE
+inline __mmask16 first_lanes(std::uint32_t left) noexcept {
+  return left >= 16 ? static_cast<__mmask16>(0xffff)
+                    : static_cast<__mmask16>((1u << left) - 1u);
 }
 
-/// Builds the admissibility mask of one 8-lane group: the remainder mask,
-/// narrowed by the link-liveness bits of the scanned slots (kCheckLinks), by
-/// a byte gather on the view's node-alive sideband (kCheckNodes), and by a
-/// second byte gather on the reputation table's trusted sideband
-/// (kCheckTrust). The masked failure-aware scans reuse the intact kernels'
-/// key packing — a dead link, dead target or distrusted target simply never
-/// contributes to the min-reduction, which is exactly the per-candidate
-/// branch the scalar path pays, hoisted into mask arithmetic.
-///
-/// `live` is the caller's 64-bit liveness window cache: one
-/// FailureView::link_live_word fetch covers the next 64 links, and groups
-/// advance by 8, so a group's byte never straddles the fetched window.
-/// `vid_out` receives the (masked-loaded) widened ids for the group.
-template <bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
+/// One 16-slot step of the compact decode, in registers: a masked u16 load
+/// widened to u32, the zigzag decode plus u, then one expand-load fills the
+/// escaped lanes from the exception array (escaped absolutes in slot order)
+/// and `exc` advances past them. Nothing branches on the data. Both loads
+/// stay inside select_extent(u) at their full width: 32 bytes of slot words,
+/// and 64 bytes from the group's first exception.
 P2P_AVX512_INLINE
-inline __mmask8 avx512_group_mask(const graph::NodeId* ids, std::uint32_t i,
-                                  std::uint32_t count,
-                                  const failure::FailureView& view,
-                                  std::size_t slot_base,
-                                  const std::uint8_t* alive_bytes,
-                                  const std::uint8_t* trusted_bytes,
-                                  std::uint64_t& live, __m512i& vid_out) noexcept {
-  const std::uint32_t left = count - i;
-  __mmask8 m = left >= 8 ? static_cast<__mmask8>(0xff)
-                         : static_cast<__mmask8>((1u << left) - 1u);
-  if constexpr (kCheckLinks) {
-    if ((i & 63u) == 0) live = view.link_live_word(slot_base + i);
-    m &= static_cast<__mmask8>(live >> (i & 63u));
-  }
-  // Masked load of up to eight u32 ids (zeroed lanes), widened to u64. Dead
-  // links are folded into the load mask: their lanes never touch memory and
-  // never reach the min.
-  vid_out = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(
-      _mm512_maskz_loadu_epi32(static_cast<__mmask16>(m), ids + i)));
-  if constexpr (kCheckNodes) {
-    // Dead *targets* drop via one byte-granular gather per group instead of
-    // a per-candidate bit-test branch: alive_bytes[v] is 0 or 1, so testing
-    // bit 0 of the gathered dword is the aliveness predicate.
-    const __m256i alive32 = _mm512_mask_i64gather_epi32(
-        _mm256_setzero_si256(), m, vid_out, alive_bytes, 1);
-    m &= _mm512_test_epi64_mask(_mm512_cvtepu32_epi64(alive32),
-                                _mm512_set1_epi64(1));
-  }
-  if constexpr (kCheckTrust) {
-    // Distrusted targets drop the same way — the reputation sideband has the
-    // identical byte shape (trusted_bytes[v] is 0 or 1, padded past size()),
-    // so distrust rides the kernel as a third mask source. Gathering under
-    // the already-narrowed mask skips lanes node-gathering ruled out.
-    const __m256i trust32 = _mm512_mask_i64gather_epi32(
-        _mm256_setzero_si256(), m, vid_out, trusted_bytes, 1);
-    m &= _mm512_test_epi64_mask(_mm512_cvtepu32_epi64(trust32),
-                                _mm512_set1_epi64(1));
-  }
-  return m;
+inline __m512i avx512_decode16(
+    const std::uint16_t* slots, __mmask16 m, const std::uint16_t*& exc, __m512i vu,
+    [[maybe_unused]] const graph::OverlayGraph::SelectExtent& extent) noexcept {
+  assert(extent.covers(slots, 16 * sizeof(std::uint16_t)));
+  assert(extent.covers(exc, 16 * sizeof(std::uint32_t)));
+  const __m512i w = _mm512_cvtepu16_epi32(_mm256_maskz_loadu_epi16(m, slots));
+  // Zigzag: (w >> 1) ^ -(w & 1); u + d wraps exactly as the scalar decode.
+  const __m512i d = _mm512_xor_si512(
+      _mm512_srli_epi32(w, 1),
+      _mm512_sub_epi32(_mm512_setzero_si512(),
+                       _mm512_and_si512(w, _mm512_set1_epi32(1))));
+  const __mmask16 esc =
+      _mm512_mask_cmpeq_epi32_mask(m, w, _mm512_set1_epi32(graph::detail::kEscapeWord));
+  const __m512i v = _mm512_mask_expandloadu_epi32(_mm512_add_epi32(vu, d), esc, exc);
+  exc += 2 * static_cast<unsigned>(__builtin_popcount(esc));
+  return v;
 }
 
 /// Line/ring distance of eight ids to the target: |id - t|, wrapped on the
@@ -390,95 +334,126 @@ struct TorusMetric {
   }
 };
 
-/// One selection pass over an id segment, eight neighbours at a time. Packs
-/// each admissible neighbour into the key
+/// The group body of every rank pass: sixteen u32 ids and their lane mask.
+/// It narrows the mask by the group's link-liveness bits (kCheckLinks), by a
+/// gather of the view's node-dead words (kCheckNodes: 32-bit word v >> 5,
+/// then bit v & 31) and by a byte gather on the reputation table's trusted
+/// sideband (kCheckTrust). A dead link, dead target or distrusted target
+/// then simply never contributes to the minimum: the per-candidate branch of
+/// the scalar path, hoisted into mask arithmetic. Each 8-lane half packs its
+/// admissible neighbours into the key
 ///   key(v) = (distance(v, target) << 32) | v
 /// so the lexicographic (distance, id) minimum — ties to the lower id — is a
-/// single unsigned 64-bit min-reduction. kFloored passes (rank > 0) admit
-/// only keys >= vfloor. Masked-out lanes (remainder, dead link, dead target,
-/// distrusted, below the floor) keep the running min unchanged —
-/// _mm512_mask_min_epu64 keeps vbest in those lanes. Integer-only AVX-512
-/// on the line and ring, so no meaningful license downclocking.
-template <bool kFloored, bool kCheckLinks, bool kCheckNodes, bool kCheckTrust,
-          class Metric>
-P2P_AVX512_INLINE
-inline __m512i avx512_scan_ids(__m512i vbest, const graph::NodeId* ids,
-                               std::uint32_t count, const Metric& metric,
-                               __m512i vfloor, const failure::FailureView& view,
-                               std::size_t slot_base,
-                               const std::uint8_t* alive_bytes,
-                               const std::uint8_t* trusted_bytes) noexcept {
-  std::uint64_t live = 0;
-  for (std::uint32_t i = 0; i < count; i += 8) {
-    __m512i vid;
-    __mmask8 m = avx512_group_mask<kCheckLinks, kCheckNodes, kCheckTrust>(
-        ids, i, count, view, slot_base, alive_bytes, trusted_bytes, live, vid);
-    const __m512i key =
-        _mm512_or_epi64(_mm512_slli_epi64(metric.distance(vid), 32), vid);
-    if constexpr (kFloored) {
-      m = _mm512_mask_cmp_epu64_mask(m, key, vfloor, _MM_CMPINT_NLT);
-    }
-    vbest = _mm512_mask_min_epu64(vbest, m, vbest, key);
-  }
-  return vbest;
-}
+/// single unsigned 64-bit min. Keys below the pass's floor and masked-out
+/// lanes keep the running minimum unchanged. Integer-only AVX-512 on the
+/// line and ring, so no meaningful license downclocking.
+template <bool kCheckLinks, bool kCheckNodes, bool kCheckTrust, class Metric>
+struct Fold16 {
+  const Metric& metric;
+  const failure::FailureView& view;
+  const std::uint64_t* dead_words;  // FailureView::node_dead_words() (kCheckNodes)
+  const std::uint8_t* trusted;      // ReputationTable::trusted_bytes() (kCheckTrust)
 
-/// A node's ids as the vectorized scan reads them: up to two segments — the
-/// standard header's inline prefix plus its spill tail, or a compact node's
-/// decoded buffer — each with its flat slot base (the same keying on both
-/// layouts).
-struct IdSegments {
-  const graph::NodeId* ids[2];
-  std::uint32_t count[2];
-  std::size_t slot_base[2];
+  /// Folds one group into vbest. `live` holds the group's link-liveness
+  /// bits from bit 0 (read only when kCheckLinks).
+  P2P_AVX512_INLINE
+  __m512i operator()(__m512i vbest, __m512i vfloor, __m512i vid, __mmask16 m,
+                     std::uint64_t live) const noexcept {
+    if constexpr (kCheckLinks) m &= static_cast<__mmask16>(live);
+    if constexpr (kCheckNodes) {
+      const __m512i words = _mm512_mask_i32gather_epi32(
+          _mm512_setzero_si512(), m, _mm512_srli_epi32(vid, 5), dead_words, 4);
+      const __m512i dead =
+          _mm512_srlv_epi32(words, _mm512_and_si512(vid, _mm512_set1_epi32(31)));
+      m = _mm512_mask_testn_epi32_mask(m, dead, _mm512_set1_epi32(1));
+    }
+    const __m512i lo = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(vid));
+    const __m512i hi = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(vid, 1));
+    __mmask8 mlo = static_cast<__mmask8>(m);
+    __mmask8 mhi = static_cast<__mmask8>(m >> 8);
+    if constexpr (kCheckTrust) {
+      // trusted[v] is 0 or 1, so bit 0 of the gathered dword is the verdict.
+      // Gathered on the widened ids: a 32-bit index would sign-extend ids
+      // >= 2^31 below the base.
+      const __m256i vone8 = _mm256_set1_epi32(1);
+      mlo = _mm256_mask_test_epi32_mask(
+          mlo, _mm512_mask_i64gather_epi32(_mm256_setzero_si256(), mlo, lo, trusted, 1), vone8);
+      mhi = _mm256_mask_test_epi32_mask(
+          mhi, _mm512_mask_i64gather_epi32(_mm256_setzero_si256(), mhi, hi, trusted, 1), vone8);
+    }
+    const __m512i klo = _mm512_or_epi64(_mm512_slli_epi64(metric.distance(lo), 32), lo);
+    const __m512i khi = _mm512_or_epi64(_mm512_slli_epi64(metric.distance(hi), 32), hi);
+    mlo = _mm512_mask_cmp_epu64_mask(mlo, klo, vfloor, _MM_CMPINT_NLT);
+    mhi = _mm512_mask_cmp_epu64_mask(mhi, khi, vfloor, _MM_CMPINT_NLT);
+    vbest = _mm512_mask_min_epu64(vbest, mlo, vbest, klo);
+    return _mm512_mask_min_epu64(vbest, mhi, vbest, khi);
+  }
+
+  /// The smallest admissible key >= floor among u's links (all ones when
+  /// none is). Compact: the stream decoded sixteen slots at a time in
+  /// registers, any degree. Standard: the thirteen inline ids from one
+  /// aligned load of the header line, shifted down past offset, tail and
+  /// degree, then the spill tail sixteen ids at a time. Link-liveness words
+  /// cover 64 slots, and groups advance by 16 from a segment's first slot,
+  /// so a group's bits never straddle the fetched window.
+  template <bool kCompact>
+  P2P_AVX512_INLINE std::uint64_t min_key(const graph::OverlayGraph& g, graph::NodeId u,
+                                          std::uint64_t floor) const noexcept {
+    [[maybe_unused]] const graph::OverlayGraph::SelectExtent extent = g.select_extent(u);
+    const __m512i vfloor = _mm512_set1_epi64(static_cast<long long>(floor));
+    __m512i vbest = _mm512_set1_epi64(-1);
+    std::uint64_t live = 0;
+    if constexpr (kCompact) {
+      const graph::OverlayGraph::CompactHeader& ch = g.cheader(u);
+      const std::uint16_t* slots = g.enc_stream(ch);
+      const std::uint16_t* exc = g.enc_exceptions(ch);
+      const __m512i vu = _mm512_set1_epi32(static_cast<int>(u));
+      for (std::uint32_t i = 0; i < ch.degree; i += 16) {
+        const __mmask16 m = first_lanes(ch.degree - i);
+        const __m512i vid = avx512_decode16(slots + i, m, exc, vu, extent);
+        if constexpr (kCheckLinks) {
+          if ((i & 63u) == 0) live = view.link_live_word(ch.offset + i);
+        }
+        vbest = (*this)(vbest, vfloor, vid, m, live >> (i & 63u));
+      }
+    } else {
+      constexpr std::uint32_t kInline = graph::OverlayGraph::kInlineEdges;
+      const graph::OverlayGraph::NodeHeader& h = g.header(u);
+      if (h.degree == 0) return ~std::uint64_t{0};
+      const __m512i vid = _mm512_alignr_epi32(_mm512_setzero_si512(),
+                                              _mm512_load_si512(&h), 3);
+      if constexpr (kCheckLinks) live = view.link_live_word(h.offset);
+      vbest = (*this)(vbest, vfloor, vid, first_lanes(std::min(h.degree, kInline)), live);
+      const graph::NodeId* tail = g.tail(h);
+      for (std::uint32_t j = 0; j + kInline < h.degree; j += 16) {
+        const __mmask16 m = first_lanes(h.degree - kInline - j);
+        assert(extent.covers(tail + j, 16 * sizeof(graph::NodeId)));
+        const __m512i ids = _mm512_maskz_loadu_epi32(m, tail + j);
+        if constexpr (kCheckLinks) {
+          if ((j & 63u) == 0) live = view.link_live_word(h.offset + kInline + j);
+        }
+        vbest = (*this)(vbest, vfloor, ids, m, live >> (j & 63u));
+      }
+    }
+    return _mm512_reduce_min_epu64(vbest);
+  }
 };
 
-/// The smallest admissible key >= floor over both segments (all ones when
-/// none is).
-template <bool kFloored, bool kCheckLinks, bool kCheckNodes, bool kCheckTrust,
-          class Metric>
+/// The rank-th candidate of u. Pass r takes the minimum key >= floor and
+/// then sets floor = best + 1, so it returns the smallest (distance, id)
+/// strictly greater than the previous pass's pick: the scalar rank rule,
+/// duplicate links collapsing the same way. The strictly-closer filter needs
+/// no per-lane mask: a pick is admissible iff its key is < (du << 32), and a
+/// self-link or any not-closer neighbour can never beat that.
+template <bool kCompact, class Fold>
 P2P_AVX512_INLINE
-inline std::uint64_t avx512_min_key(const IdSegments& seg, const Metric& metric,
-                                    std::uint64_t floor,
-                                    const failure::FailureView& view,
-                                    const std::uint8_t* alive_bytes,
-                                    const std::uint8_t* trusted_bytes) noexcept {
-  const __m512i vfloor = _mm512_set1_epi64(static_cast<long long>(floor));
-  __m512i vbest = _mm512_set1_epi64(-1);
-  vbest = avx512_scan_ids<kFloored, kCheckLinks, kCheckNodes, kCheckTrust>(
-      vbest, seg.ids[0], seg.count[0], metric, vfloor, view, seg.slot_base[0],
-      alive_bytes, trusted_bytes);
-  if (seg.count[1] != 0) {
-    vbest = avx512_scan_ids<kFloored, kCheckLinks, kCheckNodes, kCheckTrust>(
-        vbest, seg.ids[1], seg.count[1], metric, vfloor, view, seg.slot_base[1],
-        alive_bytes, trusted_bytes);
-  }
-  return _mm512_reduce_min_epu64(vbest);
-}
-
-/// The rank-th candidate of the node whose ids `seg` holds. Pass r takes the
-/// minimum key >= floor and then sets floor = best + 1, so it returns the
-/// smallest (distance, id) strictly greater than the previous pass's pick:
-/// the scalar rank rule, duplicate links collapsing the same way. The
-/// strictly-closer filter needs no per-lane mask: a pick is admissible iff
-/// its key is < (du << 32), and a self-link or any not-closer neighbour can
-/// never beat that.
-template <bool kCheckLinks, bool kCheckNodes, bool kCheckTrust, class Metric>
-P2P_AVX512_INLINE
-inline graph::NodeId avx512_select_ranked(const graph::OverlayGraph& g,
-                                          const failure::FailureView& view,
-                                          const std::uint8_t* trusted_bytes,
-                                          const IdSegments& seg,
-                                          const Metric& metric,
-                                          metric::Distance du,
+inline graph::NodeId avx512_select_ranked(const graph::OverlayGraph& g, const Fold& fold,
+                                          graph::NodeId u, metric::Distance du,
                                           std::size_t rank) noexcept {
-  const std::uint8_t* alive_bytes = kCheckNodes ? view.node_alive_bytes() : nullptr;
   const std::uint64_t limit = static_cast<std::uint64_t>(du) << 32;
-  std::uint64_t best = avx512_min_key<false, kCheckLinks, kCheckNodes, kCheckTrust>(
-      seg, metric, 0, view, alive_bytes, trusted_bytes);
+  std::uint64_t best = fold.template min_key<kCompact>(g, u, 0);
   for (; rank > 0 && best < limit; --rank) {
-    best = avx512_min_key<true, kCheckLinks, kCheckNodes, kCheckTrust>(
-        seg, metric, best + 1, view, alive_bytes, trusted_bytes);
+    best = fold.template min_key<kCompact>(g, u, best + 1);
   }
   if (best >= limit) return graph::kInvalidNode;
   const auto best_v = static_cast<graph::NodeId>(best & 0xffffffffu);
@@ -488,31 +463,9 @@ inline graph::NodeId avx512_select_ranked(const graph::OverlayGraph& g,
   return best_v;
 }
 
-/// Compact leg: decodes the node's stream into a stack buffer and scans it
-/// as one segment. A degree past kSimdDecodeCap hands the node to the scalar
-/// kernel.
-template <bool kCheckLinks, bool kCheckNodes, bool kCheckTrust, class Metric>
-P2P_AVX512_TARGET
-graph::NodeId avx512_select_compact(const graph::OverlayGraph& g,
-                                    const failure::FailureView& view,
-                                    const std::uint8_t* trusted_bytes,
-                                    graph::NodeId u, metric::Point target,
-                                    const Metric& metric, metric::Distance du,
-                                    std::size_t rank) noexcept {
-  const graph::OverlayGraph::CompactHeader& ch = g.cheader(u);
-  if (ch.degree > kSimdDecodeCap) {
-    return select_impl<true, kCheckTrust, true, kCheckLinks, kCheckNodes, false>(
-        g, view, trusted_bytes, u, target, rank);
-  }
-  alignas(64) graph::NodeId buf[kSimdDecodeCap];
-  avx512_decode_links(g, ch, u, buf);
-  const IdSegments seg{{buf, nullptr}, {ch.degree, 0}, {ch.offset, 0}};
-  return avx512_select_ranked<kCheckLinks, kCheckNodes, kCheckTrust>(
-      g, view, trusted_bytes, seg, metric, du, rank);
-}
-
 /// Vectorized selection of any rank: dense graph, two-sided greedy, one
-/// kernel per (metric family, link mask, node mask, trust mask).
+/// kernel per (metric family, link mask, node mask, trust mask), both
+/// layouts through the one group body.
 template <class Metric, bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
 P2P_AVX512_TARGET
 graph::NodeId select_best_avx512(const graph::OverlayGraph& g,
@@ -520,23 +473,31 @@ graph::NodeId select_best_avx512(const graph::OverlayGraph& g,
                                  const std::uint8_t* trusted_bytes,
                                  graph::NodeId u, metric::Point target,
                                  std::size_t rank) noexcept {
-  constexpr std::size_t kInline = graph::OverlayGraph::kInlineEdges;
   const metric::Space& space = g.space();
   const Metric metric(space, target);
   const metric::Distance du =
       space.distance(static_cast<metric::Point>(u), target);
-  if (g.compact()) {
-    return avx512_select_compact<kCheckLinks, kCheckNodes, kCheckTrust>(
-        g, view, trusted_bytes, u, target, metric, du, rank);
+  const Fold16<kCheckLinks, kCheckNodes, kCheckTrust, Metric> fold{
+      metric, view, kCheckNodes ? view.node_dead_words() : nullptr,
+      kCheckTrust ? trusted_bytes : nullptr};
+  return g.compact() ? avx512_select_ranked<true>(g, fold, u, du, rank)
+                     : avx512_select_ranked<false>(g, fold, u, du, rank);
+}
+
+/// decode_links_simd's vector leg: the select's decode step, each group
+/// stored.
+P2P_AVX512_TARGET
+void avx512_decode_links(const graph::OverlayGraph& g, graph::NodeId u,
+                         graph::NodeId* out) noexcept {
+  const graph::OverlayGraph::CompactHeader& ch = g.cheader(u);
+  [[maybe_unused]] const graph::OverlayGraph::SelectExtent extent = g.select_extent(u);
+  const std::uint16_t* slots = g.enc_stream(ch);
+  const std::uint16_t* exc = g.enc_exceptions(ch);
+  const __m512i vu = _mm512_set1_epi32(static_cast<int>(u));
+  for (std::uint32_t i = 0; i < ch.degree; i += 16) {
+    const __mmask16 m = first_lanes(ch.degree - i);
+    _mm512_mask_storeu_epi32(out + i, m, avx512_decode16(slots + i, m, exc, vu, extent));
   }
-  const graph::OverlayGraph::NodeHeader& h = g.header(u);
-  const auto inline_n =
-      h.degree < kInline ? h.degree : static_cast<std::uint32_t>(kInline);
-  const IdSegments seg{{h.inline_edges, g.tail(h)},
-                       {inline_n, h.degree - inline_n},
-                       {h.offset, h.offset + kInline}};
-  return avx512_select_ranked<kCheckLinks, kCheckNodes, kCheckTrust>(
-      g, view, trusted_bytes, seg, metric, du, rank);
 }
 
 /// Kernel dispatch: one instantiation per (metric family, link mask, node
@@ -563,9 +524,8 @@ constexpr std::array<SelectFn, 8> kSimdSelectTorus =
 bool decode_links_simd(const graph::OverlayGraph& g, graph::NodeId u,
                        graph::NodeId* out) noexcept {
 #if P2P_HAVE_AVX512_SELECT
-  const graph::OverlayGraph::CompactHeader& ch = g.cheader(u);
-  if (ch.degree <= kSimdDecodeCap && simd_decode_supported()) {
-    avx512_decode_links(g, ch, u, out);
+  if (simd_decode_supported()) {
+    avx512_decode_links(g, u, out);
     return true;
   }
 #endif
@@ -594,9 +554,9 @@ graph::NodeId Router::select_candidate(graph::NodeId u, metric::Point target,
   // narrow positions, CPU support) computed at construction, and the
   // per-call view state picks the masked kernel variant: dead links fold
   // into the lane mask via the view's liveness words, dead targets via a
-  // byte gather on its node-alive sideband, and distrusted targets via a
-  // second byte gather on the reputation sideband. Each metric family has
-  // its own kernel; all share the key packing and the min-reduction.
+  // gather of its node-dead words, and distrusted targets via a byte gather
+  // on the reputation sideband. Each metric family has its own kernel; all
+  // share the 16-lane group body, the key packing and the min-reduction.
   if (simd_ok_) {
     const std::size_t masks = (check_links ? 4u : 0u) |
                               (check_nodes ? 2u : 0u) | (check_trust ? 1u : 0u);

@@ -48,8 +48,12 @@
 // serializing: each select prefetches the header of the node it picks, a
 // full rotation (~W ticks) before that lane's next step reads it; and each
 // tick, once a lane's header is resident, prefetches every adjacency line
-// its next select reads (the compact slot + exception stream, or a standard
-// node's spill tail) `prefetch_distance` ticks ahead of its step. Per-query
+// its next select reads `prefetch_distance` ticks ahead of its step. That is
+// OverlayGraph::select_extent(u): the compact slot + exception stream or a
+// standard node's spill tail, sized from u's own header, with each vector
+// load counted at its full width (a masked load pulls in every line its
+// width spans), so no line the kernel loads is left to a demand miss; Debug
+// builds assert it at every vector load. Per-query
 // results are bit-identical to route() seeded with util::substream(base,
 // query_index), independent of the interleaving.
 //
@@ -107,10 +111,10 @@ struct RouterConfig {
   /// this to pin SIMD against scalar on one host.
   bool force_scalar = false;
   /// Optional distrust mask (failure/reputation.h). When set, candidate
-  /// selection skips neighbours the table currently distrusts — a third
-  /// byte-sideband riding the masked-SIMD scan lanes next to the link/node
-  /// liveness masks, with the scalar table as fallback. The table must be
-  /// over the same graph and outlive the router; while its
+  /// selection skips neighbours the table currently distrusts — a byte
+  /// sideband gathered as a third lane mask of the masked-SIMD scan next to
+  /// the link/node liveness masks, with the scalar table as fallback. The
+  /// table must be over the same graph and outlive the router; while its
   /// distrusted_count() is zero the mask costs nothing (the intact kernels
   /// dispatch). Distrust *biases* selection, it does not partition
   /// reachability: callers wanting a fallback route through distrusted
@@ -149,11 +153,13 @@ struct Query {
 
 /// Shape of the software-pipelined batch: `width` searches in flight in a
 /// rotating ring. A lane's next header is prefetched by its previous select
-/// a full rotation ahead; each scheduler tick additionally prefetches every
-/// adjacency line (compact stream, or standard spill tail) of the lane
-/// `prefetch_distance` positions ahead before advancing the current lane, so
-/// the lines its select reads are resident by the time its turn comes
-/// around. 0 disables that second level; a distance >= the ring skips it.
+/// a full rotation ahead; each scheduler tick additionally prefetches the
+/// select extent (OverlayGraph::select_extent: compact stream or standard
+/// spill tail, plus the 64 bytes a full-width vector load reaches past its
+/// end) of the lane `prefetch_distance` positions ahead before advancing the
+/// current lane, so every line its select loads is resident by the time its
+/// turn comes around. 0 disables that second level; a distance >= the ring
+/// skips it.
 struct BatchConfig {
   std::size_t width = 32;
   std::size_t prefetch_distance = 4;
@@ -169,20 +175,14 @@ struct BatchConfig {
   telemetry::TraceBuffer* trace = nullptr;
 };
 
-/// Largest compact-node degree the vectorized selection stages in its stack
-/// buffer. Paper configurations have ℓ + 2 links per node; a node past the
-/// cap (only adversarial inputs) takes the scalar kernel instead.
-inline constexpr std::uint32_t kSimdDecodeCap = 256;
-
 /// True when this CPU runs the vectorized selection and its compact-stream
 /// decode (x86 with AVX-512F, BW and VL).
 [[nodiscard]] bool simd_decode_supported() noexcept;
 
-/// Decodes compact node u's links into out (>= out_degree(u) slots) the way
-/// the vectorized selection does: the AVX-512 decode when the CPU supports
-/// it and the degree is at most kSimdDecodeCap, OverlayGraph::decode_links
-/// otherwise. Returns true when the vector decode ran. Precondition:
-/// g.compact(). Results always equal g.neighbors(u).
+/// Decodes compact node u's links into out (>= out_degree(u) slots) with the
+/// vectorized selection's 16-slot decode step when the CPU supports it, and
+/// OverlayGraph::decode_links otherwise. Returns true when the vector decode
+/// ran. Precondition: g.compact(). Results always equal g.neighbors(u).
 bool decode_links_simd(const graph::OverlayGraph& g, graph::NodeId u,
                        graph::NodeId* out) noexcept;
 

@@ -22,14 +22,12 @@ FailureView FailureView::with_node_failures(const graph::OverlayGraph& g, double
   for (graph::NodeId u = 0; u < g.size(); ++u) {
     if (rng.next_bool(p_fail)) {
       set_bit(view.node_dead_, u);
-      view.node_alive_byte_[u] = 0;
       --view.alive_count_;
     }
   }
   // A draw that killed nobody keeps the all-alive fast path.
   if (view.alive_count_ == g.size()) {
     view.node_dead_.clear();
-    view.node_alive_byte_.clear();
   }
   return view;
 }
@@ -84,7 +82,6 @@ void FailureView::kill_node(graph::NodeId u) {
   ensure_node_bits();
   if (!test_bit(node_dead_, u)) {
     set_bit(node_dead_, u);
-    node_alive_byte_[u] = 0;
     --alive_count_;
   }
 }
@@ -94,7 +91,6 @@ void FailureView::revive_node(graph::NodeId u) {
   if (node_dead_.empty()) return;
   if (test_bit(node_dead_, u)) {
     reset_bit(node_dead_, u);
-    node_alive_byte_[u] = 1;
     ++alive_count_;
   }
 }
@@ -102,7 +98,6 @@ void FailureView::revive_node(graph::NodeId u) {
 void FailureView::ensure_node_bits() {
   if (!node_dead_.empty()) return;
   node_dead_.assign(words_for(graph_->size()), 0);
-  node_alive_byte_.assign(graph_->size() + kNodeBytePad, 1);
 }
 
 void FailureView::ensure_link_bits() {
@@ -150,7 +145,6 @@ void FailureView::apply(const FailureDelta& delta) {
     util::require(!test_bit(node_dead_, u),
                   "apply: kill of a dead node (delta not normalized)");
     set_bit(node_dead_, u);
-    node_alive_byte_[u] = 0;
     --alive_count_;
   }
   for (const graph::NodeId u : delta.node_revives) {
@@ -158,7 +152,6 @@ void FailureView::apply(const FailureDelta& delta) {
     util::require(!node_dead_.empty() && test_bit(node_dead_, u),
                   "apply: revive of a live node (delta not normalized)");
     reset_bit(node_dead_, u);
-    node_alive_byte_[u] = 1;
     ++alive_count_;
   }
   for (const std::uint32_t slot : delta.link_kills) {
@@ -186,7 +179,6 @@ void FailureView::revert(const FailureDelta& delta) {
     util::require(!node_dead_.empty() && test_bit(node_dead_, u),
                   "revert: node not dead (wrong delta for this epoch)");
     reset_bit(node_dead_, u);
-    node_alive_byte_[u] = 1;
     ++alive_count_;
   }
   for (const graph::NodeId u : delta.node_revives) {
@@ -195,7 +187,6 @@ void FailureView::revert(const FailureDelta& delta) {
     util::require(!test_bit(node_dead_, u),
                   "revert: node not alive (wrong delta for this epoch)");
     set_bit(node_dead_, u);
-    node_alive_byte_[u] = 0;
     --alive_count_;
   }
   if (!delta.link_kills.empty() || !delta.link_revives.empty()) ensure_link_bits();

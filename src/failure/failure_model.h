@@ -9,9 +9,12 @@
 // Liveness is stored in packed 64-bit word bitsets — one bit per node and
 // one bit per CSR link slot (keyed by OverlayGraph::edge_base(u) + i) — so
 // the router's inner loop pays one shift-and-mask per query and the common
-// all-alive case is a null check. The graph is immutable (overlay_graph.h),
-// so its slot numbering, and with it every link bit and every delta's slot,
-// stays valid for the view's whole life.
+// all-alive case is a null check. The vectorized router reads the same bits:
+// 64-link windows of the link set, and 32-bit words of the node set gathered
+// per candidate, so no second (byte) copy of node liveness is kept. The
+// graph is immutable (overlay_graph.h), so its slot numbering, and with it
+// every link bit and every delta's slot, stays valid for the view's whole
+// life.
 //
 // Views also carry an *epoch*: a cursor into a churn::ChurnLog delta log.
 // apply(delta) / revert(delta) flip exactly the bits a FailureDelta lists —
@@ -130,12 +133,12 @@ class FailureView {
     return ~dead;
   }
 
-  /// Byte-addressable node-liveness sideband: bytes[u] == 1 iff node u is
-  /// alive. nullptr while nodes_intact(). The SIMD candidate scan gathers
-  /// these bytes (one 4-byte load per lane at arbitrary offsets — the array
-  /// is padded past size()) instead of bit-testing node_dead_ per candidate.
-  [[nodiscard]] const std::uint8_t* node_alive_bytes() const noexcept {
-    return node_alive_byte_.empty() ? nullptr : node_alive_byte_.data();
+  /// The node-dead bitset: bit u of the little-endian word array is 1 iff
+  /// node u is dead; nullptr while nodes_intact(). The SIMD candidate scan
+  /// gathers the 32-bit word u >> 5 and tests its bit u & 31, so a whole
+  /// 2^19-node view is 64 KiB of cache-resident words.
+  [[nodiscard]] const std::uint64_t* node_dead_words() const noexcept {
+    return node_dead_.empty() ? nullptr : node_dead_.data();
   }
 
   [[nodiscard]] std::size_t alive_count() const noexcept { return alive_count_; }
@@ -169,11 +172,10 @@ class FailureView {
   /// current epoch.
   void revert(const FailureDelta& delta);
 
-  /// Resident bytes of the view's bitsets and sidebands (capacity-based —
-  /// the HpVector allocator maps >= 1 MiB blocks on whole huge pages).
+  /// Resident bytes of the view's bitsets (capacity-based — the HpVector
+  /// allocator maps >= 1 MiB blocks on whole huge pages).
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return node_dead_.capacity() * sizeof(std::uint64_t) +
-           node_alive_byte_.capacity() +
            link_dead_.capacity() * sizeof(std::uint64_t);
   }
 
@@ -200,20 +202,11 @@ class FailureView {
   /// Allocates the link bitset on first link death.
   void ensure_link_bits();
 
-  /// Allocates node_dead_ and the byte sideband together on first node
-  /// death; the two must never exist separately (the SIMD scan trusts
-  /// node_alive_bytes() whenever nodes_intact() is false).
+  /// Allocates node_dead_ on first node death.
   void ensure_node_bits();
-
-  /// Gather lanes read 4 bytes at node_alive_byte_[v]; padding keeps the
-  /// load in bounds for v = size()-1.
-  static constexpr std::size_t kNodeBytePad = 8;
 
   const graph::OverlayGraph* graph_;
   BitWords node_dead_;  // packed, 1 = dead; empty = all alive
-  /// bytes[u] == 1 iff u alive; empty exactly when node_dead_ is. Kept in
-  /// lockstep by every mutator so the router can gather bytes per candidate.
-  util::HpVector<std::uint8_t> node_alive_byte_;
   BitWords link_dead_;  // packed over CSR slots (+ guard word)
   std::size_t link_slots_ = 0;  // edge_slots() when link_dead_ was allocated
   std::size_t alive_count_ = 0;

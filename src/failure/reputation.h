@@ -8,11 +8,11 @@
 // hop that destroys greedy progress, a search that times out. ReputationTable
 // accumulates those observations into a per-node penalty score and exposes
 // the derived binary verdict as a byte sideband (`trusted_bytes()`, 1 =
-// trusted) shaped exactly like FailureView::node_alive_bytes(): the masked
-// AVX-512 candidate scan gathers it per 8-candidate group the same way it
-// gathers node liveness, so distrust rides the existing kernel shape, and
-// the scalar selection path reads the same byte — the two stay bit-identical
-// by construction.
+// trusted): the masked AVX-512 candidate scan gathers it per 16-candidate
+// group, one 4-byte load per lane at the candidate's id, right after it
+// gathers node liveness from FailureView::node_dead_words(), so distrust
+// rides the existing kernel shape, and the scalar selection path reads the
+// same byte — the two stay bit-identical by construction.
 //
 // Graceful degradation, not blacklisting: penalties saturate at a cap and
 // decay multiplicatively over epochs (`decay_epoch`), so a node that was
@@ -93,7 +93,7 @@ class ReputationTable {
 
   /// Byte-addressable trust sideband: bytes[u] == 1 iff u is trusted. Padded
   /// past size() (the SIMD gather loads 4 bytes per lane at arbitrary node
-  /// offsets, exactly like FailureView::node_alive_bytes()). Always valid.
+  /// offsets). Always valid.
   [[nodiscard]] const std::uint8_t* trusted_bytes() const noexcept {
     return trusted_byte_.data();
   }
@@ -116,7 +116,7 @@ class ReputationTable {
   /// touched list, keeping decay_epoch O(penalized)).
   static constexpr double kPenaltyEpsilon = 1.0 / 1024.0;
   /// Gather lanes read 4 bytes at trusted_byte_[v]; padding keeps the load
-  /// in bounds for v = size()-1 (same contract as FailureView's sideband).
+  /// in bounds for v = size()-1.
   static constexpr std::size_t kBytePad = 8;
 
   const graph::OverlayGraph* graph_;

@@ -205,19 +205,21 @@ OverlayGraph OverlayGraph::freeze_compact(metric::Space space,
   // node's encoded length (one slot word per link plus two exception words
   // per escaped link) in whole 2-word units, so the u32 `enc` field
   // addresses streams past 2^32 words. The short degree fits its u16:
-  // GraphBuilder::add_short_link refuses a node's 65,536th short link.
+  // GraphBuilder::add_short_link refuses a node's 65,536th short link. The
+  // escape count saturates instead.
   auto* ch = g.arena_.allocate_array<CompactHeader>(n + 1);
   const auto size_nodes = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t u = lo; u < hi; ++u) {
-      // One slot word per link, two more per escaped one.
-      std::size_t words = runs.degree(u);
+      std::size_t escapes = 0;
       for (const detail::LinkRuns::Run& run : runs.runs) {
-        words += 2 * escaped_links(static_cast<NodeId>(u), run.targets.data() + run.offsets[u],
-                                   run.targets.data() + run.offsets[u + 1]);
+        escapes += escaped_links(static_cast<NodeId>(u), run.targets.data() + run.offsets[u],
+                                 run.targets.data() + run.offsets[u + 1]);
       }
+      const std::size_t words = runs.degree(u) + 2 * escapes;
       ch[u] = CompactHeader{runs.slot_base(u), static_cast<std::uint32_t>((words + 1) / 2),
                             runs.degree(u), static_cast<std::uint16_t>(runs.short_degree(u)),
-                            0};
+                            static_cast<std::uint16_t>(std::min<std::size_t>(
+                                escapes, kEscapesSaturated))};
     }
   };
   if (pool != nullptr && n >= 1024) {

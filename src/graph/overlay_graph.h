@@ -41,6 +41,7 @@
 // slot, which counts the escapes before it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -296,14 +297,16 @@ class OverlayGraph {
 
   /// Standard per-node header: CSR offsets plus the inline slice prefix.
   /// Exactly one cache line so a routing hop costs one header load for most
-  /// nodes.
+  /// nodes. The vectorized select loads the whole line as sixteen u32 lanes
+  /// and shifts the inline ids down three lanes, so the shape is pinned.
   struct alignas(64) NodeHeader {
     std::uint32_t offset = 0;  ///< flat slot base into edges_
     std::uint32_t tail = 0;    ///< spill base into tail_ (slice entries > kInlineEdges)
     std::uint32_t degree = 0;  ///< out-degree
     NodeId inline_edges[kInlineEdges] = {};
   };
-  static_assert(sizeof(NodeHeader) == 64);
+  static_assert(sizeof(NodeHeader) == 64 && alignof(NodeHeader) == 64);
+  static_assert(offsetof(NodeHeader, inline_edges) == 3 * sizeof(std::uint32_t));
 
   /// Compact per-node header: four per cache line. `enc` addresses the
   /// node's stream start in 4-byte (two-u16-word) units — per-node streams
@@ -315,9 +318,34 @@ class OverlayGraph {
     std::uint32_t enc = 0;           ///< stream start, in 2-word units
     std::uint32_t degree = 0;        ///< out-degree
     std::uint16_t short_degree = 0;  ///< immediate-neighbour prefix length
-    std::uint16_t reserved = 0;
+    /// Escaped slots, saturated at kEscapesSaturated (the sentinel stores
+    /// 0). With the degree it gives the stream's length from u's own header,
+    /// so select_extent() need not read the next node's.
+    std::uint16_t escapes = 0;
   };
   static_assert(sizeof(CompactHeader) == 16);
+
+  /// CompactHeader::escapes of a node with this many escaped slots or more;
+  /// select_extent() then reads the stream's end from the next header.
+  static constexpr std::uint16_t kEscapesSaturated = 0xFFFF;
+
+  /// The bytes a vectorized select of u may load past u's header (on the
+  /// standard layout the inline ids load as the whole 64-byte header line),
+  /// each load counted at its full vector width: a masked load or
+  /// expand-load pulls in every cache line its width spans, masked-out lanes
+  /// included. That is the compact slot + exception stream, or the standard
+  /// spill tail (empty when the degree fits the inline prefix), plus the 64
+  /// bytes one full-width load may reach past its last element.
+  struct SelectExtent {
+    const std::byte* begin;
+    const std::byte* end;
+
+    /// True when [p, p + bytes) lies inside [begin, end).
+    [[nodiscard]] bool covers(const void* p, std::size_t bytes) const noexcept {
+      const auto* b = static_cast<const std::byte*>(p);
+      return b >= begin && b + bytes <= end;
+    }
+  };
 
   /// Graphs come from GraphBuilder::freeze (or build_overlay and friends).
   OverlayGraph(const OverlayGraph& other);
@@ -434,23 +462,35 @@ class OverlayGraph {
     }
   }
 
-  /// Prefetches every line of u's adjacency that a select reads past the
-  /// header: the whole slot + exception stream of a compact node (up to the
-  /// next node's stream start; the sentinel header bounds u = size() - 1),
-  /// or the whole spill tail of a standard node whose degree exceeds the
-  /// inline prefix. The addresses live in the header, so this is only
-  /// useful once the header is resident — the batch pipeline issues it a
-  /// few ticks ahead of the hop.
-  [[gnu::always_inline]] void prefetch_spill(NodeId u) const noexcept {
+  /// The load footprint of a vectorized select of u (see SelectExtent).
+  /// Compact: the stream's slot words and 2·escapes exception words, read
+  /// from u's own header (a saturated count falls back to the next node's
+  /// stream start), + 64 bytes. Standard: the spill tail + 64 bytes.
+  [[gnu::always_inline]] SelectExtent select_extent(NodeId u) const noexcept {
+    constexpr std::size_t kVector = 64;
     if (layout_ == EdgeLayout::kCompact) {
-      prefetch_lines(enc_stream(cheaders_[u]), enc_stream(cheaders_[u + 1]));
-    } else {
-      const NodeHeader& h = headers_[u];
-      if (h.degree > kInlineEdges) {
-        const NodeId* spill = tail_.data() + h.tail;
-        prefetch_lines(spill, spill + (h.degree - kInlineEdges));
+      const CompactHeader& h = cheaders_[u];
+      const std::uint16_t* stream = enc_stream(h);
+      std::size_t words = std::size_t{h.degree} + 2 * std::size_t{h.escapes};
+      if (h.escapes == kEscapesSaturated) [[unlikely]] {
+        words = static_cast<std::size_t>(enc_stream(cheaders_[u + 1]) - stream);
       }
+      const auto* begin = reinterpret_cast<const std::byte*>(stream);
+      return {begin, begin + words * sizeof(std::uint16_t) + kVector};
     }
+    const NodeHeader& h = headers_[u];
+    const auto* begin = reinterpret_cast<const std::byte*>(tail_.data() + h.tail);
+    const std::size_t spill = h.degree > kInlineEdges ? h.degree - kInlineEdges : 0;
+    return {begin, spill == 0 ? begin : begin + spill * sizeof(NodeId) + kVector};
+  }
+
+  /// Prefetches every line a select of u loads past its header: exactly
+  /// select_extent(u)'s [begin, end). The extent lives in u's header, so
+  /// this is only useful once the header is resident — the batch pipeline
+  /// issues it a few ticks ahead of the hop.
+  [[gnu::always_inline]] void prefetch_spill(NodeId u) const noexcept {
+    const SelectExtent e = select_extent(u);
+    prefetch_lines(e.begin, e.end);
   }
 
   /// Number of short (immediate-neighbour) links of u.

@@ -7,8 +7,10 @@
 //    just the one-word deltas small rings produce: each node's stream is its
 //    slot words followed by the escaped absolutes in slot order;
 //  * the AVX-512 decode equals neighbors() at degrees 0..33 across the
-//    16-slot group edge, with an escape at every slot position, and hands
-//    nodes past kSimdDecodeCap to the scalar decode;
+//    16-slot group edge, with an escape at every slot position, and on a
+//    300-link hub: it decodes in registers, so every degree vectorizes;
+//  * every compact header's escape count is the node's escaped-slot count,
+//    saturated at kEscapesSaturated;
 //  * slot numbering matches: the same kill/revive sequence applied to views
 //    over both layouts leaves the same nodes and slots alive;
 //  * compact graphs cost <= 60% of the standard layout's bytes at the
@@ -16,6 +18,7 @@
 // That both layouts route identically is differential_test's job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -92,6 +95,19 @@ LayoutPair torus_pair(std::uint32_t side, std::size_t long_links,
           build_torus(side, long_links, seed, EdgeLayout::kCompact)};
 }
 
+/// Every compact header's escape count (which sizes the select's load
+/// extent) is the node's escaped-slot count, saturated; the sentinel's is 0.
+void check_escape_counts(const OverlayGraph& g) {
+  for (NodeId u = 0; u < g.size(); ++u) {
+    const auto& h = g.cheader(u);
+    ASSERT_EQ(h.escapes, std::min<std::size_t>(
+                             graph::detail::count_escapes(g.enc_stream(h), h.degree),
+                             OverlayGraph::kEscapesSaturated))
+        << "u=" << u;
+  }
+  ASSERT_EQ(g.cheader(static_cast<NodeId>(g.size())).escapes, 0u);
+}
+
 void check_structure(const LayoutPair& p) {
   const OverlayGraph& a = p.standard;
   const OverlayGraph& b = p.compact;
@@ -134,6 +150,7 @@ void check_structure(const LayoutPair& p) {
       ASSERT_EQ(la[i], lb[i]) << "u=" << u << " i=" << i;
     }
   }
+  check_escape_counts(b);
   // has_link spot checks: every real link plus a few absent ones.
   util::Rng probe(977);
   for (int t = 0; t < 200; ++t) {
@@ -225,8 +242,9 @@ std::vector<DecodeCase> decode_cases() {
 TEST(CompactOverlay, SimdDecodeMatchesNeighbors) {
   const std::uint64_t n = 1u << 17;
   const auto cases = decode_cases();
-  // Node 0 is the hub past the SIMD buffer; case k sits on node 1 + k.
-  const std::size_t hub_degree = core::kSimdDecodeCap + 44;
+  // Node 0 is a 300-link hub (nineteen decode groups); case k sits on
+  // node 1 + k.
+  const std::size_t hub_degree = 300;
   auto build = [&](EdgeLayout layout) {
     graph::GraphBuilder builder{metric::Space::ring(n)};
     for (std::size_t i = 0; i < hub_degree; ++i) {
@@ -257,13 +275,71 @@ TEST(CompactOverlay, SimdDecodeMatchesNeighbors) {
     // Sentinels past the degree catch a masked store writing beyond it.
     std::vector<NodeId> out(degree + 16, graph::kInvalidNode - 1);
     const bool vector_ran = core::decode_links_simd(p.compact, u, out.data());
-    EXPECT_EQ(vector_ran, simd && degree <= core::kSimdDecodeCap) << "u=" << u;
+    EXPECT_EQ(vector_ran, simd) << "u=" << u;
     const auto want = p.standard.neighbors(u);
     for (std::size_t i = 0; i < degree; ++i) {
       ASSERT_EQ(out[i], want[i]) << "u=" << u << " i=" << i;
     }
     for (std::size_t i = degree; i < out.size(); ++i) {
       ASSERT_EQ(out[i], graph::kInvalidNode - 1) << "u=" << u << " i=" << i;
+    }
+  }
+}
+
+TEST(CompactOverlay, SaturatedEscapeCountSelectsLikeCandidates) {
+  // A hub whose ~70 000 escaped links overflow the header's u16 count: the
+  // count saturates, the select's load extent falls back to the next
+  // node's stream start, and every router still picks what candidates()
+  // lists.
+  const std::uint64_t n = std::uint64_t{1} << 17;
+  const std::size_t far_links = 70000;
+  auto build = [&](EdgeLayout layout) {
+    graph::GraphBuilder builder{metric::Space::ring(n)};
+    builder.wire_short_links();
+    for (std::size_t i = 0; i < far_links; ++i) {
+      builder.add_long_link(0, static_cast<NodeId>(n / 4 + i));  // past the zigzag range
+    }
+    builder.add_long_link(1, 2);
+    return builder.freeze(layout);
+  };
+  // check_structure's random access is O(escapes) per slot here, so only
+  // the headers are checked directly.
+  const LayoutPair p{build(EdgeLayout::kStandard), build(EdgeLayout::kCompact)};
+  ASSERT_EQ(p.compact.link_count(), p.standard.link_count());
+  check_escape_counts(p.compact);
+  const auto& hub = p.compact.cheader(0);
+  ASSERT_GT(graph::detail::count_escapes(p.compact.enc_stream(hub), hub.degree),
+            std::size_t{OverlayGraph::kEscapesSaturated});
+  ASSERT_EQ(hub.escapes, OverlayGraph::kEscapesSaturated);
+
+  util::Rng rng(404);
+  for (const double dead : {0.0, 0.3}) {
+    const FailureView std_view = FailureView::with_node_failures(p.standard, dead, rng);
+    const FailureView cmp_view = [&] {
+      FailureView v = FailureView::all_alive(p.compact);
+      for (NodeId u = 0; u < p.compact.size(); ++u) {
+        if (!std_view.node_alive(u)) v.kill_node(u);
+      }
+      return v;
+    }();
+    const core::Router reference(p.standard, std_view, {.force_scalar = true});
+    const core::Router routers[] = {core::Router(p.standard, std_view),
+                                    core::Router(p.compact, cmp_view)};
+    for (const core::Router& router : routers) {
+      EXPECT_EQ(router.simd_eligible(), core::simd_decode_supported());
+    }
+    for (int probe = 0; probe < 6; ++probe) {
+      const auto target = static_cast<metric::Point>(
+          probe % 2 == 0 ? n / 4 + rng.next_below(far_links) : rng.next_below(n));
+      const std::vector<NodeId> want = reference.candidates(0, target);
+      for (std::size_t rank = 0; rank < 4; ++rank) {
+        const NodeId expect = rank < want.size() ? want[rank] : graph::kInvalidNode;
+        for (const core::Router& router : routers) {
+          ASSERT_EQ(router.select_candidate(0, target, rank), expect)
+              << "dead=" << dead << " target=" << target << " rank=" << rank
+              << " compact=" << router.graph().compact();
+        }
+      }
     }
   }
 }

@@ -7,8 +7,9 @@
 //  * graphs: line and ring from build_overlay (n = 2 and 3 included, and a
 //    2^16-node line whose compact form escapes far links), the torus from
 //    build_kleinberg_overlay (sides 2, 3 and 45 included), and GraphBuilder
-//    shapes by hand — duplicate links, degree past kInlineEdges, a hub past
-//    kSimdDecodeCap, binomial (sparse) positions;
+//    shapes by hand — duplicate links, degree past kInlineEdges, a
+//    300-link hub (on the vector path like every other node), binomial
+//    (sparse) positions;
 //  * failures: none, dead nodes, dead links, both, or a churn::make_trace
 //    log that a fixed schedule seeks forward and back between steps;
 //  * reputation: none, or a ReputationTable distrusting some nodes;
@@ -23,9 +24,12 @@
 // route(), RouteSession stepped hop by hop (the churn schedule applied
 // between steps), route_batch, and a width-1 BatchPipeline fed the same
 // schedule between ticks. Under churn, wider pipelines must agree across
-// the four routers and on a rerun.
+// the four routers and on a rerun. Each compact twin's header escape counts
+// are checked first; in Debug builds every vector load the kernels issue
+// asserts that it stays inside OverlayGraph::select_extent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -141,13 +145,14 @@ OverlayGraph build_graph(Shape shape, util::Rng& rng, NodeId& hub) {
       return b.freeze();
     }
     case Shape::kHub: {
-      // One node past the vector decode buffer, the rest sparsely linked.
+      // One 300-link node, the rest sparsely linked. The vector kernels
+      // decode and scan it sixteen links at a time like any other node.
       GraphBuilder b(one_dimensional(rng, 512 + rng.next_below(1537)));
       b.wire_short_links();
       const std::uint64_t n = b.size();
       hub = static_cast<NodeId>(rng.next_below(n));
       for (NodeId u = 0; u < n; ++u) {
-        const std::size_t links = u == hub ? kSimdDecodeCap + 44 : rng.next_below(4);
+        const std::size_t links = u == hub ? 300 : rng.next_below(4);
         for (std::size_t k = 0; k < links; ++k) {
           b.add_long_link(u, static_cast<NodeId>(rng.next_below(n)));
         }
@@ -209,6 +214,18 @@ Graphs make_graphs(Shape shape, util::Rng& rng) {
   OverlayGraph standard = build_graph(shape, rng, hub);
   OverlayGraph compact = twin(standard, graph::EdgeLayout::kCompact);
   return {std::move(standard), std::move(compact), hub};
+}
+
+/// Every compact header's escape count, which sizes the load extent the
+/// vector kernels stay inside, is the node's escaped-slot count.
+void expect_escape_counts(const OverlayGraph& compact) {
+  for (NodeId u = 0; u < compact.size(); ++u) {
+    const OverlayGraph::CompactHeader& h = compact.cheader(u);
+    ASSERT_EQ(h.escapes, std::min<std::size_t>(
+                             graph::detail::count_escapes(compact.enc_stream(h), h.degree),
+                             OverlayGraph::kEscapesSaturated))
+        << "u=" << u;
+  }
 }
 
 /// A failure view over `g` per the sample's pattern: drawn from `seed` so
@@ -599,7 +616,10 @@ TEST(Differential, EveryRouterMatchesTheReferenceWalk) {
       }
       ASSERT_GT(escaped, escapes->compact.size() / 8);
     }
-    SampleRun run(shape == Shape::kEscapes ? *escapes : *own, i, coverage);
+    const Graphs& graphs = shape == Shape::kEscapes ? *escapes : *own;
+    expect_escape_counts(graphs.compact);
+    if (::testing::Test::HasFatalFailure()) return;
+    SampleRun run(graphs, i, coverage);
     run.run();
     if (::testing::Test::HasFatalFailure()) return;
   }

@@ -177,8 +177,9 @@ TEST_P(AdversaryFuzz, SidebandsMatchReferenceThroughInterleavedOps) {
       ASSERT_EQ(delta_set.is_byzantine(u), delta_ref[u] != 0)
           << "op=" << op << " u=" << u;
       ASSERT_EQ(view.node_alive(u), alive_ref[u] != 0) << "op=" << op << " u=" << u;
-      if (view.node_alive_bytes() != nullptr) {
-        ASSERT_EQ(view.node_alive_bytes()[u], alive_ref[u]) << "op=" << op;
+      if (view.node_dead_words() != nullptr) {
+        ASSERT_EQ(((view.node_dead_words()[u >> 6] >> (u & 63)) & 1u) == 0u, alive_ref[u] != 0)
+            << "op=" << op;
       }
       ASSERT_DOUBLE_EQ(rep.penalty(u), pen_ref[u]) << "op=" << op << " u=" << u;
       // The acceptance invariant: the trust sideband byte equals the scalar

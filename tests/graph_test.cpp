@@ -1376,7 +1376,16 @@ TEST(GraphBuilderPinned, LookupGraphMatchesReferenceFingerprint) {
                             .layout = EdgeLayout::kCompact},
                            0,
                            0x22b433713e7b8a5cULL};
-  EXPECT_EQ(fingerprint(build_pinned(lookup, nullptr)), lookup.fingerprint) << "serial";
+  const OverlayGraph serial = build_pinned(lookup, nullptr);
+  EXPECT_EQ(fingerprint(serial), lookup.fingerprint) << "serial";
+  // Each compact header's escape count, which sizes the router's load
+  // extent, is the node's escaped-slot count (none here saturates).
+  for (NodeId u = 0; u < serial.size(); ++u) {
+    const OverlayGraph::CompactHeader& h = serial.cheader(u);
+    const std::size_t escaped = detail::count_escapes(serial.enc_stream(h), h.degree);
+    ASSERT_EQ(h.escapes, std::min<std::size_t>(escaped, OverlayGraph::kEscapesSaturated))
+        << "u=" << u;
+  }
   util::ThreadPool pool(2);
   EXPECT_EQ(fingerprint(build_pinned(lookup, &pool)), lookup.fingerprint) << "2 threads";
 }

@@ -1,9 +1,13 @@
-// Pins the sidebands the failure-aware (masked) SIMD candidate scan reads:
-// FailureView's link-liveness words and node-alive byte sideband agree
+// Pins what the failure-aware (masked) SIMD candidate scan reads:
+// FailureView's link-liveness words and its node-dead words, read the way
+// the kernel gathers them (32-bit word u >> 5, bit u & 31), agree
 // bit-for-bit with the scalar link_alive_at/node_alive queries, through
 // manual kills/revives and delta-log apply/revert. That the masked kernels
 // select exactly what candidates() lists is differential_test's job.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
 
 #include "churn/churn_log.h"
 #include "churn/trace_gen.h"
@@ -28,10 +32,19 @@ OverlayGraph ring_overlay(std::uint64_t n, std::size_t links, std::uint64_t seed
   return graph::build_overlay(spec, rng);
 }
 
+/// Node u's dead bit as the vectorized scan reads it: the 32-bit word
+/// u >> 5 of node_dead_words(), bit u & 31.
+bool gathered_dead_bit(const FailureView& view, NodeId u) {
+  std::uint32_t word = 0;
+  std::memcpy(&word, reinterpret_cast<const char*>(view.node_dead_words()) + 4 * (u >> 5),
+              sizeof word);
+  return (word >> (u & 31)) & 1u;
+}
+
 TEST(MaskedScan, SidebandsMatchScalarQueries) {
   const auto g = ring_overlay(512, 6, 21);
   auto view = FailureView::all_alive(g);
-  EXPECT_EQ(view.node_alive_bytes(), nullptr);
+  EXPECT_EQ(view.node_dead_words(), nullptr);
   util::Rng rng(22);
   for (int round = 0; round < 200; ++round) {
     const auto u = static_cast<NodeId>(rng.next_below(g.size()));
@@ -42,9 +55,9 @@ TEST(MaskedScan, SidebandsMatchScalarQueries) {
       rng.next_bool(0.5) ? view.kill_link(u, i) : view.revive_link(u, i);
     }
   }
-  ASSERT_NE(view.node_alive_bytes(), nullptr);
+  ASSERT_NE(view.node_dead_words(), nullptr);
   for (NodeId u = 0; u < g.size(); ++u) {
-    EXPECT_EQ(view.node_alive_bytes()[u], view.node_alive(u) ? 1 : 0) << u;
+    EXPECT_EQ(gathered_dead_bit(view, u), !view.node_alive(u)) << u;
   }
   ASSERT_FALSE(view.links_intact());
   for (NodeId u = 0; u < g.size(); ++u) {
@@ -80,12 +93,12 @@ TEST(MaskedScan, SidebandsTrackDeltaApplyRevert) {
   auto view = log.baseline();
   const auto check = [&] {
     if (view.nodes_intact()) {
-      EXPECT_EQ(view.node_alive_bytes(), nullptr);
+      EXPECT_EQ(view.node_dead_words(), nullptr);
       return;
     }
-    ASSERT_NE(view.node_alive_bytes(), nullptr);
+    ASSERT_NE(view.node_dead_words(), nullptr);
     for (NodeId u = 0; u < g.size(); ++u) {
-      ASSERT_EQ(view.node_alive_bytes()[u], view.node_alive(u) ? 1 : 0)
+      ASSERT_EQ(gathered_dead_bit(view, u), !view.node_alive(u))
           << "epoch=" << view.epoch() << " u=" << u;
     }
   };
