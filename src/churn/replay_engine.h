@@ -6,10 +6,13 @@
 // (one transmission per tick) until it has run floor((t - start) *
 // ticks_per_ms) ticks, so the event lands *between* transmissions. Once the
 // workload drains nothing is left to tick, and later events apply
-// back-to-back. Drivers add event streams through at() and see every tick
-// through their TickHook, called as hook(pipeline, ticks_run); Replay's is
-// NoTickHook, which compiles to nothing, so the clock never branches on
-// which driver it serves.
+// back-to-back. The ticks between two events run in bulk, as one
+// WalkPipeline::advance: nothing mutates the view inside that stretch, so
+// the pipeline picks its select kernel once per stretch, not once per hop.
+// Drivers add event streams through at() and may see every tick through a
+// TickHook, called as hook(pipeline, ticks_run); a hooked driver (the
+// adversarial replay stamps completion times) advances one tick at a time.
+// Replay's hook is NoTickHook, which takes the bulk path.
 #pragma once
 
 #include <algorithm>
@@ -18,6 +21,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -145,12 +149,18 @@ class ReplayEngine {
   }
 
   /// Ticks while searches are in flight, until `target` ticks have run.
+  /// Without a hook that is one advance() over the whole gap: events fire
+  /// only between calls, so the view holds still for all of it. A hook
+  /// observes every tick, so hooked drivers advance one tick at a time.
   void tick_until(std::size_t target) {
     const std::size_t before = ticks_;
-    while (live_ && ticks_ < target) {
-      live_ = pipeline_.tick();
-      ++ticks_;
-      hook_(pipeline_, ticks_);
+    if constexpr (std::is_same_v<TickHook, NoTickHook>) {
+      if (ticks_ < target) ticks_ += pipeline_.advance(target - ticks_, live_);
+    } else {
+      while (live_ && ticks_ < target) {
+        ticks_ += pipeline_.advance(1, live_);
+        hook_(pipeline_, ticks_);
+      }
     }
     if (ticks_ != before) recorder_.add(ticks_counter_, ticks_ - before);
   }

@@ -212,6 +212,139 @@ constexpr std::array<SelectFn, 64> make_select_table(std::index_sequence<Is...>)
 constexpr std::array<SelectFn, 64> kSelectTable =
     make_select_table(std::make_index_sequence<64>{});
 
+/// The view and reputation state that picks a select kernel variant. When
+/// nothing has ever failed, the liveness bitsets are empty and both
+/// knowledge models admit every link, so the link and node masks drop out
+/// of the kernel outright. The distrust mask gates the same way: while the
+/// reputation table distrusts nobody (or none is wired) selection costs
+/// exactly what it did before reputation existed.
+struct SelectMasks {
+  bool links = false;
+  bool nodes = false;
+  bool trust = false;
+  const std::uint8_t* trusted = nullptr;  // the trust sideband, when `trust`
+
+  /// Index into the vector kernel tables: (links?4:0) | (nodes?2:0) |
+  /// (trust?1:0).
+  [[nodiscard]] std::size_t simd_index() const noexcept {
+    return (links ? 4u : 0u) | (nodes ? 2u : 0u) | (trust ? 1u : 0u);
+  }
+};
+
+SelectMasks select_masks(const Router& r) noexcept {
+  SelectMasks m;
+  m.links = !r.view().links_intact();
+  m.nodes = r.config().knowledge == Knowledge::kLiveness && !r.view().nodes_intact();
+  const failure::ReputationTable* rep = r.config().reputation;
+  m.trust = rep != nullptr && rep->distrusted_count() != 0;
+  m.trusted = m.trust ? rep->trusted_bytes() : nullptr;
+  return m;
+}
+
+}  // namespace
+
+/// The one tick loop. Each tick: the lookahead prefetch, one step of the
+/// current lane, hop capture, and retire + refill or drain. Every advance()
+/// runs this body; the AVX-512 walks inline it with their kernel.
+template <class Session>
+template <class Select>
+std::size_t WalkPipeline<Session>::walk(std::size_t n, bool& live,
+                                        [[maybe_unused]] const Select& select) {
+  if (!live || n == 0) return 0;
+  if (lanes_.empty()) {
+    live = false;
+    return 1;
+  }
+  const graph::OverlayGraph& g = router_->graph();
+  std::size_t ran = 0;
+  while (ran < n) {
+    ++ran;
+    if (prefetch_distance_ != 0 && prefetch_distance_ < lanes_.size()) {
+      // The lane stepped prefetch_distance ticks from now: its header is
+      // already resident (the select of its previous step, or the
+      // construction/refill prefetch, pulled it a full rotation ago), which
+      // lets us chase one level deeper and pull every adjacency line its
+      // select will read — the compact slot + exception stream, or a
+      // standard node's spill tail — the dependent load a lone search eats
+      // serially. Lanes compact on retire, so the lookahead always hits a
+      // live search; rings already smaller than the lookahead skip it
+      // (lines are warm).
+      std::size_t ahead = cursor_ + prefetch_distance_;
+      if (ahead >= lanes_.size()) ahead -= lanes_.size();
+      g.prefetch_spill(lanes_[ahead].session.current());
+    }
+    Lane& lane = lanes_[cursor_];
+    [[maybe_unused]] const auto moved = [&] {
+      if constexpr (kHopCapture) {
+        return lane.session.step(lane.rng, select);
+      } else {
+        return lane.session.step(lane.rng);  // secure sessions select on their own
+      }
+    }();
+    if constexpr (kHopCapture && telemetry::kCompiledIn) {
+      // Hop capture touches only sampled lanes; untraced batches pay one
+      // predicted-not-taken branch here (compiled out under
+      // P2P_TELEMETRY=OFF).
+      if (trace_ != nullptr && lane.trail != kNoTrail && moved.has_value()) {
+        trace_->hop(lane.trail, *moved, lane.session.last_rank(),
+                    router_->view().epoch());
+      }
+    }
+    if (lane.session.finished()) {
+      results_[lane.query] = lane.session.result();
+      last_retired_ = lane.query;
+      ++retired_;
+      if constexpr (kHopCapture && telemetry::kCompiledIn) {
+        if (telemetry_ != nullptr) telemetry_->record(results_[lane.query]);
+        if (trace_ != nullptr && lane.trail != kNoTrail) {
+          trace_->end(lane.trail,
+                      static_cast<std::uint8_t>(results_[lane.query].status));
+        }
+      }
+      if (next_query_ < queries_.size()) {
+        const std::size_t refill = next_query_++;
+        lane.session.restart(queries_[refill].src, queries_[refill].target);
+        lane.rng = util::substream(seed_base_, refill);
+        lane.query = refill;
+        if constexpr (kHopCapture && telemetry::kCompiledIn) {
+          if (trace_ != nullptr)
+            lane.trail = trace_->begin(refill, queries_[refill].src);
+        }
+        g.prefetch(lane.session.current());  // first header of the new search
+      } else {
+        // Drain phase: compact the retired lane out of the ring so rotation
+        // and lookahead only ever touch live searches. The lane moved into
+        // this slot is stepped on the next tick, never skipped.
+        if (&lane != &lanes_.back()) lane = std::move(lanes_.back());
+        lanes_.pop_back();
+        if (cursor_ == lanes_.size()) cursor_ = 0;
+        if (lanes_.empty()) {
+          live = false;
+          return ran;
+        }
+        continue;
+      }
+    }
+    if (++cursor_ == lanes_.size()) cursor_ = 0;
+  }
+  return ran;
+}
+
+namespace detail {
+
+/// The AVX-512 walks' way into the pipeline's private tick loop.
+struct WalkAccess {
+  template <class Select>
+  static std::size_t walk(BatchPipeline& p, std::size_t n, bool& live,
+                          const Select& select) {
+    return p.walk(n, live, select);
+  }
+};
+
+}  // namespace detail
+
+namespace {
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #define P2P_HAVE_AVX512_SELECT 1
 // The scans are AVX-512F; the compact decode's masked u16 load also needs
@@ -259,18 +392,39 @@ inline __m512i avx512_decode16(
   return v;
 }
 
+/// Debug-build bounds of the gathers, whose loads ASan does not see: true
+/// when every active lane's index is below `bound` (sixteen u32 lanes with
+/// a bound below 2^32, or eight u64 lanes). Only assert() calls these, so
+/// NDEBUG builds drop them.
+P2P_AVX512_INLINE
+inline bool lanes_below(__m512i idx, __mmask16 m, std::uint32_t bound) noexcept {
+  return _mm512_mask_cmp_epu32_mask(m, idx, _mm512_set1_epi32(static_cast<int>(bound)),
+                                    _MM_CMPINT_NLT) == 0;
+}
+P2P_AVX512_INLINE
+inline bool lanes_below(__m512i idx, __mmask8 m, std::uint64_t bound) noexcept {
+  return _mm512_mask_cmp_epu64_mask(m, idx, _mm512_set1_epi64(static_cast<long long>(bound)),
+                                    _MM_CMPINT_NLT) == 0;
+}
+
 /// Line/ring distance of eight ids to the target: |id - t|, wrapped on the
-/// ring. simd_ok_ admits dense graphs only, so an id is its position.
+/// ring. simd_ok_ admits dense graphs only, so an id is its position. Built
+/// once per space; aim() sets the target of each select.
 struct LineMetric {
   __m512i vt;
   __m512i vn;
   bool ring;
 
   P2P_AVX512_TARGET
-  LineMetric(const metric::Space& space, metric::Point target) noexcept
-      : vt(_mm512_set1_epi64(static_cast<long long>(target))),
+  explicit LineMetric(const metric::Space& space) noexcept
+      : vt(_mm512_setzero_si512()),
         vn(_mm512_set1_epi64(static_cast<long long>(space.size()))),
         ring(space.kind() == metric::Space::Kind::kRing) {}
+
+  P2P_AVX512_INLINE
+  void aim(metric::Point target) noexcept {
+    vt = _mm512_set1_epi64(static_cast<long long>(target));
+  }
 
   P2P_AVX512_INLINE
   __m512i distance(__m512i vid) const noexcept {
@@ -290,7 +444,8 @@ struct LineMetric {
 /// whole scan in AVX-512F: the only integer multiply needed is row * side,
 /// which fits vpmuludq's 32-bit operands. Without it the scalar path burns
 /// two 64-bit divides per neighbour and the torus hop is compute-bound
-/// instead of memory-bound.
+/// instead of memory-bound. The reciprocal is taken once per space; aim()
+/// splits each select's target with the same step, so no select divides.
 struct TorusMetric {
   __m512i vtr;
   __m512i vtc;
@@ -298,24 +453,26 @@ struct TorusMetric {
   __m512d vinv_side;
 
   P2P_AVX512_TARGET
-  TorusMetric(const metric::Space& space, metric::Point target) noexcept {
-    const auto side = static_cast<std::uint64_t>(space.side());
-    const auto [row, col] = space.coords(target);
-    vtr = _mm512_set1_epi64(static_cast<long long>(row));
-    vtc = _mm512_set1_epi64(static_cast<long long>(col));
-    vside = _mm512_set1_epi64(static_cast<long long>(side));
-    vinv_side = _mm512_set1_pd(1.0 / static_cast<double>(side));
-  }
+  explicit TorusMetric(const metric::Space& space) noexcept
+      : vtr(_mm512_setzero_si512()),
+        vtc(_mm512_setzero_si512()),
+        vside(_mm512_set1_epi64(static_cast<long long>(space.side()))),
+        vinv_side(_mm512_set1_pd(1.0 / static_cast<double>(space.side()))) {}
 
   P2P_AVX512_INLINE
-  __m512i distance(__m512i vid) const noexcept {
+  void aim(metric::Point target) noexcept {
+    split(_mm512_set1_epi64(static_cast<long long>(target)), vtr, vtc);
+  }
+
+  /// (row, col) of eight ids: floor(id / side) by the reciprocal, fixed up.
+  P2P_AVX512_INLINE
+  void split(__m512i vid, __m512i& vrow, __m512i& vcol) const noexcept {
     const __m512i vone = _mm512_set1_epi64(1);
     const __m256i ids32 = _mm512_cvtepi64_epi32(vid);
-    // row = floor(id / side): reciprocal multiply, truncate, then fix up.
     const __m256i row32 = _mm512_cvttpd_epu32(
         _mm512_mul_pd(_mm512_cvtepu32_pd(ids32), vinv_side));
-    __m512i vrow = _mm512_cvtepu32_epi64(row32);
-    __m512i vcol = _mm512_sub_epi64(vid, _mm512_mul_epu32(vrow, vside));
+    vrow = _mm512_cvtepu32_epi64(row32);
+    vcol = _mm512_sub_epi64(vid, _mm512_mul_epu32(vrow, vside));
     // Overestimated row: col wrapped negative (appears as > 2^32 - 1).
     const __mmask8 over = _mm512_cmp_epu64_mask(
         vcol, _mm512_set1_epi64(0xffffffffll), _MM_CMPINT_NLE);
@@ -325,6 +482,13 @@ struct TorusMetric {
     const __mmask8 under = _mm512_cmp_epu64_mask(vcol, vside, _MM_CMPINT_NLT);
     vrow = _mm512_mask_add_epi64(vrow, under, vrow, vone);
     vcol = _mm512_mask_sub_epi64(vcol, under, vcol, vside);
+  }
+
+  P2P_AVX512_INLINE
+  __m512i distance(__m512i vid) const noexcept {
+    __m512i vrow;
+    __m512i vcol;
+    split(vid, vrow, vcol);
     // Wrapped Manhattan distance to the (pre-split) target.
     const __m512i drd = _mm512_abs_epi64(_mm512_sub_epi64(vrow, vtr));
     const __m512i dr = _mm512_min_epu64(drd, _mm512_sub_epi64(vside, drd));
@@ -361,8 +525,11 @@ struct Fold16 {
                      std::uint64_t live) const noexcept {
     if constexpr (kCheckLinks) m &= static_cast<__mmask16>(live);
     if constexpr (kCheckNodes) {
-      const __m512i words = _mm512_mask_i32gather_epi32(
-          _mm512_setzero_si512(), m, _mm512_srli_epi32(vid, 5), dead_words, 4);
+      const __m512i word = _mm512_srli_epi32(vid, 5);
+      assert(lanes_below(word, m, static_cast<std::uint32_t>((view.graph().size() + 31) / 32)) &&
+             "node-dead gather: word index past the bitset");
+      const __m512i words =
+          _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), m, word, dead_words, 4);
       const __m512i dead =
           _mm512_srlv_epi32(words, _mm512_and_si512(vid, _mm512_set1_epi32(31)));
       m = _mm512_mask_testn_epi32_mask(m, dead, _mm512_set1_epi32(1));
@@ -375,6 +542,10 @@ struct Fold16 {
       // trusted[v] is 0 or 1, so bit 0 of the gathered dword is the verdict.
       // Gathered on the widened ids: a 32-bit index would sign-extend ids
       // >= 2^31 below the base.
+      assert(lanes_below(lo, mlo, view.graph().size()) &&
+             "trust gather: low-half id past the node count");
+      assert(lanes_below(hi, mhi, view.graph().size()) &&
+             "trust gather: high-half id past the node count");
       const __m256i vone8 = _mm256_set1_epi32(1);
       mlo = _mm256_mask_test_epi32_mask(
           mlo, _mm512_mask_i64gather_epi32(_mm256_setzero_si256(), mlo, lo, trusted, 1), vone8);
@@ -463,25 +634,50 @@ inline graph::NodeId avx512_select_ranked(const graph::OverlayGraph& g, const Fo
   return best_v;
 }
 
-/// Vectorized selection of any rank: dense graph, two-sided greedy, one
-/// kernel per (metric family, link mask, node mask, trust mask), both
-/// layouts through the one group body.
+/// Vectorized selection of any rank as a selector: dense graph, two-sided
+/// greedy, one kernel per (metric family, link mask, node mask, trust mask),
+/// both layouts through the one group body. select_candidate's table calls
+/// it once per select; the BatchPipeline walks inline it. du comes from the
+/// kernel's own metric on lane 0: Space::distance is not inlined into
+/// AVX-512 code and would cost every select a call. The metric's per-space
+/// part is built with the selector, so a walk builds it once. The operator
+/// is not always_inline: GCC cannot force an AVX-512 function into the
+/// default-target walk body, so the walks inline it through `flatten`.
+template <class Metric, bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
+struct Avx512Select {
+  const graph::OverlayGraph& g;
+  const failure::FailureView& view;
+  const std::uint8_t* trusted;  // ReputationTable::trusted_bytes() (kCheckTrust)
+  Metric space_metric;
+
+  P2P_AVX512_TARGET
+  Avx512Select(const graph::OverlayGraph& graph, const failure::FailureView& v,
+               const std::uint8_t* trusted_bytes) noexcept
+      : g(graph), view(v), trusted(trusted_bytes), space_metric(graph.space()) {}
+
+  P2P_AVX512_TARGET
+  graph::NodeId operator()(graph::NodeId u, metric::Point target,
+                           std::size_t rank) const noexcept {
+    Metric metric = space_metric;
+    metric.aim(target);
+    const auto du = static_cast<metric::Distance>(_mm_cvtsi128_si64(
+        _mm512_castsi512_si128(metric.distance(_mm512_set1_epi64(u)))));
+    const Fold16<kCheckLinks, kCheckNodes, kCheckTrust, Metric> fold{
+        metric, view, kCheckNodes ? view.node_dead_words() : nullptr,
+        kCheckTrust ? trusted : nullptr};
+    return g.compact() ? avx512_select_ranked<true>(g, fold, u, du, rank)
+                       : avx512_select_ranked<false>(g, fold, u, du, rank);
+  }
+};
+
 template <class Metric, bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
 P2P_AVX512_TARGET
 graph::NodeId select_best_avx512(const graph::OverlayGraph& g,
                                  const failure::FailureView& view,
-                                 const std::uint8_t* trusted_bytes,
-                                 graph::NodeId u, metric::Point target,
-                                 std::size_t rank) noexcept {
-  const metric::Space& space = g.space();
-  const Metric metric(space, target);
-  const metric::Distance du =
-      space.distance(static_cast<metric::Point>(u), target);
-  const Fold16<kCheckLinks, kCheckNodes, kCheckTrust, Metric> fold{
-      metric, view, kCheckNodes ? view.node_dead_words() : nullptr,
-      kCheckTrust ? trusted_bytes : nullptr};
-  return g.compact() ? avx512_select_ranked<true>(g, fold, u, du, rank)
-                     : avx512_select_ranked<false>(g, fold, u, du, rank);
+                                 const std::uint8_t* trusted, graph::NodeId u,
+                                 metric::Point target, std::size_t rank) noexcept {
+  return Avx512Select<Metric, kCheckLinks, kCheckNodes, kCheckTrust>{g, view, trusted}(
+      u, target, rank);
 }
 
 /// decode_links_simd's vector leg: the select's decode step, each group
@@ -514,6 +710,35 @@ constexpr std::array<SelectFn, 8> kSimdSelect1D =
     make_simd_table<LineMetric>(std::make_index_sequence<8>{});
 constexpr std::array<SelectFn, 8> kSimdSelectTorus =
     make_simd_table<TorusMetric>(std::make_index_sequence<8>{});
+
+/// A BatchPipeline walk with one kernel variant as its selector. `flatten`
+/// inlines the tick loop, the session's step and the kernel into this one
+/// AVX-512 function, so a hop makes no call: what stays out of line is
+/// cold (the refill's node_nearest, a reroute's random_alive, telemetry
+/// and trace capture).
+template <class Metric, bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
+__attribute__((target(P2P_AVX512_ISA), flatten))
+std::size_t avx512_walk(BatchPipeline& p, const Router& r, const std::uint8_t* trusted,
+                        std::size_t n, bool& live) {
+  return detail::WalkAccess::walk(
+      p, n, live,
+      Avx512Select<Metric, kCheckLinks, kCheckNodes, kCheckTrust>{r.graph(), r.view(),
+                                                                   trusted});
+}
+
+using WalkFn = std::size_t (*)(BatchPipeline&, const Router&, const std::uint8_t*,
+                               std::size_t, bool&);
+
+/// Indexed as the select tables.
+template <class Metric, std::size_t... Is>
+constexpr std::array<WalkFn, 8> make_walk_table(std::index_sequence<Is...>) {
+  return {avx512_walk<Metric, (Is & 4) != 0, (Is & 2) != 0, (Is & 1) != 0>...};
+}
+
+constexpr std::array<WalkFn, 8> kWalk1D =
+    make_walk_table<LineMetric>(std::make_index_sequence<8>{});
+constexpr std::array<WalkFn, 8> kWalkTorus =
+    make_walk_table<TorusMetric>(std::make_index_sequence<8>{});
 #pragma GCC diagnostic pop
 #else
 #define P2P_HAVE_AVX512_SELECT 0
@@ -535,18 +760,7 @@ bool decode_links_simd(const graph::OverlayGraph& g, graph::NodeId u,
 
 graph::NodeId Router::select_candidate(graph::NodeId u, metric::Point target,
                                        std::size_t rank) const noexcept {
-  // When nothing has ever failed the liveness bitsets are empty and both
-  // knowledge models admit every link; dispatch to a specialization that
-  // skips the per-slot queries outright. The distrust mask gates the same
-  // way: while the reputation table distrusts nobody (or none is wired) the
-  // trust-free kernels dispatch and selection costs exactly what it did
-  // before reputation existed.
-  const bool check_links = !view_->links_intact();
-  const bool check_nodes =
-      config_.knowledge == Knowledge::kLiveness && !view_->nodes_intact();
-  const failure::ReputationTable* rep = config_.reputation;
-  const bool check_trust = rep != nullptr && rep->distrusted_count() != 0;
-  const std::uint8_t* trusted = check_trust ? rep->trusted_bytes() : nullptr;
+  const SelectMasks masks = select_masks(*this);
 #if P2P_HAVE_AVX512_SELECT
   // The §6/§4 sweeps — intact *and* failure-aware, first picks and
   // backtrack ranks alike — spend nearly all their time in this one call
@@ -558,19 +772,17 @@ graph::NodeId Router::select_candidate(graph::NodeId u, metric::Point target,
   // on the reputation sideband. Each metric family has its own kernel; all
   // share the 16-lane group body, the key packing and the min-reduction.
   if (simd_ok_) {
-    const std::size_t masks = (check_links ? 4u : 0u) |
-                              (check_nodes ? 2u : 0u) | (check_trust ? 1u : 0u);
-    return graph_->space().one_dimensional()
-               ? kSimdSelect1D[masks](*graph_, *view_, trusted, u, target, rank)
-               : kSimdSelectTorus[masks](*graph_, *view_, trusted, u, target, rank);
+    const auto& table =
+        graph_->space().one_dimensional() ? kSimdSelect1D : kSimdSelectTorus;
+    return table[masks.simd_index()](*graph_, *view_, masks.trusted, u, target, rank);
   }
 #endif
   const bool one_sided = config_.sidedness == Sidedness::kOneSided;
   const std::size_t index =
-      (graph_->compact() ? 32u : 0u) | (check_trust ? 16u : 0u) |
-      (graph_->dense() ? 8u : 0u) | (check_links ? 4u : 0u) |
-      (check_nodes ? 2u : 0u) | (one_sided ? 1u : 0u);
-  return kSelectTable[index](*graph_, *view_, trusted, u, target, rank);
+      (graph_->compact() ? 32u : 0u) | (masks.trust ? 16u : 0u) |
+      (graph_->dense() ? 8u : 0u) | (masks.links ? 4u : 0u) |
+      (masks.nodes ? 2u : 0u) | (one_sided ? 1u : 0u);
+  return kSelectTable[index](*graph_, *view_, masks.trusted, u, target, rank);
 }
 
 std::vector<graph::NodeId> Router::candidates(graph::NodeId u,
@@ -708,65 +920,23 @@ WalkPipeline<Session>::WalkPipeline(const RouterType& router,
 }
 
 template <class Session>
-bool WalkPipeline<Session>::tick() {
-  if (lanes_.empty()) return false;
-  const graph::OverlayGraph& g = router_->graph();
-  if (prefetch_distance_ != 0 && prefetch_distance_ < lanes_.size()) {
-    // The lane stepped prefetch_distance ticks from now: its header is
-    // already resident (the select of its previous step, or the
-    // construction/refill prefetch, pulled it a full rotation ago), which
-    // lets us chase one level deeper and pull every adjacency line its
-    // select will read — the compact slot + exception stream, or a standard
-    // node's spill tail — the dependent load a lone search eats serially.
-    // Lanes compact on retire, so the lookahead always hits a live search;
-    // rings already smaller than the lookahead skip it (lines are warm).
-    std::size_t ahead = cursor_ + prefetch_distance_;
-    if (ahead >= lanes_.size()) ahead -= lanes_.size();
-    g.prefetch_spill(lanes_[ahead].session.current());
-  }
-  Lane& lane = lanes_[cursor_];
-  [[maybe_unused]] const auto moved = lane.session.step(lane.rng);
-  if constexpr (kHopCapture && telemetry::kCompiledIn) {
-    // Hop capture touches only sampled lanes; untraced batches pay one
-    // predicted-not-taken branch here (compiled out under P2P_TELEMETRY=OFF).
-    if (trace_ != nullptr && lane.trail != kNoTrail && moved.has_value()) {
-      trace_->hop(lane.trail, *moved, lane.session.last_rank(),
-                  router_->view().epoch());
+std::size_t WalkPipeline<Session>::advance(std::size_t n, bool& live) {
+  if constexpr (kHopCapture) {
+#if P2P_HAVE_AVX512_SELECT
+    // Nothing mutates the view within one advance, so the kernel variant
+    // select_candidate would re-derive on every hop is fixed here, once.
+    if (router_->simd_eligible()) {
+      const SelectMasks masks = select_masks(*router_);
+      const auto& walks =
+          router_->graph().space().one_dimensional() ? kWalk1D : kWalkTorus;
+      ++simd_advances_;
+      return walks[masks.simd_index()](*this, *router_, masks.trusted, n, live);
     }
+#endif
+    return walk(n, live, CandidateSelect{router_});
+  } else {
+    return walk(n, live, nullptr);
   }
-  if (lane.session.finished()) {
-    results_[lane.query] = lane.session.result();
-    last_retired_ = lane.query;
-    ++retired_;
-    if constexpr (kHopCapture && telemetry::kCompiledIn) {
-      if (telemetry_ != nullptr) telemetry_->record(results_[lane.query]);
-      if (trace_ != nullptr && lane.trail != kNoTrail) {
-        trace_->end(lane.trail,
-                    static_cast<std::uint8_t>(results_[lane.query].status));
-      }
-    }
-    if (next_query_ < queries_.size()) {
-      const std::size_t refill = next_query_++;
-      lane.session.restart(queries_[refill].src, queries_[refill].target);
-      lane.rng = util::substream(seed_base_, refill);
-      lane.query = refill;
-      if constexpr (kHopCapture && telemetry::kCompiledIn) {
-        if (trace_ != nullptr)
-          lane.trail = trace_->begin(refill, queries_[refill].src);
-      }
-      g.prefetch(lane.session.current());  // first header of the new search
-    } else {
-      // Drain phase: compact the retired lane out of the ring so rotation
-      // and lookahead only ever touch live searches. The lane moved into
-      // this slot is stepped on the next tick, never skipped.
-      if (&lane != &lanes_.back()) lane = std::move(lanes_.back());
-      lanes_.pop_back();
-      if (cursor_ == lanes_.size()) cursor_ = 0;
-      return !lanes_.empty();
-    }
-  }
-  if (++cursor_ == lanes_.size()) cursor_ = 0;
-  return true;
 }
 
 template class WalkPipeline<RouteSession>;

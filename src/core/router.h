@@ -62,9 +62,20 @@
 // (core/secure_router.h) rotates the §7 redundant SecureRouteSessions with
 // the same lanes, seeding, refill, drain and both prefetch levels. What
 // differs between the two is fixed by the session type at compile time.
+//
+// Where the select kernel is chosen: a stepped session and route() call
+// select_candidate, which reads the view and reputation state on every call
+// and dispatches the matching kernel through a table. A BatchPipeline picks
+// the kernel once per advance() instead. Nothing mutates the view between
+// the ticks of one advance, so on an AVX-512 router advance() resolves the
+// variant (metric family, link/node/trust masks) on entry and runs a walk
+// compiled with that kernel inlined as its selector: one loop, no call per
+// hop. Every other router runs the same walk body with select_candidate as
+// its selector.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -159,7 +170,8 @@ struct Query {
 /// end) of the lane `prefetch_distance` positions ahead before advancing the
 /// current lane, so every line its select loads is resident by the time its
 /// turn comes around. 0 disables that second level; a distance >= the ring
-/// skips it.
+/// skips it. Neither changes a result, and neither picks the select kernel:
+/// the pipeline resolves that once per advance() from the router and view.
 struct BatchConfig {
   std::size_t width = 32;
   std::size_t prefetch_distance = 4;
@@ -261,6 +273,17 @@ class Router {
   bool simd_ok_ = false;
 };
 
+/// The selector of a stepped session: Router::select_candidate, which picks
+/// the kernel variant on every call. A BatchPipeline walk on an AVX-512
+/// router inlines the variant's kernel instead (WalkPipeline::advance).
+struct CandidateSelect {
+  const Router* router;
+  [[nodiscard]] graph::NodeId operator()(graph::NodeId u, metric::Point goal,
+                                         std::size_t rank) const noexcept {
+    return router->select_candidate(u, goal, rank);
+  }
+};
+
 /// One in-flight search, advanced a single message transmission at a time.
 ///
 /// The session re-reads the failure view on every step, so views mutated
@@ -289,10 +312,17 @@ class RouteSession {
   /// Advances until the next physical message transmission or a terminal
   /// state. Returns the node the message moved to, or std::nullopt when the
   /// session ended (check state()). Each returned hop is one unit of
-  /// delivery time. Visible here so the batch pipeline's tick loop and the
-  /// single-stream entry points compile against the one implementation and
-  /// stay bit-identical per query. Allocation-free except record_path.
+  /// delivery time. Allocation-free except record_path.
   std::optional<graph::NodeId> step(util::Rng& rng) {
+    return step(rng, CandidateSelect{router_});
+  }
+
+  /// step() with select(u, goal, rank) in place of select_candidate; it
+  /// must return what select_candidate would. Visible here so the batch
+  /// pipeline's walks and the single-stream entry points compile against the
+  /// one implementation and stay bit-identical per query.
+  template <class Select>
+  std::optional<graph::NodeId> step(util::Rng& rng, const Select& select) {
     if (state_ != State::kInTransit) return std::nullopt;
     const RouterConfig& cfg = router_->config();
     const graph::OverlayGraph& g = router_->graph();
@@ -308,7 +338,7 @@ class RouteSession {
         continue;
       }
       const metric::Point goal = interim_ ? *interim_ : final_goal_;
-      graph::NodeId next = router_->select_candidate(current_, goal, cursor_);
+      graph::NodeId next = select(current_, goal, cursor_);
       if (next != graph::kInvalidNode && cfg.knowledge == Knowledge::kStale &&
           !router_->view().node_alive(next)) {
         // §6: "once a node chooses its best neighbour, it does not send the
@@ -397,20 +427,26 @@ class RouteSession {
     /// Precondition: constructed with a window (kBacktrack sessions only).
     void push(graph::NodeId node, std::size_t rank) noexcept {
       if (count_ == buf_.size()) {
-        head_ = (head_ + 1) % buf_.size();  // evict the oldest
+        head_ = wrap(head_ + 1);  // evict the oldest
         --count_;
       }
-      buf_[(head_ + count_) % buf_.size()] = {node, rank};
+      buf_[wrap(head_ + count_)] = {node, rank};
       ++count_;
     }
     void clear() noexcept { head_ = count_ = 0; }
     [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
     [[nodiscard]] std::pair<graph::NodeId, std::size_t> pop() noexcept {
       --count_;
-      return buf_[(head_ + count_) % buf_.size()];
+      return buf_[wrap(head_ + count_)];
     }
 
    private:
+    /// i mod size() for i < 2·size(), which head_ + count_ always is: a
+    /// subtract instead of a 64-bit divide.
+    [[nodiscard]] std::size_t wrap(std::size_t i) const noexcept {
+      return i >= buf_.size() ? i - buf_.size() : i;
+    }
+
     std::vector<std::pair<graph::NodeId, std::size_t>> buf_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
@@ -450,6 +486,18 @@ class RouteSession {
 /// of the ring so the drain phase keeps prefetching over live lanes only).
 /// After construction the tick loop performs no allocations (record_path
 /// excepted).
+///
+/// Ticks run in bulk: advance(n, live) is the one tick loop, and tick() and
+/// run() are advance(1) and advance(SIZE_MAX). The view must not change
+/// within one advance, only between calls. On entry, a RouteSession ring
+/// whose router is simd_eligible() picks its kernel variant once and runs
+/// the AVX-512 walk with that kernel inlined (router.cpp); every other ring
+/// runs the same body with the session's own step(). Results do not depend
+/// on how ticks are grouped into advances.
+namespace detail {
+struct WalkAccess;  // router.cpp: the AVX-512 walks' entry into walk()
+}  // namespace detail
+
 template <class Session>
 class WalkPipeline {
  public:
@@ -473,21 +521,36 @@ class WalkPipeline {
       : WalkPipeline(router, queries, results, seed_base,
                      BatchConfig{.width = width}) {}
 
-  /// Advances one in-flight search by one step. Returns false once every
-  /// query has retired (the final retiring advance included).
-  bool tick();
+  /// Runs up to n ticks while `live` is set; each tick advances one
+  /// in-flight search by one step. Clears `live` on the tick that retires
+  /// the last query (that tick counts; with no query at all, the one tick
+  /// finds the ring empty). Returns the ticks run.
+  std::size_t advance(std::size_t n, bool& live);
+
+  /// One tick. Returns false once every query has retired (the final
+  /// retiring tick included).
+  bool tick() {
+    bool live = true;
+    advance(1, live);
+    return live;
+  }
 
   /// Ticks until every query has retired.
   void run() {
-    while (tick()) {
-    }
+    bool live = true;
+    advance(SIZE_MAX, live);
   }
+
+  /// advance() calls that ran the AVX-512 walk. Informational (tests assert
+  /// that the fused walk is exercised); results never depend on it.
+  [[nodiscard]] std::size_t simd_advances() const noexcept { return simd_advances_; }
 
   [[nodiscard]] std::size_t in_flight() const noexcept { return lanes_.size(); }
   [[nodiscard]] std::size_t retired() const noexcept { return retired_; }
-  /// The query index retired by the most recent tick() that increased
+  /// The query index retired by the most recent tick that increased
   /// retired() — at most one retires per tick. Meaningful only immediately
-  /// after such a tick; replay drivers use it to timestamp completions.
+  /// after such a tick (an advance(1)); replay drivers use it to timestamp
+  /// completions.
   [[nodiscard]] std::size_t last_retired_query() const noexcept {
     return last_retired_;
   }
@@ -498,6 +561,14 @@ class WalkPipeline {
   /// Matches telemetry::TraceBuffer::kNone (static_asserted in router.cpp);
   /// kept local so this header needs only the forward declaration.
   static constexpr std::uint32_t kNoTrail = ~std::uint32_t{0};
+
+  friend struct detail::WalkAccess;
+
+  /// The tick loop behind advance(): up to n ticks, each stepping a
+  /// RouteSession with `select` as its selector (a secure session steps on
+  /// its own and ignores it). Defined in router.cpp.
+  template <class Select>
+  std::size_t walk(std::size_t n, bool& live, const Select& select);
 
   struct Lane {
     Session session;
@@ -518,6 +589,7 @@ class WalkPipeline {
   std::size_t next_query_ = 0;  // first query not yet assigned to a lane
   std::size_t retired_ = 0;
   std::size_t last_retired_ = 0;
+  std::size_t simd_advances_ = 0;
 };
 
 /// Both instantiations live in router.cpp. The RouteSession one stays out

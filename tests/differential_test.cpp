@@ -26,7 +26,10 @@
 // schedule between ticks. Under churn, wider pipelines must agree across
 // the four routers and on a rerun. Each compact twin's header escape counts
 // are checked first; in Debug builds every vector load the kernels issue
-// asserts that it stays inside OverlayGraph::select_extent.
+// asserts that it stays inside OverlayGraph::select_extent, and every
+// gather that its active lanes' indices stay inside the bitset or sideband.
+// Pipelines on a vectorizing router run the AVX-512 walk, whose kernel is
+// inlined (WalkPipeline::advance); the test prints how many did.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -359,6 +362,7 @@ void expect_same(const RouteResult& got, const RouteResult& want, const std::str
 struct Coverage {
   std::size_t delivered = 0, stuck = 0, ttl_expired = 0;
   std::size_t reroutes = 0, backtracks = 0, simd_routers = 0;
+  std::size_t walks = 0, simd_walks = 0;  // default-dispatch pipeline runs
   void add(const RouteResult& r) {
     delivered += r.status == RouteResult::Status::kDelivered;
     stuck += r.status == RouteResult::Status::kStuck;
@@ -521,6 +525,10 @@ class SampleRun {
       seek_for_tick(t);
       if (!pipeline.tick()) break;
     }
+    if (!router.config().force_scalar) {
+      ++coverage_->walks;
+      coverage_->simd_walks += pipeline.simd_advances() > 0;
+    }
     return results;
   }
 
@@ -630,11 +638,17 @@ TEST(Differential, EveryRouterMatchesTheReferenceWalk) {
   EXPECT_GT(coverage.ttl_expired, 0u);
   EXPECT_GT(coverage.reroutes, 0u);
   EXPECT_GT(coverage.backtracks, 0u);
-  if (simd_decode_supported()) EXPECT_GT(coverage.simd_routers, 0u);
+  if (simd_decode_supported()) {
+    EXPECT_GT(coverage.simd_routers, 0u);
+    EXPECT_GT(coverage.simd_walks, 0u);
+  }
   std::printf("differential: AVX-512 kernels %s (%zu of %zu default-dispatch routers "
               "vectorized)\n",
               coverage.simd_routers > 0 ? "ran" : "did not run; SIMD == scalar held trivially",
               coverage.simd_routers, 2 * kSamples);
+  std::printf("differential: AVX-512 walks %s (%zu of %zu default-dispatch pipelines)\n",
+              coverage.simd_walks > 0 ? "ran" : "did not run", coverage.simd_walks,
+              coverage.walks);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // (differential_test checks route_batch and mid-batch churn against the
 // reference walk):
 //  * the tick loop performs no heap allocations after pipeline setup;
+//  * advance(k) in chunks, with the view changed between chunks, equals
+//    tick() with the same changes at the same tick indices, for every
+//    select kernel variant (the AVX-512 walk picks its kernel per advance);
 //  * the same ring over SecureRouteSessions (SecureBatchPipeline) is
 //    bit-identical to per-query SecureRouter::route under attack and churn.
 #include <gtest/gtest.h>
@@ -10,14 +13,17 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "churn/churn_log.h"
 #include "core/router.h"
 #include "core/secure_router.h"
 #include "failure/byzantine.h"
 #include "failure/failure_model.h"
+#include "failure/reputation.h"
 #include "graph/graph_builder.h"
 #include "graph/overlay_graph.h"
 #include "telemetry/flight_recorder.h"
@@ -114,6 +120,116 @@ TEST(RouteBatch, TickLoopDoesNotAllocate) {
         << ": the batch tick loop must not allocate after setup";
     EXPECT_EQ(pipeline.retired(), queries.size());
   }
+}
+
+/// Which select kernel masks the chunked-advance test drives.
+enum class Masks { kIntact, kNodes, kLinks, kBoth, kTrust };
+
+/// Sixteen epochs of random kills and revivals: of nodes, of links or both.
+churn::ChurnLog churn_log(const OverlayGraph& g, bool nodes, bool links,
+                          std::uint64_t seed) {
+  churn::ChurnLog log(g);
+  util::Rng rng(seed);
+  for (int e = 0; e < 16; ++e) {
+    for (int c = 0; c < 40; ++c) {
+      const auto u = static_cast<NodeId>(rng.next_below(g.size()));
+      if (nodes) log.shadow().node_alive(u) ? log.kill_node(u) : log.revive_node(u);
+      const std::size_t degree = g.out_degree(u);
+      if (links && degree != 0) {
+        const std::size_t i = rng.next_below(degree);
+        log.shadow().link_alive(u, i) ? log.kill_link(u, i) : log.revive_link(u, i);
+      }
+    }
+    log.commit(e);
+  }
+  return log;
+}
+
+TEST(RouteBatch, AdvanceInChunksEqualsTicks) {
+  for (const graph::EdgeLayout layout :
+       {graph::EdgeLayout::kStandard, graph::EdgeLayout::kCompact}) {
+    const OverlayGraph g = test_graph(2048, 8, 173, layout);
+    const auto queries = random_queries(g, 300, 179);
+    for (const Masks masks :
+         {Masks::kIntact, Masks::kNodes, Masks::kLinks, Masks::kBoth, Masks::kTrust}) {
+      const bool nodes = masks == Masks::kNodes || masks == Masks::kBoth ||
+                         masks == Masks::kTrust;
+      const bool links = masks == Masks::kLinks || masks == Masks::kBoth;
+      std::optional<churn::ChurnLog> log;
+      if (nodes || links) log.emplace(churn_log(g, nodes, links, 181));
+      std::optional<failure::ReputationTable> rep;
+      RouterConfig cfg;
+      cfg.stuck_policy = masks == Masks::kLinks ? StuckPolicy::kRandomReroute
+                                                : StuckPolicy::kBacktrack;
+      if (masks == Masks::kTrust) {
+        rep.emplace(g);
+        util::Rng rng(191);
+        for (NodeId u = 0; u < g.size(); ++u) {
+          if (!rng.next_bool(0.2)) continue;
+          while (rep->trusted(u)) rep->record(u, failure::Observation::kDiedAtHop);
+        }
+        cfg.reputation = &*rep;
+      }
+      FailureView view = FailureView::all_alive(g);
+      const Router router(g, view, cfg);
+      // The view in force during chunk c: some epoch of the log, the same
+      // for both runs.
+      const auto seek = [&](std::size_t c) {
+        if (log) log->seek(view, util::splitmix64(c) % (log->size() + 1));
+      };
+      for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                                  std::size_t{64}, SIZE_MAX}) {
+        const std::string label = std::string(g.compact() ? "compact" : "standard") +
+                                  " masks=" + std::to_string(static_cast<int>(masks)) +
+                                  " k=" + std::to_string(k);
+        std::vector<RouteResult> want(queries.size());
+        std::size_t want_ticks = 0;
+        {
+          BatchPipeline ticked(router, queries, want, 193, BatchConfig{.width = 16});
+          for (bool live = true; live; ++want_ticks) {
+            if (want_ticks % k == 0) seek(want_ticks / k);
+            live = ticked.tick();
+          }
+        }
+        std::vector<RouteResult> got(queries.size());
+        std::size_t got_ticks = 0;
+        BatchPipeline chunked(router, queries, got, 193, BatchConfig{.width = 16});
+        bool live = true;
+        for (std::size_t c = 0; live; ++c) {
+          seek(c);
+          const std::size_t ran = chunked.advance(k, live);
+          ASSERT_TRUE(ran == k || !live) << label << " chunk=" << c;
+          got_ticks += ran;
+        }
+        EXPECT_EQ(got_ticks, want_ticks) << label;
+        EXPECT_EQ(chunked.retired(), queries.size()) << label;
+        if (router.simd_eligible()) EXPECT_GT(chunked.simd_advances(), 0u) << label;
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          ASSERT_EQ(got[q].status, want[q].status) << label << " query=" << q;
+          ASSERT_EQ(got[q].hops, want[q].hops) << label << " query=" << q;
+          ASSERT_EQ(got[q].backtracks, want[q].backtracks) << label << " query=" << q;
+          ASSERT_EQ(got[q].reroutes, want[q].reroutes) << label << " query=" << q;
+          ASSERT_EQ(got[q].completion_epoch, want[q].completion_epoch)
+              << label << " query=" << q;
+        }
+        seek(0);
+      }
+    }
+  }
+}
+
+TEST(RouteBatch, AdvanceOnNoQueriesRunsOneTick) {
+  const OverlayGraph g = test_graph(256, 4, 197);
+  const auto view = FailureView::all_alive(g);
+  const Router router(g, view);
+  std::vector<RouteResult> results;
+  BatchPipeline pipeline(router, {}, results, 1);
+  bool live = true;
+  EXPECT_EQ(pipeline.advance(5, live), 1u);
+  EXPECT_FALSE(live);
+  EXPECT_EQ(pipeline.advance(5, live), 0u);  // a drained ring stays put
+  EXPECT_FALSE(pipeline.tick());
+  EXPECT_EQ(pipeline.retired(), 0u);
 }
 
 void expect_identical(const SecureRouteResult& got, const SecureRouteResult& want,
