@@ -22,12 +22,12 @@
 // search), and mean recovery time (heal instant -> first delivered
 // completion).
 //
-// Results merge into BENCH_micro.json under adversarial_* keys (idempotent —
-// an existing adversarial section is replaced). The bench self-enforces two
-// acceptance floors (P2P_ADV_NO_GATE=1 skips both for smoke runs at toy
-// scales): under composed misroute, the full stack must deliver at least as
-// well as plain k-walk; and averaged over both behaviours, reputation-on
-// must not fall below reputation-off.
+// Results merge into BENCH_micro.json under adversarial_* keys (an existing
+// adversarial section is replaced in place and every other key kept). The
+// bench self-enforces two acceptance floors (P2P_ADV_NO_GATE=1 skips both
+// for smoke runs at toy scales): under composed misroute, the full stack
+// must deliver at least as well as plain k-walk; and averaged over both
+// behaviours, reputation-on must not fall below reputation-off.
 //
 // Telemetry: unless P2P_TELEMETRY=0 (or the library was built with
 // P2P_TELEMETRY=OFF), every cell records walk outcomes and driver event
@@ -111,81 +111,32 @@ double mean_recovery_ms(const churn::AdversarialReplay& replay,
   return counted == 0 ? 0.0 : total / static_cast<double>(counted);
 }
 
-/// Reads `path` fully, or "" when absent.
-std::string read_all(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return {};
-  std::string s;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) s.append(buf, got);
-  std::fclose(f);
-  return s;
-}
-
-/// Appends the adversarial section to BENCH_micro.json: keeps whatever the
-/// earlier benches wrote, replaces any previous adversarial section
-/// (idempotent reruns), creates a minimal document when run standalone.
+/// Merges the adversarial section into BENCH_micro.json (bench_common.h).
 void merge_json(const AdversarialMetrics& m, const char* path) {
-  std::string s = read_all(path);
-  const std::string marker = ",\n  \"adversarial_nodes\"";
-  if (s.empty()) {
-    s = "{\n  \"bench\": \"adversarial_replay\"";
-  } else if (const auto at = s.find(marker); at != std::string::npos) {
-    s.erase(at);
-  } else {
-    while (!s.empty() && (s.back() == '\n' || s.back() == ' ')) s.pop_back();
-    if (!s.empty() && s.back() == '}') s.pop_back();
-    while (!s.empty() && (s.back() == '\n' || s.back() == ' ')) s.pop_back();
-  }
-  char section[2560];
-  std::snprintf(
-      section, sizeof section,
-      ",\n"
-      "  \"adversarial_nodes\": %llu,\n"
-      "  \"adversarial_queries\": %zu,\n"
-      "  \"adversarial_waves\": %zu,\n"
-      "  \"adversarial_wave_size\": %zu,\n"
-      "  \"adversarial_paths\": %zu,\n"
-      "  \"adversarial_drop_delivery_plain\": %.4f,\n"
-      "  \"adversarial_drop_delivery_off\": %.4f,\n"
-      "  \"adversarial_drop_delivery_on\": %.4f,\n"
-      "  \"adversarial_misroute_delivery_plain\": %.4f,\n"
-      "  \"adversarial_misroute_delivery_off\": %.4f,\n"
-      "  \"adversarial_misroute_delivery_on\": %.4f,\n"
-      "  \"adversarial_misroute_msgs_per_delivery_off\": %.2f,\n"
-      "  \"adversarial_misroute_msgs_per_delivery_on\": %.2f,\n"
-      "  \"adversarial_misroute_recovery_ms_off\": %.3f,\n"
-      "  \"adversarial_misroute_recovery_ms_on\": %.3f,\n"
-      "  \"adversarial_routes_per_sec\": %.1f,\n"
-      "  \"adversarial_telemetry_queries\": %llu,\n"
-      "  \"adversarial_telemetry_delivered\": %llu,\n"
-      "  \"adversarial_telemetry_events\": %llu,\n"
-      "  \"adversarial_telemetry_msgs_p50\": %.1f,\n"
-      "  \"adversarial_telemetry_msgs_p99\": %.1f,\n"
-      "  \"adversarial_telemetry_best_hops_p50\": %.1f\n"
-      "}\n",
-      static_cast<unsigned long long>(m.nodes), m.queries, m.waves, m.wave_size,
-      m.paths, m.drop_plain.delivery_rate, m.drop_off.delivery_rate,
-      m.drop_on.delivery_rate, m.misroute_plain.delivery_rate,
-      m.misroute_off.delivery_rate, m.misroute_on.delivery_rate,
-      m.misroute_off.msgs_per_delivery, m.misroute_on.msgs_per_delivery,
-      m.misroute_off.recovery_ms, m.misroute_on.recovery_ms,
-      m.misroute_on.routes_per_sec,
-      static_cast<unsigned long long>(m.misroute_on.telem_queries),
-      static_cast<unsigned long long>(m.misroute_on.telem_delivered),
-      static_cast<unsigned long long>(m.misroute_on.telem_events),
-      m.misroute_on.msgs_p50, m.misroute_on.msgs_p99,
-      m.misroute_on.best_hops_p50);
-  s += section;
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "adversarial_replay: cannot open %s for writing\n",
-                 path);
-    return;
-  }
-  std::fwrite(s.data(), 1, s.size(), f);
-  std::fclose(f);
+  bench::JsonSection j;
+  j.add("adversarial_nodes", m.nodes);
+  j.add("adversarial_queries", m.queries);
+  j.add("adversarial_waves", m.waves);
+  j.add("adversarial_wave_size", m.wave_size);
+  j.add("adversarial_paths", m.paths);
+  j.add("adversarial_drop_delivery_plain", m.drop_plain.delivery_rate, 4);
+  j.add("adversarial_drop_delivery_off", m.drop_off.delivery_rate, 4);
+  j.add("adversarial_drop_delivery_on", m.drop_on.delivery_rate, 4);
+  j.add("adversarial_misroute_delivery_plain", m.misroute_plain.delivery_rate, 4);
+  j.add("adversarial_misroute_delivery_off", m.misroute_off.delivery_rate, 4);
+  j.add("adversarial_misroute_delivery_on", m.misroute_on.delivery_rate, 4);
+  j.add("adversarial_misroute_msgs_per_delivery_off", m.misroute_off.msgs_per_delivery, 2);
+  j.add("adversarial_misroute_msgs_per_delivery_on", m.misroute_on.msgs_per_delivery, 2);
+  j.add("adversarial_misroute_recovery_ms_off", m.misroute_off.recovery_ms, 3);
+  j.add("adversarial_misroute_recovery_ms_on", m.misroute_on.recovery_ms, 3);
+  j.add("adversarial_routes_per_sec", m.misroute_on.routes_per_sec, 1);
+  j.add("adversarial_telemetry_queries", m.misroute_on.telem_queries);
+  j.add("adversarial_telemetry_delivered", m.misroute_on.telem_delivered);
+  j.add("adversarial_telemetry_events", m.misroute_on.telem_events);
+  j.add("adversarial_telemetry_msgs_p50", m.misroute_on.msgs_p50, 1);
+  j.add("adversarial_telemetry_msgs_p99", m.misroute_on.msgs_p99, 1);
+  j.add("adversarial_telemetry_best_hops_p50", m.misroute_on.best_hops_p50, 1);
+  bench::merge_json_section(path, "adversarial_replay", "adversarial_", j);
 }
 
 }  // namespace

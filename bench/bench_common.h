@@ -13,7 +13,9 @@
 #include <iostream>
 #include <limits>
 #include <numeric>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/construction.h"
@@ -230,6 +232,73 @@ inline void banner(const std::string& title, std::uint64_t n, std::size_t links,
             << " messages/trial=" << messages << "\n"
             << "  (set P2P_SCALE=paper for the paper's full scale; "
                "P2P_NODES/P2P_TRIALS/P2P_MESSAGES override)\n";
+}
+
+/// One bench's members of BENCH_micro.json, in order, each value written as
+/// the JSON number it is: an integer exactly, a real to a fixed number of
+/// decimals.
+struct JsonSection {
+  std::vector<std::pair<std::string, std::string>> members;
+
+  void add(const std::string& key, std::uint64_t value) {
+    members.emplace_back(key, std::to_string(value));
+  }
+  void add(const std::string& key, double value, int decimals) {
+    std::string text(static_cast<std::size_t>(
+                         std::snprintf(nullptr, 0, "%.*f", decimals, value)),
+                     '\0');
+    std::snprintf(text.data(), text.size() + 1, "%.*f", decimals, value);
+    members.emplace_back(key, std::move(text));
+  }
+};
+
+/// Merges `section` into the flat JSON object at `path`, which every bench
+/// writes one top-level member per line. The members whose keys start with
+/// `prefix` are this bench's: they are replaced where the first of them
+/// stood (appended when there were none), and every other member keeps its
+/// place, so the benches may run and rerun in any order. A missing file
+/// becomes a document that starts with "bench": `who`. `who` also prefixes
+/// the error message when the file cannot be written.
+inline void merge_json_section(const char* path, const std::string& who,
+                               const std::string& prefix, const JsonSection& section) {
+  std::vector<std::string> members;
+  std::size_t at = std::string::npos;  // where this bench's members go
+  if (std::FILE* f = std::fopen(path, "rb")) {
+    std::string text;
+    char buf[4096];
+    for (std::size_t got; (got = std::fread(buf, 1, sizeof buf, f)) > 0;) text.append(buf, got);
+    std::fclose(f);
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("  \"", 0) != 0) continue;  // the braces
+      if (line.back() == ',') line.pop_back();
+      if (line.compare(3, prefix.size(), prefix) == 0) {
+        if (at == std::string::npos) at = members.size();
+      } else {
+        members.push_back(std::move(line));
+      }
+    }
+  }
+  if (members.empty()) members.push_back("  \"bench\": \"" + who + "\"");
+  if (at == std::string::npos) at = members.size();
+  std::vector<std::string> mine;
+  for (const auto& [key, value] : section.members) {
+    mine.push_back("  \"" + key + "\": " + value);
+  }
+  members.insert(members.begin() + static_cast<std::ptrdiff_t>(at), mine.begin(), mine.end());
+  std::string out = "{\n";
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    out += members[i];
+    out += i + 1 < members.size() ? ",\n" : "\n";
+  }
+  out += "}\n";
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "%s: cannot open %s for writing\n", who.c_str(), path);
+    return;
+  }
+  std::fwrite(out.data(), 1, out.size(), f);
+  std::fclose(f);
 }
 
 }  // namespace p2p::bench

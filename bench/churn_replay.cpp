@@ -16,8 +16,9 @@
 // Router::route_batch while the trace mutates the view between ticks — and
 // reports end-to-end routes/sec-under-churn.
 //
-// Results append to BENCH_micro.json (run after micro_perf; an existing
-// churn section is replaced, so reruns are idempotent) and print as a table.
+// Results merge into BENCH_micro.json under churn_* keys (an existing churn
+// section is replaced in place and every other key kept, so the benches
+// rerun in any order) and print as a table.
 // Knobs: P2P_NODES, P2P_CHURN_EVENTS, P2P_MESSAGES (replay query count).
 #include <chrono>
 #include <cstdio>
@@ -59,56 +60,18 @@ struct ChurnMetrics {
   double success_rate = 0;
 };
 
-/// Reads `path` fully, or "" when absent.
-std::string read_all(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return {};
-  std::string s;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) s.append(buf, got);
-  std::fclose(f);
-  return s;
-}
-
-/// Appends the churn section to BENCH_micro.json: keeps whatever micro_perf
-/// wrote, replaces any previous churn section (idempotent reruns), creates a
-/// minimal document when run standalone.
+/// Merges the churn section into BENCH_micro.json (bench_common.h).
 void merge_json(const ChurnMetrics& m, const char* path) {
-  std::string s = read_all(path);
-  const std::string marker = ",\n  \"churn_nodes\"";
-  if (s.empty()) {
-    s = "{\n  \"bench\": \"churn_replay\"";
-  } else if (const auto at = s.find(marker); at != std::string::npos) {
-    s.erase(at);
-  } else {
-    while (!s.empty() && (s.back() == '\n' || s.back() == ' ')) s.pop_back();
-    if (!s.empty() && s.back() == '}') s.pop_back();
-    while (!s.empty() && (s.back() == '\n' || s.back() == ' ')) s.pop_back();
-  }
-  char section[1024];
-  std::snprintf(section, sizeof section,
-                ",\n"
-                "  \"churn_nodes\": %llu,\n"
-                "  \"churn_events\": %zu,\n"
-                "  \"churn_total_changes\": %zu,\n"
-                "  \"churn_deltas_per_sec\": %.1f,\n"
-                "  \"churn_rebuilds_per_sec\": %.1f,\n"
-                "  \"churn_delta_speedup_vs_rebuild\": %.1f,\n"
-                "  \"churn_routes_per_sec\": %.1f,\n"
-                "  \"churn_replay_success_rate\": %.4f\n"
-                "}\n",
-                static_cast<unsigned long long>(m.nodes), m.events,
-                m.total_changes, m.deltas_per_sec, m.rebuilds_per_sec,
-                m.speedup, m.routes_per_sec, m.success_rate);
-  s += section;
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "churn_replay: cannot open %s for writing\n", path);
-    return;
-  }
-  std::fwrite(s.data(), 1, s.size(), f);
-  std::fclose(f);
+  bench::JsonSection j;
+  j.add("churn_nodes", m.nodes);
+  j.add("churn_events", m.events);
+  j.add("churn_total_changes", m.total_changes);
+  j.add("churn_deltas_per_sec", m.deltas_per_sec, 1);
+  j.add("churn_rebuilds_per_sec", m.rebuilds_per_sec, 1);
+  j.add("churn_delta_speedup_vs_rebuild", m.speedup, 1);
+  j.add("churn_routes_per_sec", m.routes_per_sec, 1);
+  j.add("churn_replay_success_rate", m.success_rate, 4);
+  bench::merge_json_section(path, "churn_replay", "churn_", j);
 }
 
 }  // namespace

@@ -26,8 +26,8 @@
 // P2P_TRACE_SAMPLE=k set, sampled hop trails land in
 // BENCH_service_trails.json.
 //
-// Results append to BENCH_micro.json (after micro_perf/churn_replay; an
-// existing service section is replaced, so reruns are idempotent). Knobs:
+// Results merge into BENCH_micro.json under service_* keys (an existing
+// service section is replaced in place and every other key kept). Knobs:
 // P2P_NODES, P2P_MESSAGES (queries per cell), P2P_CHURN_EVENTS (trace
 // length), P2P_TELEMETRY, P2P_TRACE_SAMPLE; P2P_THREADS is intentionally
 // ignored here — the sweep *is* the thread axis.
@@ -230,18 +230,6 @@ void write_file(const char* path, const std::string& content) {
   std::fclose(f);
 }
 
-/// Reads `path` fully, or "" when absent.
-std::string read_all(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return {};
-  std::string s;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) s.append(buf, got);
-  std::fclose(f);
-  return s;
-}
-
 struct ServiceMetrics {
   std::uint64_t nodes = 0;
   std::size_t queries = 0;
@@ -259,55 +247,24 @@ struct ServiceMetrics {
   std::uint64_t telem_trails = 0;
 };
 
-/// Appends the service section to BENCH_micro.json: keeps whatever earlier
-/// benches wrote, replaces any previous service section (idempotent reruns),
-/// creates a minimal document when run standalone.
+/// Merges the service section into BENCH_micro.json (bench_common.h).
 void merge_json(const ServiceMetrics& m, const char* path) {
-  std::string s = read_all(path);
-  const std::string marker = ",\n  \"service_nodes\"";
-  if (s.empty()) {
-    s = "{\n  \"bench\": \"service_throughput\"";
-  } else if (const auto at = s.find(marker); at != std::string::npos) {
-    s.erase(at);
-  } else {
-    while (!s.empty() && (s.back() == '\n' || s.back() == ' ')) s.pop_back();
-    if (!s.empty() && s.back() == '}') s.pop_back();
-    while (!s.empty() && (s.back() == '\n' || s.back() == ' ')) s.pop_back();
-  }
-  char section[2048];
-  std::snprintf(section, sizeof section,
-                ",\n"
-                "  \"service_nodes\": %llu,\n"
-                "  \"service_queries\": %zu,\n"
-                "  \"service_routes_per_sec_t1\": %.1f,\n"
-                "  \"service_routes_per_sec_t4\": %.1f,\n"
-                "  \"service_routes_per_sec_t8\": %.1f,\n"
-                "  \"service_scaling_efficiency\": %.4f,\n"
-                "  \"service_routes_per_sec_churn10k_t4\": %.1f,\n"
-                "  \"service_epoch_staleness_p99\": %.1f,\n"
-                "  \"service_telemetry_staleness_p50\": %.1f,\n"
-                "  \"service_telemetry_pin_ns_p99\": %.0f,\n"
-                "  \"service_telemetry_queries\": %llu,\n"
-                "  \"service_telemetry_delivered\": %llu,\n"
-                "  \"service_telemetry_publications\": %llu,\n"
-                "  \"service_telemetry_trails\": %llu\n"
-                "}\n",
-                static_cast<unsigned long long>(m.nodes), m.queries, m.t1,
-                m.t4, m.t8, m.efficiency_t4, m.churn10k_t4, m.staleness_p99,
-                m.telem_staleness_p50, m.telem_pin_ns_p99,
-                static_cast<unsigned long long>(m.telem_queries),
-                static_cast<unsigned long long>(m.telem_delivered),
-                static_cast<unsigned long long>(m.telem_publications),
-                static_cast<unsigned long long>(m.telem_trails));
-  s += section;
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "service_throughput: cannot open %s for writing\n",
-                 path);
-    return;
-  }
-  std::fwrite(s.data(), 1, s.size(), f);
-  std::fclose(f);
+  bench::JsonSection j;
+  j.add("service_nodes", m.nodes);
+  j.add("service_queries", m.queries);
+  j.add("service_routes_per_sec_t1", m.t1, 1);
+  j.add("service_routes_per_sec_t4", m.t4, 1);
+  j.add("service_routes_per_sec_t8", m.t8, 1);
+  j.add("service_scaling_efficiency", m.efficiency_t4, 4);
+  j.add("service_routes_per_sec_churn10k_t4", m.churn10k_t4, 1);
+  j.add("service_epoch_staleness_p99", m.staleness_p99, 1);
+  j.add("service_telemetry_staleness_p50", m.telem_staleness_p50, 1);
+  j.add("service_telemetry_pin_ns_p99", m.telem_pin_ns_p99, 0);
+  j.add("service_telemetry_queries", m.telem_queries);
+  j.add("service_telemetry_delivered", m.telem_delivered);
+  j.add("service_telemetry_publications", m.telem_publications);
+  j.add("service_telemetry_trails", m.telem_trails);
+  bench::merge_json_section(path, "service_throughput", "service_", j);
 }
 
 }  // namespace

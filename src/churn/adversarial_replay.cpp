@@ -20,7 +20,8 @@ AdversarialReplay::AdversarialReplay(const core::SecureRouter& router,
       byzantine_(&byzantine),
       config_(config),
       engine_("AdversarialReplay", router, log, view, queue, config,
-              config.width, &AdversarialReplayMetrics::churn_deltas,
+              core::BatchConfig{.width = config.width},
+              &AdversarialReplayMetrics::churn_deltas,
               CompletionStamps{std::vector<double>(config.queries, -1.0),
                                config.ticks_per_ms}) {
   util::require(&router.byzantine() == &byzantine,

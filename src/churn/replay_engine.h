@@ -49,13 +49,13 @@ template <class Pipeline, class Result, class TickHook = NoTickHook>
 class ReplayEngine {
  public:
   /// `config` supplies ticks_per_ms, queries, seed and telemetry (recorded
-  /// into its `ticks` and `*deltas` counters); `pipeline_config` is the
-  /// pipeline's last constructor argument; `who` prefixes error messages.
-  /// Every referenced object must outlive the engine.
-  template <class Router, class Config, class PipelineConfig, class Metrics>
+  /// into its `ticks` and `*deltas` counters); `batch` shapes the pipeline;
+  /// `who` prefixes error messages. Every referenced object must outlive
+  /// the engine.
+  template <class Router, class Config, class Metrics>
   ReplayEngine(const char* who, const Router& router, const ChurnLog& log,
                failure::FailureView& view, sim::EventQueue& queue,
-               const Config& config, const PipelineConfig& pipeline_config,
+               const Config& config, const core::BatchConfig& batch,
                telemetry::Counter Metrics::*deltas, TickHook hook = {})
       : log_(&log),
         view_(&view),
@@ -64,8 +64,7 @@ class ReplayEngine {
         queries_(make_queries(view, config.queries, config.seed, who)),
         results_(queries_.size()),
         pipeline_(router, queries_, results_,
-                  util::splitmix64(config.seed ^ 0xc4ce'b9fe'1a85'ec53ULL),
-                  pipeline_config),
+                  util::splitmix64(config.seed ^ 0xc4ce'b9fe'1a85'ec53ULL), batch),
         hook_(std::move(hook)) {
     if (config.telemetry != nullptr) {
       recorder_ = config.telemetry->recorder;

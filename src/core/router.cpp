@@ -241,11 +241,44 @@ SelectMasks select_masks(const Router& r) noexcept {
   return m;
 }
 
+/// The scalar table entry for router r under masks m.
+SelectFn scalar_select_fn(const Router& r, const SelectMasks& m) noexcept {
+  const graph::OverlayGraph& g = r.graph();
+  const bool one_sided = r.config().sidedness == Sidedness::kOneSided;
+  return kSelectTable[(g.compact() ? 32u : 0u) | (m.trust ? 16u : 0u) |
+                      (g.dense() ? 8u : 0u) | (m.links ? 4u : 0u) |
+                      (m.nodes ? 2u : 0u) | (one_sided ? 1u : 0u)];
+}
+
+/// A scalar table entry as a selector.
+struct ScalarSelect {
+  SelectFn select;
+  const graph::OverlayGraph& g;
+  const failure::FailureView& view;
+  const std::uint8_t* trusted;  // the trust sideband, when the entry checks it
+
+  graph::NodeId operator()(graph::NodeId u, metric::Point target,
+                           std::size_t rank) const noexcept {
+    return select(g, view, trusted, u, target, rank);
+  }
+};
+
 }  // namespace
+
+template <class Session>
+void WalkPipeline<Session>::capture_retired(const Lane& lane) {
+  if constexpr (kHopCapture && telemetry::kCompiledIn) {
+    if (telemetry_ != nullptr) telemetry_->record(results_[lane.query]);
+    if (trace_ != nullptr && lane.trail != kNoTrail) {
+      trace_->end(lane.trail, static_cast<std::uint8_t>(results_[lane.query].status));
+    }
+  }
+}
 
 /// The one tick loop. Each tick: the lookahead prefetch, one step of the
 /// current lane, hop capture, and retire + refill or drain. Every advance()
-/// runs this body; the AVX-512 walks inline it with their kernel.
+/// runs this body; on an AVX-512 router with_select inlines it with the
+/// kernel.
 template <class Session>
 template <class Select>
 std::size_t WalkPipeline<Session>::walk(std::size_t n, bool& live,
@@ -295,11 +328,7 @@ std::size_t WalkPipeline<Session>::walk(std::size_t n, bool& live,
       last_retired_ = lane.query;
       ++retired_;
       if constexpr (kHopCapture && telemetry::kCompiledIn) {
-        if (telemetry_ != nullptr) telemetry_->record(results_[lane.query]);
-        if (trace_ != nullptr && lane.trail != kNoTrail) {
-          trace_->end(lane.trail,
-                      static_cast<std::uint8_t>(results_[lane.query].status));
-        }
+        if (telemetry_ != nullptr || trace_ != nullptr) capture_retired(lane);
       }
       if (next_query_ < queries_.size()) {
         const std::size_t refill = next_query_++;
@@ -329,19 +358,6 @@ std::size_t WalkPipeline<Session>::walk(std::size_t n, bool& live,
   }
   return ran;
 }
-
-namespace detail {
-
-/// The AVX-512 walks' way into the pipeline's private tick loop.
-struct WalkAccess {
-  template <class Select>
-  static std::size_t walk(BatchPipeline& p, std::size_t n, bool& live,
-                          const Select& select) {
-    return p.walk(n, live, select);
-  }
-};
-
-}  // namespace detail
 
 namespace {
 
@@ -636,13 +652,14 @@ inline graph::NodeId avx512_select_ranked(const graph::OverlayGraph& g, const Fo
 
 /// Vectorized selection of any rank as a selector: dense graph, two-sided
 /// greedy, one kernel per (metric family, link mask, node mask, trust mask),
-/// both layouts through the one group body. select_candidate's table calls
-/// it once per select; the BatchPipeline walks inline it. du comes from the
-/// kernel's own metric on lane 0: Space::distance is not inlined into
-/// AVX-512 code and would cost every select a call. The metric's per-space
-/// part is built with the selector, so a walk builds it once. The operator
-/// is not always_inline: GCC cannot force an AVX-512 function into the
-/// default-target walk body, so the walks inline it through `flatten`.
+/// both layouts through the one group body. with_select builds it and hands
+/// it on, so select_candidate and the BatchPipeline walks inline the same
+/// body. du comes from the kernel's own metric on lane 0: Space::distance is
+/// not inlined into AVX-512 code and would cost every select a call. The
+/// metric's per-space part is built with the selector, so a walk builds it
+/// once. The operator is not always_inline: GCC cannot force an AVX-512
+/// function into a default-target body, so the callers inline it through
+/// `flatten`.
 template <class Metric, bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
 struct Avx512Select {
   const graph::OverlayGraph& g;
@@ -670,16 +687,6 @@ struct Avx512Select {
   }
 };
 
-template <class Metric, bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
-P2P_AVX512_TARGET
-graph::NodeId select_best_avx512(const graph::OverlayGraph& g,
-                                 const failure::FailureView& view,
-                                 const std::uint8_t* trusted, graph::NodeId u,
-                                 metric::Point target, std::size_t rank) noexcept {
-  return Avx512Select<Metric, kCheckLinks, kCheckNodes, kCheckTrust>{g, view, trusted}(
-      u, target, rank);
-}
-
 /// decode_links_simd's vector leg: the select's decode step, each group
 /// stored.
 P2P_AVX512_TARGET
@@ -696,53 +703,56 @@ void avx512_decode_links(const graph::OverlayGraph& g, graph::NodeId u,
   }
 }
 
-/// Kernel dispatch: one instantiation per (metric family, link mask, node
-/// mask, trust mask) so the intact case keeps its zero-overhead kernel and
-/// every failure-aware shape pays only the masks it needs. Index:
-/// (links?4:0) | (nodes?2:0) | (trust?1:0).
-template <class Metric, std::size_t... Is>
-constexpr std::array<SelectFn, 8> make_simd_table(std::index_sequence<Is...>) {
-  return {select_best_avx512<Metric, (Is & 4) != 0, (Is & 2) != 0,
-                             (Is & 1) != 0>...};
-}
-
-constexpr std::array<SelectFn, 8> kSimdSelect1D =
-    make_simd_table<LineMetric>(std::make_index_sequence<8>{});
-constexpr std::array<SelectFn, 8> kSimdSelectTorus =
-    make_simd_table<TorusMetric>(std::make_index_sequence<8>{});
-
-/// A BatchPipeline walk with one kernel variant as its selector. `flatten`
-/// inlines the tick loop, the session's step and the kernel into this one
-/// AVX-512 function, so a hop makes no call: what stays out of line is
-/// cold (the refill's node_nearest, a reroute's random_alive, telemetry
-/// and trace capture).
-template <class Metric, bool kCheckLinks, bool kCheckNodes, bool kCheckTrust>
+/// One kernel variant handed to `f` as its selector. `flatten` inlines f
+/// into this one AVX-512 function, and through f the kernel: a
+/// select_candidate call runs the kernel with no further call, and a
+/// BatchPipeline walk inlines its tick loop, the session's step and the
+/// kernel, so a hop makes no call. What stays out of line is cold (the
+/// refill's node_nearest, a reroute's random_alive, telemetry and trace
+/// capture).
+template <class Metric, bool kCheckLinks, bool kCheckNodes, bool kCheckTrust, class F>
 __attribute__((target(P2P_AVX512_ISA), flatten))
-std::size_t avx512_walk(BatchPipeline& p, const Router& r, const std::uint8_t* trusted,
-                        std::size_t n, bool& live) {
-  return detail::WalkAccess::walk(
-      p, n, live,
-      Avx512Select<Metric, kCheckLinks, kCheckNodes, kCheckTrust>{r.graph(), r.view(),
-                                                                   trusted});
+auto with_avx512_select(const Router& r, const std::uint8_t* trusted, F& f) {
+  return f(Avx512Select<Metric, kCheckLinks, kCheckNodes, kCheckTrust>{r.graph(), r.view(),
+                                                                       trusted});
 }
 
-using WalkFn = std::size_t (*)(BatchPipeline&, const Router&, const std::uint8_t*,
-                               std::size_t, bool&);
-
-/// Indexed as the select tables.
-template <class Metric, std::size_t... Is>
-constexpr std::array<WalkFn, 8> make_walk_table(std::index_sequence<Is...>) {
-  return {avx512_walk<Metric, (Is & 4) != 0, (Is & 2) != 0, (Is & 1) != 0>...};
+/// One entry per (link mask, node mask, trust mask), indexed by
+/// SelectMasks::simd_index(), so the intact case keeps its zero-overhead
+/// kernel and every failure-aware shape pays only the masks it needs.
+template <class Metric, class F, std::size_t... Is>
+constexpr auto make_avx512_table(std::index_sequence<Is...>) {
+  return std::array{
+      with_avx512_select<Metric, (Is & 4) != 0, (Is & 2) != 0, (Is & 1) != 0, F>...};
 }
-
-constexpr std::array<WalkFn, 8> kWalk1D =
-    make_walk_table<LineMetric>(std::make_index_sequence<8>{});
-constexpr std::array<WalkFn, 8> kWalkTorus =
-    make_walk_table<TorusMetric>(std::make_index_sequence<8>{});
 #pragma GCC diagnostic pop
 #else
 #define P2P_HAVE_AVX512_SELECT 0
 #endif
+
+/// The one place a select kernel is chosen: calls f with the selector that
+/// this router, the view and the reputation table pick now. On an AVX-512
+/// router that is the kernel of the metric family and the link/node/trust
+/// masks in force: dead links fold into the lane mask via the view's
+/// liveness words, dead targets via a gather of its node-dead words, and
+/// distrusted targets via a byte gather on the reputation sideband. Every
+/// other router gets its scalar table entry. The selector is valid while
+/// nothing mutates the view or the reputation table.
+template <class F>
+auto with_select(const Router& r, F&& f) {
+  const SelectMasks masks = select_masks(r);
+#if P2P_HAVE_AVX512_SELECT
+  if (r.simd_eligible()) {
+    static constexpr auto kLine =
+        make_avx512_table<LineMetric, F>(std::make_index_sequence<8>{});
+    static constexpr auto kTorus =
+        make_avx512_table<TorusMetric, F>(std::make_index_sequence<8>{});
+    const auto& table = r.graph().space().one_dimensional() ? kLine : kTorus;
+    return table[masks.simd_index()](r, masks.trusted, f);
+  }
+#endif
+  return f(ScalarSelect{scalar_select_fn(r, masks), r.graph(), r.view(), masks.trusted});
+}
 
 }  // namespace
 
@@ -760,29 +770,7 @@ bool decode_links_simd(const graph::OverlayGraph& g, graph::NodeId u,
 
 graph::NodeId Router::select_candidate(graph::NodeId u, metric::Point target,
                                        std::size_t rank) const noexcept {
-  const SelectMasks masks = select_masks(*this);
-#if P2P_HAVE_AVX512_SELECT
-  // The §6/§4 sweeps — intact *and* failure-aware, first picks and
-  // backtrack ranks alike — spend nearly all their time in this one call
-  // shape; simd_ok_ folds the per-router invariants (dense two-sided graph,
-  // narrow positions, CPU support) computed at construction, and the
-  // per-call view state picks the masked kernel variant: dead links fold
-  // into the lane mask via the view's liveness words, dead targets via a
-  // gather of its node-dead words, and distrusted targets via a byte gather
-  // on the reputation sideband. Each metric family has its own kernel; all
-  // share the 16-lane group body, the key packing and the min-reduction.
-  if (simd_ok_) {
-    const auto& table =
-        graph_->space().one_dimensional() ? kSimdSelect1D : kSimdSelectTorus;
-    return table[masks.simd_index()](*graph_, *view_, masks.trusted, u, target, rank);
-  }
-#endif
-  const bool one_sided = config_.sidedness == Sidedness::kOneSided;
-  const std::size_t index =
-      (graph_->compact() ? 32u : 0u) | (masks.trust ? 16u : 0u) |
-      (graph_->dense() ? 8u : 0u) | (masks.links ? 4u : 0u) |
-      (masks.nodes ? 2u : 0u) | (one_sided ? 1u : 0u);
-  return kSelectTable[index](*graph_, *view_, masks.trusted, u, target, rank);
+  return with_select(*this, [&](const auto& select) { return select(u, target, rank); });
 }
 
 std::vector<graph::NodeId> Router::candidates(graph::NodeId u,
@@ -922,20 +910,12 @@ WalkPipeline<Session>::WalkPipeline(const RouterType& router,
 template <class Session>
 std::size_t WalkPipeline<Session>::advance(std::size_t n, bool& live) {
   if constexpr (kHopCapture) {
-#if P2P_HAVE_AVX512_SELECT
     // Nothing mutates the view within one advance, so the kernel variant
     // select_candidate would re-derive on every hop is fixed here, once.
-    if (router_->simd_eligible()) {
-      const SelectMasks masks = select_masks(*router_);
-      const auto& walks =
-          router_->graph().space().one_dimensional() ? kWalk1D : kWalkTorus;
-      ++simd_advances_;
-      return walks[masks.simd_index()](*this, *router_, masks.trusted, n, live);
-    }
-#endif
-    return walk(n, live, CandidateSelect{router_});
+    if (router_->simd_eligible()) ++simd_advances_;
+    return with_select(*router_, [&](const auto& select) { return walk(n, live, select); });
   } else {
-    return walk(n, live, nullptr);
+    return walk(n, live, nullptr);  // secure sessions select on their own
   }
 }
 

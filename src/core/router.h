@@ -63,15 +63,16 @@
 // the same lanes, seeding, refill, drain and both prefetch levels. What
 // differs between the two is fixed by the session type at compile time.
 //
-// Where the select kernel is chosen: a stepped session and route() call
-// select_candidate, which reads the view and reputation state on every call
-// and dispatches the matching kernel through a table. A BatchPipeline picks
-// the kernel once per advance() instead. Nothing mutates the view between
-// the ticks of one advance, so on an AVX-512 router advance() resolves the
-// variant (metric family, link/node/trust masks) on entry and runs a walk
-// compiled with that kernel inlined as its selector: one loop, no call per
-// hop. Every other router runs the same walk body with select_candidate as
-// its selector.
+// Where the select kernel is chosen: in one function of router.cpp
+// (with_select), from the router (AVX-512 eligibility, metric family,
+// layout, sidedness) and the view and reputation state (link/node/trust
+// masks). select_candidate, which a stepped session and route() call, runs
+// it on every call. A BatchPipeline runs it once per advance(): nothing
+// mutates the view between the ticks of one advance, so the whole walk runs
+// with the variant picked on entry. On an AVX-512 router that walk is
+// compiled with the kernel inlined as its selector, one loop with no call
+// per hop; on every other router it calls the scalar table entry picked on
+// entry.
 #pragma once
 
 #include <cstddef>
@@ -273,17 +274,6 @@ class Router {
   bool simd_ok_ = false;
 };
 
-/// The selector of a stepped session: Router::select_candidate, which picks
-/// the kernel variant on every call. A BatchPipeline walk on an AVX-512
-/// router inlines the variant's kernel instead (WalkPipeline::advance).
-struct CandidateSelect {
-  const Router* router;
-  [[nodiscard]] graph::NodeId operator()(graph::NodeId u, metric::Point goal,
-                                         std::size_t rank) const noexcept {
-    return router->select_candidate(u, goal, rank);
-  }
-};
-
 /// One in-flight search, advanced a single message transmission at a time.
 ///
 /// The session re-reads the failure view on every step, so views mutated
@@ -312,9 +302,13 @@ class RouteSession {
   /// Advances until the next physical message transmission or a terminal
   /// state. Returns the node the message moved to, or std::nullopt when the
   /// session ended (check state()). Each returned hop is one unit of
-  /// delivery time. Allocation-free except record_path.
+  /// delivery time. Allocation-free except record_path. Selects through
+  /// Router::select_candidate, which picks the kernel variant on every call
+  /// (a BatchPipeline walk fixes it once per advance instead).
   std::optional<graph::NodeId> step(util::Rng& rng) {
-    return step(rng, CandidateSelect{router_});
+    return step(rng, [r = router_](graph::NodeId u, metric::Point goal, std::size_t rank) {
+      return r->select_candidate(u, goal, rank);
+    });
   }
 
   /// step() with select(u, goal, rank) in place of select_candidate; it
@@ -490,14 +484,11 @@ class RouteSession {
 /// Ticks run in bulk: advance(n, live) is the one tick loop, and tick() and
 /// run() are advance(1) and advance(SIZE_MAX). The view must not change
 /// within one advance, only between calls. On entry, a RouteSession ring
-/// whose router is simd_eligible() picks its kernel variant once and runs
-/// the AVX-512 walk with that kernel inlined (router.cpp); every other ring
-/// runs the same body with the session's own step(). Results do not depend
-/// on how ticks are grouped into advances.
-namespace detail {
-struct WalkAccess;  // router.cpp: the AVX-512 walks' entry into walk()
-}  // namespace detail
-
+/// picks its select kernel variant once, through the same dispatch as
+/// select_candidate, and steps every lane with it: on a simd_eligible()
+/// router the AVX-512 kernel inlined into the walk, otherwise the scalar
+/// table entry. A secure ring steps its sessions on their own. Results do
+/// not depend on how ticks are grouped into advances.
 template <class Session>
 class WalkPipeline {
  public:
@@ -513,13 +504,6 @@ class WalkPipeline {
   WalkPipeline(const RouterType& router, std::span<const Query> queries,
                std::span<Result> results, std::uint64_t seed_base,
                const BatchConfig& config = {});
-
-  /// `width` lanes at the default lookahead distance, no capture.
-  WalkPipeline(const RouterType& router, std::span<const Query> queries,
-               std::span<Result> results, std::uint64_t seed_base,
-               std::size_t width)
-      : WalkPipeline(router, queries, results, seed_base,
-                     BatchConfig{.width = width}) {}
 
   /// Runs up to n ticks while `live` is set; each tick advances one
   /// in-flight search by one step. Clears `live` on the tick that retires
@@ -541,8 +525,10 @@ class WalkPipeline {
     advance(SIZE_MAX, live);
   }
 
-  /// advance() calls that ran the AVX-512 walk. Informational (tests assert
-  /// that the fused walk is exercised); results never depend on it.
+  /// advance() calls that ran an AVX-512 kernel; 0 on a router that is not
+  /// simd_eligible(). Informational (tests assert that the fused walk is
+  /// exercised, and that a scalar router never takes it); results never
+  /// depend on it.
   [[nodiscard]] std::size_t simd_advances() const noexcept { return simd_advances_; }
 
   [[nodiscard]] std::size_t in_flight() const noexcept { return lanes_.size(); }
@@ -562,8 +548,6 @@ class WalkPipeline {
   /// kept local so this header needs only the forward declaration.
   static constexpr std::uint32_t kNoTrail = ~std::uint32_t{0};
 
-  friend struct detail::WalkAccess;
-
   /// The tick loop behind advance(): up to n ticks, each stepping a
   /// RouteSession with `select` as its selector (a secure session steps on
   /// its own and ignores it). Defined in router.cpp.
@@ -576,6 +560,12 @@ class WalkPipeline {
     std::size_t query = 0;
     std::uint32_t trail = kNoTrail;  // flight-recorder handle, when sampled
   };
+
+  /// The retired query's outcome metric and trace end, when either capture
+  /// is on. Out of line and cold, so the flattened walks share one copy; the
+  /// attributes sit here because `flatten` ignores a noinline placed on the
+  /// out-of-class definition.
+  [[gnu::cold, gnu::noinline]] void capture_retired(const Lane& lane);
 
   const RouterType* router_;
   std::span<const Query> queries_;

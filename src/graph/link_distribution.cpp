@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -79,11 +80,23 @@ bool ring_kernel_supported() noexcept {
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #define P2P_RING_ISA "avx512f,avx512dq,avx512vl"
 
-/// Adds `step` to the lanes of c in `lanes` whose p[lo + c + at] <= v.
+/// Debug-build bound of a gather or scatter, whose accesses ASan does not
+/// see: true when every lane of `index` in `lanes` lies in [0, end). Only
+/// assert() calls it, so NDEBUG builds drop it.
+__attribute__((target(P2P_RING_ISA), always_inline)) inline bool lanes_within(
+    __m512i index, __mmask8 lanes, std::uint64_t end) {
+  return (_mm512_mask_cmplt_epi64_mask(lanes, index, _mm512_setzero_si512()) |
+          _mm512_mask_cmpge_epi64_mask(lanes, index,
+                                       _mm512_set1_epi64(static_cast<long long>(end)))) == 0;
+}
+
+/// Adds `step` to the lanes of c in `lanes` whose p[lo + c + at] <= v;
+/// `last` is p's last index.
 __attribute__((target(P2P_RING_ISA), always_inline)) inline __m512i ring_count_step(
-    const double* p, __m512i c, __mmask8 lanes, __m512i lo, __m512d v, long long at,
-    long long step) {
+    const double* p, [[maybe_unused]] std::uint64_t last, __m512i c, __mmask8 lanes,
+    __m512i lo, __m512d v, long long at, long long step) {
   const __m512i index = _mm512_add_epi64(_mm512_add_epi64(lo, c), _mm512_set1_epi64(at));
+  assert(lanes_within(index, lanes, last + 1) && "count gather: index past p's last entry");
   const __m512d q = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), lanes, index, p, 8);
   const __mmask8 le = _mm512_mask_cmp_pd_mask(lanes, q, v, _CMP_LE_OQ);
   return _mm512_mask_add_epi64(c, le, c, _mm512_set1_epi64(step));
@@ -110,7 +123,8 @@ __attribute__((target(P2P_RING_ISA), always_inline)) inline __m512i ring_count_s
 /// above a bucket edge, at most m + 1 (the first sentinel), so lo - 1 >= 0;
 /// the count reads p[lo + c + j] with c + j <= 7, at most p[m + kPad], the
 /// last sentinel; and p[lo + kPad] is read at min(lo + kPad, m + kPad)
-/// (every entry past m is +inf, so the clamp changes no comparison).
+/// (every entry past m is +inf, so the clamp changes no comparison). Debug
+/// builds assert each of these bounds, and the scatter's, lane by lane.
 __attribute__((target(P2P_RING_ISA))) void ring_block_avx512(
     const RingTables& t, util::Rng* rngs, const metric::Point* sources, std::size_t count,
     NodeId* out) {
@@ -166,11 +180,16 @@ __attribute__((target(P2P_RING_ISA))) void ring_block_avx512(
     const __mmask8 guided =
         _mm512_cmp_pd_mask(x, zero, _CMP_GE_OQ) & _mm512_cmp_pd_mask(x, buckets, _CMP_LT_OQ);
     const __m512i b = _mm512_maskz_cvttpd_epu64(guided, x);
+    assert(lanes_within(b, guided, static_cast<std::uint64_t>(t.buckets)) &&
+           "guide gather: bucket past the guide");
     const __m512i lo = _mm512_cvtepu32_epi64(
         _mm512_mask_i64gather_epi32(_mm256_setzero_si256(), guided, b, t.guide, 4));
-    const __m512d below = _mm512_mask_i64gather_pd(zero, guided, _mm512_sub_epi64(lo, one), t.p, 8);
-    const __m512d beyond = _mm512_mask_i64gather_pd(
-        zero, guided, _mm512_min_epu64(_mm512_add_epi64(lo, pad), last), t.p, 8);
+    const __m512i below_at = _mm512_sub_epi64(lo, one);
+    assert(lanes_within(below_at, guided, t.last + 1) && "p gather: lo - 1 outside p");
+    const __m512d below = _mm512_mask_i64gather_pd(zero, guided, below_at, t.p, 8);
+    const __m512i beyond_at = _mm512_min_epu64(_mm512_add_epi64(lo, pad), last);
+    assert(lanes_within(beyond_at, guided, t.last + 1) && "p gather: lo + kPad outside p");
+    const __m512d beyond = _mm512_mask_i64gather_pd(zero, guided, beyond_at, t.p, 8);
     const __mmask8 ok = _mm512_mask_cmp_pd_mask(guided, below, v, _CMP_LE_OQ) &
                         _mm512_cmp_pd_mask(beyond, v, _CMP_GT_OQ);
 
@@ -178,10 +197,10 @@ __attribute__((target(P2P_RING_ISA))) void ring_block_avx512(
     // first index past v, found in steps of 4, 2 and 1 (0..7), and a last
     // step of 1 for 8. Four gathers where a plain count takes eight.
     __m512i c = izero;
-    c = ring_count_step(t.p, c, guided, lo, v, 3, 4);
-    c = ring_count_step(t.p, c, guided, lo, v, 1, 2);
-    c = ring_count_step(t.p, c, guided, lo, v, 0, 1);
-    c = ring_count_step(t.p, c, guided, lo, v, 0, 1);
+    c = ring_count_step(t.p, t.last, c, guided, lo, v, 3, 4);
+    c = ring_count_step(t.p, t.last, c, guided, lo, v, 1, 2);
+    c = ring_count_step(t.p, t.last, c, guided, lo, v, 0, 1);
+    c = ring_count_step(t.p, t.last, c, guided, lo, v, 0, 1);
     __m512i d = _mm512_min_epu64(_mm512_add_epi64(lo, c), limit);
 
     const auto fallback = static_cast<unsigned>(static_cast<__mmask8>(~ok));
@@ -205,6 +224,9 @@ __attribute__((target(P2P_RING_ISA))) void ring_block_avx512(
     y = _mm512_mask_add_epi64(y, _mm512_cmplt_epi64_mask(y, izero), y, n);
     y = _mm512_mask_sub_epi64(y, _mm512_cmpge_epi64_mask(y, n), y, n);
     y = _mm512_mask_mov_epi64(y, _mm512_cmpeq_epi64_mask(y, src), invalid);
+    assert(lanes_within(_mm512_add_epi64(rows, _mm512_set1_epi64(static_cast<long long>(k))),
+                        0xff, kLanes * count) &&
+           "scatter: row past the block");
     _mm512_i64scatter_epi32(out + k, rows, _mm512_cvtepi64_epi32(y), 4);
   }
 

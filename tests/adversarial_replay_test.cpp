@@ -215,7 +215,8 @@ TEST(AdversarialReplay, MatchesManualDriverAtWidthsOneAndThirtyTwo) {
     std::vector<SecureRouteResult> results(queries.size());
     SecureBatchPipeline pipe(
         router_m, queries, results,
-        util::splitmix64(rc.seed ^ 0xc4ce'b9fe'1a85'ec53ULL), width);
+        util::splitmix64(rc.seed ^ 0xc4ce'b9fe'1a85'ec53ULL),
+        core::BatchConfig{.width = width});
     // `debt` mirrors the replay's tick accounting (it jumps ahead once the
     // workload drains); `actual` counts real pipeline ticks, which is what
     // stats.ticks reports.

@@ -4,7 +4,8 @@
 //  * the tick loop performs no heap allocations after pipeline setup;
 //  * advance(k) in chunks, with the view changed between chunks, equals
 //    tick() with the same changes at the same tick indices, for every
-//    select kernel variant (the AVX-512 walk picks its kernel per advance);
+//    select kernel variant, vectorized and scalar (a walk picks its kernel
+//    once per advance);
 //  * the same ring over SecureRouteSessions (SecureBatchPipeline) is
 //    bit-identical to per-query SecureRouter::route under attack and churn.
 #include <gtest/gtest.h>
@@ -125,6 +126,10 @@ TEST(RouteBatch, TickLoopDoesNotAllocate) {
 /// Which select kernel masks the chunked-advance test drives.
 enum class Masks { kIntact, kNodes, kLinks, kBoth, kTrust };
 
+/// Which kernel family: the default dispatch (vectorized on an AVX-512
+/// host), or one of two routers that always take the scalar table.
+enum class Kernel { kDefault, kForceScalar, kOneSided };
+
 /// Sixteen epochs of random kills and revivals: of nodes, of links or both.
 churn::ChurnLog churn_log(const OverlayGraph& g, bool nodes, bool links,
                           std::uint64_t seed) {
@@ -150,69 +155,80 @@ TEST(RouteBatch, AdvanceInChunksEqualsTicks) {
        {graph::EdgeLayout::kStandard, graph::EdgeLayout::kCompact}) {
     const OverlayGraph g = test_graph(2048, 8, 173, layout);
     const auto queries = random_queries(g, 300, 179);
-    for (const Masks masks :
-         {Masks::kIntact, Masks::kNodes, Masks::kLinks, Masks::kBoth, Masks::kTrust}) {
-      const bool nodes = masks == Masks::kNodes || masks == Masks::kBoth ||
-                         masks == Masks::kTrust;
-      const bool links = masks == Masks::kLinks || masks == Masks::kBoth;
-      std::optional<churn::ChurnLog> log;
-      if (nodes || links) log.emplace(churn_log(g, nodes, links, 181));
-      std::optional<failure::ReputationTable> rep;
-      RouterConfig cfg;
-      cfg.stuck_policy = masks == Masks::kLinks ? StuckPolicy::kRandomReroute
-                                                : StuckPolicy::kBacktrack;
-      if (masks == Masks::kTrust) {
-        rep.emplace(g);
-        util::Rng rng(191);
-        for (NodeId u = 0; u < g.size(); ++u) {
-          if (!rng.next_bool(0.2)) continue;
-          while (rep->trusted(u)) rep->record(u, failure::Observation::kDiedAtHop);
-        }
-        cfg.reputation = &*rep;
-      }
-      FailureView view = FailureView::all_alive(g);
-      const Router router(g, view, cfg);
-      // The view in force during chunk c: some epoch of the log, the same
-      // for both runs.
-      const auto seek = [&](std::size_t c) {
-        if (log) log->seek(view, util::splitmix64(c) % (log->size() + 1));
-      };
-      for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                                  std::size_t{64}, SIZE_MAX}) {
-        const std::string label = std::string(g.compact() ? "compact" : "standard") +
-                                  " masks=" + std::to_string(static_cast<int>(masks)) +
-                                  " k=" + std::to_string(k);
-        std::vector<RouteResult> want(queries.size());
-        std::size_t want_ticks = 0;
-        {
-          BatchPipeline ticked(router, queries, want, 193, BatchConfig{.width = 16});
-          for (bool live = true; live; ++want_ticks) {
-            if (want_ticks % k == 0) seek(want_ticks / k);
-            live = ticked.tick();
+    for (const Kernel kernel : {Kernel::kDefault, Kernel::kForceScalar, Kernel::kOneSided}) {
+      for (const Masks masks :
+           {Masks::kIntact, Masks::kNodes, Masks::kLinks, Masks::kBoth, Masks::kTrust}) {
+        const bool nodes = masks == Masks::kNodes || masks == Masks::kBoth ||
+                           masks == Masks::kTrust;
+        const bool links = masks == Masks::kLinks || masks == Masks::kBoth;
+        std::optional<churn::ChurnLog> log;
+        if (nodes || links) log.emplace(churn_log(g, nodes, links, 181));
+        std::optional<failure::ReputationTable> rep;
+        RouterConfig cfg;
+        cfg.stuck_policy = masks == Masks::kLinks ? StuckPolicy::kRandomReroute
+                                                  : StuckPolicy::kBacktrack;
+        cfg.force_scalar = kernel == Kernel::kForceScalar;
+        if (kernel == Kernel::kOneSided) cfg.sidedness = Sidedness::kOneSided;
+        if (masks == Masks::kTrust) {
+          rep.emplace(g);
+          util::Rng rng(191);
+          for (NodeId u = 0; u < g.size(); ++u) {
+            if (!rng.next_bool(0.2)) continue;
+            while (rep->trusted(u)) rep->record(u, failure::Observation::kDiedAtHop);
           }
+          cfg.reputation = &*rep;
         }
-        std::vector<RouteResult> got(queries.size());
-        std::size_t got_ticks = 0;
-        BatchPipeline chunked(router, queries, got, 193, BatchConfig{.width = 16});
-        bool live = true;
-        for (std::size_t c = 0; live; ++c) {
-          seek(c);
-          const std::size_t ran = chunked.advance(k, live);
-          ASSERT_TRUE(ran == k || !live) << label << " chunk=" << c;
-          got_ticks += ran;
+        FailureView view = FailureView::all_alive(g);
+        const Router router(g, view, cfg);
+        if (kernel != Kernel::kDefault) EXPECT_FALSE(router.simd_eligible());
+        // The view in force during chunk c: some epoch of the log, the same
+        // for both runs.
+        const auto seek = [&](std::size_t c) {
+          if (log) log->seek(view, util::splitmix64(c) % (log->size() + 1));
+        };
+        for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                                    std::size_t{64}, SIZE_MAX}) {
+          const std::string label =
+              std::string(g.compact() ? "compact" : "standard") +
+              " kernel=" + std::to_string(static_cast<int>(kernel)) +
+              " masks=" + std::to_string(static_cast<int>(masks)) +
+              " k=" + std::to_string(k);
+          std::vector<RouteResult> want(queries.size());
+          std::size_t want_ticks = 0;
+          {
+            BatchPipeline ticked(router, queries, want, 193, BatchConfig{.width = 16});
+            for (bool live = true; live; ++want_ticks) {
+              if (want_ticks % k == 0) seek(want_ticks / k);
+              live = ticked.tick();
+            }
+          }
+          std::vector<RouteResult> got(queries.size());
+          std::size_t got_ticks = 0;
+          BatchPipeline chunked(router, queries, got, 193, BatchConfig{.width = 16});
+          bool live = true;
+          for (std::size_t c = 0; live; ++c) {
+            seek(c);
+            const std::size_t ran = chunked.advance(k, live);
+            ASSERT_TRUE(ran == k || !live) << label << " chunk=" << c;
+            got_ticks += ran;
+          }
+          EXPECT_EQ(got_ticks, want_ticks) << label;
+          EXPECT_EQ(chunked.retired(), queries.size()) << label;
+          if (kernel != Kernel::kDefault) {
+            EXPECT_EQ(chunked.simd_advances(), 0u) << label;
+          } else if (router.simd_eligible()) {
+            EXPECT_GT(chunked.simd_advances(), 0u) << label;
+          }
+          for (std::size_t q = 0; q < queries.size(); ++q) {
+            ASSERT_EQ(got[q].status, want[q].status) << label << " query=" << q;
+            ASSERT_EQ(got[q].hops, want[q].hops) << label << " query=" << q;
+            ASSERT_EQ(got[q].backtracks, want[q].backtracks) << label << " query=" << q;
+            ASSERT_EQ(got[q].reroutes, want[q].reroutes) << label << " query=" << q;
+            ASSERT_EQ(got[q].completion_epoch, want[q].completion_epoch)
+                << label << " query=" << q;
+          }
+          seek(0);
         }
-        EXPECT_EQ(got_ticks, want_ticks) << label;
-        EXPECT_EQ(chunked.retired(), queries.size()) << label;
-        if (router.simd_eligible()) EXPECT_GT(chunked.simd_advances(), 0u) << label;
-        for (std::size_t q = 0; q < queries.size(); ++q) {
-          ASSERT_EQ(got[q].status, want[q].status) << label << " query=" << q;
-          ASSERT_EQ(got[q].hops, want[q].hops) << label << " query=" << q;
-          ASSERT_EQ(got[q].backtracks, want[q].backtracks) << label << " query=" << q;
-          ASSERT_EQ(got[q].reroutes, want[q].reroutes) << label << " query=" << q;
-          ASSERT_EQ(got[q].completion_epoch, want[q].completion_epoch)
-              << label << " query=" << q;
-        }
-        seek(0);
       }
     }
   }
