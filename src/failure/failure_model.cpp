@@ -56,17 +56,9 @@ FailureView FailureView::with_link_failures(const graph::OverlayGraph& g,
   return view;
 }
 
-graph::NodeId FailureView::random_alive(util::Rng& rng) const {
+graph::NodeId FailureView::random_alive_scan(util::Rng& rng) const {
   util::require(alive_count_ > 0, "random_alive: no alive nodes");
-  // Rejection sampling is O(n/alive) expected; fall back to a scan when the
-  // alive fraction is tiny so the draw stays bounded.
   const std::size_t n = graph_->size();
-  if (alive_count_ * 8 >= n) {
-    for (;;) {
-      const auto u = static_cast<graph::NodeId>(rng.next_below(n));
-      if (node_alive(u)) return u;
-    }
-  }
   std::size_t index = static_cast<std::size_t>(rng.next_below(alive_count_));
   for (graph::NodeId u = 0; u < n; ++u) {
     if (node_alive(u)) {

@@ -144,7 +144,18 @@ class FailureView {
   [[nodiscard]] std::size_t alive_count() const noexcept { return alive_count_; }
 
   /// Draws a uniformly random alive node. Precondition: alive_count() > 0.
-  [[nodiscard]] graph::NodeId random_alive(util::Rng& rng) const;
+  /// Rejection sampling, O(n/alive) expected, inline because query sets draw
+  /// millions; under an eighth of the nodes alive, a bounded scan instead.
+  [[nodiscard]] graph::NodeId random_alive(util::Rng& rng) const {
+    const std::size_t n = graph_->size();
+    if (alive_count_ == 0 || alive_count_ * 8 < n) [[unlikely]] {
+      return random_alive_scan(rng);
+    }
+    for (;;) {
+      const auto u = static_cast<graph::NodeId>(rng.next_below(n));
+      if (node_alive(u)) return u;
+    }
+  }
 
   /// Manual failure injection (tests, churn simulations). Leaves epoch()
   /// untouched.
@@ -198,6 +209,10 @@ class FailureView {
     bits[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
   static std::size_t words_for(std::size_t bits) noexcept { return (bits + 63) / 64; }
+
+  /// random_alive's cold path: throws on no alive node, else draws an index
+  /// among the alive ones and scans for it.
+  [[nodiscard]] graph::NodeId random_alive_scan(util::Rng& rng) const;
 
   /// Allocates the link bitset on first link death.
   void ensure_link_bits();

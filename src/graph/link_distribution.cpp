@@ -120,11 +120,14 @@ __attribute__((target(P2P_RING_ISA), always_inline)) inline __m512i ring_count_s
 /// AddressSanitizer does not instrument gathers, so their bounds are
 /// argued here. Only lanes inside the guide (0 <= x < buckets) gather from
 /// it, at b < buckets. Guide entries are first indices i >= 1 with p[i]
-/// above a bucket edge, at most m + 1 (the first sentinel), so lo - 1 >= 0;
-/// the count reads p[lo + c + j] with c + j <= 7, at most p[m + kPad], the
-/// last sentinel; and p[lo + kPad] is read at min(lo + kPad, m + kPad)
-/// (every entry past m is +inf, so the clamp changes no comparison). Debug
-/// builds assert each of these bounds, and the scatter's, lane by lane.
+/// above a bucket edge, and every edge below the last bucket's end lies
+/// below p[m], so the entries a lane gathers are at most m: lo - 1 >= 0;
+/// the count reads p[lo + c + j] with c + j <= 7, at most p[m + 7]; and
+/// p[lo + kPad] is at most p[m + kPad], the last sentinel, which draws in
+/// the last bucket read. So clamping that index to m + kPad never binds
+/// (and every entry past m is +inf, so it would change no comparison).
+/// Debug builds assert each of these bounds, and the scatter's, lane by
+/// lane.
 __attribute__((target(P2P_RING_ISA))) void ring_block_avx512(
     const RingTables& t, util::Rng* rngs, const metric::Point* sources, std::size_t count,
     NodeId* out) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 
 #include "util/require.h"
 #include "util/thread_pool.h"
@@ -87,42 +86,6 @@ NodeId node_nearest(const metric::Space& space,
 
 }  // namespace detail
 
-namespace {
-
-/// Zigzag map: 0,-1,1,-2,... -> 0,1,2,3,...
-inline std::uint64_t zigzag64(std::int64_t d) noexcept {
-  return (static_cast<std::uint64_t>(d) << 1) ^ static_cast<std::uint64_t>(d >> 63);
-}
-
-/// Number of links u -> v, v in [first, last), whose compact slot escapes.
-/// Branch-free, so it vectorizes over a run's slice.
-inline std::size_t escaped_links(NodeId u, const NodeId* first, const NodeId* last) noexcept {
-  std::size_t escaped = 0;
-  for (const NodeId* v = first; v != last; ++v) {
-    escaped += static_cast<std::size_t>(
-        zigzag64(static_cast<std::int64_t>(*v) - static_cast<std::int64_t>(u)) >=
-        detail::kEscapeWord);
-  }
-  return escaped;
-}
-
-/// Writes the encoding of u -> v: its slot word, and for a far target the
-/// absolute (low half first) at exc, which then advances past it.
-inline void encode_link(std::uint16_t* slot, std::uint16_t*& exc, NodeId u,
-                        NodeId v) noexcept {
-  const std::uint64_t zz =
-      zigzag64(static_cast<std::int64_t>(v) - static_cast<std::int64_t>(u));
-  if (zz < detail::kEscapeWord) {
-    *slot = static_cast<std::uint16_t>(zz);
-    return;
-  }
-  *slot = detail::kEscapeWord;
-  *exc++ = static_cast<std::uint16_t>(v & 0xFFFFu);
-  *exc++ = static_cast<std::uint16_t>(v >> 16);
-}
-
-}  // namespace
-
 OverlayGraph::OverlayGraph(metric::Space space, std::vector<metric::Point> positions,
                            std::span<const std::uint32_t> slice_sizes,
                            detail::NoFillVector<std::uint32_t> short_degree,
@@ -188,79 +151,6 @@ OverlayGraph::OverlayGraph(const OverlayGraph& other)
 OverlayGraph& OverlayGraph::operator=(const OverlayGraph& other) {
   if (this != &other) *this = OverlayGraph(other);
   return *this;
-}
-
-OverlayGraph OverlayGraph::freeze_compact(metric::Space space,
-                                          std::vector<metric::Point> positions,
-                                          detail::LinkRuns runs,
-                                          util::ThreadPool* pool) {
-  const std::size_t n = runs.size();
-  const std::size_t links = runs.link_count();
-  util::require(links <= std::numeric_limits<std::uint32_t>::max(),
-                "freeze_compact: slot index overflow");
-  OverlayGraph g(space, std::move(positions), CompactTag{});
-  g.node_count_ = n;
-
-  // Pass 1: every header but its stream start, whose field first holds the
-  // node's encoded length (one slot word per link plus two exception words
-  // per escaped link) in whole 2-word units, so the u32 `enc` field
-  // addresses streams past 2^32 words. The short degree fits its u16:
-  // GraphBuilder::add_short_link refuses a node's 65,536th short link. The
-  // escape count saturates instead.
-  auto* ch = g.arena_.allocate_array<CompactHeader>(n + 1);
-  const auto size_nodes = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t u = lo; u < hi; ++u) {
-      std::size_t escapes = 0;
-      for (const detail::LinkRuns::Run& run : runs.runs) {
-        escapes += escaped_links(static_cast<NodeId>(u), run.targets.data() + run.offsets[u],
-                                 run.targets.data() + run.offsets[u + 1]);
-      }
-      const std::size_t words = runs.degree(u) + 2 * escapes;
-      ch[u] = CompactHeader{runs.slot_base(u), static_cast<std::uint32_t>((words + 1) / 2),
-                            runs.degree(u), static_cast<std::uint16_t>(runs.short_degree(u)),
-                            static_cast<std::uint16_t>(std::min<std::size_t>(
-                                escapes, kEscapesSaturated))};
-    }
-  };
-  if (pool != nullptr && n >= 1024) {
-    pool->parallel_chunks(n, pool->thread_count() * 4, size_nodes);
-  } else {
-    size_nodes(0, n);
-  }
-  // Lengths to stream starts. A start past the u32 range wraps, but the
-  // total then is past it too, and the check below throws.
-  std::uint64_t units = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    const std::uint32_t len = ch[u].enc;
-    ch[u].enc = static_cast<std::uint32_t>(units);
-    units += len;
-  }
-  util::require(units <= std::numeric_limits<std::uint32_t>::max(),
-                "freeze_compact: encoded stream exceeds the addressable range");
-  ch[n] = CompactHeader{static_cast<std::uint32_t>(links), static_cast<std::uint32_t>(units),
-                        0, 0, 0};
-  const std::uint64_t total_words = units * 2;
-  auto* stream = g.arena_.allocate_array<std::uint16_t>(static_cast<std::size_t>(total_words));
-
-  // Pass 2: the encoding, streamed block by block so the runs' pages go
-  // back as the stream fills in (workers first-touch their span of the
-  // arena pages, which matters once shards pin their build pools).
-  runs.stream(pool, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t u = lo; u < hi; ++u) {
-      // Slot words first, the escaped targets' absolutes behind them.
-      std::uint16_t* const slots = stream + std::size_t{ch[u].enc} * 2;
-      std::uint16_t* exc = slots + ch[u].degree;
-      std::uint16_t* const end = stream + std::size_t{ch[u + 1].enc} * 2;
-      std::uint16_t* slot = slots;
-      runs.for_each_link(u, [&](NodeId v) { encode_link(slot++, exc, static_cast<NodeId>(u), v); });
-      if (exc != end) *exc = 0;  // even-unit padding word
-    }
-  });
-
-  g.cheaders_ = ch;
-  g.enc_ = stream;
-  g.enc_words_ = total_words;
-  return g;
 }
 
 void detail::LinkRuns::stream(util::ThreadPool* pool,

@@ -576,7 +576,9 @@ class OverlayGraph {
   /// stream. A first pass sizes every node's stream into its header; the
   /// encode pass then streams the runs (LinkRuns::stream), releasing their
   /// pages behind it, so the caller must not read them afterwards. `pool`
-  /// (optional) fans both passes.
+  /// (optional) fans both passes. Defined in compact_freeze.cpp: both passes
+  /// run detail::freeze_kernel(n)'s code, sixteen links per step with
+  /// AVX-512 where the CPU has it, else the scalar reference.
   static OverlayGraph freeze_compact(metric::Space space,
                                      std::vector<metric::Point> positions,
                                      detail::LinkRuns runs, util::ThreadPool* pool);

@@ -10,7 +10,8 @@
 //
 // `HugePageAllocator<T>` applies the same policy to std::vector storage
 // (FailureView bitsets / alive-byte sidebands): allocations of >= 1 MiB go
-// through mmap + MADV_HUGEPAGE, smaller ones through plain operator new.
+// through mmap + MADV_HUGEPAGE, smaller ones through operator new (its
+// align_val_t form for an over-aligned T).
 // `NoFillHugePageAllocator<T>` does the same for buffers whose every slot is
 // written before it is read (GraphBuilder's link runs): its resize() leaves
 // trivial elements unwritten.
@@ -133,6 +134,11 @@ struct HugePageAllocator {
   /// two paths can never be mismatched.
   static constexpr std::size_t kMmapThreshold = std::size_t{1} << 20;
 
+  /// True when plain operator new does not guarantee T's alignment (an
+  /// alignas(64) NodeHeader, say): smaller blocks then take the align_val_t
+  /// overloads. A mapped block starts on a page, which covers any T.
+  static constexpr bool kOverAligned = alignof(T) > __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+
   HugePageAllocator() noexcept = default;
   template <class U>
   HugePageAllocator(const HugePageAllocator<U>&) noexcept {}  // NOLINT
@@ -147,7 +153,11 @@ struct HugePageAllocator {
       throw std::bad_alloc();
     }
 #endif
-    return static_cast<T*>(::operator new(bytes));
+    if constexpr (kOverAligned) {
+      return static_cast<T*>(::operator new(bytes, std::align_val_t{alignof(T)}));
+    } else {
+      return static_cast<T*>(::operator new(bytes));
+    }
   }
 
   void deallocate(T* p, std::size_t n) noexcept {
@@ -158,7 +168,11 @@ struct HugePageAllocator {
       return;
     }
 #endif
-    ::operator delete(p);
+    if constexpr (kOverAligned) {
+      ::operator delete(p, std::align_val_t{alignof(T)});
+    } else {
+      ::operator delete(p);
+    }
   }
 };
 

@@ -10,6 +10,7 @@
 //  * HpVector storage works on both sides of the 1 MiB mmap threshold, and
 //    so does NoFillHpVector's (blocks of threshold - 1, threshold and
 //    threshold + 1 bytes, and push_back growth across the threshold);
+//  * an over-aligned element type keeps its alignment on both sides;
 //  * release_pages drops only the whole pages inside its range and resumes
 //    where the previous call stopped;
 //  * under AddressSanitizer, a read just past a mapped block or of a
@@ -195,6 +196,35 @@ TEST(HugePageAllocator, SmallAndLargeBlocks) {
               HugePageAllocator<std::uint32_t>());
   EXPECT_FALSE(HugePageAllocator<std::uint64_t>() !=
                HugePageAllocator<std::uint32_t>());
+}
+
+TEST(HugePageAllocator, OverAlignedElementsKeepTheirAlignment) {
+  // A cache-line element like OverlayGraph::NodeHeader, which the router
+  // reads with aligned 64-byte loads. Plain operator new only guarantees 16
+  // bytes, so blocks below the threshold must come from the align_val_t
+  // overloads; mapped blocks start on a page.
+  struct alignas(64) Line {
+    std::uint32_t words[16];
+  };
+  constexpr std::size_t kThreshold = HugePageAllocator<Line>::kMmapThreshold;
+  std::vector<HpVector<Line>> blocks;
+  // Many small blocks, interleaved with odd-sized heap blocks, so a 16-byte
+  // aligned allocator would hand out a misaligned one; then blocks on both
+  // sides of the threshold.
+  std::vector<std::vector<char>> spacers;
+  for (std::size_t lines = 1; lines <= 40; ++lines) {
+    spacers.emplace_back(lines * 8 + 1);
+    blocks.emplace_back(lines);
+  }
+  for (const std::size_t bytes : {kThreshold - sizeof(Line), kThreshold, kThreshold + sizeof(Line)}) {
+    blocks.emplace_back(bytes / sizeof(Line));
+  }
+  for (HpVector<Line>& b : blocks) {
+    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % alignof(Line), 0u)
+        << b.size() << " lines";
+    b.back().words[15] = static_cast<std::uint32_t>(b.size());
+    EXPECT_EQ(b.back().words[15], b.size());
+  }
 }
 
 TEST(NoFillHugePageAllocator, BlocksAroundTheThresholdRoundTrip) {

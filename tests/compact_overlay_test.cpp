@@ -11,6 +11,10 @@
 //    300-link hub: it decodes in registers, so every degree vectorizes;
 //  * every compact header's escape count is the node's escaped-slot count,
 //    saturated at kEscapesSaturated;
+//  * the freeze's AVX-512 kernel counts and encodes crafted run slices
+//    exactly as the scalar reference does (degrees across the 16-lane step,
+//    zigzags at the escape word, wrap deltas near ±(n - 1), ids near
+//    2^31 - 1, a hub past the saturated count), writing nothing past them;
 //  * slot numbering matches: the same kill/revive sequence applied to views
 //    over both layouts leaves the same nodes and slots alive;
 //  * compact graphs cost <= 60% of the standard layout's bytes at the
@@ -20,10 +24,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/router.h"
 #include "failure/failure_model.h"
+#include "graph/compact_freeze.h"
 #include "graph/graph_builder.h"
 #include "graph/overlay_graph.h"
 #include "metric/space.h"
@@ -339,6 +346,105 @@ TEST(CompactOverlay, SaturatedEscapeCountSelectsLikeCandidates) {
               << "dead=" << dead << " target=" << target << " rank=" << rank
               << " compact=" << router.graph().compact();
         }
+      }
+    }
+  }
+}
+
+/// One crafted run slice for the freeze kernel: node u's links.
+struct SliceCase {
+  std::string what;
+  NodeId u;
+  std::vector<NodeId> links;
+};
+
+std::vector<SliceCase> slice_cases() {
+  constexpr NodeId kTop = (NodeId{1} << 31) - 1;  // the largest id the kernel takes
+  std::vector<SliceCase> cases;
+  // Degrees around the 16-lane step: every link near (one-word slots),
+  // every link far (escaped), and alternating.
+  for (const std::size_t d : {0, 1, 15, 16, 17, 33}) {
+    for (const char* pattern : {"near", "far", "alternating"}) {
+      SliceCase c{std::string(pattern) + " degree " + std::to_string(d), 5000, {}};
+      for (std::size_t i = 0; i < d; ++i) {
+        const bool far = pattern[0] == 'f' || (pattern[0] == 'a' && i % 2 == 0);
+        c.links.push_back(static_cast<NodeId>(far ? c.u + 0x40000 + i : c.u + 1 + i));
+      }
+      cases.push_back(c);
+    }
+  }
+  // Deltas whose zigzag sits at the escape word: d = 0x7FFF gives 0xFFFE
+  // (the largest one-word slot), d = -0x8000 gives 0xFFFF and d = 0x8000
+  // gives 0x10000 (both escape); their neighbours 0xFFFD and 0x10001. Each
+  // delta lands in every lane of the 16-lane step.
+  {
+    SliceCase c{"zigzag at the escape word", 0x100000, {}};
+    const std::int64_t deltas[] = {0x7FFF, -0x8000, 0x8000, -0x7FFF, -0x8001};
+    for (std::size_t i = 0; i < 16 * 5 + 3; ++i) {
+      c.links.push_back(static_cast<NodeId>(c.u + deltas[i % 5]));
+    }
+    cases.push_back(c);
+  }
+  // Wrap deltas near ±(n - 1) on a 2^31-node graph, and ids near 2^31 - 1
+  // on both ends of a link.
+  cases.push_back({"delta n - 1", 0, {kTop, kTop - 1, 1, kTop, 0x8000, kTop - 0x7FFF}});
+  cases.push_back({"delta -(n - 1)", kTop, {0, 1, kTop - 1, 0, kTop - 0x7FFF, kTop - 0x8000}});
+  {
+    SliceCase c{"ids near 2^31 - 1", kTop - 20, {}};
+    for (NodeId k = 0; k < 40; ++k) c.links.push_back(k % 3 == 0 ? k : kTop - k);
+    cases.push_back(c);
+  }
+  // A hub whose escapes overflow the header's u16 count, with near links
+  // between runs of far ones.
+  {
+    SliceCase c{"saturated hub", 7, {}};
+    for (NodeId i = 0; i < 70000; ++i) c.links.push_back(i % 97 == 0 ? 8 + i % 50 : 1000000 + i);
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+TEST(CompactOverlay, FreezeKernelMatchesScalarOnCraftedSlices) {
+  using graph::detail::FreezeKernel;
+  constexpr std::uint16_t kUnwritten = 0xA5A5;
+  const bool kernel =
+      graph::detail::freeze_kernel(std::size_t{1} << 31) == FreezeKernel::kAvx512;
+  // The kernel needs the same three AVX-512 subsets as the decode, and no
+  // graph past 2^31 nodes takes it.
+  EXPECT_EQ(kernel, core::simd_decode_supported());
+  EXPECT_EQ(graph::detail::freeze_kernel((std::size_t{1} << 31) + 1), FreezeKernel::kScalar);
+  for (const SliceCase& c : slice_cases()) {
+    // Slices start anywhere in a run, so the loads are unaligned: every case
+    // also runs from one and from five links in.
+    for (const std::size_t skip : {0, 1, 5}) {
+      if (skip > c.links.size()) continue;
+      const std::span<const NodeId> links = std::span<const NodeId>(c.links).subspan(skip);
+      const std::string where = c.what + ", from link " + std::to_string(skip);
+      const std::size_t escapes =
+          graph::detail::escaped_links(FreezeKernel::kScalar, c.u, links);
+      const std::size_t words = links.size() + 2 * escapes;
+      // The reference decodes back to the slice.
+      std::vector<std::uint16_t> want(words + 16, kUnwritten);
+      ASSERT_EQ(graph::detail::encode_links(FreezeKernel::kScalar, c.u, links, want.data(),
+                                            want.data() + words),
+                want.data() + words)
+          << where;
+      const std::uint16_t* exc = want.data() + links.size();
+      for (std::size_t i = 0; i < links.size(); ++i) {
+        ASSERT_EQ(graph::detail::decode_slot(want[i], exc, c.u), links[i]) << where << " i=" << i;
+        if (want[i] == graph::detail::kEscapeWord) exc += 2;
+      }
+      if (!kernel) continue;
+      ASSERT_EQ(graph::detail::escaped_links(FreezeKernel::kAvx512, c.u, links), escapes)
+          << where;
+      // Same words, and nothing written past them.
+      std::vector<std::uint16_t> got(words + 16, kUnwritten);
+      ASSERT_EQ(graph::detail::encode_links(FreezeKernel::kAvx512, c.u, links, got.data(),
+                                            got.data() + words),
+                got.data() + words)
+          << where;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << where << " word " << i << " of " << words;
       }
     }
   }

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/compact_freeze.h"
 #include "graph/graph_builder.h"
 #include "graph/link_distribution.h"
 #include "graph/overlay_graph.h"
@@ -1299,6 +1300,46 @@ OverlayGraph build_pinned(const PinnedBuild& p, util::ThreadPool* pool) {
   return pool != nullptr ? build_overlay(p.spec, rng, *pool) : build_overlay(p.spec, rng);
 }
 
+/// True where freeze_compact runs its AVX-512 kernel on graphs of up to
+/// 2^31 nodes: an x86-64 CPU with AVX-512F/BW/VL.
+bool cpu_runs_freeze_kernel() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  return __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512bw") != 0 &&
+         __builtin_cpu_supports("avx512vl") != 0;
+#else
+  return false;
+#endif
+}
+
+/// Every compact header and stream word of g as the scalar reference
+/// writes them: each node's slice re-encoded one link at a time, its escape
+/// count (saturated), its stream start and its zero padding word.
+::testing::AssertionResult stream_matches_scalar(const OverlayGraph& g) {
+  using detail::FreezeKernel;
+  std::vector<NodeId> slice;
+  std::vector<std::uint16_t> want;
+  std::size_t units = 0;
+  for (NodeId u = 0; u < g.size(); ++u) {
+    const OverlayGraph::CompactHeader& h = g.cheader(u);
+    const auto links = g.neighbors(u);
+    slice.assign(links.begin(), links.end());
+    const std::size_t escapes = detail::escaped_links(FreezeKernel::kScalar, u, slice);
+    const std::size_t words = slice.size() + 2 * escapes;
+    want.assign(words + (words & 1), 0);
+    detail::encode_links(FreezeKernel::kScalar, u, slice, want.data(), want.data() + words);
+    if (h.enc != units ||
+        h.escapes != std::min<std::size_t>(escapes, OverlayGraph::kEscapesSaturated) ||
+        !std::equal(want.begin(), want.end(), g.enc_stream(h))) {
+      return ::testing::AssertionFailure() << "node " << u << " differs from the reference";
+    }
+    units += want.size() / 2;
+  }
+  if (g.cheader(static_cast<NodeId>(g.size())).enc != units) {
+    return ::testing::AssertionFailure() << "stream length";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(GraphBuilderPinned, BuildsMatchReferenceFingerprints) {
   using Mode = BuildSpec::SparseLinkMode;
   const BuildSpec ring{.grid_size = 4096, .long_links = 12, .bidirectional = true};
@@ -1356,8 +1397,9 @@ TEST(GraphBuilderPinned, BuildsMatchReferenceFingerprints) {
       {"kleinberg 64", {}, 64, 0xf6d755bc1b6ca081ULL},
   };
   for (const PinnedBuild& p : builds) {
-    EXPECT_EQ(fingerprint(build_pinned(p, nullptr)), p.fingerprint)
-        << p.label << " serial";
+    const OverlayGraph serial = build_pinned(p, nullptr);
+    EXPECT_EQ(fingerprint(serial), p.fingerprint) << p.label << " serial";
+    if (serial.compact()) EXPECT_TRUE(stream_matches_scalar(serial)) << p.label;
     for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
       util::ThreadPool pool(threads);
       EXPECT_EQ(fingerprint(build_pinned(p, &pool)), p.fingerprint)
@@ -1378,16 +1420,17 @@ TEST(GraphBuilderPinned, LookupGraphMatchesReferenceFingerprint) {
                            0x22b433713e7b8a5cULL};
   const OverlayGraph serial = build_pinned(lookup, nullptr);
   EXPECT_EQ(fingerprint(serial), lookup.fingerprint) << "serial";
-  // Each compact header's escape count, which sizes the router's load
-  // extent, is the node's escaped-slot count (none here saturates).
-  for (NodeId u = 0; u < serial.size(); ++u) {
-    const OverlayGraph::CompactHeader& h = serial.cheader(u);
-    const std::size_t escaped = detail::count_escapes(serial.enc_stream(h), h.degree);
-    ASSERT_EQ(h.escapes, std::min<std::size_t>(escaped, OverlayGraph::kEscapesSaturated))
-        << "u=" << u;
-  }
+  // The freeze's kernel wrote the headers and the stream; they must be the
+  // scalar reference's bit for bit (each header's escape count sizes the
+  // router's load extent).
+  const bool kernel = detail::freeze_kernel(serial.size()) == detail::FreezeKernel::kAvx512;
+  std::printf("freeze kernel: %s (%zu nodes)\n", kernel ? "ran" : "did not run", serial.size());
+  EXPECT_EQ(kernel, cpu_runs_freeze_kernel());
+  EXPECT_TRUE(stream_matches_scalar(serial)) << "serial";
   util::ThreadPool pool(2);
-  EXPECT_EQ(fingerprint(build_pinned(lookup, &pool)), lookup.fingerprint) << "2 threads";
+  const OverlayGraph pooled = build_pinned(lookup, &pool);
+  EXPECT_EQ(fingerprint(pooled), lookup.fingerprint) << "2 threads";
+  EXPECT_TRUE(stream_matches_scalar(pooled)) << "2 threads";
 }
 
 TEST(GraphBuilderParallel, AnyPoolWidthMatchesSerialAcrossTransposeBlocks) {
